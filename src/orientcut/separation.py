@@ -6,7 +6,10 @@ below 1). Path rows are separated by a pruned depth-first search over all
 elementary paths with exactly kappa arcs. The structured row families
 (cycle-z, path-km1, path-km2, cycle-arcs, adjacent-paths) are enumerated
 exhaustively while the instantiation count stays under a cap and sampled with
-a fixed seed beyond it.
+a fixed seed beyond it. Those candidates depend only on the graph, kappa and
+the seed, so a `TemplatePool` generates them once and keeps each family as a
+sparse row matrix; template separation then scores a family with one sparse
+matrix-vector product and rechecks the rows it flags exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import heapq
 import itertools
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import InputError
 from .graphs import BidirectedDigraph, enumerate_cycles, enumerate_paths_k
@@ -345,30 +350,108 @@ def _sampled_rows(d: BidirectedDigraph, kappa: int, tag: str, rng: random.Random
                         break
 
 
+class _Family:
+    """One family's candidate rows and their CSR copy, z in column 2m."""
+
+    __slots__ = ("rows", "index", "data", "starts", "rhs", "equality")
+
+    def __init__(self, rows: List[LinearRow], z_index: int):
+        self.rows = rows
+        sizes = np.fromiter((len(r.coeffs) + (r.z_coeff != 0) for r in rows),
+                            dtype=np.intp, count=len(rows))
+        nnz = int(sizes.sum())
+        self.starts = np.zeros(len(rows), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=self.starts[1:])
+        self.index = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain(r.coeffs, (z_index,) if r.z_coeff else ()) for r in rows),
+            dtype=np.intp, count=nnz)
+        self.data = np.fromiter(
+            itertools.chain.from_iterable(
+                itertools.chain(r.coeffs.values(), (r.z_coeff,) if r.z_coeff else ())
+                for r in rows),
+            dtype=float, count=nnz)
+        self.rhs = np.fromiter((r.rhs for r in rows), dtype=float, count=len(rows))
+        self.equality = np.fromiter((r.sense == "=" for r in rows), dtype=bool,
+                                    count=len(rows))
+
+    def violated(self, x: np.ndarray) -> Iterator[LinearRow]:
+        """Rows the matvec scores as violated at x, with a margin for rounding.
+
+        The margin only lets borderline rows through; the caller decides on
+        each row's own `violation`, so the result does not depend on the
+        summation order here.
+        """
+        if not self.rows:
+            return iter(())
+        score = np.add.reduceat(self.data * x[self.index], self.starts) - self.rhs
+        score = np.where(self.equality, np.abs(score), score)
+        return (self.rows[i] for i in np.flatnonzero(score > VIOLATION_TOL - 1e-9))
+
+
+class TemplatePool:
+    """The candidate rows of every template family for one graph and kappa.
+
+    A family holds its first `structure_cap` enumerated rows and, when the
+    enumeration goes on past that cap, the seeded `_sampled_rows` draws;
+    duplicates (by `row.key`) keep their first occurrence. None of it depends
+    on the point being separated, so one pool serves every cut round of a
+    solve. The pool is read-only once built, so worker threads may share it.
+    """
+
+    def __init__(self, d: BidirectedDigraph, kappa: int,
+                 structure_cap: int = STRUCTURE_CAP, seed: int = SAMPLE_SEED):
+        self.d = d
+        self.kappa = kappa
+        self.structure_cap = structure_cap
+        self.seed = seed
+        # one family per entry of TEMPLATE_TAGS, in that order
+        self.families = tuple(_Family(self._candidates(tag), d.num_arcs)
+                              for tag in TEMPLATE_TAGS)
+
+    def _candidates(self, tag: str) -> List[LinearRow]:
+        rows: Dict[tuple, LinearRow] = {}
+        gen = _TEMPLATE_GENERATORS[tag](self.d, self.kappa)
+        exhausted = True
+        for count, row in enumerate(gen):
+            if count >= self.structure_cap:
+                exhausted = False
+                break
+            rows.setdefault(row.key, row)
+        if not exhausted:
+            rng = random.Random(f"{self.seed}:{tag}")
+            for row in _sampled_rows(self.d, self.kappa, tag, rng, self.structure_cap):
+                rows.setdefault(row.key, row)
+        return list(rows.values())
+
+
 def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
                        cap: int = MAX_CUTS_PER_CLASS,
                        structure_cap: int = STRUCTURE_CAP,
-                       seed: int = SAMPLE_SEED) -> List[LinearRow]:
-    """Violated structured rows, capped per class and merged in class order."""
+                       seed: int = SAMPLE_SEED,
+                       pool: Optional[TemplatePool] = None) -> List[LinearRow]:
+    """Violated structured rows, capped per class and merged in class order.
+
+    `pool` carries the candidate rows across calls; it must have been made
+    for this d, kappa, structure_cap and seed. Without one, a pool is built
+    for this call alone.
+    """
+    if len(w) != d.num_arcs:
+        raise InputError("w has wrong arc dimension")
+    if pool is None:
+        pool = TemplatePool(d, kappa, structure_cap, seed)
+    elif (pool.d is not d or pool.kappa != kappa or pool.structure_cap != structure_cap
+          or pool.seed != seed):
+        raise InputError("template pool was built for another graph or settings")
+    x = np.empty(d.num_arcs + 1)
+    x[:-1] = w
+    x[-1] = z
     merged: List[LinearRow] = []
-    for tag in TEMPLATE_TAGS:
+    for family in pool.families:
         found: Dict[tuple, Tuple[float, LinearRow]] = {}
-
-        def consider(row: LinearRow):
+        for row in family.violated(x):
             viol = row.violation(w, z)
-            if viol > VIOLATION_TOL and row.key not in found:
+            if viol > VIOLATION_TOL:
                 found[row.key] = (viol, row)
-
-        gen = _TEMPLATE_GENERATORS[tag](d, kappa)
-        exhausted = True
-        for count, row in enumerate(gen):
-            if count >= structure_cap:
-                exhausted = False
-                break
-            consider(row)
-        if not exhausted:
-            rng = random.Random(f"{seed}:{tag}")
-            for row in _sampled_rows(d, kappa, tag, rng, structure_cap):
-                consider(row)
         merged.extend(_top_rows(found, cap))
     return merged

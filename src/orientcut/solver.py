@@ -1,7 +1,9 @@
 """Branch and bound with cutting planes over the orientation models.
 
 Nodes carry their own cut rows (inherited from the parent), so processing a
-node is a pure function of the node and the shared problem data. The search
+node is a pure function of the node and the shared problem data. That data
+includes the solve's template pool: the candidate template rows, generated
+on the first cut round that separates them and read-only after that. The search
 pops a fixed-size wave of best-bound nodes, solves them (possibly on worker
 threads) and replays the results in pop order; pruning and incumbent updates
 happen only during the replay. Results are therefore identical for every
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -43,7 +46,7 @@ from .model import (
     row_edge_pair,
     row_path,
 )
-from .separation import separate_cycles, separate_paths, separate_templates
+from .separation import TemplatePool, separate_cycles, separate_paths, separate_templates
 
 WAVE_SIZE = 4  # fixed wave width; must not depend on the thread count
 MAX_CUT_ROUNDS = 20
@@ -118,7 +121,8 @@ class _NodeResult:
 
 
 class _Context:
-    """Shared immutable problem data for node processing."""
+    """Shared problem data for node processing; read-only apart from the
+    template pool, which the first cut round to need it builds under a lock."""
 
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], pool_rows: Sequence[LinearRow],
@@ -129,6 +133,8 @@ class _Context:
         self.objective = objective
         self.extra_rows = tuple(extra_rows)
         self.seed = seed
+        self._templates: Optional[TemplatePool] = None
+        self._templates_lock = threading.Lock()
         m = g.m
         self.nvar = 2 * m + 1
         self.obj_vector = [0.0] * self.nvar
@@ -143,6 +149,13 @@ class _Context:
                 base.append(r)
                 seen.add(r.key)
         self.base_rows = tuple(base)
+
+    def templates(self) -> TemplatePool:
+        """The solve's template pool, built by the first cut round that asks."""
+        with self._templates_lock:
+            if self._templates is None:
+                self._templates = TemplatePool(self.d, self.cfg.kappa, seed=self.seed)
+            return self._templates
 
     def build_lp(self, node: _Node) -> LinearProgram:
         m = self.g.m
@@ -263,7 +276,8 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
         if cutting:
             fresh = add_rows(separate_cycles(d, w))
             fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
-            fresh += add_rows(separate_templates(d, w, z, cfg.kappa, seed=ctx.seed))
+            fresh += add_rows(separate_templates(d, w, z, cfg.kappa, seed=ctx.seed,
+                                                 pool=ctx.templates()))
         if not fresh:
             # Branch on the most fractional edge: pair sum closest to one,
             # then the largest smaller direction, ties by edge index.

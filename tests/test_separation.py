@@ -12,11 +12,19 @@ from orientcut.graphs import (
     enumerate_cycles,
     enumerate_paths_k,
     paw_graph,
+    petersen_graph,
 )
 from orientcut.model import ModelConfig, AS, row_cycle, row_path
 from orientcut.polytope import enumerate_feasible_points
 from orientcut.separation import (
+    MAX_CUTS_PER_CLASS,
+    STRUCTURE_CAP,
     TEMPLATE_TAGS,
+    VIOLATION_TOL,
+    TemplatePool,
+    _TEMPLATE_GENERATORS,
+    _sampled_rows,
+    _top_rows,
     separate_cycles,
     separate_paths,
     separate_templates,
@@ -154,3 +162,70 @@ def test_separated_rows_are_valid_on_feasible_points(rng):
         for r in rows:
             for q in points:
                 assert r.satisfied(q.w, q.z), (r, q)
+
+
+def _templates_per_call(d, w, z, kappa, structure_cap, seed):
+    """Reference: regenerate and score every candidate row on each call."""
+    merged = []
+    for tag in TEMPLATE_TAGS:
+        found = {}
+
+        def consider(row):
+            viol = row.violation(w, z)
+            if viol > VIOLATION_TOL and row.key not in found:
+                found[row.key] = (viol, row)
+
+        exhausted = True
+        for count, row in enumerate(_TEMPLATE_GENERATORS[tag](d, kappa)):
+            if count >= structure_cap:
+                exhausted = False
+                break
+            consider(row)
+        if not exhausted:
+            rng = random.Random(f"{seed}:{tag}")
+            for row in _sampled_rows(d, kappa, tag, rng, structure_cap):
+                consider(row)
+        merged.extend(_top_rows(found, MAX_CUTS_PER_CLASS))
+    return merged
+
+
+def _fractional_point(g, kappa, rng):
+    # pairs near 1/2 and a low z violate many template rows at once
+    w = [0.25 + 0.5 * rng.random() for _ in range(2 * g.m)]
+    return w, kappa * (0.3 + 0.4 * rng.random())
+
+
+def test_pooled_template_separation_matches_per_call(rng):
+    cases = [(g, kappa, STRUCTURE_CAP) for _, g, _ in BATTERY for kappa in (2, 3, 4, 5)]
+    # a cap this small leaves families unfinished, so sampled draws join the pool
+    cases += [(petersen_graph(), kappa, 40) for kappa in (2, 3, 4)]
+    violated = 0
+    for g, kappa, structure_cap in cases:
+        d = BidirectedDigraph(g)
+        pool = TemplatePool(d, kappa, structure_cap, seed=3)
+        for k in range(12):
+            if k % 2:
+                w, z = _fractional_point(g, kappa, rng)
+            else:
+                pt = random_point(g, kappa, rng)
+                w, z = list(pt.w), pt.z
+            ref = _templates_per_call(d, w, z, kappa, structure_cap, 3)
+            got = separate_templates(d, w, z, kappa, structure_cap=structure_cap, seed=3,
+                                     pool=pool)
+            assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
+                (g.edges, kappa, structure_cap)
+            violated += len(got)
+    assert violated > 1000
+    d = BidirectedDigraph(petersen_graph())
+    assert any(sum(1 for _ in _TEMPLATE_GENERATORS[tag](d, 3)) > 40 for tag in TEMPLATE_TAGS)
+
+
+def test_template_pool_must_match_the_call():
+    d = BidirectedDigraph(complete_graph(4))
+    pool = TemplatePool(d, 2)
+    w = [0.5] * d.num_arcs
+    assert separate_templates(d, w, 1.0, 2, pool=pool) == separate_templates(d, w, 1.0, 2)
+    with pytest.raises(InputError):
+        separate_templates(d, w, 1.0, 3, pool=pool)
+    with pytest.raises(InputError):
+        separate_templates(BidirectedDigraph(complete_graph(4)), w, 1.0, 2, pool=pool)

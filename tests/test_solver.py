@@ -1,5 +1,10 @@
+import collections
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from orientcut import separation, solver
 from orientcut.errors import InfeasibleError, InputError, TimeLimitError
 from orientcut.graphs import (
     BidirectedDigraph,
@@ -25,6 +30,16 @@ from orientcut.solver import (
 )
 
 from conftest import BATTERY
+
+
+def _myciel3():
+    """The Groetzsch graph: Mycielski's construction applied to C5."""
+    n, edges = 5, cycle_graph(5).edges
+    out = list(edges)
+    for u, v in edges:
+        out += [(u, n + v), (v, n + u)]
+    out += [(n + v, 2 * n) for v in range(n)]
+    return UndirectedGraph(2 * n + 1, out)
 
 
 def test_default_objectives():
@@ -123,6 +138,59 @@ def test_seed_and_thread_determinism():
     assert a.objective == b.objective == c.objective
     assert a.node_count == b.node_count == c.node_count
     assert a.node_bound_histories == b.node_bound_histories == c.node_bound_histories
+    # several nodes per wave, each adding template cuts from the shared pool
+    g = _myciel3()
+    a = solve_ao(g, 3, seed=11)
+    c = solve_ao(g, 3, seed=11, threads=3)
+    assert a.node_count > 1
+    assert sum(a.cut_counts.get(tag, 0) for tag in separation.TEMPLATE_TAGS) > 0
+    assert (a.objective, a.node_count, a.pruned_count, a.cut_counts, a.lp_iterations) == \
+        (c.objective, c.node_count, c.pruned_count, c.cut_counts, c.lp_iterations)
+    assert a.node_bound_histories == c.node_bound_histories
+    assert a.root_cut_rows == c.root_cut_rows
+
+
+def _count_template_generation(monkeypatch):
+    generated = collections.Counter()
+    for tag, gen in list(separation._TEMPLATE_GENERATORS.items()):
+        def counted(d, kappa, tag=tag, gen=gen):
+            generated[tag] += 1
+            return gen(d, kappa)
+        monkeypatch.setitem(separation._TEMPLATE_GENERATORS, tag, counted)
+    return generated
+
+
+def test_template_pool_built_once_per_solve(monkeypatch):
+    generated = _count_template_generation(monkeypatch)
+    pools = []
+    separate = solver.separate_templates
+
+    def spy(*args, **kwargs):
+        pools.append(kwargs.get("pool"))
+        return separate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "separate_templates", spy)
+    rep = solve_ao(_myciel3(), 4)
+    assert len(pools) >= 3
+    assert pools[0] is not None and all(p is pools[0] for p in pools)
+    assert sum(rep.cut_counts.get(tag, 0) for tag in separation.TEMPLATE_TAGS) > 0
+    assert generated == {tag: 1 for tag in separation.TEMPLATE_TAGS}
+
+
+def test_template_pool_built_once_across_threads(monkeypatch):
+    generated = _count_template_generation(monkeypatch)
+    ctx = solver._Context(_myciel3(), ModelConfig(kappa=3, variant=AO), Objective(),
+                          (), (), seed=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            futures = [executor.submit(ctx.templates) for _ in range(8)]
+            pools = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(p is pools[0] for p in pools)
+    assert generated == {tag: 1 for tag in separation.TEMPLATE_TAGS}
 
 
 def test_node_bound_histories_monotone():
