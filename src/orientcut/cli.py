@@ -1,9 +1,9 @@
 """Command-line front end: JSON reports on stdout, summaries on stderr.
 
-Reports carry no wall-clock fields and serialize with sorted keys, so a fixed
-seed and single thread reproduce them byte for byte; timing goes to the
-stderr summary instead. Exit codes: 0 solved, 2 infeasible, 3 time limit,
-1 usage or input trouble.
+Reports carry no wall-clock fields and serialize with sorted keys, and the
+search is sequential, so a fixed seed reproduces them byte for byte; timing
+goes to the stderr summary instead. Exit codes: 0 solved, 2 infeasible,
+3 time limit, 1 usage or input trouble.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _read_instance(path: str):
 
 
 def _solver_kwargs(args) -> dict:
-    return {"time_limit": args.time_limit, "seed": args.seed, "threads": args.threads}
+    return {"time_limit": args.time_limit, "seed": args.seed}
 
 
 def _aggregate(reports: List[SolveReport]) -> dict:
@@ -125,8 +125,10 @@ def cmd_color(args) -> int:
     if g.m:
         point = ModelPoint(tuple(1.0 if a in arcs else 0.0 for a in range(d.num_arcs)),
                            float(q))
-        check_integral_feasible(d, ModelConfig(kappa=q + 1, variant=AO,
-                                               z_fixed=float(q)), point)
+        ok, witness = check_integral_feasible(
+            d, ModelConfig(kappa=q + 1, variant=AO, z_fixed=float(q)), point)
+        if not ok:
+            raise InputError(f"orientation failed the final recheck: {witness}")
         if dag_longest_path(d, arcs) != q:
             raise InputError("orientation diameter disagrees with the reported optimum")
     layers = source_decomposition(d, arcs)
@@ -164,8 +166,10 @@ def cmd_orient(args) -> int:
         _emit(base, "infeasible", started)
         return 2
     point = rep.best_point
-    check_integral_feasible(BidirectedDigraph(g), ModelConfig(kappa=args.kappa, variant=AO),
-                            point)
+    ok, witness = check_integral_feasible(
+        BidirectedDigraph(g), ModelConfig(kappa=args.kappa, variant=AO), point)
+    if not ok:
+        raise InputError(f"orientation failed the final recheck: {witness}")
     base["z"] = rep.objective
     base["arcs"] = sorted(point.arc_set())
     if args.oracle:
@@ -306,11 +310,19 @@ def cmd_polytope(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
                      metavar="S", help="solver time limit in seconds")
     sub.add_argument("--seed", type=int, default=1, help="separation sampling seed")
-    sub.add_argument("--threads", type=int, default=1, help="solver worker threads")
+    sub.add_argument("--threads", type=_positive_int, default=1,
+                     help="accepted and ignored; the search is sequential")
     sub.add_argument("--oracle", action="store_true",
                      help="cross-check against brute-force enumeration (small instances)")
 

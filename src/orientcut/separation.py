@@ -396,7 +396,7 @@ class TemplatePool:
     enumeration goes on past that cap, the seeded `_sampled_rows` draws;
     duplicates (by `row.key`) keep their first occurrence. None of it depends
     on the point being separated, so one pool serves every cut round of a
-    solve. The pool is read-only once built, so worker threads may share it.
+    solve, and it is read-only once built.
     """
 
     def __init__(self, d: BidirectedDigraph, kappa: int,

@@ -4,19 +4,18 @@ Nodes carry their own cut rows (inherited from the parent), so processing a
 node is a pure function of the node and the shared problem data. That data
 includes the solve's template pool: the candidate template rows, generated
 on the first cut round that separates them and read-only after that. The search
-pops a fixed-size wave of best-bound nodes, solves them (possibly on worker
-threads) and replays the results in pop order; pruning and incumbent updates
-happen only during the replay. Results are therefore identical for every
-thread count, which is part of the reporting contract.
+is a plain best-first loop: it pops the open node with the smallest bound
+(ties go to the most recently pushed), prunes it against the incumbent or
+processes it, and pushes its children. Apart from the time limit nothing in
+it depends on timing, so a fixed seed reproduces every report, which is part
+of the reporting contract.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -48,7 +47,6 @@ from .model import (
 )
 from .separation import TemplatePool, separate_cycles, separate_paths, separate_templates
 
-WAVE_SIZE = 4  # fixed wave width; must not depend on the thread count
 MAX_CUT_ROUNDS = 20
 TAIL_EPS = 1e-5
 TAIL_ROUNDS = 3
@@ -92,7 +90,6 @@ class SolveReport:
     pruned_count: int
     cut_counts: Dict[str, int]
     node_bound_histories: List[List[float]]
-    root_cut_rows: Tuple[LinearRow, ...]
     lp_iterations: int
     wall_time: float
 
@@ -105,7 +102,6 @@ class SolveReport:
 class _Node:
     forced: Tuple[Tuple[int, int], ...]  # sorted (arc, value) pairs
     rows: Tuple[LinearRow, ...]
-    depth: int
 
 
 @dataclass
@@ -117,12 +113,11 @@ class _NodeResult:
     lp_iterations: int
     candidate: Optional[ModelPoint] = None
     children: Tuple[_Node, ...] = ()
-    rows: Tuple[LinearRow, ...] = ()
 
 
 class _Context:
     """Shared problem data for node processing; read-only apart from the
-    template pool, which the first cut round to need it builds under a lock."""
+    template pool, which the first cut round to need it builds."""
 
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], pool_rows: Sequence[LinearRow],
@@ -134,7 +129,6 @@ class _Context:
         self.extra_rows = tuple(extra_rows)
         self.seed = seed
         self._templates: Optional[TemplatePool] = None
-        self._templates_lock = threading.Lock()
         m = g.m
         self.nvar = 2 * m + 1
         self.obj_vector = [0.0] * self.nvar
@@ -152,10 +146,9 @@ class _Context:
 
     def templates(self) -> TemplatePool:
         """The solve's template pool, built by the first cut round that asks."""
-        with self._templates_lock:
-            if self._templates is None:
-                self._templates = TemplatePool(self.d, self.cfg.kappa, seed=self.seed)
-            return self._templates
+        if self._templates is None:
+            self._templates = TemplatePool(self.d, self.cfg.kappa, seed=self.seed)
+        return self._templates
 
     def build_lp(self, node: _Node) -> LinearProgram:
         m = self.g.m
@@ -209,7 +202,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     forced = dict(node.forced)
     ones = [a for a, v in node.forced if v == 1]
     if find_directed_cycle(d, ones) is not None:
-        return _NodeResult("infeasible", math.inf, [], {}, 0, rows=node.rows)
+        return _NodeResult("infeasible", math.inf, [], {}, 0)
     lp = ctx.build_lp(node)
     sol = lp.solve()
     iterations = sol.iterations
@@ -231,8 +224,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
 
     while True:
         if not sol.optimal:
-            return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations,
-                               rows=tuple(rows))
+            return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
         bound = sol.objective + ctx.objective.const
         history.append(bound)
         w = sol.x[:2 * m]
@@ -265,7 +257,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
                 if not r.satisfied(point.w, point.z, tol=1e-7):
                     raise SolverError(f"integral point violates a model row: {r}")
             return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
-                               candidate=point, rows=tuple(rows))
+                               candidate=point)
         rounds += 1
         if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
             tail += 1
@@ -301,9 +293,9 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
                 child_ones = [a for a, v in child_forced.items() if v == 1]
                 if find_directed_cycle(d, child_ones) is None:
                     children.append(_Node(tuple(sorted(child_forced.items())),
-                                          frozen_rows, node.depth + 1))
+                                          frozen_rows))
             return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                               children=tuple(children), rows=frozen_rows)
+                               children=tuple(children))
         rows.extend(fresh)
         sol = lp.add_rows_and_resolve(
             [(r.coeffs_with_z(ctx.nvar - 1), r.sense, r.rhs) for r in fresh])
@@ -322,12 +314,10 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
                 pool_rows: Sequence[LinearRow] = (),
-                incumbent_hint: Optional[ModelPoint] = None,
                 feasibility_stop: bool = False,
                 use_symmetry: bool = False,
                 time_limit: Optional[float] = None,
-                seed: int = 1,
-                threads: int = 1) -> SolveReport:
+                seed: int = 1) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
     `extra_rows` are hard constraints; `pool_rows` seed the root cut set and
@@ -336,23 +326,20 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     `feasibility_stop` returns the first incumbent found.
     """
     t0 = time.monotonic()
-    if threads < 1:
-        raise InputError("threads must be at least 1")
     m = g.m
     d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
     integral_obj = obj.is_integral
 
-    def report(status, best, best_obj, bound, nodes, pruned, cuts, hist, root_rows, iters):
+    def report(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters):
         return SolveReport(status, cfg.variant, cfg.kappa, best, best_obj, bound,
-                           nodes, pruned, cuts, hist, root_rows, iters,
-                           time.monotonic() - t0)
+                           nodes, pruned, cuts, hist, iters, time.monotonic() - t0)
 
     if m == 0:
         z0 = cfg.z_lower
         point = ModelPoint((), float(z0))
         val = obj.value(point)
-        return report("optimal", point, val, val, 0, 0, {}, [], (), 0)
+        return report("optimal", point, val, val, 0, 0, {}, [], 0)
 
     incumbent_obj = math.inf
     best: Optional[ModelPoint] = None
@@ -365,13 +352,6 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             best = point
             return True
         return False
-
-    if incumbent_hint is not None:
-        ok, witness = check_integral_feasible(d, cfg, incumbent_hint)
-        if not ok or any(not r.satisfied(incumbent_hint.w, incumbent_hint.z, tol=1e-7)
-                         for r in extra_rows):
-            raise InputError(f"incumbent hint is infeasible: {witness}")
-        offer(incumbent_hint)
 
     # Opportunistic greedy incumbent: orient along a greedy coloring.
     colors = greedy_coloring(g)
@@ -399,15 +379,15 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         if not ok:
             raise SolverError(f"clique shortcut point failed recheck: {witness}")
         val = obj.value(point)
-        return report("optimal", point, val, val, 0, 0, {}, [], (), 0)
+        return report("optimal", point, val, val, 0, 0, {}, [], 0)
 
     if feasibility_stop and best is not None:
-        return report("optimal", best, incumbent_obj, incumbent_obj, 0, 0, {}, [], (), 0)
+        return report("optimal", best, incumbent_obj, incumbent_obj, 0, 0, {}, [], 0)
 
     forced: Dict[int, int] = {}
     if use_symmetry:
         forced = {0: 1, 1: 0}
-    root = _Node(tuple(sorted(forced.items())), (), 0)
+    root = _Node(tuple(sorted(forced.items())), ())
     ctx = _Context(g, cfg, obj, extra_rows, pool_rows, seed)
 
     seq = 0
@@ -416,69 +396,47 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     pruned_count = 0
     cut_counts: Dict[str, int] = {}
     histories: List[List[float]] = []
-    root_rows: Tuple[LinearRow, ...] = ()
     lp_iters = 0
     status = "optimal"
     stopped_early = False
-    executor = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
 
-    try:
-        while heap:
-            if time_limit is not None and time.monotonic() - t0 > time_limit:
-                status = "timeout"
-                break
-            wave: List[Tuple[float, _Node]] = []
-            while heap and len(wave) < WAVE_SIZE:
-                bound, _, node = heapq.heappop(heap)
-                wave.append((bound, node))
-            if executor is not None:
-                results = list(executor.map(lambda t: _process_node(ctx, t[1]), wave))
-            else:
-                results = [_process_node(ctx, node) for _, node in wave]
-            stop = False
-            for (bound, node), res in zip(wave, results):
-                if _prunable(bound, incumbent_obj, integral_obj):
-                    pruned_count += 1
-                    continue
-                node_count += 1
-                lp_iters += res.lp_iterations
-                for tag, cnt in res.cuts_by_tag.items():
-                    cut_counts[tag] = cut_counts.get(tag, 0) + cnt
-                histories.append(res.history)
-                if node.depth == 0:
-                    root_rows = res.rows
-                if res.status == "infeasible":
-                    continue
-                if res.status == "candidate":
-                    offer(res.candidate)
-                    if feasibility_stop:
-                        stop = True
-                        break
-                    continue
-                for child in res.children:
-                    if _prunable(res.bound, incumbent_obj, integral_obj):
-                        pruned_count += 1
-                        continue
-                    seq += 1
-                    heapq.heappush(heap, (res.bound, -seq, child))
-            if stop:
+    while heap:
+        if time_limit is not None and time.monotonic() - t0 > time_limit:
+            status = "timeout"
+            break
+        bound, _, node = heapq.heappop(heap)
+        if _prunable(bound, incumbent_obj, integral_obj):
+            pruned_count += 1
+            continue
+        res = _process_node(ctx, node)
+        node_count += 1
+        lp_iters += res.lp_iterations
+        for tag, cnt in res.cuts_by_tag.items():
+            cut_counts[tag] = cut_counts.get(tag, 0) + cnt
+        histories.append(res.history)
+        if res.status == "candidate":
+            offer(res.candidate)
+            if feasibility_stop:
                 stopped_early = True
                 break
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+        elif res.status == "branched":
+            for child in res.children:
+                if _prunable(res.bound, incumbent_obj, integral_obj):
+                    pruned_count += 1
+                    continue
+                seq += 1
+                heapq.heappush(heap, (res.bound, -seq, child))
 
     if status == "timeout" or stopped_early:
         open_bounds = [b for b, _, _ in heap]
         bound = min(open_bounds + [incumbent_obj])
         return report(status, best, None if best is None else incumbent_obj,
-                      bound, node_count, pruned_count, cut_counts, histories,
-                      root_rows, lp_iters)
+                      bound, node_count, pruned_count, cut_counts, histories, lp_iters)
     if best is None:
         return report("infeasible", None, None, math.inf, node_count, pruned_count,
-                      cut_counts, histories, root_rows, lp_iters)
+                      cut_counts, histories, lp_iters)
     return report("optimal", best, incumbent_obj, incumbent_obj, node_count,
-                  pruned_count, cut_counts, histories, root_rows, lp_iters)
+                  pruned_count, cut_counts, histories, lp_iters)
 
 
 def solve_ao(g: UndirectedGraph, kappa: int, **kwargs) -> SolveReport:

@@ -166,3 +166,35 @@ def test_cli_error_exits(capsys, tmp_path):
 
     code, _, err = _run(capsys, ["unknown-command"])
     assert code == 1
+
+    good = tmp_path / "k3.col"
+    good.write_text(K3_COL)
+    code, _, err = _run(capsys, ["orient", str(good), "--kappa", "2", "--threads", "0"])
+    assert code == 1 and "threads" in err
+
+
+def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
+    import dataclasses
+
+    from orientcut import cli
+    from orientcut.graphs import Orientation
+    from orientcut.model import ModelPoint
+
+    real = cli.solve_ao
+
+    def window_too_small(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, best_point=ModelPoint(rep.best_point.w, 1.0))
+
+    monkeypatch.setattr(cli, "solve_ao", window_too_small)
+    code, out, err = _run(capsys, ["orient", k3_file, "--kappa", "2"])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "recheck" in err
+
+    def cyclic(g, **kwargs):
+        return Orientation(g, [0 if (j - i) % 3 == 1 else 1 for i, j in g.edges]), 2
+
+    monkeypatch.setattr(cli, "min_diameter_orientation", cyclic)
+    code, out, err = _run(capsys, ["color", k3_file])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "recheck" in err

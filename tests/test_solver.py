@@ -1,11 +1,10 @@
 import collections
-import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from orientcut import separation, solver
 from orientcut.errors import InfeasibleError, InputError, TimeLimitError
+from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
     BidirectedDigraph,
     UndirectedGraph,
@@ -19,7 +18,6 @@ from orientcut.graphs import (
 from orientcut.model import AO, AS, LinearRow, ModelConfig, ModelPoint, check_integral_feasible
 from orientcut.polytope import brute_force_optimum
 from orientcut.solver import (
-    Objective,
     check_load_reduction,
     chromatic_number,
     default_objective,
@@ -130,24 +128,36 @@ def test_pool_rows_seed_valid_cuts_without_changing_optimum():
     assert rep.objective == pytest.approx(ref)
 
 
-def test_seed_and_thread_determinism():
-    g = cycle_graph(5)
-    a = solve_ao(g, 2, seed=11)
-    b = solve_ao(g, 2, seed=11)
-    c = solve_ao(g, 2, seed=11, threads=3)
-    assert a.objective == b.objective == c.objective
-    assert a.node_count == b.node_count == c.node_count
-    assert a.node_bound_histories == b.node_bound_histories == c.node_bound_histories
-    # several nodes per wave, each adding template cuts from the shared pool
-    g = _myciel3()
-    a = solve_ao(g, 3, seed=11)
-    c = solve_ao(g, 3, seed=11, threads=3)
+def test_seed_determinism():
+    def fingerprint(rep):
+        return (rep.objective, rep.node_count, rep.pruned_count, rep.cut_counts,
+                rep.lp_iterations, rep.node_bound_histories)
+
+    assert fingerprint(solve_ao(cycle_graph(5), 2, seed=11)) == \
+        fingerprint(solve_ao(cycle_graph(5), 2, seed=11))
+    # several nodes, each adding template cuts from the shared pool
+    a = solve_ao(_myciel3(), 3, seed=11)
     assert a.node_count > 1
     assert sum(a.cut_counts.get(tag, 0) for tag in separation.TEMPLATE_TAGS) > 0
-    assert (a.objective, a.node_count, a.pruned_count, a.cut_counts, a.lp_iterations) == \
-        (c.objective, c.node_count, c.pruned_count, c.cut_counts, c.lp_iterations)
-    assert a.node_bound_histories == c.node_bound_histories
-    assert a.root_cut_rows == c.root_cut_rows
+    assert fingerprint(a) == fingerprint(solve_ao(_myciel3(), 3, seed=11))
+
+
+def test_one_lp_build_per_counted_node(monkeypatch):
+    """Every node whose LP is built is counted; none is solved and thrown away."""
+    builds = []
+    build_lp = solver._Context.build_lp
+
+    def spy(ctx, node):
+        builds.append(node)
+        return build_lp(ctx, node)
+
+    monkeypatch.setattr(solver._Context, "build_lp", spy)
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    reports = []
+    assert solve_soft_cost(inst, reports=reports).total_cost == 0
+    nodes = sum(r.node_count for r in reports)
+    assert nodes > 1 and len(builds) == nodes
 
 
 def _count_template_generation(monkeypatch):
@@ -174,22 +184,6 @@ def test_template_pool_built_once_per_solve(monkeypatch):
     assert len(pools) >= 3
     assert pools[0] is not None and all(p is pools[0] for p in pools)
     assert sum(rep.cut_counts.get(tag, 0) for tag in separation.TEMPLATE_TAGS) > 0
-    assert generated == {tag: 1 for tag in separation.TEMPLATE_TAGS}
-
-
-def test_template_pool_built_once_across_threads(monkeypatch):
-    generated = _count_template_generation(monkeypatch)
-    ctx = solver._Context(_myciel3(), ModelConfig(kappa=3, variant=AO), Objective(),
-                          (), (), seed=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            futures = [executor.submit(ctx.templates) for _ in range(8)]
-            pools = [f.result(timeout=60) for f in futures]
-    finally:
-        sys.setswitchinterval(interval)
-    assert all(p is pools[0] for p in pools)
     assert generated == {tag: 1 for tag in separation.TEMPLATE_TAGS}
 
 
