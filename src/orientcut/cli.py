@@ -76,9 +76,11 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, summary: str, started: float) -> None:
+def _emit(report: dict, summary: str, started: float, code: int = 0) -> int:
+    """Print the report and its summary line; return the exit code `code`."""
     print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
     sys.stderr.write(f"{summary} [{time.perf_counter() - started:.2f}s]\n")
+    return code
 
 
 def _read_instance(path: str):
@@ -117,9 +119,8 @@ def cmd_color(args) -> int:
     try:
         orient, q = min_diameter_orientation(g, reports=reports, **_solver_kwargs(args))
     except TimeLimitError:
-        _emit({"command": "color", "digest": digest, "status": "timeout"},
-              "time limit reached", started)
-        return 3
+        return _emit({"command": "color", "digest": digest, "status": "timeout"},
+                     "time limit reached", started, 3)
     d = BidirectedDigraph(g)
     arcs = orient.arcs()
     if g.m:
@@ -160,11 +161,9 @@ def cmd_orient(args) -> int:
             "cutCounts": dict(rep.cut_counts),
             "boundHistory": list(rep.root_bound_history)}
     if rep.status == "timeout":
-        _emit(base, "time limit reached", started)
-        return 3
+        return _emit(base, "time limit reached", started, 3)
     if rep.status == "infeasible":
-        _emit(base, "infeasible", started)
-        return 2
+        return _emit(base, "infeasible", started, 2)
     point = rep.best_point
     ok, witness = check_integral_feasible(
         BidirectedDigraph(g), ModelConfig(kappa=args.kappa, variant=AO), point)
@@ -238,15 +237,13 @@ def cmd_fap(args) -> int:
             result = min_spectrum(inst, reports=reports, **_solver_kwargs(args))
     except TimeLimitError:
         report.update(status="timeout", **_aggregate(reports))
-        _emit(report, "time limit reached", started)
-        return 3
+        return _emit(report, "time limit reached", started, 3)
     except InfeasibleError as exc:
         bound = getattr(exc, "bound", math.inf)
         report.update(status="infeasible", bound=bound, **_aggregate(reports))
         if args.oracle:
             report["oracleAgrees"] = _fap_oracle_infeasible(inst, mode)
-        _emit(report, "infeasible", started)
-        return 2
+        return _emit(report, "infeasible", started, 2)
     if mode == "minimum":
         phi, assignment = result
         report["spectrum"] = phi
@@ -284,7 +281,10 @@ def cmd_polytope(args) -> int:
     g = parse_dimacs(raw.decode())
     started = time.perf_counter()
     cfg = ModelConfig(kappa=args.kappa, variant=AS)
+    timeout = {"command": "polytope", "digest": digest, "status": "timeout"}
     points = enumerate_feasible_points(g, cfg)
+    if time.perf_counter() - started > args.time_limit:
+        return _emit(timeout, "time limit reached", started, 3)
     dim = polytope_dimension(g, cfg, points)
     report = {"command": "polytope", "digest": digest, "kappa": args.kappa,
               "status": "ok", "dimension": dim, "fullDimension": 2 * g.m + 1,
@@ -294,7 +294,9 @@ def cmd_polytope(args) -> int:
         details = []
         facets = valid = 0
         for row in _class_rows(g, args.kappa, args.classify):
-            face = classify_face(g, cfg, row, points)
+            if time.perf_counter() - started > args.time_limit:
+                return _emit(timeout, "time limit reached", started, 3)
+            face = classify_face(g, cfg, row, points, dim)
             facets += face.is_facet
             valid += face.valid
             details.append({"support": sorted(row.coeffs), "zCoeff": row.z_coeff,
@@ -306,8 +308,7 @@ def cmd_polytope(args) -> int:
                        "validCount": valid, "facetCount": facets})
         summary += (f"; {args.classify}: {len(details)} rows, "
                     f"{valid} valid, {facets} facets")
-    _emit(report, summary, started)
-    return 0
+    return _emit(report, summary, started)
 
 
 def _positive_int(text: str) -> int:

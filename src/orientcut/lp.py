@@ -1,4 +1,4 @@
-"""Dense bounded-variable primal simplex and exact rational rank helpers.
+"""Dense bounded-variable primal simplex and an exact integer rank helper.
 
 The solver keeps a full tableau over structural variables, slacks and
 phase-one artificials. Nonbasic variables rest at either bound, entering
@@ -10,6 +10,8 @@ variables, hundreds of rows) solve in milliseconds this way.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -311,39 +313,37 @@ def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
     return total
 
 
-def _to_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return Fraction(int(v))
-    return Fraction(v)
-
-
 def affine_dimension(points: Sequence[Sequence]) -> int:
-    """Affine dimension of a point set, computed in exact rational arithmetic.
+    """Affine dimension of a point set, by exact fraction-free integer elimination.
 
     Rank of the differences against the first point: a single point has
-    dimension 0, an empty set dimension -1. The reduction stops early once the
-    ambient dimension is reached.
+    dimension 0, an empty set dimension -1. Each difference is scaled to
+    integers, reduced against the basis by cross-multiplying and divided by
+    its gcd. The reduction stops early once the ambient dimension is reached.
     """
     pts = list(points)
     if not pts:
         return -1
-    base = [_to_fraction(v) for v in pts[0]]
+    base = pts[0]
     ambient = len(base)
-    basis: List[Tuple[int, List[Fraction]]] = []
+    basis: List[Tuple[int, int, List[int]]] = []  # (lead index, lead entry, row)
     for p in pts[1:]:
         if len(p) != ambient:
             raise InputError("points must share one dimension")
-        v = [_to_fraction(a) - b for a, b in zip(p, base)]
-        for pivot_idx, pivot_vec in basis:
+        try:
+            v = [operator.index(a) - operator.index(b) for a, b in zip(p, base)]
+        except TypeError:  # Fraction or float entries: clear the denominators
+            diff = [Fraction(a) - Fraction(b) for a, b in zip(p, base)]
+            scale = math.lcm(*(q.denominator for q in diff))
+            v = [int(q * scale) for q in diff]
+        for pivot_idx, pivot, pivot_vec in basis:
             factor = v[pivot_idx]
             if factor:
-                v = [a - factor * b for a, b in zip(v, pivot_vec)]
+                v = [pivot * a - factor * b for a, b in zip(v, pivot_vec)]
         lead = next((k for k, a in enumerate(v) if a), None)
         if lead is not None:
-            inv = v[lead]
-            basis.append((lead, [a / inv for a in v]))
+            g = math.gcd(*v)
+            basis.append((lead, v[lead] // g, [a // g for a in v]))
             if len(basis) == ambient:
                 break
     return len(basis)

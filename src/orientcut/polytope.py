@@ -2,7 +2,7 @@
 
 Everything here is deliberately exhaustive and exact. Feasible points are
 enumerated by scanning per-edge direction states with arc bitmasks; affine
-ranks run over rationals so facet verdicts carry no floating point doubt.
+ranks use exact integer arithmetic so facet verdicts carry no rounding doubt.
 Size caps guard each entry point because the state space is exponential.
 """
 
@@ -110,12 +110,13 @@ class FaceReport:
 
 
 def classify_face(g: UndirectedGraph, cfg: ModelConfig, row: LinearRow,
-                  points: Optional[Sequence[ModelPoint]] = None) -> FaceReport:
+                  points: Optional[Sequence[ModelPoint]] = None,
+                  dimension: Optional[int] = None) -> FaceReport:
     """Validity and face dimension of an inequality over the solution set.
 
     Coefficients, points and the right-hand side are all integral here, so
-    tightness is decided by exact comparison; the face rank runs over
-    rationals. A facet is a valid face one dimension below the polytope.
+    tightness and ranks are exact. A facet is a valid face one dimension below
+    the polytope, whose rank is computed here unless `dimension` gives it.
     """
     if row.sense != "<=":
         raise InputError("face classification expects an inequality row")
@@ -134,15 +135,16 @@ def classify_face(g: UndirectedGraph, cfg: ModelConfig, row: LinearRow,
             break
         if val == rhs:
             tight.append(vec)
-    poly_dim = affine_dimension(vecs)
-    face_dim = -1 if violator is not None else affine_dimension(tight)
+    poly_dim = affine_dimension(vecs) if dimension is None else dimension
+    valid = violator is None
+    face_dim = affine_dimension(tight) if valid else -1
     return FaceReport(
-        valid=violator is None,
+        valid=valid,
         violating_point=violator,
-        tight_count=0 if violator is not None else len(tight),
+        tight_count=len(tight) if valid else 0,
         face_dimension=face_dim,
         polytope_dimension=poly_dim,
-        is_facet=violator is None and face_dim == poly_dim - 1,
+        is_facet=valid and face_dim == poly_dim - 1,
     )
 
 

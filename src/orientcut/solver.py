@@ -200,9 +200,6 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     cfg = ctx.cfg
     m = ctx.g.m
     forced = dict(node.forced)
-    ones = [a for a, v in node.forced if v == 1]
-    if find_directed_cycle(d, ones) is not None:
-        return _NodeResult("infeasible", math.inf, [], {}, 0)
     lp = ctx.build_lp(node)
     sol = lp.solve()
     iterations = sol.iterations

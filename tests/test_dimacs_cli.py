@@ -152,6 +152,47 @@ def test_cli_polytope_classify(capsys, k3_file):
         assert row["valid"] is True and row["isFacet"] is True
 
 
+def test_cli_polytope_one_rank_per_row(capsys, k3_file, monkeypatch):
+    from orientcut import polytope
+
+    calls = []
+    rank = polytope.affine_dimension
+
+    def spy(points):
+        calls.append(points)
+        return rank(points)
+
+    monkeypatch.setattr(polytope, "affine_dimension", spy)
+    code, out, _ = _run(capsys, ["polytope", k3_file, "--kappa", "2", "--classify", "cycle"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert rows and len(calls) == 1 + len(rows)
+
+
+def test_cli_polytope_timeout_exit(capsys, k3_file, monkeypatch):
+    import time
+
+    from orientcut import cli
+
+    def check_timeout(argv):
+        code, out, _ = _run(capsys, ["polytope", k3_file, "--kappa", "2", *argv])
+        assert code == 3
+        rep = json.loads(out)
+        assert rep == {"command": "polytope", "digest": rep["digest"], "status": "timeout"}
+
+    check_timeout(["--time-limit", "0"])
+    check_timeout(["--time-limit", "0", "--classify", "path"])
+    # the dimension runs past the limit: the check before the first row stops it
+    real = cli.polytope_dimension
+
+    def slow_dimension(*args):
+        time.sleep(0.3)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "polytope_dimension", slow_dimension)
+    check_timeout(["--time-limit", "0.2", "--classify", "path"])
+
+
 def test_cli_error_exits(capsys, tmp_path):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 5\n")

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -119,3 +120,58 @@ def test_affine_dimension_exact():
     pts = [(0, 0), (1, 3), (2, 6), (3, 9)]
     assert affine_dimension(pts) == 1
     assert affine_dimension([]) == -1
+
+
+def _fraction_rank(points):
+    """Reference: affine dimension by Gauss-Jordan elimination over Fractions."""
+    if not points:
+        return -1
+    base = [Fraction(v) for v in points[0]]
+    basis = []
+    for p in points[1:]:
+        v = [Fraction(a) - b for a, b in zip(p, base)]
+        for lead, row in basis:
+            if v[lead]:
+                v = [a - v[lead] * b for a, b in zip(v, row)]
+        lead = next((k for k, a in enumerate(v) if a), None)
+        if lead is not None:
+            basis.append((lead, [a / v[lead] for a in v]))
+    return len(basis)
+
+
+def _random_points(rng, kind, count, dim, rank):
+    """`count` points in `dim` dimensions on an affine subspace of dimension <= rank."""
+    def entry():
+        if kind == "float":
+            return rng.choice([0.0, 1.0, -2.5, 0.1, 0.3, 1e-3, 7.75])
+        if kind == "fraction":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+        value = rng.randint(-3, 3)
+        return np.int64(value) if kind == "np.int64" else value
+
+    origin = [entry() for _ in range(dim)]
+    gens = [[entry() for _ in range(dim)] for _ in range(rank)]
+    points = []
+    for _ in range(count):
+        coef = [rng.randint(-2, 2) for _ in gens]
+        points.append(tuple(o + sum(c * g[k] for c, g in zip(coef, gens))
+                            for k, o in enumerate(origin)))
+    points += rng.sample(points, min(3, count))  # duplicates
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "np.int64"])
+def test_integer_rank_matches_fraction_reference(kind):
+    rng = random.Random("rank-" + kind)
+    for _ in range(60):
+        dim = rng.randint(1, 9)
+        rank = rng.randint(0, dim + 1)  # rank > dim saturates at full dimension
+        points = _random_points(rng, kind, rng.randint(1, 25), dim, rank)
+        assert affine_dimension(points) == _fraction_rank(points), points
+    assert affine_dimension([]) == _fraction_rank([]) == -1
+    single = _random_points(rng, kind, 1, 4, 2)[:1]
+    assert affine_dimension(single) == _fraction_rank(single) == 0
+    assert affine_dimension(single * 5) == 0
+    with pytest.raises(InputError):
+        affine_dimension([(1, 2, 3), (1, 2)])

@@ -160,6 +160,28 @@ def test_one_lp_build_per_counted_node(monkeypatch):
     assert nodes > 1 and len(builds) == nodes
 
 
+def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
+    """The invariant that lets `_process_node` skip a cycle check on entry."""
+    seen = []
+    process = solver._process_node
+
+    def spy(ctx, node):
+        res = process(ctx, node)
+        seen.extend((ctx.d, n) for n in (node,) + res.children)
+        return res
+
+    monkeypatch.setattr(solver, "_process_node", spy)
+    for g, kappa in ((petersen_graph(), 2), (_myciel3(), 3)):
+        for variant in (AO, AS):
+            solve_model(g, ModelConfig(kappa=kappa, variant=variant), use_symmetry=True)
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    solve_soft_cost(inst)
+    assert sum(bool(n.forced) for _, n in seen) > 10
+    for d, node in seen:
+        assert is_acyclic(d, [a for a, v in node.forced if v == 1]), node.forced
+
+
 def _count_template_generation(monkeypatch):
     generated = collections.Counter()
     for tag, gen in list(separation._TEMPLATE_GENERATORS.items()):
