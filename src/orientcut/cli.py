@@ -1,9 +1,9 @@
 """Command-line front end: JSON reports on stdout, summaries on stderr.
 
 Reports carry no wall-clock fields and serialize with sorted keys, and the
-search is sequential, so a fixed seed reproduces them byte for byte; timing
-goes to the stderr summary instead. Exit codes: 0 solved, 2 infeasible,
-3 time limit, 1 usage or input trouble.
+search is sequential and not random, so identical inputs reproduce them byte
+for byte; timing goes to the stderr summary instead. Exit codes: 0 solved,
+2 infeasible, 3 time limit, 1 usage or input trouble.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ def _read_instance(path: str):
     return raw, hashlib.sha256(raw).hexdigest()[:16]
 
 
-def _solver_kwargs(args) -> dict:
-    return {"time_limit": args.time_limit, "seed": args.seed}
-
-
 def _aggregate(reports: List[SolveReport]) -> dict:
     cuts: Dict[str, int] = {}
     for rep in reports:
@@ -117,7 +113,7 @@ def cmd_color(args) -> int:
     started = time.perf_counter()
     reports: List[SolveReport] = []
     try:
-        orient, q = min_diameter_orientation(g, reports=reports, **_solver_kwargs(args))
+        orient, q = min_diameter_orientation(g, reports=reports, time_limit=args.time_limit)
     except TimeLimitError:
         return _emit({"command": "color", "digest": digest, "status": "timeout"},
                      "time limit reached", started, 3)
@@ -154,7 +150,7 @@ def cmd_orient(args) -> int:
     raw, digest = _read_instance(args.file)
     g = parse_dimacs(raw.decode())
     started = time.perf_counter()
-    rep = solve_ao(g, args.kappa, **_solver_kwargs(args))
+    rep = solve_ao(g, args.kappa, time_limit=args.time_limit)
     base = {"command": "orient", "digest": digest, "kappa": args.kappa,
             "status": rep.status, "bound": rep.bound,
             "nodes": rep.node_count, "pruned": rep.pruned_count,
@@ -230,11 +226,11 @@ def cmd_fap(args) -> int:
               "links": inst.links, "spectrum": inst.spectrum}
     try:
         if mode == "soft":
-            result = solve_soft_cost(inst, reports=reports, **_solver_kwargs(args))
+            result = solve_soft_cost(inst, reports=reports, time_limit=args.time_limit)
         elif mode == "fixed":
-            result = solve_fixed_spectrum(inst, reports=reports, **_solver_kwargs(args))
+            result = solve_fixed_spectrum(inst, reports=reports, time_limit=args.time_limit)
         else:
-            result = min_spectrum(inst, reports=reports, **_solver_kwargs(args))
+            result = min_spectrum(inst, reports=reports, time_limit=args.time_limit)
     except TimeLimitError:
         report.update(status="timeout", **_aggregate(reports))
         return _emit(report, "time limit reached", started, 3)
@@ -318,10 +314,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # also false for NaN
+        raise argparse.ArgumentTypeError("must be a nonnegative number of seconds")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--time-limit", type=float, default=DEFAULT_TIME_LIMIT,
+    sub.add_argument("--time-limit", type=_seconds, default=DEFAULT_TIME_LIMIT,
                      metavar="S", help="solver time limit in seconds")
-    sub.add_argument("--seed", type=int, default=1, help="separation sampling seed")
+    sub.add_argument("--seed", type=int, default=1,
+                     help="accepted and ignored; nothing in the solver is random")
     sub.add_argument("--threads", type=_positive_int, default=1,
                      help="accepted and ignored; the search is sequential")
     sub.add_argument("--oracle", action="store_true",

@@ -22,6 +22,7 @@ solve repeats, up to a fixed number of rejections.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -93,13 +94,14 @@ class FapInstance:
             if p.c is not None:
                 if p.d == 0:
                     raise InputError("violation cost on a pair with zero separation")
-                if p.c < 0:
-                    raise InputError("violation cost must be nonnegative")
+                # false for NaN and for numbers no float can hold
+                if isinstance(p.c, bool) or not 0 <= p.c <= sys.float_info.max:
+                    raise InputError("violation cost must be a finite nonnegative number")
             key = (min(p.i, p.j), max(p.i, p.j))
             if key in seen:
                 raise InputError(f"duplicate pair {key}")
             seen.add(key)
-            norm.append(FapPair(key[0], key[1], p.d, p.c))
+            norm.append(FapPair(key[0], key[1], p.d, None if p.c is None else float(p.c)))
         if spectrum is not None and (not _plain_int(spectrum) or spectrum < 1):
             raise InputError("spectrum must be a positive integer")
         self.links = links
@@ -149,8 +151,7 @@ class FapInstance:
             c = rp.get("c")
             if c is not None and not isinstance(c, (int, float)):
                 raise InputError(f"pair {k} cost must be numeric")
-            pairs.append(FapPair(rp["i"], rp["j"], rp["d"],
-                                 None if c is None else float(c)))
+            pairs.append(FapPair(rp["i"], rp["j"], rp["d"], c))
         spectrum = data.get("spectrum")
         if spectrum is not None and not _plain_int(spectrum):
             raise InputError("spectrum must be an integer or null")

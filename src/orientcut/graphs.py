@@ -423,12 +423,10 @@ def max_path_load(d: BidirectedDigraph, selected: Iterable[int], kappa: int):
     return best[0], best[1]
 
 
-def greedy_coloring(g: UndirectedGraph, order: Optional[Sequence[int]] = None) -> List[int]:
+def greedy_coloring(g: UndirectedGraph) -> List[int]:
     """Greedy proper coloring (smallest available color), largest degree first."""
-    if order is None:
-        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     colors = [-1] * g.n
-    for v in order:
+    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
         taken = {colors[u] for u in g.adj[v] if colors[u] >= 0}
         c = 0
         while c in taken:

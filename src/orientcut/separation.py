@@ -5,10 +5,10 @@ Cycle rows are separated exactly through shortest paths under arc lengths
 below 1). Path rows are separated by a pruned depth-first search over all
 elementary paths with exactly kappa arcs. The structured row families
 (cycle-z, path-km1, path-km2, cycle-arcs, adjacent-paths) are enumerated
-exhaustively while the instantiation count stays under a cap and sampled with
-a fixed seed beyond it. Those candidates depend only on the graph, kappa and
-the seed, so a `TemplatePool` generates them once and keeps each family as a
-sparse row matrix; template separation then scores a family with one sparse
+exhaustively by `template_rows` for the polytope laboratory. The solver
+separates only the cycle-z family: its candidates depend only on the graph
+and kappa, so a `TemplatePool` generates them once and keeps them as a
+sparse row matrix; template separation then scores them with one sparse
 matrix-vector product and rechecks the rows it flags exactly.
 """
 
@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import random
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,8 +35,7 @@ from .model import (
 
 VIOLATION_TOL = 1e-6
 MAX_CUTS_PER_CLASS = 50
-STRUCTURE_CAP = 20000
-SAMPLE_SEED = 7  # fixed fallback seed; callers may override for reproducibility
+STRUCTURE_CAP = 20000  # most cycle-z rows a template pool keeps
 
 TEMPLATE_TAGS = ("cycle-z", "path-km1", "path-km2", "cycle-arcs", "adjacent-paths")
 
@@ -263,100 +261,25 @@ def template_rows(d: BidirectedDigraph, kappa: int,
         yield from _TEMPLATE_GENERATORS[tag](d, kappa)
 
 
-def _sampled_rows(d: BidirectedDigraph, kappa: int, tag: str, rng: random.Random,
-                  draws: int) -> Iterator[LinearRow]:
-    """Random instantiations when exhaustive enumeration is too large."""
-    g = d.graph
-    if tag in ("cycle-z", "cycle-arcs"):
-        length = kappa + 1 if tag == "cycle-z" else kappa
-        for _ in range(draws):
-            verts = rng.sample(range(g.n), min(length, g.n))
-            if len(verts) != length:
-                return
-            if all(g.has_edge(verts[i], verts[(i + 1) % length]) for i in range(length)):
-                if tag == "cycle-z":
-                    yield row_cycle_z(d, verts, kappa)
-                else:
-                    members = set(verts)
-                    pendants = []
-                    ok = True
-                    for v in verts:
-                        opts = [r for r in g.adj[v] if r not in members and r not in pendants]
-                        if not opts:
-                            ok = False
-                            break
-                        pendants.append(rng.choice(opts))
-                    if ok:
-                        yield row_cycle_arcs(d, verts, pendants, kappa, rng.random() < 0.5)
-        return
-    # Path-shaped families: grow random paths arc by arc.
-    for _ in range(draws):
-        length = {"path-km1": kappa - 1, "path-km2": kappa - 2, "adjacent-paths": kappa}[tag]
-        if length < 1:
-            return
-        p = [rng.randrange(g.n)]
-        while len(p) <= length:
-            opts = [u for u in g.adj[p[-1]] if u not in p]
-            if not opts:
-                break
-            p.append(rng.choice(opts))
-        if len(p) != length + 1:
-            continue
-        members = set(p)
-        if tag == "path-km1":
-            opts = [u for u in range(g.n)
-                    if u not in members and all(g.has_edge(u, v) for v in p)]
-            if opts:
-                yield row_path_km1(d, p, rng.choice(opts), kappa)
-        elif tag == "path-km2":
-            opts = [u for u in range(g.n)
-                    if u not in members and g.has_edge(u, p[0]) and g.has_edge(u, p[-1])]
-            if not opts:
-                continue
-            u = rng.choice(opts)
-            ropts = [r for r in g.adj[u] if r not in members]
-            if ropts:
-                yield row_path_km2(d, p, u, rng.choice(ropts), kappa)
-        else:
-            splits = [k for k in range(1, length)]
-            rng.shuffle(splits)
-            done = False
-            for k in splits:
-                if done:
-                    break
-                alts = [u for u in g.adj[p[k]] if u not in p[:k + 1]]
-                rng.shuffle(alts)
-                for alt in alts:
-                    q = p[:k + 1] + [alt]
-                    while len(q) <= length:
-                        opts = [u for u in g.adj[q[-1]] if u not in q]
-                        if not opts:
-                            break
-                        q.append(rng.choice(opts))
-                    if len(q) != length + 1 or tuple(q) == tuple(p):
-                        continue
-                    prefix = 0
-                    while prefix <= kappa and p[prefix] == q[prefix]:
-                        prefix += 1
-                    if not set(p[prefix:]).isdisjoint(q[prefix:]):
-                        continue
-                    rungs = [r for r in range(prefix, kappa + 1)
-                             if g.has_edge(p[r], q[r])]
-                    if rungs:
-                        rung = rng.choice(rungs)
-                        yield row_adjacent_paths(d, p, q, rung, kappa, rng.random() < 0.5)
-                        yield row_adjacent_paths(d, p, q, rung, kappa, mirrored=True)
-                        done = True
-                        break
+class TemplatePool:
+    """The solver's template candidates for one graph and kappa: cycle-z rows.
 
+    The pool keeps the first `STRUCTURE_CAP` rows that `rows_cycle_z`
+    generates, duplicates (by `row.key`) keeping their first occurrence, and
+    a CSR copy of them with z in column 2m. None of it depends on the point
+    being separated, so one pool serves every cut round of a solve, and it is
+    read-only once built. The other template families stay out of the solver:
+    on the benchmark each of them cost more time than it saved.
+    """
 
-class _Family:
-    """One family's candidate rows and their CSR copy, z in column 2m."""
-
-    __slots__ = ("rows", "index", "data", "starts", "rhs", "equality")
-
-    def __init__(self, rows: List[LinearRow], z_index: int):
-        self.rows = rows
+    def __init__(self, d: BidirectedDigraph, kappa: int):
+        self.d = d
+        self.kappa = kappa
+        unique: Dict[tuple, LinearRow] = {}
+        for row in itertools.islice(rows_cycle_z(d, kappa), STRUCTURE_CAP):
+            unique.setdefault(row.key, row)
+        rows = self.rows = list(unique.values())
+        z_index = d.num_arcs
         sizes = np.fromiter((len(r.coeffs) + (r.z_coeff != 0) for r in rows),
                             dtype=np.intp, count=len(rows))
         nnz = int(sizes.sum())
@@ -372,86 +295,40 @@ class _Family:
                 for r in rows),
             dtype=float, count=nnz)
         self.rhs = np.fromiter((r.rhs for r in rows), dtype=float, count=len(rows))
-        self.equality = np.fromiter((r.sense == "=" for r in rows), dtype=bool,
-                                    count=len(rows))
 
     def violated(self, x: np.ndarray) -> Iterator[LinearRow]:
-        """Rows the matvec scores as violated at x, with a margin for rounding.
+        """Rows the matvec scores as violated at x = (w, z), with a margin.
 
-        The margin only lets borderline rows through; the caller decides on
-        each row's own `violation`, so the result does not depend on the
-        summation order here.
+        Every row has sense <=. The margin only lets borderline rows through;
+        the caller decides on each row's own `violation`, so the result does
+        not depend on the summation order here.
         """
         if not self.rows:
             return iter(())
         score = np.add.reduceat(self.data * x[self.index], self.starts) - self.rhs
-        score = np.where(self.equality, np.abs(score), score)
         return (self.rows[i] for i in np.flatnonzero(score > VIOLATION_TOL - 1e-9))
-
-
-class TemplatePool:
-    """The candidate rows of every template family for one graph and kappa.
-
-    A family holds its first `structure_cap` enumerated rows and, when the
-    enumeration goes on past that cap, the seeded `_sampled_rows` draws;
-    duplicates (by `row.key`) keep their first occurrence. None of it depends
-    on the point being separated, so one pool serves every cut round of a
-    solve, and it is read-only once built.
-    """
-
-    def __init__(self, d: BidirectedDigraph, kappa: int,
-                 structure_cap: int = STRUCTURE_CAP, seed: int = SAMPLE_SEED):
-        self.d = d
-        self.kappa = kappa
-        self.structure_cap = structure_cap
-        self.seed = seed
-        # one family per entry of TEMPLATE_TAGS, in that order
-        self.families = tuple(_Family(self._candidates(tag), d.num_arcs)
-                              for tag in TEMPLATE_TAGS)
-
-    def _candidates(self, tag: str) -> List[LinearRow]:
-        rows: Dict[tuple, LinearRow] = {}
-        gen = _TEMPLATE_GENERATORS[tag](self.d, self.kappa)
-        exhausted = True
-        for count, row in enumerate(gen):
-            if count >= self.structure_cap:
-                exhausted = False
-                break
-            rows.setdefault(row.key, row)
-        if not exhausted:
-            rng = random.Random(f"{self.seed}:{tag}")
-            for row in _sampled_rows(self.d, self.kappa, tag, rng, self.structure_cap):
-                rows.setdefault(row.key, row)
-        return list(rows.values())
 
 
 def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
                        cap: int = MAX_CUTS_PER_CLASS,
-                       structure_cap: int = STRUCTURE_CAP,
-                       seed: int = SAMPLE_SEED,
                        pool: Optional[TemplatePool] = None) -> List[LinearRow]:
-    """Violated structured rows, capped per class and merged in class order.
+    """Violated cycle-z rows at (w, z), most violated first, at most `cap`.
 
     `pool` carries the candidate rows across calls; it must have been made
-    for this d, kappa, structure_cap and seed. Without one, a pool is built
-    for this call alone.
+    for this d and kappa. Without one, a pool is built for this call alone.
     """
     if len(w) != d.num_arcs:
         raise InputError("w has wrong arc dimension")
     if pool is None:
-        pool = TemplatePool(d, kappa, structure_cap, seed)
-    elif (pool.d is not d or pool.kappa != kappa or pool.structure_cap != structure_cap
-          or pool.seed != seed):
-        raise InputError("template pool was built for another graph or settings")
+        pool = TemplatePool(d, kappa)
+    elif pool.d is not d or pool.kappa != kappa:
+        raise InputError("template pool was built for another graph or kappa")
     x = np.empty(d.num_arcs + 1)
     x[:-1] = w
     x[-1] = z
-    merged: List[LinearRow] = []
-    for family in pool.families:
-        found: Dict[tuple, Tuple[float, LinearRow]] = {}
-        for row in family.violated(x):
-            viol = row.violation(w, z)
-            if viol > VIOLATION_TOL:
-                found[row.key] = (viol, row)
-        merged.extend(_top_rows(found, cap))
-    return merged
+    found: Dict[tuple, Tuple[float, LinearRow]] = {}
+    for row in pool.violated(x):
+        viol = row.violation(w, z)
+        if viol > VIOLATION_TOL:
+            found[row.key] = (viol, row)
+    return _top_rows(found, cap)

@@ -2,13 +2,14 @@
 
 Nodes carry their own cut rows (inherited from the parent), so processing a
 node is a pure function of the node and the shared problem data. That data
-includes the solve's template pool: the candidate template rows, generated
-on the first cut round that separates them and read-only after that. The search
-is a plain best-first loop: it pops the open node with the smallest bound
-(ties go to the most recently pushed), prunes it against the incumbent or
-processes it, and pushes its children. Apart from the time limit nothing in
-it depends on timing, so a fixed seed reproduces every report, which is part
-of the reporting contract.
+includes the solve's template pool: the cycle-z rows, the one template family
+the solver separates, generated on the first cut round that separates them
+and read-only after that. The search is a plain best-first loop: it pops the
+open node with the smallest bound (ties go to the most recently pushed),
+prunes it against the incumbent or processes it, and pushes its children.
+Nothing in it is random and, apart from the time limit, nothing depends on
+timing, so identical inputs reproduce every report, which is part of the
+reporting contract.
 """
 
 from __future__ import annotations
@@ -120,14 +121,12 @@ class _Context:
     template pool, which the first cut round to need it builds."""
 
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
-                 extra_rows: Sequence[LinearRow], pool_rows: Sequence[LinearRow],
-                 seed: int):
+                 extra_rows: Sequence[LinearRow]):
         self.g = g
         self.cfg = cfg
         self.d = BidirectedDigraph(g)
         self.objective = objective
         self.extra_rows = tuple(extra_rows)
-        self.seed = seed
         self._templates: Optional[TemplatePool] = None
         m = g.m
         self.nvar = 2 * m + 1
@@ -135,19 +134,13 @@ class _Context:
         self.obj_vector[2 * m] = objective.z_coeff
         for a, c in objective.w_coeffs.items():
             self.obj_vector[a] += c
-        base = [row_edge_pair(self.d, e, cfg.variant) for e in range(m)]
-        base.extend(self.extra_rows)
-        seen = {r.key for r in base}
-        for r in pool_rows:
-            if r.key not in seen:
-                base.append(r)
-                seen.add(r.key)
-        self.base_rows = tuple(base)
+        self.base_rows = tuple(row_edge_pair(self.d, e, cfg.variant)
+                               for e in range(m)) + self.extra_rows
 
     def templates(self) -> TemplatePool:
         """The solve's template pool, built by the first cut round that asks."""
         if self._templates is None:
-            self._templates = TemplatePool(self.d, self.cfg.kappa, seed=self.seed)
+            self._templates = TemplatePool(self.d, self.cfg.kappa)
         return self._templates
 
     def build_lp(self, node: _Node) -> LinearProgram:
@@ -265,8 +258,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
         if cutting:
             fresh = add_rows(separate_cycles(d, w))
             fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
-            fresh += add_rows(separate_templates(d, w, z, cfg.kappa, seed=ctx.seed,
-                                                 pool=ctx.templates()))
+            fresh += add_rows(separate_templates(d, w, z, cfg.kappa, pool=ctx.templates()))
         if not fresh:
             # Branch on the most fractional edge: pair sum closest to one,
             # then the largest smaller direction, ties by edge index.
@@ -310,16 +302,13 @@ def _prunable(bound: float, incumbent: float, integral_objective: bool) -> bool:
 def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
-                pool_rows: Sequence[LinearRow] = (),
                 feasibility_stop: bool = False,
                 use_symmetry: bool = False,
-                time_limit: Optional[float] = None,
-                seed: int = 1) -> SolveReport:
+                time_limit: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
-    `extra_rows` are hard constraints; `pool_rows` seed the root cut set and
-    must be valid for the model. `use_symmetry` pre-orients the first edge and
-    is only sound when rows and objective are reversal invariant.
+    `extra_rows` are hard constraints. `use_symmetry` pre-orients the first
+    edge and is only sound when rows and objective are reversal invariant.
     `feasibility_stop` returns the first incumbent found.
     """
     t0 = time.monotonic()
@@ -385,7 +374,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     if use_symmetry:
         forced = {0: 1, 1: 0}
     root = _Node(tuple(sorted(forced.items())), ())
-    ctx = _Context(g, cfg, obj, extra_rows, pool_rows, seed)
+    ctx = _Context(g, cfg, obj, extra_rows)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]
@@ -443,15 +432,12 @@ def solve_ao(g: UndirectedGraph, kappa: int, **kwargs) -> SolveReport:
     return solve_model(g, cfg, **kwargs)
 
 
-def _min_diameter_connected(g: UndirectedGraph, ub: Optional[int],
-                            reports: Optional[List[SolveReport]],
+def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]],
                             **kwargs) -> Tuple[Orientation, int]:
     d = BidirectedDigraph(g)
     colors = greedy_coloring(g)
     orient = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges])
     kappa = dag_longest_path(d, orient.arcs())
-    if ub is not None:
-        kappa = min(kappa, ub)
     while kappa >= 1:
         rep = solve_ao(g, kappa, **kwargs)
         if reports is not None:
@@ -471,7 +457,7 @@ def _min_diameter_connected(g: UndirectedGraph, ub: Optional[int],
     return orient, kappa
 
 
-def min_diameter_orientation(g: UndirectedGraph, ub: Optional[int] = None, *,
+def min_diameter_orientation(g: UndirectedGraph, *,
                              reports: Optional[List[SolveReport]] = None,
                              **kwargs) -> Tuple[Orientation, int]:
     """Acyclic orientation minimizing the longest directed path, with its length.
@@ -479,13 +465,12 @@ def min_diameter_orientation(g: UndirectedGraph, ub: Optional[int] = None, *,
     Each connected component starts from a greedy coloring orientation and
     repeatedly solves the window-load model at the incumbent diameter; the
     window shrinks strictly until the model certifies it cannot be beaten.
-    `ub` optionally caps the starting window.
     """
     if g.m == 0:
         return Orientation(g, []), 0
     comps = g.components()
     if len(comps) == 1:
-        return _min_diameter_connected(g, ub, reports, **kwargs)
+        return _min_diameter_connected(g, reports, **kwargs)
     dirs = [0] * g.m
     q = 0
     for comp in comps:
@@ -493,7 +478,7 @@ def min_diameter_orientation(g: UndirectedGraph, ub: Optional[int] = None, *,
         sub, _ = g.induced_subgraph(comp)
         if sub.m == 0:
             continue
-        sub_orient, sub_q = _min_diameter_connected(sub, ub, reports, **kwargs)
+        sub_orient, sub_q = _min_diameter_connected(sub, reports, **kwargs)
         q = max(q, sub_q)
         # The monotone relabeling keeps edge order and direction sense.
         sub_e = 0

@@ -133,6 +133,16 @@ def test_cli_fap_soft(capsys, tmp_path):
     assert rep["oracleAgrees"] is True
 
 
+@pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])
+def test_cli_fap_rejects_non_finite_costs(capsys, tmp_path, cost):
+    p = tmp_path / "soft.json"
+    p.write_text('{"links": 2, "freqSets": [[], []], "spectrum": 1, '
+                 '"pairs": [{"i": 0, "j": 1, "d": 1, "c": %s}]}' % cost)
+    code, out, err = _run(capsys, ["fap", str(p)])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "cost" in err
+
+
 def test_cli_polytope_plain(capsys, k3_file):
     code, out, _ = _run(capsys, ["polytope", k3_file, "--kappa", "2"])
     assert code == 0
@@ -212,6 +222,11 @@ def test_cli_error_exits(capsys, tmp_path):
     good.write_text(K3_COL)
     code, _, err = _run(capsys, ["orient", str(good), "--kappa", "2", "--threads", "0"])
     assert code == 1 and "threads" in err
+
+    for limit in ("nan", "-1"):
+        code, out, err = _run(capsys, ["orient", str(good), "--kappa", "2",
+                                       "--time-limit", limit])
+        assert code == 1 and not out and "time-limit" in err, limit
 
 
 def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):

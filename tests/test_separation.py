@@ -1,8 +1,8 @@
 import itertools
-import random
 
 import pytest
 
+from orientcut import separation
 from orientcut.errors import InputError
 from orientcut.graphs import (
     BidirectedDigraph,
@@ -22,9 +22,8 @@ from orientcut.separation import (
     TEMPLATE_TAGS,
     VIOLATION_TOL,
     TemplatePool,
-    _TEMPLATE_GENERATORS,
-    _sampled_rows,
     _top_rows,
+    rows_cycle_z,
     separate_cycles,
     separate_paths,
     separate_templates,
@@ -164,29 +163,16 @@ def test_separated_rows_are_valid_on_feasible_points(rng):
                 assert r.satisfied(q.w, q.z), (r, q)
 
 
-def _templates_per_call(d, w, z, kappa, structure_cap, seed):
-    """Reference: regenerate and score every candidate row on each call."""
-    merged = []
-    for tag in TEMPLATE_TAGS:
-        found = {}
-
-        def consider(row):
-            viol = row.violation(w, z)
-            if viol > VIOLATION_TOL and row.key not in found:
-                found[row.key] = (viol, row)
-
-        exhausted = True
-        for count, row in enumerate(_TEMPLATE_GENERATORS[tag](d, kappa)):
-            if count >= structure_cap:
-                exhausted = False
-                break
-            consider(row)
-        if not exhausted:
-            rng = random.Random(f"{seed}:{tag}")
-            for row in _sampled_rows(d, kappa, tag, rng, structure_cap):
-                consider(row)
-        merged.extend(_top_rows(found, MAX_CUTS_PER_CLASS))
-    return merged
+def _templates_per_call(d, w, z, kappa, structure_cap):
+    """Reference: regenerate and score every cycle-z row on each call."""
+    found = {}
+    for count, row in enumerate(rows_cycle_z(d, kappa)):
+        if count >= structure_cap:
+            break
+        viol = row.violation(w, z)
+        if viol > VIOLATION_TOL and row.key not in found:
+            found[row.key] = (viol, row)
+    return _top_rows(found, MAX_CUTS_PER_CLASS)
 
 
 def _fractional_point(g, kappa, rng):
@@ -195,29 +181,28 @@ def _fractional_point(g, kappa, rng):
     return w, kappa * (0.3 + 0.4 * rng.random())
 
 
-def test_pooled_template_separation_matches_per_call(rng):
+def test_pooled_template_separation_matches_per_call(rng, monkeypatch):
     cases = [(g, kappa, STRUCTURE_CAP) for _, g, _ in BATTERY for kappa in (2, 3, 4, 5)]
-    # a cap this small leaves families unfinished, so sampled draws join the pool
-    cases += [(petersen_graph(), kappa, 40) for kappa in (2, 3, 4)]
+    # Petersen has 20 to 40 cycle-z rows at these kappa; a cap of 10 cuts each off
+    cases += [(petersen_graph(), kappa, 10) for kappa in (4, 5, 7, 8)]
     violated = 0
     for g, kappa, structure_cap in cases:
+        monkeypatch.setattr(separation, "STRUCTURE_CAP", structure_cap)
         d = BidirectedDigraph(g)
-        pool = TemplatePool(d, kappa, structure_cap, seed=3)
+        pool = TemplatePool(d, kappa)
+        assert len(pool.rows) == min(structure_cap, sum(1 for _ in rows_cycle_z(d, kappa)))
         for k in range(12):
             if k % 2:
                 w, z = _fractional_point(g, kappa, rng)
             else:
                 pt = random_point(g, kappa, rng)
                 w, z = list(pt.w), pt.z
-            ref = _templates_per_call(d, w, z, kappa, structure_cap, 3)
-            got = separate_templates(d, w, z, kappa, structure_cap=structure_cap, seed=3,
-                                     pool=pool)
+            ref = _templates_per_call(d, w, z, kappa, structure_cap)
+            got = separate_templates(d, w, z, kappa, pool=pool)
             assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
                 (g.edges, kappa, structure_cap)
             violated += len(got)
-    assert violated > 1000
-    d = BidirectedDigraph(petersen_graph())
-    assert any(sum(1 for _ in _TEMPLATE_GENERATORS[tag](d, 3)) > 40 for tag in TEMPLATE_TAGS)
+    assert violated > 400
 
 
 def test_template_pool_must_match_the_call():
