@@ -132,7 +132,8 @@ class FapInstance:
         if not _plain_int(links):
             raise InputError("links must be an integer")
         raw_sets = data["freqSets"]
-        if not isinstance(raw_sets, list) or any(not isinstance(s, list) for s in raw_sets):
+        if not isinstance(raw_sets, list) or any(
+                not isinstance(s, list) or not all(map(_plain_int, s)) for s in raw_sets):
             raise InputError("freqSets must be a list of integer lists")
         freq_sets = [None if not s else frozenset(s) for s in raw_sets]
         raw_pairs = data["pairs"]

@@ -114,30 +114,28 @@ def classify_face(g: UndirectedGraph, cfg: ModelConfig, row: LinearRow,
                   dimension: Optional[int] = None) -> FaceReport:
     """Validity and face dimension of an inequality over the solution set.
 
-    Coefficients, points and the right-hand side are all integral here, so
-    tightness and ranks are exact. A facet is a valid face one dimension below
-    the polytope, whose rank is computed here unless `dimension` gives it.
+    Coefficients, points and the right-hand side are all small integers here,
+    so the float row values, and with them validity and tightness, are exact;
+    only the tight points are converted for the rank. A facet is a valid face
+    one dimension below the polytope, whose rank is computed here unless
+    `dimension` gives it.
     """
     if row.sense != "<=":
         raise InputError("face classification expects an inequality row")
     if points is None:
         points = enumerate_feasible_points(g, cfg)
-    vecs = _vectors(points)
-    rhs = int(round(row.rhs))
-    coeffs = {a: int(round(c)) for a, c in row.coeffs.items()}
-    zc = int(round(row.z_coeff))
     tight = []
     violator = None
-    for point, vec in zip(points, vecs):
-        val = sum(c * vec[a] for a, c in coeffs.items()) + zc * vec[-1]
-        if val > rhs:
+    for point in points:
+        val = row.value(point.w, point.z)
+        if val > row.rhs:
             violator = point
             break
-        if val == rhs:
-            tight.append(vec)
-    poly_dim = affine_dimension(vecs) if dimension is None else dimension
+        if val == row.rhs:
+            tight.append(point)
+    poly_dim = polytope_dimension(g, cfg, points) if dimension is None else dimension
     valid = violator is None
-    face_dim = affine_dimension(tight) if valid else -1
+    face_dim = affine_dimension(_vectors(tight)) if valid else -1
     return FaceReport(
         valid=valid,
         violating_point=violator,

@@ -2,14 +2,17 @@
 
 Cycle rows are separated exactly through shortest paths under arc lengths
 1 - w (a directed cycle is violated precisely when its total length drops
-below 1). Path rows are separated by a pruned depth-first search over all
-elementary paths with exactly kappa arcs. The structured row families
-(cycle-z, path-km1, path-km2, cycle-arcs, adjacent-paths) are enumerated
-exhaustively by `template_rows` for the polytope laboratory. The solver
-separates only the cycle-z family: its candidates depend only on the graph
-and kappa, so a `TemplatePool` generates them once and keeps them as a
-sparse row matrix; template separation then scores them with one sparse
-matrix-vector product and rechecks the rows it flags exactly.
+below 1). One shortest-path tree per vertex closes every arc into a shortest
+cycle through it; no second search is needed as long as w keeps the edge-pair
+rows, as every node LP does (see `separate_cycles`). Path rows are separated
+by a pruned depth-first search over all elementary paths with exactly kappa
+arcs. The structured row families (cycle-z, path-km1, path-km2, cycle-arcs,
+adjacent-paths) are enumerated exhaustively by `template_rows` for the
+polytope laboratory. The solver separates only the cycle-z family: its
+candidates depend only on the graph and kappa, so a `TemplatePool` generates
+them once and keeps them as a sparse row matrix; template separation then
+scores them with one sparse matrix-vector product and rechecks the rows it
+flags exactly.
 """
 
 from __future__ import annotations
@@ -46,8 +49,7 @@ def _top_rows(scored: Dict, cap: int) -> List[LinearRow]:
     return [row for _, row in ranked[:cap]]
 
 
-def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int,
-              skip_arc: int = -1):
+def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int):
     dist = [float("inf")] * d.n
     pred = [-1] * d.n
     dist[s] = 0.0
@@ -57,8 +59,6 @@ def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int,
         if dv > dist[v] + 1e-15:
             continue
         for a, u in d.out_arcs[v]:
-            if a == skip_arc:
-                continue
             nd = dv + lengths[a]
             if nd < dist[u] - 1e-15:
                 dist[u] = nd
@@ -71,10 +71,18 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
                     cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
     """Directed cycles whose arcs sum above |C| - 1 at w, most violated first.
 
-    Exact: under lengths 1 - w a violated cycle has total below 1, and for
-    each arc the shortest head-to-tail path closes a minimum-length cycle
-    through it. When that closure is just the arc's own reverse, a second
-    search without the reverse arc also surfaces the shortest longer cycle.
+    Under lengths 1 - w a cycle is violated when its length is below
+    1 - VIOLATION_TOL. One shortest-path tree per vertex closes each arc
+    (i, j) through the shortest path from j back to i, which gives a shortest
+    cycle through that arc: the 2-cycle when the path is the reverse arc. So
+    the rows include a most violated cycle whenever any cycle is violated.
+
+    No second search looks past a 2-cycle closure. When the reverse arc is
+    the shortest way back, every cycle through (i, j) has length at least
+    2 - (w_ij + w_ji). If w keeps the pair row w_ij + w_ji <= 1 to within
+    VIOLATION_TOL, as the solution of every node LP does, none of these
+    cycles is violated. At a point that breaks the pair row, the 2-cycle
+    itself is violated and is returned.
     """
     if len(w) != d.num_arcs:
         raise InputError("w has wrong arc dimension")
@@ -82,11 +90,11 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
     trees = [_dijkstra(d, lengths, s) for s in range(d.n)]
 
     found: Dict[Tuple[int, ...], Tuple[float, LinearRow]] = {}
-
-    def close(a: int, dist, pred):
+    for a in range(d.num_arcs):
         i, j = d.tails[a], d.heads[a]
+        dist, pred = trees[j]
         if dist[i] + lengths[a] >= 1.0 - VIOLATION_TOL:
-            return
+            continue
         verts = [i]
         v = i
         while v != j:
@@ -96,18 +104,11 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
         k = verts.index(min(verts))
         canon = tuple(verts[k:] + verts[:k])
         if canon in found:
-            return
+            continue
         row = row_cycle(d, canon)
         viol = row.violation(w, 0.0)
         if viol > VIOLATION_TOL:
             found[canon] = (viol, row)
-
-    for a in range(d.num_arcs):
-        i, j = d.tails[a], d.heads[a]
-        dist, pred = trees[j]
-        close(a, dist, pred)
-        if pred[i] == j:  # closure was the 2-cycle; look past the reverse arc
-            close(a, *_dijkstra(d, lengths, j, skip_arc=a ^ 1))
     return _top_rows(found, cap)
 
 

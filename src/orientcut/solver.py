@@ -187,12 +187,38 @@ class _Context:
         return x
 
 
+def _branch(ctx: _Context, node: _Node, w: Sequence[float],
+            rows: Tuple[LinearRow, ...]) -> Tuple[_Node, ...]:
+    """Children on the most fractional edge: pair sum closest to one, then
+    the largest smaller direction, ties by edge index. A child whose forced
+    arcs close a cycle is dropped."""
+    edge = min(
+        (e for e in range(ctx.g.m)
+         if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
+         or min(w[2 * e + 1], 1.0 - w[2 * e + 1]) >= INT_TOL),
+        key=lambda e: (abs(w[2 * e] + w[2 * e + 1] - 1.0),
+                       -min(w[2 * e], w[2 * e + 1]), e))
+    arc = 2 * edge if w[2 * edge] >= w[2 * edge + 1] else 2 * edge + 1
+    up = dict(node.forced)
+    up[arc] = 1
+    up[arc ^ 1] = 0
+    down = dict(node.forced)
+    down[arc] = 0
+    if ctx.cfg.variant == AO:
+        down[arc ^ 1] = 1
+    children = []
+    for child_forced in (down, up):
+        child_ones = [a for a, v in child_forced.items() if v == 1]
+        if find_directed_cycle(ctx.d, child_ones) is None:
+            children.append(_Node(tuple(sorted(child_forced.items())), rows))
+    return tuple(children)
+
+
 def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     """Cut loop on one node. Pure in ctx and node; never reads the incumbent."""
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
-    forced = dict(node.forced)
     lp = ctx.build_lp(node)
     sol = lp.solve()
     iterations = sol.iterations
@@ -225,66 +251,36 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
             cyc = find_directed_cycle(d, sel)
             if cyc is not None:
                 fresh = add_rows([row_cycle(d, cyc)])
-                rows.extend(fresh)
-                sol = lp.add_rows_and_resolve(
-                    [(r.coeffs_with_z(ctx.nvar - 1), r.sense, r.rhs) for r in fresh])
-                iterations += sol.iterations
-                continue
-            load, witness = max_path_load(d, sel, cfg.kappa)
-            if load > z + INT_TOL:
+            else:
+                load, witness = max_path_load(d, sel, cfg.kappa)
+                if load <= z + INT_TOL:
+                    z_cand = float(max(load, int(round(cfg.z_lower))))
+                    point = ModelPoint(tuple(round(x) * 1.0 for x in w), z_cand)
+                    ok, witness_row = check_integral_feasible(d, cfg, point)
+                    if not ok:
+                        raise SolverError(f"integral point failed recheck: {witness_row}")
+                    for r in ctx.extra_rows:
+                        if not r.satisfied(point.w, point.z, tol=1e-7):
+                            raise SolverError(f"integral point violates a model row: {r}")
+                    return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
+                                       candidate=point)
                 fresh = add_rows([row_path(d, witness, cfg.kappa)])
-                rows.extend(fresh)
-                sol = lp.add_rows_and_resolve(
-                    [(r.coeffs_with_z(ctx.nvar - 1), r.sense, r.rhs) for r in fresh])
-                iterations += sol.iterations
-                continue
-            z_cand = float(max(load, int(round(cfg.z_lower))))
-            point = ModelPoint(tuple(round(x) * 1.0 for x in w), z_cand)
-            ok, witness_row = check_integral_feasible(d, cfg, point)
-            if not ok:
-                raise SolverError(f"integral point failed recheck: {witness_row}")
-            for r in ctx.extra_rows:
-                if not r.satisfied(point.w, point.z, tol=1e-7):
-                    raise SolverError(f"integral point violates a model row: {r}")
-            return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
-                               candidate=point)
-        rounds += 1
-        if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
-            tail += 1
         else:
-            tail = 0
-        cutting = rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS
-        fresh: List[LinearRow] = []
-        if cutting:
-            fresh = add_rows(separate_cycles(d, w))
-            fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
-            fresh += add_rows(separate_templates(d, w, z, cfg.kappa, pool=ctx.templates()))
-        if not fresh:
-            # Branch on the most fractional edge: pair sum closest to one,
-            # then the largest smaller direction, ties by edge index.
-            edge = min(
-                (e for e in range(m)
-                 if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
-                 or min(w[2 * e + 1], 1.0 - w[2 * e + 1]) >= INT_TOL),
-                key=lambda e: (abs(w[2 * e] + w[2 * e + 1] - 1.0),
-                               -min(w[2 * e], w[2 * e + 1]), e))
-            arc = 2 * edge if w[2 * edge] >= w[2 * edge + 1] else 2 * edge + 1
-            up = dict(forced)
-            up[arc] = 1
-            up[arc ^ 1] = 0
-            down = dict(forced)
-            down[arc] = 0
-            if cfg.variant == AO:
-                down[arc ^ 1] = 1
-            frozen_rows = tuple(rows)
-            children = []
-            for child_forced in (down, up):
-                child_ones = [a for a, v in child_forced.items() if v == 1]
-                if find_directed_cycle(d, child_ones) is None:
-                    children.append(_Node(tuple(sorted(child_forced.items())),
-                                          frozen_rows))
-            return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                               children=tuple(children))
+            rounds += 1
+            if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
+                tail += 1
+            else:
+                tail = 0
+            fresh = []
+            if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS:
+                fresh = add_rows(separate_cycles(d, w))
+                fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
+                fresh += add_rows(separate_templates(d, w, z, cfg.kappa, pool=ctx.templates()))
+            if not fresh:
+                return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
+                                   children=_branch(ctx, node, w, tuple(rows)))
+        # An integral cut and a fractional round both end here; only the
+        # fractional rounds count towards `rounds` and `tail`.
         rows.extend(fresh)
         sol = lp.add_rows_and_resolve(
             [(r.coeffs_with_z(ctx.nvar - 1), r.sense, r.rhs) for r in fresh])

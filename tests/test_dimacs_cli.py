@@ -143,6 +143,16 @@ def test_cli_fap_rejects_non_finite_costs(capsys, tmp_path, cost):
     assert err.startswith("error:") and "cost" in err
 
 
+@pytest.mark.parametrize("freq_sets", ["[[[1]], []]", "[[{}], []]"])
+def test_cli_fap_rejects_non_integer_frequencies(capsys, tmp_path, freq_sets):
+    p = tmp_path / "sets.json"
+    p.write_text('{"links": 2, "freqSets": %s, '
+                 '"pairs": [{"i": 0, "j": 1, "d": 1}]}' % freq_sets)
+    code, out, err = _run(capsys, ["fap", str(p)])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "freqSets" in err
+
+
 def test_cli_polytope_plain(capsys, k3_file):
     code, out, _ = _run(capsys, ["polytope", k3_file, "--kappa", "2"])
     assert code == 0

@@ -1,3 +1,4 @@
+import heapq
 import itertools
 
 import pytest
@@ -14,7 +15,7 @@ from orientcut.graphs import (
     paw_graph,
     petersen_graph,
 )
-from orientcut.model import ModelConfig, AS, row_cycle, row_path
+from orientcut.model import AO, AS, ModelConfig, row_cycle, row_path
 from orientcut.polytope import enumerate_feasible_points
 from orientcut.separation import (
     MAX_CUTS_PER_CLASS,
@@ -43,16 +44,135 @@ def _path_rows(d, kappa):
 
 def test_cycle_separation_finds_short_and_long_cycles():
     d = BidirectedDigraph(complete_graph(3))
+    # 0.9 on every arc breaks every pair row, so each 2-cycle is violated
     w = [0.9] * 6
     rows = separate_cycles(d, w)
-    sizes = sorted(len(r.coeffs) for r in rows)
-    assert sizes == [2, 2, 2, 3, 3]
+    assert sorted(len(r.coeffs) for r in rows) == [2, 2, 2]
     for r in rows:
-        assert r.violation(w, 0.0) > 1e-6
-    two = [r for r in rows if len(r.coeffs) == 2]
-    assert two[0].violation(w, 0.0) == pytest.approx(0.8)
-    tri = [r for r in rows if len(r.coeffs) == 3]
-    assert tri[0].violation(w, 0.0) == pytest.approx(0.7)
+        assert r.violation(w, 0.0) == pytest.approx(0.8)
+    # pair rows kept: 0.9 around one directed triangle, 0.1 on the reverses
+    w = [0.1] * 6
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        w[d.arc(i, j)] = 0.9
+    rows = separate_cycles(d, w)
+    assert [len(r.coeffs) for r in rows] == [3]
+    assert rows[0].violation(w, 0.0) == pytest.approx(0.7)
+
+
+def _cycles_with_re_search(d, w):
+    """Reference: the separator that searched again past each 2-cycle closure."""
+    lengths = [max(0.0, 1.0 - w[a]) for a in range(d.num_arcs)]
+
+    def dijkstra(s, skip_arc=-1):
+        dist = [float("inf")] * d.n
+        pred = [-1] * d.n
+        dist[s] = 0.0
+        heap = [(0.0, s)]
+        while heap:
+            dv, v = heapq.heappop(heap)
+            if dv > dist[v] + 1e-15:
+                continue
+            for a, u in d.out_arcs[v]:
+                if a == skip_arc:
+                    continue
+                nd = dv + lengths[a]
+                if nd < dist[u] - 1e-15:
+                    dist[u] = nd
+                    pred[u] = v
+                    heapq.heappush(heap, (nd, u))
+        return dist, pred
+
+    trees = [dijkstra(s) for s in range(d.n)]
+    found = {}
+
+    def close(a, dist, pred):
+        i, j = d.tails[a], d.heads[a]
+        if dist[i] + lengths[a] >= 1.0 - VIOLATION_TOL:
+            return
+        verts = [i]
+        v = i
+        while v != j:
+            v = pred[v]
+            verts.append(v)
+        verts.reverse()
+        k = verts.index(min(verts))
+        canon = tuple(verts[k:] + verts[:k])
+        if canon in found:
+            return
+        row = row_cycle(d, canon)
+        viol = row.violation(w, 0.0)
+        if viol > VIOLATION_TOL:
+            found[canon] = (viol, row)
+
+    for a in range(d.num_arcs):
+        i, j = d.tails[a], d.heads[a]
+        dist, pred = trees[j]
+        close(a, dist, pred)
+        if pred[i] == j:
+            close(a, *dijkstra(j, skip_arc=a ^ 1))
+    return _top_rows(found, MAX_CUTS_PER_CLASS)
+
+
+def _gnp(n, p, rng):
+    return UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < p])
+
+
+def _pair_feasible_point(g, variant, rng):
+    """w with w_ij + w_ji = 1 (AO) or <= 1 (AS); entries 0, 1 or fractional,
+    with many close to 1 so that long cycles are violated."""
+    def entry():
+        u = rng.random()
+        return 0.0 if u < 0.15 else 1.0 if u < 0.3 else \
+            1.0 - 0.2 * rng.random() if u < 0.7 else rng.random()
+
+    w = []
+    for _ in range(g.m):
+        fwd = entry()
+        if rng.random() < 0.5:
+            fwd = 1.0 - fwd
+        back = 1.0 - fwd
+        if variant == AS and rng.random() < 0.5:
+            back *= rng.choice((0.0, rng.random()))
+        w += [fwd, back] if rng.random() < 0.5 else [back, fwd]
+    return w
+
+
+def test_cycle_separation_matches_re_search_on_pair_feasible_points(rng):
+    graphs = [g for _, g, _ in BATTERY] + [petersen_graph()]
+    graphs += [_gnp(n, p, rng) for n in (6, 8, 10, 12) for p in (0.3, 0.5, 0.7)]
+    points = rows = 0
+    for g in graphs:
+        d = BidirectedDigraph(g)
+        for variant in (AO, AS):
+            for _ in range(60):
+                w = _pair_feasible_point(g, variant, rng)
+                for a in range(0, d.num_arcs, 2):
+                    assert w[a] + w[a + 1] <= 1.0 + 1e-12
+                got = separate_cycles(d, w)
+                ref = _cycles_with_re_search(d, w)
+                assert [r.key for r in got] == [r.key for r in ref], (g.edges, w)
+                points += 1
+                rows += len(got)
+    assert points == 2 * 60 * len(graphs) and rows > 10000
+
+
+def test_cycle_separation_runs_one_search_per_vertex(monkeypatch, rng):
+    calls = []
+    dijkstra = separation._dijkstra
+
+    def spy(*args):
+        calls.append(args)
+        return dijkstra(*args)
+
+    monkeypatch.setattr(separation, "_dijkstra", spy)
+    d = BidirectedDigraph(petersen_graph())
+    for variant in (AO, AS):
+        for _ in range(20):
+            calls.clear()
+            w = _pair_feasible_point(d.graph, variant, rng)
+            separate_cycles(d, w)
+            assert sorted(s for _, _, s in calls) == list(range(d.n))
 
 
 def test_cycle_separation_empty_on_acyclic_support():
@@ -74,6 +194,9 @@ def test_cycle_separation_exact_on_random_points(rng):
             assert bool(found) == bool(reference), (name, pt)
             for r in found:
                 assert r.violation(pt.w, 0.0) > 1e-6
+            if found:  # these points break pair rows too; a most violated row leads
+                best = max(r.violation(pt.w, 0.0) for r in reference)
+                assert found[0].violation(pt.w, 0.0) == pytest.approx(best, abs=1e-12)
 
 
 def test_path_separation_spec_point():

@@ -178,6 +178,29 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
         assert is_acyclic(d, [a for a, v in node.forced if v == 1]), node.forced
 
 
+def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
+    """`separate_cycles` searches no further than a 2-cycle closure; that is
+    exact because every point the solver separates keeps the pair rows."""
+    worst = []
+    separate = solver.separate_cycles
+
+    def spy(d, w, *args, **kwargs):
+        worst.append(max(w[a] + w[a + 1] for a in range(0, d.num_arcs, 2)))
+        return separate(d, w, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "separate_cycles", spy)
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    solves = (lambda: solve_ao(petersen_graph(), 3),
+              lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
+              lambda: solve_soft_cost(inst))
+    for solve in solves:
+        before = len(worst)
+        solve()
+        assert len(worst) > before
+    assert max(worst) <= 1.0 + 1e-6
+
+
 def _count_template_generation(monkeypatch):
     generated = collections.Counter()
     for tag, gen in list(separation._TEMPLATE_GENERATORS.items()):
