@@ -4,6 +4,10 @@ Reports carry no wall-clock fields and serialize with sorted keys, and the
 search is sequential and not random, so identical inputs reproduce them byte
 for byte; timing goes to the stderr summary instead. Exit codes: 0 solved,
 2 infeasible, 3 time limit, 1 usage or input trouble.
+
+`main` turns `--time-limit` into one deadline, a `time.monotonic()` reading
+taken once after the arguments parse, and every command hands that deadline
+to all of its solves, so the limit bounds the whole command.
 """
 
 from __future__ import annotations
@@ -107,13 +111,13 @@ def _aggregate(reports: List[SolveReport]) -> dict:
     }
 
 
-def cmd_color(args) -> int:
+def cmd_color(args, deadline: float) -> int:
     raw, digest = _read_instance(args.file)
     g = parse_dimacs(raw.decode())
     started = time.perf_counter()
     reports: List[SolveReport] = []
     try:
-        orient, q = min_diameter_orientation(g, reports=reports, time_limit=args.time_limit)
+        orient, q = min_diameter_orientation(g, reports=reports, deadline=deadline)
     except TimeLimitError:
         return _emit({"command": "color", "digest": digest, "status": "timeout"},
                      "time limit reached", started, 3)
@@ -146,11 +150,11 @@ def cmd_color(args) -> int:
     return 0 if not args.oracle or report["oracleAgrees"] else 1
 
 
-def cmd_orient(args) -> int:
+def cmd_orient(args, deadline: float) -> int:
     raw, digest = _read_instance(args.file)
     g = parse_dimacs(raw.decode())
     started = time.perf_counter()
-    rep = solve_ao(g, args.kappa, time_limit=args.time_limit)
+    rep = solve_ao(g, args.kappa, deadline=deadline)
     base = {"command": "orient", "digest": digest, "kappa": args.kappa,
             "status": rep.status, "bound": rep.bound,
             "nodes": rep.node_count, "pruned": rep.pruned_count,
@@ -205,7 +209,7 @@ def _fap_oracle_infeasible(inst: FapInstance, mode: str) -> bool:
     return False
 
 
-def cmd_fap(args) -> int:
+def cmd_fap(args, deadline: float) -> int:
     raw, digest = _read_instance(args.file)
     try:
         data = json.loads(raw.decode())
@@ -226,11 +230,11 @@ def cmd_fap(args) -> int:
               "links": inst.links, "spectrum": inst.spectrum}
     try:
         if mode == "soft":
-            result = solve_soft_cost(inst, reports=reports, time_limit=args.time_limit)
+            result = solve_soft_cost(inst, reports=reports, deadline=deadline)
         elif mode == "fixed":
-            result = solve_fixed_spectrum(inst, reports=reports, time_limit=args.time_limit)
+            result = solve_fixed_spectrum(inst, reports=reports, deadline=deadline)
         else:
-            result = min_spectrum(inst, reports=reports, time_limit=args.time_limit)
+            result = min_spectrum(inst, reports=reports, deadline=deadline)
     except TimeLimitError:
         report.update(status="timeout", **_aggregate(reports))
         return _emit(report, "time limit reached", started, 3)
@@ -272,14 +276,14 @@ def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
     return [seen[k] for k in sorted(seen)]
 
 
-def cmd_polytope(args) -> int:
+def cmd_polytope(args, deadline: float) -> int:
     raw, digest = _read_instance(args.file)
     g = parse_dimacs(raw.decode())
     started = time.perf_counter()
     cfg = ModelConfig(kappa=args.kappa, variant=AS)
     timeout = {"command": "polytope", "digest": digest, "status": "timeout"}
     points = enumerate_feasible_points(g, cfg)
-    if time.perf_counter() - started > args.time_limit:
+    if time.monotonic() >= deadline:
         return _emit(timeout, "time limit reached", started, 3)
     dim = polytope_dimension(g, cfg, points)
     report = {"command": "polytope", "digest": digest, "kappa": args.kappa,
@@ -290,7 +294,7 @@ def cmd_polytope(args) -> int:
         details = []
         facets = valid = 0
         for row in _class_rows(g, args.kappa, args.classify):
-            if time.perf_counter() - started > args.time_limit:
+            if time.monotonic() >= deadline:
                 return _emit(timeout, "time limit reached", started, 3)
             face = classify_face(g, cfg, row, points, dim)
             facets += face.is_facet
@@ -323,7 +327,7 @@ def _seconds(text: str) -> float:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--time-limit", type=_seconds, default=DEFAULT_TIME_LIMIT,
-                     metavar="S", help="solver time limit in seconds")
+                     metavar="S", help="time limit in seconds for the whole command")
     sub.add_argument("--seed", type=int, default=1,
                      help="accepted and ignored; nothing in the solver is random")
     sub.add_argument("--threads", type=_positive_int, default=1,
@@ -369,8 +373,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    deadline = time.monotonic() + args.time_limit
     try:
-        return args.func(args)
+        return args.func(args, deadline)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

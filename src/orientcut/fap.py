@@ -17,6 +17,10 @@ Per-link frequency availability sets have no native variables in the model.
 Each solved orientation instead gets the least labeling compatible with the
 sets; when none exists the orientation is cut off with a no-good row and the
 solve repeats, up to a fixed number of rejections.
+
+Each entry point takes one `deadline`, a `time.monotonic()` reading, and
+hands it to every solve it makes, so a spectrum search or a no-good loop
+stops when a single solve would.
 """
 
 from __future__ import annotations
@@ -317,7 +321,7 @@ def _check_solver_status(rep: SolveReport, phi: int):
 
 def solve_fixed_spectrum(inst: FapInstance, *,
                          reports: Optional[List[SolveReport]] = None,
-                         **solver_kwargs) -> FrequencyAssignment:
+                         deadline: Optional[float] = None) -> FrequencyAssignment:
     """Feasibility at the instance's fixed spectrum, hard separations only.
 
     Full orientation of the expanded graph with the load bound pinned to the
@@ -325,7 +329,8 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     yields the frequencies through the least admissible labeling. Raises
     InfeasibleError (carrying the final bound as `.bound`) when no assignment
     exists, and UnsupportedInstanceError when availability sets keep
-    rejecting orientations past the retry limit.
+    rejecting orientations past the retry limit. Every solve of the no-good
+    loop shares `deadline`; a solve that reaches it raises TimeLimitError.
     """
     phi = inst.spectrum
     if phi is None:
@@ -337,7 +342,7 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     extra = list(exp.side_rows)
     for _ in range(NO_GOOD_LIMIT):
         rep = solve_model(exp.graph, cfg, extra_rows=extra, feasibility_stop=True,
-                          use_symmetry=False, **solver_kwargs)
+                          use_symmetry=False, deadline=deadline)
         if reports is not None:
             reports.append(rep)
         _check_solver_status(rep, phi)
@@ -420,13 +425,13 @@ def _spectrum_cap(inst: FapInstance) -> int:
 
 def min_spectrum(inst: FapInstance, *,
                  reports: Optional[List[SolveReport]] = None,
-                 **solver_kwargs) -> Tuple[int, FrequencyAssignment]:
+                 deadline: Optional[float] = None) -> Tuple[int, FrequencyAssignment]:
     """Smallest spectrum admitting a full assignment, with a witness.
 
     Binary search between a clique span lower bound and a greedy first-fit
     upper bound; every probe is an exact fixed-spectrum solve. When greedy
     dead-ends on availability sets, one probe at the saturation cap decides
-    overall feasibility.
+    overall feasibility. All probes share `deadline`.
     """
     if inst.has_costs:
         raise UnsupportedInstanceError("spectrum search is for hard instances only")
@@ -439,13 +444,13 @@ def min_spectrum(inst: FapInstance, *,
     else:
         cap = max(_spectrum_cap(inst), lo, 1)
         cert = solve_fixed_spectrum(inst.with_spectrum(cap), reports=reports,
-                                    **solver_kwargs)
+                                    deadline=deadline)
         hi = max(max(cert.freq), lo)
     while lo < hi:
         mid = (lo + hi) // 2
         try:
             cert = solve_fixed_spectrum(inst.with_spectrum(mid), reports=reports,
-                                        **solver_kwargs)
+                                        deadline=deadline)
             hi = mid
         except InfeasibleError:
             lo = mid + 1
@@ -454,12 +459,13 @@ def min_spectrum(inst: FapInstance, *,
 
 def solve_soft_cost(inst: FapInstance, *,
                     reports: Optional[List[SolveReport]] = None,
-                    **solver_kwargs) -> FrequencyAssignment:
+                    deadline: Optional[float] = None) -> FrequencyAssignment:
     """Cheapest set of unit-separation pairs to sacrifice at a fixed spectrum.
 
     Pairs carrying a cost may stay unseparated; each one left unoriented in
     the partial orientation pays its cost. Costed pairs must have separation
     exactly 1, everything else is forced oriented through equality rows.
+    Raises TimeLimitError when the solve reaches `deadline`.
     """
     phi = inst.spectrum
     if phi is None:
@@ -484,7 +490,7 @@ def solve_soft_cost(inst: FapInstance, *,
                           const=sum(p.c for p in soft))
     cfg = ModelConfig(kappa=phi + 1, variant=AS, z_fixed=float(phi))
     rep = solve_model(exp.graph, cfg, objective=objective, extra_rows=extra,
-                      use_symmetry=False, **solver_kwargs)
+                      use_symmetry=False, deadline=deadline)
     if reports is not None:
         reports.append(rep)
     _check_solver_status(rep, phi)

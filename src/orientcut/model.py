@@ -16,7 +16,7 @@ rows regardless of how they were derived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .graphs import (

@@ -28,7 +28,7 @@ from .graphs import (
     path_arc_list,
 )
 from .lp import affine_dimension
-from .model import AO, AS, LinearRow, ModelConfig, ModelPoint
+from .model import AO, LinearRow, ModelConfig, ModelPoint
 
 MAX_LAB_EDGES = 8
 MAX_BRUTE_VERTICES = 10

@@ -117,32 +117,36 @@ def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: in
     """All kappa-arc paths whose load exceeds z at (w, z), most violated first.
 
     Exact via depth-first search; a branch is cut only when even collecting the
-    maximum arc weight for every remaining step cannot beat z.
+    maximum arc weight for every remaining step cannot beat z. Candidates are
+    ranked as `_top_rows` ranks rows, by violation and then by the sorted arc
+    support that is a path row's key, and only the `cap` kept become rows.
     """
     if len(w) != d.num_arcs:
         raise InputError("w has wrong arc dimension")
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     wmax = max(w, default=0.0)
-    found: Dict[Tuple[int, ...], Tuple[float, LinearRow]] = {}
+    found: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
     path: List[int] = []
+    arcs: List[int] = []
     onpath = set()
 
     def extend(v: int, load: float):
-        used = len(path) - 1
+        used = len(arcs)
         if used == kappa:
             if load > z + VIOLATION_TOL:
-                p = tuple(path)
-                found[p] = (load - z, row_path(d, p, kappa))
+                found.append((z - load, tuple(sorted(arcs)), tuple(path)))
             return
         if load + (kappa - used) * wmax <= z + VIOLATION_TOL:
             return
         for a, u in d.out_arcs[v]:
             if u not in onpath:
                 path.append(u)
+                arcs.append(a)
                 onpath.add(u)
                 extend(u, load + w[a])
                 path.pop()
+                arcs.pop()
                 onpath.remove(u)
 
     if kappa <= d.n - 1:
@@ -152,7 +156,7 @@ def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: in
             extend(s, 0.0)
             path.pop()
             onpath.remove(s)
-    return _top_rows(found, cap)
+    return [row_path(d, p, kappa) for _, _, p in heapq.nsmallest(cap, found)]
 
 
 # ---------------------------------------------------------------------------

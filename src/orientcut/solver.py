@@ -7,9 +7,16 @@ the solver separates, generated on the first cut round that separates them
 and read-only after that. The search is a plain best-first loop: it pops the
 open node with the smallest bound (ties go to the most recently pushed),
 prunes it against the incumbent or processes it, and pushes its children.
-Nothing in it is random and, apart from the time limit, nothing depends on
+Nothing in it is random and, apart from the deadline, nothing depends on
 timing, so identical inputs reproduce every report, which is part of the
 reporting contract.
+
+A deadline is an absolute `time.monotonic()` reading, or None for none. The
+drivers hand the one deadline of a command to every solve they make. The
+search checks it before each node, and a node's cut loop checks it before
+each fractional separation round: past it, the node stops separating and
+branches, so the search stops after that node and reports `timeout` with the
+best bound among its open nodes.
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .graphs import (
 from .lp import LinearProgram
 from .model import (
     AO,
-    AS,
     INT_TOL,
     LinearRow,
     ModelConfig,
@@ -92,7 +98,6 @@ class SolveReport:
     cut_counts: Dict[str, int]
     node_bound_histories: List[List[float]]
     lp_iterations: int
-    wall_time: float
 
     @property
     def root_bound_history(self) -> List[float]:
@@ -121,12 +126,13 @@ class _Context:
     template pool, which the first cut round to need it builds."""
 
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
-                 extra_rows: Sequence[LinearRow]):
+                 extra_rows: Sequence[LinearRow], deadline: Optional[float]):
         self.g = g
         self.cfg = cfg
         self.d = BidirectedDigraph(g)
         self.objective = objective
         self.extra_rows = tuple(extra_rows)
+        self.deadline = deadline
         self._templates: Optional[TemplatePool] = None
         m = g.m
         self.nvar = 2 * m + 1
@@ -136,6 +142,10 @@ class _Context:
             self.obj_vector[a] += c
         self.base_rows = tuple(row_edge_pair(self.d, e, cfg.variant)
                                for e in range(m)) + self.extra_rows
+
+    def expired(self) -> bool:
+        """Whether the solve's deadline has passed."""
+        return self.deadline is not None and time.monotonic() >= self.deadline
 
     def templates(self) -> TemplatePool:
         """The solve's template pool, built by the first cut round that asks."""
@@ -215,7 +225,8 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
 
 
 def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
-    """Cut loop on one node. Pure in ctx and node; never reads the incumbent."""
+    """Cut loop on one node. Pure in ctx and node apart from the deadline,
+    which ends the separation rounds early; never reads the incumbent."""
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
@@ -272,7 +283,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
             else:
                 tail = 0
             fresh = []
-            if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS:
+            if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
                 fresh = add_rows(separate_cycles(d, w))
                 fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
                 fresh += add_rows(separate_templates(d, w, z, cfg.kappa, pool=ctx.templates()))
@@ -300,14 +311,14 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 extra_rows: Sequence[LinearRow] = (),
                 feasibility_stop: bool = False,
                 use_symmetry: bool = False,
-                time_limit: Optional[float] = None) -> SolveReport:
+                deadline: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
     `extra_rows` are hard constraints. `use_symmetry` pre-orients the first
     edge and is only sound when rows and objective are reversal invariant.
-    `feasibility_stop` returns the first incumbent found.
+    `feasibility_stop` returns the first incumbent found. Past `deadline`
+    (a `time.monotonic()` reading) the search stops with status `timeout`.
     """
-    t0 = time.monotonic()
     m = g.m
     d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
@@ -315,7 +326,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
 
     def report(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters):
         return SolveReport(status, cfg.variant, cfg.kappa, best, best_obj, bound,
-                           nodes, pruned, cuts, hist, iters, time.monotonic() - t0)
+                           nodes, pruned, cuts, hist, iters)
 
     if m == 0:
         z0 = cfg.z_lower
@@ -370,7 +381,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     if use_symmetry:
         forced = {0: 1, 1: 0}
     root = _Node(tuple(sorted(forced.items())), ())
-    ctx = _Context(g, cfg, obj, extra_rows)
+    ctx = _Context(g, cfg, obj, extra_rows, deadline)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]
@@ -383,7 +394,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     stopped_early = False
 
     while heap:
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
+        if ctx.expired():
             status = "timeout"
             break
         bound, _, node = heapq.heappop(heap)
@@ -421,21 +432,21 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                   pruned_count, cut_counts, histories, lp_iters)
 
 
-def solve_ao(g: UndirectedGraph, kappa: int, **kwargs) -> SolveReport:
+def solve_ao(g: UndirectedGraph, kappa: int, *,
+             deadline: Optional[float] = None) -> SolveReport:
     """Minimum achievable window load over acyclic orientations."""
-    cfg = ModelConfig(kappa=kappa, variant=AO)
-    kwargs.setdefault("use_symmetry", True)
-    return solve_model(g, cfg, **kwargs)
+    return solve_model(g, ModelConfig(kappa=kappa, variant=AO), use_symmetry=True,
+                       deadline=deadline)
 
 
-def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]],
-                            **kwargs) -> Tuple[Orientation, int]:
+def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]], *,
+                            deadline: Optional[float] = None) -> Tuple[Orientation, int]:
     d = BidirectedDigraph(g)
     colors = greedy_coloring(g)
     orient = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges])
     kappa = dag_longest_path(d, orient.arcs())
     while kappa >= 1:
-        rep = solve_ao(g, kappa, **kwargs)
+        rep = solve_ao(g, kappa, deadline=deadline)
         if reports is not None:
             reports.append(rep)
         if rep.status == "timeout":
@@ -455,18 +466,20 @@ def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveRepo
 
 def min_diameter_orientation(g: UndirectedGraph, *,
                              reports: Optional[List[SolveReport]] = None,
-                             **kwargs) -> Tuple[Orientation, int]:
+                             deadline: Optional[float] = None) -> Tuple[Orientation, int]:
     """Acyclic orientation minimizing the longest directed path, with its length.
 
     Each connected component starts from a greedy coloring orientation and
     repeatedly solves the window-load model at the incumbent diameter; the
     window shrinks strictly until the model certifies it cannot be beaten.
+    Every window solve shares `deadline`; a solve that reaches it raises
+    TimeLimitError.
     """
     if g.m == 0:
         return Orientation(g, []), 0
     comps = g.components()
     if len(comps) == 1:
-        return _min_diameter_connected(g, reports, **kwargs)
+        return _min_diameter_connected(g, reports, deadline=deadline)
     dirs = [0] * g.m
     q = 0
     for comp in comps:
@@ -474,7 +487,7 @@ def min_diameter_orientation(g: UndirectedGraph, *,
         sub, _ = g.induced_subgraph(comp)
         if sub.m == 0:
             continue
-        sub_orient, sub_q = _min_diameter_connected(sub, reports, **kwargs)
+        sub_orient, sub_q = _min_diameter_connected(sub, reports, deadline=deadline)
         q = max(q, sub_q)
         # The monotone relabeling keeps edge order and direction sense.
         sub_e = 0
@@ -485,18 +498,20 @@ def min_diameter_orientation(g: UndirectedGraph, *,
     return Orientation(g, dirs), q
 
 
-def chromatic_number(g: UndirectedGraph, **kwargs) -> Tuple[int, List[int]]:
+def chromatic_number(g: UndirectedGraph, *,
+                     deadline: Optional[float] = None) -> Tuple[int, List[int]]:
     """Exact chromatic number with a witness coloring.
 
     The peeling layers of a diameter-minimal acyclic orientation form a
     proper coloring with one class per path level, and no coloring can use
-    fewer classes than longest path + 1.
+    fewer classes than longest path + 1. Raises TimeLimitError past
+    `deadline`.
     """
     if g.n == 0:
         return 0, []
     if g.m == 0:
         return 1, [0] * g.n
-    orient, q = min_diameter_orientation(g, **kwargs)
+    orient, q = min_diameter_orientation(g, deadline=deadline)
     d = BidirectedDigraph(g)
     layers = source_decomposition(d, orient.arcs())
     colors = [0] * g.n

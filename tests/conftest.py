@@ -1,5 +1,6 @@
 """Shared fixtures: the small named battery and atlas graph loaders."""
 
+import itertools
 import random
 from typing import List, Optional, Tuple
 
@@ -53,6 +54,15 @@ def atlas_graphs(max_edges: Optional[int] = None, max_nodes: Optional[int] = Non
         out.append(UndirectedGraph(n, [(idx[u], idx[v]) for u, v in ag.edges()]))
     _ATLAS_CACHE[key] = out
     return out
+
+
+def queen_graph(k: int) -> UndirectedGraph:
+    """Cells of a k x k board, adjacent when a queen moves from one to the other."""
+    cells = [(r, c) for r in range(k) for c in range(k)]
+    return UndirectedGraph(k * k, [
+        (u, v) for u, v in itertools.combinations(range(k * k), 2)
+        if cells[u][0] == cells[v][0] or cells[u][1] == cells[v][1]
+        or abs(cells[u][0] - cells[v][0]) == abs(cells[u][1] - cells[v][1])])
 
 
 def random_point(g: UndirectedGraph, kappa: int, rng: random.Random) -> ModelPoint:

@@ -6,6 +6,8 @@ from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
 from orientcut.errors import ParseError
 
+from conftest import queen_graph
+
 K3_COL = "c tiny triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
 
@@ -211,6 +213,54 @@ def test_cli_polytope_timeout_exit(capsys, k3_file, monkeypatch):
 
     monkeypatch.setattr(cli, "polytope_dimension", slow_dimension)
     check_timeout(["--time-limit", "0.2", "--classify", "path"])
+
+
+@pytest.mark.parametrize("command, text", [
+    # two triangles: one window solve per component
+    ("color", "p edge 6 6\ne 1 2\ne 1 3\ne 2 3\ne 4 5\ne 4 6\ne 5 6\n"),
+    # minimum spectrum 4 after two probes
+    ("fap", json.dumps({"links": 4, "freqSets": [[]] * 4, "pairs": [
+        {"i": 0, "j": 1, "d": 3}, {"i": 0, "j": 2, "d": 2}, {"i": 0, "j": 3, "d": 1},
+        {"i": 1, "j": 3, "d": 1}, {"i": 2, "j": 3, "d": 3}]})),
+], ids=["color", "fap"])
+def test_cli_one_deadline_per_command(capsys, tmp_path, monkeypatch, command, text):
+    import time
+
+    from orientcut import fap, solver
+
+    deadlines = []
+    real = solver.solve_model
+
+    def spy(*args, deadline=None, **kwargs):
+        deadlines.append(deadline)
+        return real(*args, deadline=deadline, **kwargs)
+
+    # both bindings: `fap` imports `solve_model` by name
+    monkeypatch.setattr(solver, "solve_model", spy)
+    monkeypatch.setattr(fap, "solve_model", spy)
+    path = tmp_path / "instance"
+    path.write_text(text)
+    before = time.monotonic()
+    code, out, _ = _run(capsys, [command, str(path), "--time-limit", "50"])
+    after = time.monotonic()
+    rep = json.loads(out)
+    assert code == 0 and rep["solves"] == len(deadlines) >= 2
+    assert rep.get("mode", "minimum") == "minimum"
+    assert len(set(deadlines)) == 1
+    assert before + 50 <= deadlines[0] <= after + 50
+
+
+def test_cli_time_limit_bounds_the_command(capsys, tmp_path):
+    """queen4 is not solved in a second; the command must stop soon after."""
+    import time
+
+    g = queen_graph(4)
+    path = tmp_path / "queen4.col"
+    path.write_text(f"p edge {g.n} {g.m}\n" + "".join(f"e {i + 1} {j + 1}\n" for i, j in g.edges))
+    start = time.monotonic()
+    code, out, _ = _run(capsys, ["color", str(path), "--time-limit", "1"])
+    assert code == 3 and json.loads(out)["status"] == "timeout"
+    assert time.monotonic() - start < 4.0
 
 
 def test_cli_error_exits(capsys, tmp_path):

@@ -145,6 +145,18 @@ def test_min_spectrum_refuses_costs():
         min_spectrum(inst)
 
 
+def test_solvers_take_no_open_keywords():
+    # these keywords once reached `solve_model`, or clashed with the ones the
+    # solvers pass it
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        min_spectrum(_inst(4, [(0, 1, 3), (0, 2, 2), (0, 3, 1), (1, 3, 1), (2, 3, 3)]),
+                     feasibility_stop=True)
+    for solve, inst in ((solve_fixed_spectrum, k3(2)),
+                        (solve_soft_cost, _inst(2, [(0, 1, 1, 2.0)], spectrum=1))):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            solve(inst, use_symmetry=True)
+
+
 def test_min_spectrum_matches_brute_force_sample():
     rng = random.Random(3)
     for _ in range(12):

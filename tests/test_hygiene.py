@@ -1,0 +1,64 @@
+"""Source hygiene: every imported name is used by the module that imports it.
+
+The suite runs no linter, so this scan is what catches a stale import.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+MODULES = sorted((ROOT / "src" / "orientcut").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+PACKAGE_INIT = ROOT / "src" / "orientcut" / "__init__.py"
+
+
+def _imported(tree: ast.Module):
+    """(bound name, line) for every import except `__future__` ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    yield alias.asname or alias.name, node.lineno
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used(tree: ast.Module):
+    """Names the module reads, including inside string annotations."""
+    trees = [tree]
+    for ann in _annotations(tree):
+        for node in ast.walk(ann) if ann is not None else ():
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                trees.append(ast.parse(node.value, mode="eval"))
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
+
+
+def _exported(tree: ast.Module):
+    """The names listed in a module-level `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    if path == PACKAGE_INIT:
+        used |= _exported(tree)
+    unused = [(name, line) for name, line in _imported(tree) if name not in used]
+    assert not unused, f"{path.name}: unused imports {unused}"

@@ -1,7 +1,7 @@
 import pytest
 
 from orientcut.errors import InputError
-from orientcut.graphs import BidirectedDigraph, complete_graph, cycle_graph, path_graph, star_graph
+from orientcut.graphs import BidirectedDigraph, complete_graph, cycle_graph, path_graph
 from orientcut.model import (
     AO,
     AS,

@@ -9,7 +9,6 @@ from orientcut.model import (
     AO,
     AS,
     ModelConfig,
-    ModelPoint,
     row_arc_lower,
     row_arc_upper,
     row_cycle,

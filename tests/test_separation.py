@@ -9,7 +9,6 @@ from orientcut.graphs import (
     BidirectedDigraph,
     UndirectedGraph,
     complete_graph,
-    cycle_graph,
     enumerate_cycles,
     enumerate_paths_k,
     paw_graph,
@@ -31,7 +30,7 @@ from orientcut.separation import (
     template_rows,
 )
 
-from conftest import BATTERY, random_point
+from conftest import BATTERY, queen_graph, random_point
 
 
 def _cycle_rows(d):
@@ -220,6 +219,63 @@ def test_path_separation_exact_on_random_points(rng):
                 assert bool(found) == bool(reference), (name, kappa)
                 for r in found:
                     assert r.violation(pt.w, pt.z) > 1e-6
+
+
+def _paths_per_row(d, w, z, kappa):
+    """Reference: the separator that built a row for every violated path."""
+    wmax = max(w, default=0.0)
+    found = {}
+    path = []
+    onpath = set()
+
+    def extend(v, load):
+        used = len(path) - 1
+        if used == kappa:
+            if load > z + VIOLATION_TOL:
+                p = tuple(path)
+                found[p] = (load - z, row_path(d, p, kappa))
+            return
+        if load + (kappa - used) * wmax <= z + VIOLATION_TOL:
+            return
+        for a, u in d.out_arcs[v]:
+            if u not in onpath:
+                path.append(u)
+                onpath.add(u)
+                extend(u, load + w[a])
+                path.pop()
+                onpath.remove(u)
+
+    if kappa <= d.n - 1:
+        for s in range(d.n):
+            path.append(s)
+            onpath.add(s)
+            extend(s, 0.0)
+            path.pop()
+            onpath.remove(s)
+    return _top_rows(found, MAX_CUTS_PER_CLASS)
+
+
+def test_path_separation_matches_per_row_reference(rng):
+    # (graph, kappa, points, lowest z / kappa); queen4 has 527,528 five-arc
+    # paths, so its z stays high enough to keep the reference quick
+    cases = [(g, kappa, 40, 0.3) for _, g, _ in BATTERY for kappa in (1, 2, 3)]
+    cases += [(petersen_graph(), kappa, 40, 0.3) for kappa in (2, 3, 4, 5)]
+    cases += [(queen_graph(4), 5, 2, 0.6)]
+    capped = 0
+    for g, kappa, count, low in cases:
+        d = BidirectedDigraph(g)
+        for k in range(count):
+            if k % 2:  # pair-feasible with many equal loads, so ties are broken on keys
+                w = _pair_feasible_point(g, AO, rng)
+            else:
+                w = list(random_point(g, kappa, rng).w)
+            z = kappa * (low + 0.2 * rng.random())
+            got = separate_paths(d, w, z, kappa)
+            ref = _paths_per_row(d, w, z, kappa)
+            assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
+                (g.edges, kappa, w, z)
+            capped += len(got) == MAX_CUTS_PER_CLASS
+    assert capped > 20
 
 
 def test_template_separation_cycle_z_example():

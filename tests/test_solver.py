@@ -1,9 +1,11 @@
 import collections
+import math
+import types
 
 import pytest
 
 from orientcut import separation, solver
-from orientcut.errors import InfeasibleError, InputError, TimeLimitError
+from orientcut.errors import InputError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
     BidirectedDigraph,
@@ -78,14 +80,65 @@ def test_infeasible_window_reported():
 
 
 def test_timeout_is_honest():
-    rep = solve_ao(petersen_graph(), 3, time_limit=0.0)
+    rep = solve_ao(petersen_graph(), 3, deadline=0.0)
     assert rep.status == "timeout"
     assert rep.objective is None or rep.bound <= rep.objective + 1e-9
 
 
+def test_deadline_ends_the_cut_loop(monkeypatch):
+    """Past the deadline a node stops separating and branches, and the search
+    stops with the node's bound among its open bounds."""
+    rounds = []
+    per_node = []
+    separate = solver.separate_cycles
+    process = solver._process_node
+
+    def spy(*args):
+        rounds.append(args)
+        return separate(*args)
+
+    def counted(ctx, node):
+        before = len(rounds)
+        res = process(ctx, node)
+        per_node.append(len(rounds) - before)
+        return res
+
+    monkeypatch.setattr(solver, "separate_cycles", spy)
+    monkeypatch.setattr(solver, "_process_node", counted)
+    g = _myciel3()
+    free = solve_ao(g, 3)
+    assert per_node[0] == 2
+    # the clock passes the deadline once the root's first separation round
+    # has started, so the round completes and no second one begins
+    rounds.clear()
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(monotonic=lambda: 1.0 if rounds else 0.0))
+    rep = solve_ao(g, 3, deadline=0.5)
+    assert len(rounds) == 1
+    assert rep.status == "timeout" and rep.node_count == 1 and rep.best_point is not None
+    history = rep.root_bound_history
+    assert history == free.root_bound_history[:len(history)]
+    assert math.isfinite(rep.bound) and rep.bound == history[-1] < free.objective
+
+
+def test_drivers_take_no_open_keywords():
+    # chi 3: these keywords once reached the window solves and changed the answer
+    g = UndirectedGraph(9, [(0, 2), (0, 5), (0, 6), (1, 2), (1, 3), (1, 5), (1, 8), (2, 5),
+                            (2, 6), (2, 7), (3, 7), (3, 8), (4, 5), (4, 6), (4, 8), (6, 8)])
+    assert chromatic_number(g)[0] == 3
+    for call in (chromatic_number, min_diameter_orientation):
+        with pytest.raises(TypeError):
+            call(g, feasibility_stop=True)
+        with pytest.raises(TypeError):
+            call(g, time_limit=1.0)
+    with pytest.raises(TypeError):
+        solve_ao(g, 2, use_symmetry=False)
+
+
 def test_feasibility_stop_returns_valid_point():
     g = complete_graph(4)
-    rep = solve_ao(g, 3, feasibility_stop=True)
+    rep = solve_model(g, ModelConfig(kappa=3, variant=AO), feasibility_stop=True,
+                      use_symmetry=True)
     assert rep.status == "optimal" and rep.best_point is not None
     ok, _ = check_integral_feasible(BidirectedDigraph(g), ModelConfig(kappa=3, variant=AO), rep.best_point)
     assert ok
@@ -97,7 +150,8 @@ def test_extra_rows_cut_off_solutions():
     base = solve_ao(g, 1)
     assert base.objective == pytest.approx(1.0)
     push = LinearRow({}, -1, -2, "<=", "bound")  # -z <= -2
-    rep = solve_ao(g, 1, extra_rows=(push,))
+    rep = solve_model(g, ModelConfig(kappa=1, variant=AO), extra_rows=(push,),
+                      use_symmetry=True)
     assert rep.objective == pytest.approx(2.0) or rep.status == "infeasible"
 
 
@@ -171,7 +225,7 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     # must drop it.
     monkeypatch.setattr(solver, "MAX_CUT_ROUNDS", 1)
     g = UndirectedGraph(11, sorted(_myciel3().edges))
-    assert solve_ao(g, 3, use_symmetry=False).objective == 3
+    assert solve_model(g, ModelConfig(kappa=3, variant=AO)).objective == 3
     assert 1 in branchings
     assert sum(bool(n.forced) for _, n in seen) > 10
     for d, node in seen:
