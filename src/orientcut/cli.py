@@ -38,6 +38,7 @@ from .graphs import (
     dag_longest_path,
     enumerate_cycles,
     enumerate_paths_k,
+    longest_path_labels,
     source_decomposition,
 )
 from .model import AO, AS, ModelConfig, ModelPoint, check_integral_feasible, row_cycle, row_path
@@ -132,17 +133,13 @@ def cmd_color(args, deadline: float) -> int:
             raise InputError(f"orientation failed the final recheck: {witness}")
         if dag_longest_path(d, arcs) != q:
             raise InputError("orientation diameter disagrees with the reported optimum")
-    layers = source_decomposition(d, arcs)
-    colors = [0] * g.n
-    for c, layer in enumerate(layers):
-        for v in layer:
-            colors[v] = c
+    colors = longest_path_labels(d, arcs)
     for i, j in g.edges:
         if colors[i] == colors[j]:
             raise InputError("coloring left an edge monochromatic")
     chi = q + 1
-    report = {"command": "color", "digest": digest, "status": "optimal",
-              "chromatic": chi, "classes": layers, **_aggregate(reports)}
+    report = {"command": "color", "digest": digest, "status": "optimal", "chromatic": chi,
+              "classes": source_decomposition(d, arcs), **_aggregate(reports)}
     if args.oracle:
         report["oracleAgrees"] = brute_force_chromatic(g) == chi
     _emit(report, f"chromatic number {chi} ({report['nodes']} nodes, "

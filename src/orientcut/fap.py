@@ -271,12 +271,6 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
     return GadgetExpansion(g, aux, tuple(rows), tuple(back))
 
 
-def _recovered_freq(inst: FapInstance, exp: GadgetExpansion, arcs) -> Tuple[int, ...]:
-    d = BidirectedDigraph(exp.graph)
-    labels = longest_path_labels(d, arcs)
-    return tuple(labels[: inst.links])
-
-
 def _lifted_labels(inst: FapInstance, exp: GadgetExpansion, arcs,
                    phi: int) -> Optional[List[int]]:
     """Least labeling of the oriented expansion that respects availability.
@@ -500,7 +494,7 @@ def solve_soft_cost(inst: FapInstance, *,
     total = sum(soft_edges[exp.graph.edge_index(i, j)].c for i, j in violated)
     if abs(total - rep.objective) > 1e-6:
         raise SolverError("orientation objective disagrees with the violated-pair cost")
-    freq = _recovered_freq(inst, exp, point.arc_set())
+    freq = tuple(longest_path_labels(d, point.arc_set())[: inst.links])
     out = FrequencyAssignment(freq, violated, total)
     out.verify(inst)
     return out

@@ -283,26 +283,17 @@ def dag_longest_path(d: BidirectedDigraph, arcs: Iterable[int]) -> int:
 
 
 def source_decomposition(d: BidirectedDigraph, arcs: Iterable[int]) -> List[List[int]]:
-    """Repeatedly strip the in-degree-zero vertices of the DAG.
+    """The layers found by repeatedly stripping the in-degree-zero vertices.
 
-    Returns the ordered list of stripped layers. Each layer is an independent
-    set in the underlying graph restricted to the oriented edges, and the layer
-    count is dag_longest_path + 1.
+    Layer k holds, sorted, the vertices whose longest incoming path has k
+    arcs. Each layer is an independent set in the underlying graph restricted
+    to the oriented edges, and the layer count is dag_longest_path + 1.
+    Raises ContractError when the arc set is cyclic.
     """
-    s = d.check_arcs(arcs)
-    if _topological_order(d, s) is None:
-        raise ContractError("arc set is cyclic")
-    remaining = set(range(d.n))
-    active = set(s)
-    layers = []
-    while remaining:
-        indeg = {v: 0 for v in remaining}
-        for a in active:
-            indeg[d.heads[a]] += 1
-        layer = sorted(v for v in remaining if indeg[v] == 0)
-        layers.append(layer)
-        remaining -= set(layer)
-        active = {a for a in active if d.tails[a] in remaining}
+    labels = longest_path_labels(d, arcs)
+    layers: List[List[int]] = [[] for _ in range(max(labels) + 1)]
+    for v, k in enumerate(labels):
+        layers[k].append(v)
     return layers
 
 

@@ -82,7 +82,7 @@ class ModelPoint:
     def is_integral(self, tol: float = INT_TOL) -> bool:
         return all(abs(v - round(v)) <= tol for v in self.w)
 
-    def arc_set(self, tol: float = INT_TOL) -> frozenset:
+    def arc_set(self) -> frozenset:
         return frozenset(a for a, v in enumerate(self.w) if v > 0.5)
 
 

@@ -1,4 +1,4 @@
-"""Cut generation: exact cycle and path separation plus template enumeration.
+"""Cut generation: exact cycle, path and cycle-z separation plus template enumeration.
 
 Cycle rows are separated exactly through shortest paths under arc lengths
 1 - w (a directed cycle is violated precisely when its total length drops
@@ -6,13 +6,11 @@ below 1). One shortest-path tree per vertex closes every arc into a shortest
 cycle through it; no second search is needed as long as w keeps the edge-pair
 rows, as every node LP does (see `separate_cycles`). Path rows are separated
 by a pruned depth-first search over all elementary paths with exactly kappa
-arcs. The structured row families (cycle-z, path-km1, path-km2, cycle-arcs,
+arcs, and cycle-z rows by the same search over cycles with kappa + 1 arcs.
+The structured row families (cycle-z, path-km1, path-km2, cycle-arcs,
 adjacent-paths) are enumerated exhaustively by `template_rows` for the
-polytope laboratory. The solver separates only the cycle-z family: its
-candidates depend only on the graph and kappa, so a `TemplatePool` generates
-them once and keeps them as a sparse row matrix; template separation then
-scores them with one sparse matrix-vector product and rechecks the rows it
-flags exactly.
+polytope laboratory. The solver separates only the cycle-z family; on the
+benchmark each of the others cost more time than it saved.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import InputError
 from .graphs import BidirectedDigraph, enumerate_cycles, enumerate_paths_k
@@ -38,7 +34,6 @@ from .model import (
 
 VIOLATION_TOL = 1e-6
 MAX_CUTS_PER_CLASS = 50
-STRUCTURE_CAP = 20000  # most cycle-z rows a template pool keeps
 
 TEMPLATE_TAGS = ("cycle-z", "path-km1", "path-km2", "cycle-arcs", "adjacent-paths")
 
@@ -159,6 +154,51 @@ def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: in
     return [row_path(d, p, kappa) for _, _, p in heapq.nsmallest(cap, found)]
 
 
+def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+                       cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
+    """Violated cycle-z rows at (w, z), most violated first, at most `cap`.
+
+    Exact via depth-first search, as in `separate_paths`: from each start s
+    it walks simple paths over vertices above s, so each cycle is met once,
+    from its smallest vertex, and closes every walk of kappa arcs with the
+    arc back to s. A branch is cut when even the maximum arc weight on every
+    remaining arc cannot beat z. The load is summed in cycle order, so
+    load - z equals the row's `violation` to the bit, and candidates rank as
+    `_top_rows` ranks rows; only the `cap` kept become rows.
+    """
+    if len(w) != d.num_arcs:
+        raise InputError("w has wrong arc dimension")
+    if kappa < 1:
+        raise InputError("kappa must be at least 1")
+    wmax = max(w, default=0.0)
+    found: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
+    cycle: List[int] = []
+    arcs: List[int] = []
+
+    def extend(v: int, load: float):
+        used = len(arcs)
+        if load + (kappa + 1 - used) * wmax <= z + VIOLATION_TOL:
+            return
+        s = cycle[0]
+        for a, u in d.out_arcs[v]:
+            if used == kappa:
+                if u == s and load + w[a] - z > VIOLATION_TOL:
+                    found.append((z - (load + w[a]), tuple(sorted(arcs + [a])), tuple(cycle)))
+            elif u > s and u not in cycle:
+                cycle.append(u)
+                arcs.append(a)
+                extend(u, load + w[a])
+                cycle.pop()
+                arcs.pop()
+
+    if kappa + 1 <= d.n:
+        for s in range(d.n):
+            cycle.append(s)
+            extend(s, 0.0)
+            cycle.pop()
+    return [row_cycle_z(d, c, kappa) for _, _, c in heapq.nsmallest(cap, found)]
+
+
 # ---------------------------------------------------------------------------
 # Structured template enumeration, shared with the polytope laboratory.
 
@@ -264,76 +304,3 @@ def template_rows(d: BidirectedDigraph, kappa: int,
         if tag not in _TEMPLATE_GENERATORS:
             raise InputError(f"unknown template class {tag!r}")
         yield from _TEMPLATE_GENERATORS[tag](d, kappa)
-
-
-class TemplatePool:
-    """The solver's template candidates for one graph and kappa: cycle-z rows.
-
-    The pool keeps the first `STRUCTURE_CAP` rows that `rows_cycle_z`
-    generates, duplicates (by `row.key`) keeping their first occurrence, and
-    a CSR copy of them with z in column 2m. None of it depends on the point
-    being separated, so one pool serves every cut round of a solve, and it is
-    read-only once built. The other template families stay out of the solver:
-    on the benchmark each of them cost more time than it saved.
-    """
-
-    def __init__(self, d: BidirectedDigraph, kappa: int):
-        self.d = d
-        self.kappa = kappa
-        unique: Dict[tuple, LinearRow] = {}
-        for row in itertools.islice(rows_cycle_z(d, kappa), STRUCTURE_CAP):
-            unique.setdefault(row.key, row)
-        rows = self.rows = list(unique.values())
-        z_index = d.num_arcs
-        sizes = np.fromiter((len(r.coeffs) + (r.z_coeff != 0) for r in rows),
-                            dtype=np.intp, count=len(rows))
-        nnz = int(sizes.sum())
-        self.starts = np.zeros(len(rows), dtype=np.intp)
-        np.cumsum(sizes[:-1], out=self.starts[1:])
-        self.index = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.chain(r.coeffs, (z_index,) if r.z_coeff else ()) for r in rows),
-            dtype=np.intp, count=nnz)
-        self.data = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.chain(r.coeffs.values(), (r.z_coeff,) if r.z_coeff else ())
-                for r in rows),
-            dtype=float, count=nnz)
-        self.rhs = np.fromiter((r.rhs for r in rows), dtype=float, count=len(rows))
-
-    def violated(self, x: np.ndarray) -> Iterator[LinearRow]:
-        """Rows the matvec scores as violated at x = (w, z), with a margin.
-
-        Every row has sense <=. The margin only lets borderline rows through;
-        the caller decides on each row's own `violation`, so the result does
-        not depend on the summation order here.
-        """
-        if not self.rows:
-            return iter(())
-        score = np.add.reduceat(self.data * x[self.index], self.starts) - self.rhs
-        return (self.rows[i] for i in np.flatnonzero(score > VIOLATION_TOL - 1e-9))
-
-
-def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                       cap: int = MAX_CUTS_PER_CLASS,
-                       pool: Optional[TemplatePool] = None) -> List[LinearRow]:
-    """Violated cycle-z rows at (w, z), most violated first, at most `cap`.
-
-    `pool` carries the candidate rows across calls; it must have been made
-    for this d and kappa. Without one, a pool is built for this call alone.
-    """
-    if len(w) != d.num_arcs:
-        raise InputError("w has wrong arc dimension")
-    if pool is None:
-        pool = TemplatePool(d, kappa)
-    elif pool.d is not d or pool.kappa != kappa:
-        raise InputError("template pool was built for another graph or kappa")
-    x = np.empty(d.num_arcs + 1)
-    x[:-1] = w
-    x[-1] = z
-    found: Dict[tuple, Tuple[float, LinearRow]] = {}
-    for row in pool.violated(x):
-        viol = row.violation(w, z)
-        if viol > VIOLATION_TOL:
-            found[row.key] = (viol, row)
-    return _top_rows(found, cap)

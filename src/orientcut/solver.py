@@ -1,15 +1,14 @@
 """Branch and bound with cutting planes over the orientation models.
 
 Nodes carry their own cut rows (inherited from the parent), so processing a
-node is a pure function of the node and the shared problem data. That data
-includes the solve's template pool: the cycle-z rows, the one template family
-the solver separates, generated on the first cut round that separates them
-and read-only after that. The search is a plain best-first loop: it pops the
-open node with the smallest bound (ties go to the most recently pushed),
-prunes it against the incumbent or processes it, and pushes its children.
-Nothing in it is random and, apart from the deadline, nothing depends on
-timing, so identical inputs reproduce every report, which is part of the
-reporting contract.
+node is a pure function of the node and the shared, read-only problem data.
+Every cut round runs the three exact separators: cycles, kappa-arc paths and
+the cycle-z rows, the one template family the solver separates. The search
+is a plain best-first loop: it pops the open node with the smallest bound
+(ties go to the most recently pushed), prunes it against the incumbent or
+processes it, and pushes its children. Nothing in it is random and, apart
+from the deadline, nothing depends on timing, so identical inputs reproduce
+every report, which is part of the reporting contract.
 
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
@@ -37,8 +36,8 @@ from .graphs import (
     find_directed_cycle,
     greedy_clique,
     greedy_coloring,
+    longest_path_labels,
     max_path_load,
-    source_decomposition,
 )
 from .lp import LinearProgram
 from .model import (
@@ -52,7 +51,7 @@ from .model import (
     row_edge_pair,
     row_path,
 )
-from .separation import TemplatePool, separate_cycles, separate_paths, separate_templates
+from .separation import separate_cycles, separate_paths, separate_templates
 
 MAX_CUT_ROUNDS = 20
 TAIL_EPS = 1e-5
@@ -122,19 +121,17 @@ class _NodeResult:
 
 
 class _Context:
-    """Shared problem data for node processing; read-only apart from the
-    template pool, which the first cut round to need it builds."""
+    """Shared, read-only problem data for node processing."""
 
-    def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
+    def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float]):
-        self.g = g
+        self.g = d.graph
         self.cfg = cfg
-        self.d = BidirectedDigraph(g)
+        self.d = d
         self.objective = objective
         self.extra_rows = tuple(extra_rows)
         self.deadline = deadline
-        self._templates: Optional[TemplatePool] = None
-        m = g.m
+        m = d.graph.m
         self.nvar = 2 * m + 1
         self.obj_vector = [0.0] * self.nvar
         self.obj_vector[2 * m] = objective.z_coeff
@@ -146,12 +143,6 @@ class _Context:
     def expired(self) -> bool:
         """Whether the solve's deadline has passed."""
         return self.deadline is not None and time.monotonic() >= self.deadline
-
-    def templates(self) -> TemplatePool:
-        """The solve's template pool, built by the first cut round that asks."""
-        if self._templates is None:
-            self._templates = TemplatePool(self.d, self.cfg.kappa)
-        return self._templates
 
     def build_lp(self, node: _Node) -> LinearProgram:
         m = self.g.m
@@ -286,7 +277,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
             if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
                 fresh = add_rows(separate_cycles(d, w))
                 fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
-                fresh += add_rows(separate_templates(d, w, z, cfg.kappa, pool=ctx.templates()))
+                fresh += add_rows(separate_templates(d, w, z, cfg.kappa))
             if not fresh:
                 return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
                                    children=_branch(ctx, node, w, tuple(rows)))
@@ -381,7 +372,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     if use_symmetry:
         forced = {0: 1, 1: 0}
     root = _Node(tuple(sorted(forced.items())), ())
-    ctx = _Context(g, cfg, obj, extra_rows, deadline)
+    ctx = _Context(d, cfg, obj, extra_rows, deadline)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]
@@ -502,7 +493,7 @@ def chromatic_number(g: UndirectedGraph, *,
                      deadline: Optional[float] = None) -> Tuple[int, List[int]]:
     """Exact chromatic number with a witness coloring.
 
-    The peeling layers of a diameter-minimal acyclic orientation form a
+    The longest-path labels of a diameter-minimal acyclic orientation form a
     proper coloring with one class per path level, and no coloring can use
     fewer classes than longest path + 1. Raises TimeLimitError past
     `deadline`.
@@ -512,13 +503,8 @@ def chromatic_number(g: UndirectedGraph, *,
     if g.m == 0:
         return 1, [0] * g.n
     orient, q = min_diameter_orientation(g, deadline=deadline)
-    d = BidirectedDigraph(g)
-    layers = source_decomposition(d, orient.arcs())
-    colors = [0] * g.n
-    for c, layer in enumerate(layers):
-        for v in layer:
-            colors[v] = c
-    if len(layers) != q + 1:
+    colors = longest_path_labels(BidirectedDigraph(g), orient.arcs())
+    if max(colors) != q:
         raise SolverError("layer count disagrees with the window optimum")
     return q + 1, colors
 

@@ -47,7 +47,13 @@ from orientcut.polytope import (
     enumerate_feasible_points,
     polytope_dimension,
 )
-from orientcut.separation import separate_cycles, separate_paths, template_rows
+from orientcut.separation import (
+    rows_cycle_z,
+    separate_cycles,
+    separate_paths,
+    separate_templates,
+    template_rows,
+)
 from orientcut.solver import (
     check_load_reduction,
     chromatic_number,
@@ -173,14 +179,16 @@ def test_criterion_5_window_optima_and_reduction_bound():
 
 
 def test_criterion_6_separation_is_exact():
-    """Cycle and path separation find a cut iff exhaustive evaluation does,
-    on 1000 seeded fractional points per battery graph."""
+    """Cycle, path and cycle-z separation find a cut iff exhaustive
+    evaluation does, on 1000 seeded fractional points per battery graph, and
+    the first cycle-z cut is a most violated one."""
     rng = random.Random(60406)
     for name, g, _ in BATTERY:
         d = BidirectedDigraph(g)
         cycle_rows = [row_cycle(d, c) for c in enumerate_cycles(d, g.n)]
         for kappa in (2, 3):
             path_rows = [row_path(d, p, kappa) for p in enumerate_paths_k(d, kappa)]
+            cycle_z_rows = list(rows_cycle_z(d, kappa))
             for _ in range(500):
                 pt = random_point(g, kappa, rng)
                 cyc_found = bool(separate_cycles(d, pt.w))
@@ -189,6 +197,12 @@ def test_criterion_6_separation_is_exact():
                 path_found = bool(separate_paths(d, pt.w, pt.z, kappa))
                 path_exists = any(r.violation(pt.w, pt.z) > 1e-6 for r in path_rows)
                 assert path_found == path_exists, (name, kappa, pt)
+                cycle_z_found = separate_templates(d, pt.w, pt.z, kappa)
+                cycle_z_viol = [r.violation(pt.w, pt.z) for r in cycle_z_rows]
+                assert bool(cycle_z_found) == any(v > 1e-6 for v in cycle_z_viol), \
+                    (name, kappa, pt)
+                if cycle_z_found:
+                    assert cycle_z_found[0].violation(pt.w, pt.z) == max(cycle_z_viol)
 
 
 def test_criterion_7_frequency_assignment():

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from orientcut.errors import InputError
+from orientcut.errors import ContractError, InputError
 from orientcut.graphs import (
     BidirectedDigraph,
     Orientation,
@@ -169,6 +169,41 @@ def test_source_decomposition_layers_are_proper_coloring():
     assert sorted(color) == list(range(g.n))
     for u, v in g.edges:
         assert color[u] != color[v]
+
+
+def _peeled_layers(d, arcs):
+    """Reference: strip the in-degree-zero vertices until none remain."""
+    remaining = set(range(d.n))
+    active = set(arcs)
+    layers = []
+    while remaining:
+        indeg = {v: 0 for v in remaining}
+        for a in active:
+            indeg[d.heads[a]] += 1
+        layer = sorted(v for v in remaining if indeg[v] == 0)
+        layers.append(layer)
+        remaining -= set(layer)
+        active = {a for a in active if d.tails[a] in remaining}
+    return layers
+
+
+def test_source_decomposition_matches_peeling(rng):
+    """Full orientations and partial arc sets of seeded G(n, p) draws."""
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+        d = BidirectedDigraph(g)
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs = Orientation.from_vertex_order(g, order).arcs()
+        for keep in (1.0, 0.5):
+            chosen = [a for a in sorted(arcs) if rng.random() < keep]
+            assert source_decomposition(d, chosen) == _peeled_layers(d, chosen)
+    d = BidirectedDigraph(complete_graph(3))
+    with pytest.raises(ContractError):
+        source_decomposition(d, [d.arc(0, 1), d.arc(1, 2), d.arc(2, 0)])
 
 
 def test_max_path_load_counts_selected_arcs():

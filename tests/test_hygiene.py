@@ -1,6 +1,8 @@
-"""Source hygiene: every imported name is used by the module that imports it.
+"""Source hygiene: every imported name is used by the module that imports it,
+and every parameter of a package function is read by that function.
 
-The suite runs no linter, so this scan is what catches a stale import.
+The suite runs no linter, so these scans are what catch a stale import or a
+parameter nothing reads.
 """
 
 import ast
@@ -9,7 +11,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "orientcut").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "orientcut").glob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 PACKAGE_INIT = ROOT / "src" / "orientcut" / "__init__.py"
 
 
@@ -62,3 +65,33 @@ def test_no_unused_imports(path):
         used |= _exported(tree)
     unused = [(name, line) for name, line in _imported(tree) if name not in used]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _unread_parameters(tree: ast.Module):
+    """(function, parameter, line) for every parameter its function never
+    reads; the first parameter of a method (self or cls) is exempt."""
+    methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                           for x in f.decorator_list)}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [p for p in (args.vararg, args.kwarg) if p is not None]
+        if id(node) in methods:
+            params = params[1:]
+        body = [node.body] if isinstance(node, ast.Lambda) else node.body
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for p in params:
+            if p.arg not in read:
+                yield getattr(node, "name", "<lambda>"), p.arg, node.lineno
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unread = list(_unread_parameters(tree))
+    assert not unread, f"{path.name}: parameters never read {unread}"

@@ -18,10 +18,8 @@ from orientcut.model import AO, AS, ModelConfig, row_cycle, row_path
 from orientcut.polytope import enumerate_feasible_points
 from orientcut.separation import (
     MAX_CUTS_PER_CLASS,
-    STRUCTURE_CAP,
     TEMPLATE_TAGS,
     VIOLATION_TOL,
-    TemplatePool,
     _top_rows,
     rows_cycle_z,
     separate_cycles,
@@ -342,16 +340,14 @@ def test_separated_rows_are_valid_on_feasible_points(rng):
                 assert r.satisfied(q.w, q.z), (r, q)
 
 
-def _templates_per_call(d, w, z, kappa, structure_cap):
-    """Reference: regenerate and score every cycle-z row on each call."""
+def _templates_per_call(d, w, z, kappa, cap):
+    """Reference: score every cycle-z row that `rows_cycle_z` generates."""
     found = {}
-    for count, row in enumerate(rows_cycle_z(d, kappa)):
-        if count >= structure_cap:
-            break
+    for row in rows_cycle_z(d, kappa):
         viol = row.violation(w, z)
-        if viol > VIOLATION_TOL and row.key not in found:
+        if viol > VIOLATION_TOL:
             found[row.key] = (viol, row)
-    return _top_rows(found, MAX_CUTS_PER_CLASS)
+    return _top_rows(found, cap)
 
 
 def _fractional_point(g, kappa, rng):
@@ -360,36 +356,28 @@ def _fractional_point(g, kappa, rng):
     return w, kappa * (0.3 + 0.4 * rng.random())
 
 
-def test_pooled_template_separation_matches_per_call(rng, monkeypatch):
-    cases = [(g, kappa, STRUCTURE_CAP) for _, g, _ in BATTERY for kappa in (2, 3, 4, 5)]
-    # Petersen has 20 to 40 cycle-z rows at these kappa; a cap of 10 cuts each off
-    cases += [(petersen_graph(), kappa, 10) for kappa in (4, 5, 7, 8)]
-    violated = 0
-    for g, kappa, structure_cap in cases:
-        monkeypatch.setattr(separation, "STRUCTURE_CAP", structure_cap)
+def test_template_search_matches_per_call_reference(rng):
+    # kappa 1 closes 2-cycles and kappa = n - 1 closes Hamiltonian cycles;
+    # Petersen has none of 7 or 10 vertices, and K6 has more than the cap
+    cases = [(g, kappa) for _, g, _ in BATTERY for kappa in range(1, g.n)]
+    cases += [(petersen_graph(), kappa) for kappa in (1, 4, 5, 6, 7, 8, 9)]
+    cases += [(complete_graph(6), kappa) for kappa in (2, 3, 4, 5)]
+    violated = capped = 0
+    for g, kappa in cases:
         d = BidirectedDigraph(g)
-        pool = TemplatePool(d, kappa)
-        assert len(pool.rows) == min(structure_cap, sum(1 for _ in rows_cycle_z(d, kappa)))
         for k in range(12):
-            if k % 2:
-                w, z = _fractional_point(g, kappa, rng)
-            else:
+            if k % 3 == 0:
                 pt = random_point(g, kappa, rng)
                 w, z = list(pt.w), pt.z
-            ref = _templates_per_call(d, w, z, kappa, structure_cap)
-            got = separate_templates(d, w, z, kappa, pool=pool)
-            assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
-                (g.edges, kappa, structure_cap)
-            violated += len(got)
-    assert violated > 400
-
-
-def test_template_pool_must_match_the_call():
-    d = BidirectedDigraph(complete_graph(4))
-    pool = TemplatePool(d, 2)
-    w = [0.5] * d.num_arcs
-    assert separate_templates(d, w, 1.0, 2, pool=pool) == separate_templates(d, w, 1.0, 2)
-    with pytest.raises(InputError):
-        separate_templates(d, w, 1.0, 3, pool=pool)
-    with pytest.raises(InputError):
-        separate_templates(BidirectedDigraph(complete_graph(4)), w, 1.0, 2, pool=pool)
+            elif k % 3 == 1:
+                w, z = _fractional_point(g, kappa, rng)
+            else:  # pair-feasible with many equal loads, so ties are broken on keys
+                w, z = _pair_feasible_point(g, AO, rng), kappa * (0.3 + 0.4 * rng.random())
+            for cap in (MAX_CUTS_PER_CLASS, 10 ** 6):
+                ref = _templates_per_call(d, w, z, kappa, cap)
+                got = separate_templates(d, w, z, kappa, cap=cap)
+                assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
+                    (g.edges, kappa, w, z, cap)
+            violated += len(ref)
+            capped += len(ref) > MAX_CUTS_PER_CLASS
+    assert violated > 4000 and capped > 20

@@ -175,7 +175,7 @@ def test_solve_determinism():
                 rep.lp_iterations, rep.node_bound_histories)
 
     assert fingerprint(solve_ao(cycle_graph(5), 2)) == fingerprint(solve_ao(cycle_graph(5), 2))
-    # several nodes, each adding template cuts from the shared pool
+    # several nodes, each adding cycle-z cuts
     a = solve_ao(_myciel3(), 3)
     assert a.node_count > 1
     assert a.cut_counts.get("cycle-z", 0) > 0
@@ -266,21 +266,12 @@ def _count_template_generation(monkeypatch):
     return generated
 
 
-def test_template_pool_built_once_per_solve(monkeypatch):
+def test_solve_separates_cycle_z_without_template_generators(monkeypatch):
+    """Cycle-z cuts come from the search alone; no template row is generated."""
     generated = _count_template_generation(monkeypatch)
-    pools = []
-    separate = solver.separate_templates
-
-    def spy(*args, **kwargs):
-        pools.append(kwargs.get("pool"))
-        return separate(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "separate_templates", spy)
     rep = solve_ao(_myciel3(), 3)
-    assert len(pools) >= 3
-    assert pools[0] is not None and all(p is pools[0] for p in pools)
     assert rep.cut_counts.get("cycle-z", 0) > 0
-    assert generated == {"cycle-z": 1}
+    assert not generated
 
 
 def test_node_bound_histories_monotone():
