@@ -18,7 +18,7 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .dimacs import parse_dimacs
 from .errors import InfeasibleError, InputError, SizeRefusalError, TimeLimitError
@@ -88,13 +88,18 @@ def _emit(report: dict, summary: str, started: float, code: int = 0) -> int:
     return code
 
 
-def _read_instance(path: str):
+def _read_instance(path: str) -> Tuple[str, str]:
+    """The file's text and a digest of its bytes."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    return raw, hashlib.sha256(raw).hexdigest()[:16]
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from None
+    return text, hashlib.sha256(raw).hexdigest()[:16]
 
 
 def _aggregate(reports: List[SolveReport]) -> dict:
@@ -113,8 +118,8 @@ def _aggregate(reports: List[SolveReport]) -> dict:
 
 
 def cmd_color(args, deadline: float) -> int:
-    raw, digest = _read_instance(args.file)
-    g = parse_dimacs(raw.decode())
+    text, digest = _read_instance(args.file)
+    g = parse_dimacs(text)
     started = time.perf_counter()
     reports: List[SolveReport] = []
     try:
@@ -148,8 +153,8 @@ def cmd_color(args, deadline: float) -> int:
 
 
 def cmd_orient(args, deadline: float) -> int:
-    raw, digest = _read_instance(args.file)
-    g = parse_dimacs(raw.decode())
+    text, digest = _read_instance(args.file)
+    g = parse_dimacs(text)
     started = time.perf_counter()
     rep = solve_ao(g, args.kappa, deadline=deadline)
     base = {"command": "orient", "digest": digest, "kappa": args.kappa,
@@ -207,9 +212,9 @@ def _fap_oracle_infeasible(inst: FapInstance, mode: str) -> bool:
 
 
 def cmd_fap(args, deadline: float) -> int:
-    raw, digest = _read_instance(args.file)
+    text, digest = _read_instance(args.file)
     try:
-        data = json.loads(raw.decode())
+        data = json.loads(text)
     except ValueError as exc:
         raise InputError(f"bad JSON in {args.file}: {exc}") from None
     inst = FapInstance.from_dict(data)
@@ -274,8 +279,8 @@ def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
 
 
 def cmd_polytope(args, deadline: float) -> int:
-    raw, digest = _read_instance(args.file)
-    g = parse_dimacs(raw.decode())
+    text, digest = _read_instance(args.file)
+    g = parse_dimacs(text)
     started = time.perf_counter()
     cfg = ModelConfig(kappa=args.kappa, variant=AS)
     timeout = {"command": "polytope", "digest": digest, "status": "timeout"}

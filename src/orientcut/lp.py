@@ -1,11 +1,17 @@
-"""Dense bounded-variable primal simplex and an exact integer rank helper.
+"""Dense bounded dual simplex and an exact integer rank helper.
 
-The solver keeps a full tableau over structural variables, slacks and
-phase-one artificials. Nonbasic variables rest at either bound, entering
-variables are priced with Dantzig's rule and the ratio test handles bound
-flips; after a burst of degenerate pivots the pricing falls back to Bland's
-rule to rule out cycling. Problems at the scale handled here (tens of
-variables, hundreds of rows) solve in milliseconds this way.
+Every row gets a slack, bounded to [0, inf) for a `<=` row and to [0, 0] for
+an `=` row. Every structural variable is boxed, so the slack basis with each
+structural variable at the bound its cost prefers is dual feasible and the
+dual simplex starts from it. A row added later joins the basis with its
+slack, which keeps the basis dual feasible, so a re-solve goes on from the
+last basis. An empty ratio test proves the rows infeasible.
+
+The leaving row is the one with the largest bound violation and the ratio
+test breaks ties towards the largest pivot; after a burst of dual-degenerate
+pivots both choices fall back to the smallest variable index (Bland's rule)
+to rule out cycling. Problems at the scale handled here (tens of variables, hundreds
+of rows) solve in milliseconds on a dense tableau.
 """
 
 from __future__ import annotations
@@ -21,7 +27,6 @@ import numpy as np
 from .errors import InputError, SolverError
 
 FEAS_TOL = 1e-7
-COST_TOL = 1e-7
 PIVOT_TOL = 1e-9
 _BOUND_TOL = 1e-9
 _DEGEN_EPS = 1e-10
@@ -33,7 +38,7 @@ class LpSolution:
     x: Optional[np.ndarray] = None    # structural variable values
     objective: Optional[float] = None
     duals: Optional[np.ndarray] = None  # one multiplier per row, in row order
-    iterations: int = 0
+    iterations: int = 0               # pivots of this call only
 
     @property
     def optimal(self) -> bool:
@@ -43,9 +48,9 @@ class LpSolution:
 class LinearProgram:
     """min c'x subject to rows (a'x <= b or a'x = b) and lo <= x <= hi.
 
-    Rows are sparse dicts over variable indices. `start` optionally hints the
-    initial nonbasic values; components are clipped to their bounds and any
-    remaining infeasibility is repaired by a short phase one.
+    Rows are sparse dicts over variable indices. The program keeps its
+    simplex state: `solve` brings in the rows added since the last call and
+    re-optimises from the last basis.
     """
 
     def __init__(self, objective: Sequence[float], lower: Sequence[float],
@@ -58,7 +63,7 @@ class LinearProgram:
         if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
             raise InputError("structural bounds must be finite")
         self.rows: List[Tuple[Dict[int, float], str, float]] = []
-        self.start: Optional[Sequence[float]] = None
+        self._simplex = _Simplex(self.c, self.lo, self.hi)
 
     def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float):
         if sense not in ("<=", "="):
@@ -69,8 +74,8 @@ class LinearProgram:
         self.rows.append((dict(coeffs), sense, float(rhs)))
 
     def add_rows_and_resolve(self, rows) -> LpSolution:
-        """Append rows and re-solve. Solving is cheap enough at this scale that
-        the re-solve starts fresh; the result matches a warm start exactly."""
+        """Append rows and re-solve from the last basis, with the slacks of
+        the new rows basic; a row the last optimum satisfies costs no pivot."""
         for coeffs, sense, rhs in rows:
             self.add_row(coeffs, sense, rhs)
         return self.solve()
@@ -78,215 +83,143 @@ class LinearProgram:
     def solve(self) -> LpSolution:
         if np.any(self.lo > self.hi + _BOUND_TOL):
             return LpSolution(status="infeasible")
-        if not self.rows:
-            x = np.where(self.c > 0, self.lo, np.where(self.c < 0, self.hi, self.lo))
-            return LpSolution("optimal", x.astype(float), float(self.c @ x),
-                              np.zeros(0), 0)
-        return _Simplex(self).run()
+        return self._simplex.solve(self.rows)
 
 
 class _Simplex:
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        ns = len(lp.c)
-        nr = len(lp.rows)
-        self.ns, self.nr = ns, nr
+    """The live tableau of one program: B^-1 [A I | b] over the structural
+    columns, one slack column per row and the right-hand side.
 
-        slack_col = [-1] * nr
-        ncols = ns
-        for i, (_, sense, _) in enumerate(lp.rows):
-            if sense == "<=":
-                slack_col[i] = ncols
-                ncols += 1
+    It holds the program's arrays but not the program, so a dropped program
+    is freed by reference counting alone.
+    """
 
-        start = np.array(lp.start, dtype=float) if lp.start is not None else lp.lo.copy()
-        x0 = np.clip(start, lp.lo, lp.hi)
+    def __init__(self, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        ns = len(c)
+        self.ns = self.total = ns
+        self.nr = 0
+        self.c, self.lo, self.hi = c, lo, hi  # `_add` replaces these, never writes them
+        self.val = np.where(c < 0, hi, lo)
+        self.d = c.copy()
+        self.tab = np.zeros((0, ns + 1))
+        self.a = np.zeros((0, ns))      # the rows as given, for `_verify`
+        self.b = np.zeros(0)
+        self.basis = np.zeros(0, dtype=int)
+        self.in_basis = np.zeros(ns, dtype=bool)
 
-        b = np.array([rhs for (_, _, rhs) in lp.rows])
-        a_struct = np.zeros((nr, ns))
-        for i, (coeffs, _, _) in enumerate(lp.rows):
-            for j, cval in coeffs.items():
-                a_struct[i, j] = cval
-        resid = b - a_struct @ x0
-
-        slack0 = np.zeros(nr)
-        art_col = [-1] * nr
-        art_sign = np.ones(nr)
-        basis = np.zeros(nr, dtype=int)
-        art_vals = []
-        for i in range(nr):
-            r = resid[i]
-            if slack_col[i] >= 0:
-                slack0[i] = max(r, 0.0)
-                r = min(r, 0.0)
-            if slack_col[i] >= 0 and abs(r) <= 1e-12:
-                basis[i] = slack_col[i]
-            else:
-                art_col[i] = ncols + len(art_vals)
-                art_sign[i] = 1.0 if r >= 0 else -1.0
-                art_vals.append(abs(r))
-                basis[i] = art_col[i]
-        nart = len(art_vals)
-        total = ncols + nart
-
-        tab = np.zeros((nr, total + 1))
-        tab[:, :ns] = a_struct
-        for i in range(nr):
-            if slack_col[i] >= 0:
-                tab[i, slack_col[i]] = 1.0
-            if art_col[i] >= 0:
-                tab[i, art_col[i]] = art_sign[i]
-        tab[:, total] = b
-        # Scale rows with a negative artificial so the initial basis is the identity.
-        for i in range(nr):
-            if art_col[i] >= 0 and art_sign[i] < 0:
-                tab[i] *= -1.0
-
-        val = np.zeros(total)
-        val[:ns] = x0
-        for i in range(nr):
-            if slack_col[i] >= 0:
-                val[slack_col[i]] = slack0[i]
-        for k in range(nart):
-            val[ncols + k] = art_vals[k]
-
-        lo = np.concatenate([lp.lo, np.zeros(total - ns)])
-        hi = np.concatenate([lp.hi, np.full(total - ns, np.inf)])
-
-        self.tab = tab
-        self.val = val
-        self.lo_full = lo
-        self.hi_full = hi
-        self.basis = basis
-        self.in_basis = np.zeros(total, dtype=bool)
-        self.in_basis[basis] = True
-        self.total = total
-        self.ncols = ncols
-        self.slack_col = slack_col
-        self.art_col = art_col
-        self.art_sign = art_sign
-        self.is_art = np.zeros(total, dtype=bool)
-        self.is_art[ncols:] = True
-        self.a_full = tab[:, :total].copy()
-        self.b = b.copy()
-        # The pre-scaling above flipped some rows of a_full; undo for checking.
-        for i in range(nr):
-            if art_col[i] >= 0 and art_sign[i] < 0:
-                self.a_full[i] *= -1.0
-        self.iterations = 0
-        self.degenerate = 0
-
-    def run(self) -> LpSolution:
-        nart = self.total - self.ncols
-        if nart > 0:
-            c1 = np.zeros(self.total)
-            c1[self.ncols:] = 1.0
-            if float(c1 @ self.val) > FEAS_TOL:
-                self._iterate(c1)
-                self._refresh_basics()
-                if float(c1 @ self.val) > FEAS_TOL:
-                    return LpSolution(status="infeasible", iterations=self.iterations)
-            # Lock artificials at zero for phase two.
-            self.hi_full[self.ncols:] = 0.0
-            self.val[self.ncols:] = 0.0
-            self._refresh_basics()
-        c2 = np.zeros(self.total)
-        c2[:self.ns] = self.lp.c
-        self._iterate(c2)
+    def solve(self, rows) -> LpSolution:
+        if len(rows) > self.nr:
+            self._add(rows[self.nr:])
+        iterations = self._iterate()
+        if iterations is None:
+            return LpSolution(status="infeasible")
         self._refresh_basics()
         self._verify()
-        x = np.clip(self.val[:self.ns], self.lp.lo, self.lp.hi)
-        obj = float(self.lp.c @ x)
-        duals = self._duals(c2)
-        return LpSolution("optimal", x, obj, duals, self.iterations)
+        ns = self.ns
+        x = np.clip(self.val[:ns], self.lo[:ns], self.hi[:ns])
+        return LpSolution("optimal", x, float(self.c[:ns] @ x), -self.d[ns:], iterations)
 
-    def _iterate(self, c_full: np.ndarray):
-        tab, val = self.tab, self.val
-        lo, hi = self.lo_full, self.hi_full
-        d = c_full - tab[:, :self.total].T @ c_full[self.basis]
-        bland_at = 5 * (self.nr + self.total)
-        max_iter = 500 + 50 * (self.nr + self.total)
+    def _add(self, rows):
+        """Append rows with their slacks basic, expressed in the current basis."""
+        k, ns, nr, total = len(rows), self.ns, self.nr, self.total
+        raw = np.zeros((k, total + k + 1))
+        for i, (coeffs, sense, rhs) in enumerate(rows):
+            for j, cval in coeffs.items():
+                raw[i, j] = cval
+            raw[i, total + i] = 1.0
+            raw[i, -1] = rhs
+        self.a = np.vstack([self.a, raw[:, :ns]])
+        self.b = np.concatenate([self.b, raw[:, -1]])
+        tab = np.zeros((nr + k, total + k + 1))
+        tab[:nr, :total] = self.tab[:, :total]
+        tab[:nr, -1] = self.tab[:, -1]
+        raw -= raw[:, self.basis] @ tab[:nr]
+        tab[nr:] = raw
+        self.tab = tab
+        upper = [0.0 if sense == "=" else np.inf for (_, sense, _) in rows]
+        self.lo = np.concatenate([self.lo, np.zeros(k)])
+        self.hi = np.concatenate([self.hi, upper])
+        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.d = np.concatenate([self.d, np.zeros(k)])
+        self.val = np.concatenate([self.val, np.zeros(k)])
+        self.basis = np.concatenate([self.basis, np.arange(total, total + k)])
+        self.in_basis = np.concatenate([self.in_basis, np.ones(k, dtype=bool)])
+        self.nr += k
+        self.total += k
+        self._refresh_basics()
+
+    def _iterate(self) -> Optional[int]:
+        """Dual simplex pivots until the basis is primal feasible; the pivot
+        count, or None once a row proves the program infeasible."""
+        tab, val, lo, hi, d = self.tab, self.val, self.lo, self.hi, self.d
+        basis, in_basis, total = self.basis, self.in_basis, self.total
+        movable = hi > lo
+        bland_at = 5 * (self.nr + total)
+        max_iter = 500 + 50 * (self.nr + total)
+        iterations = degenerate = 0
         while True:
-            if self.iterations > max_iter:
-                raise SolverError("simplex iteration limit reached")
-            cand = ~self.in_basis & ~self.is_art
-            can_inc = cand & (hi - val > _BOUND_TOL) & (d < -COST_TOL)
-            can_dec = cand & (val - lo > _BOUND_TOL) & (d > COST_TOL)
-            if not (can_inc.any() or can_dec.any()):
-                return
-            if self.degenerate <= bland_at:
-                score = np.where(can_inc, -d, 0.0) + np.where(can_dec, d, 0.0)
-                q = int(np.argmax(score))
+            xb = val[basis]
+            below = lo[basis] - xb
+            violation = np.maximum(below, xb - hi[basis])
+            rows = np.flatnonzero(violation > FEAS_TOL)
+            if not len(rows):
+                return iterations
+            if degenerate <= bland_at:
+                r = int(rows[np.argmax(violation[rows])])
             else:
-                q = int(np.argmax(can_inc | can_dec))
-            sigma = 1.0 if can_inc[q] else -1.0
+                r = int(rows[np.argmin(basis[rows])])
+            if iterations > max_iter:
+                raise SolverError("simplex iteration limit reached")
+            leaving = basis[r]
+            rising = below[r] > 0
+            alpha = tab[r, :total]
+            # Nonbasic columns that move the leaving variable towards the
+            # bound it violates; a column at its upper bound can only fall.
+            toward = -alpha if rising else alpha
+            at_upper = val > lo
+            cand = ~in_basis & movable & np.where(at_upper, toward < -PIVOT_TOL,
+                                                  toward > PIVOT_TOL)
+            if not cand.any():
+                return None
+            ratios = np.full(total, np.inf)
+            ratios[cand] = np.maximum(d[cand] / toward[cand], 0.0)
+            step = float(ratios.min())
+            ties = ratios <= step + 1e-12
+            if degenerate <= bland_at:
+                q = int(np.argmax(np.where(ties, np.abs(alpha), 0.0)))
+            else:
+                q = int(np.argmax(ties))
+            if step < _DEGEN_EPS:
+                degenerate += 1
+            iterations += 1
 
-            y = tab[:, q]
-            yhat = sigma * y
-            xb = val[self.basis]
-            limits = np.full(self.nr, np.inf)
-            pos = yhat > PIVOT_TOL
-            neg = yhat < -PIVOT_TOL
-            if pos.any():
-                limits[pos] = (xb[pos] - lo[self.basis[pos]]) / yhat[pos]
-            if neg.any():
-                limits[neg] = (xb[neg] - hi[self.basis[neg]]) / yhat[neg]
-            limits = np.maximum(limits, 0.0)
-            rmin = float(limits.min()) if self.nr else np.inf
-            dmax = hi[q] - lo[q]
-            if not np.isfinite(rmin) and not np.isfinite(dmax):
-                raise SolverError("LP is unbounded")
-            self.iterations += 1
-            if dmax <= rmin + 1e-12:
-                # Bound flip, no basis change.
-                val[q] += sigma * dmax
-                val[self.basis] = xb - yhat * dmax
-                continue
-            cands = np.where(limits <= rmin + 1e-12)[0]
-            r = int(min(cands, key=lambda i: (-abs(yhat[i]), self.basis[i])))
-            delta = rmin
-            if delta < _DEGEN_EPS:
-                self.degenerate += 1
-            val[q] += sigma * delta
-            val[self.basis] = xb - yhat * delta
-            leaving = self.basis[r]
-            val[leaving] = lo[leaving] if yhat[r] > 0 else hi[leaving]
-
-            piv = tab[r, q]
-            prow = tab[r] / piv
+            target = lo[leaving] if rising else hi[leaving]
+            delta = (val[leaving] - target) / alpha[q]
             col = tab[:, q].copy()
+            val[basis] -= col * delta
+            val[q] += delta
+            val[leaving] = target
+            prow = tab[r] / alpha[q]
             tab -= np.outer(col, prow)
             tab[r] = prow
-            d -= d[q] * prow[:self.total]
+            d -= d[q] * prow[:total]
             d[q] = 0.0
-            self.in_basis[leaving] = False
-            self.in_basis[q] = True
-            self.basis[r] = q
+            in_basis[leaving] = False
+            in_basis[q] = True
+            basis[r] = q
 
     def _refresh_basics(self):
         val_nb = self.val.copy()
         val_nb[self.basis] = 0.0
-        xb = self.tab[:, self.total] - self.tab[:, :self.total] @ val_nb
-        self.val[self.basis] = xb
+        self.val[self.basis] = self.tab[:, self.total] - self.tab[:, :self.total] @ val_nb
 
     def _verify(self):
-        resid = self.a_full @ self.val - self.b
-        for i, (_, sense, _) in enumerate(self.lp.rows):
-            # Slack columns make every row an equality in the working form.
-            if abs(resid[i]) > 1e-6:
-                raise SolverError(f"row residual {resid[i]:.3e} exceeds tolerance")
-        if np.any(self.val < self.lo_full - 1e-6) or np.any(self.val > self.hi_full + 1e-6):
+        ns = self.ns
+        resid = self.a @ self.val[:ns] + self.val[ns:] - self.b
+        if np.any(np.abs(resid) > 1e-6):
+            raise SolverError(f"row residual {np.abs(resid).max():.3e} exceeds tolerance")
+        if np.any(self.val < self.lo - 1e-6) or np.any(self.val > self.hi + 1e-6):
             raise SolverError("variable bound violated beyond tolerance")
-
-    def _duals(self, c_full: np.ndarray) -> np.ndarray:
-        d = c_full - self.tab[:, :self.total].T @ c_full[self.basis]
-        y = np.zeros(self.nr)
-        for i in range(self.nr):
-            if self.slack_col[i] >= 0:
-                y[i] = -d[self.slack_col[i]]
-            else:
-                y[i] = -self.art_sign[i] * d[self.art_col[i]]
-        return y
 
 
 def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:

@@ -31,7 +31,6 @@ from .graphs import (
     BidirectedDigraph,
     Orientation,
     UndirectedGraph,
-    _topological_order,
     dag_longest_path,
     find_directed_cycle,
     greedy_clique,
@@ -157,35 +156,7 @@ class _Context:
             lp.add_row(row.coeffs_with_z(self.nvar - 1), row.sense, row.rhs)
         for row in node.rows:
             lp.add_row(row.coeffs_with_z(self.nvar - 1), row.sense, row.rhs)
-        lp.start = self.start_hint(dict(node.forced))
         return lp
-
-    def start_hint(self, forced: Dict[int, int]) -> List[float]:
-        """An acyclic completion of the forced arcs, with z at its ceiling.
-
-        Only a warm-start guess; the simplex clips it to the bounds and
-        repairs any violated rows with artificials.
-        """
-        d = self.d
-        ones = frozenset(a for a, v in forced.items() if v == 1)
-        order = _topological_order(d, ones)
-        pos = {v: k for k, v in enumerate(order)} if order else {v: v for v in range(d.n)}
-        x = [0.0] * self.nvar
-        for e, (i, j) in enumerate(self.g.edges):
-            a, b = 2 * e, 2 * e + 1
-            if forced.get(a) == 1:
-                x[a] = 1.0
-            elif forced.get(b) == 1:
-                x[b] = 1.0
-            elif forced.get(a) == 0 and forced.get(b) == 0:
-                pass  # edge dropped (partial-selection variant)
-            else:
-                pick = a if pos[i] < pos[j] else b
-                if forced.get(pick) == 0:
-                    pick ^= 1
-                x[pick] = 1.0
-        x[2 * self.g.m] = self.cfg.z_upper
-        return x
 
 
 def _branch(ctx: _Context, node: _Node, w: Sequence[float],

@@ -289,6 +289,16 @@ def test_cli_error_exits(capsys, tmp_path):
         assert code == 1 and not out and "time-limit" in err, limit
 
 
+@pytest.mark.parametrize("argv", [["color"], ["orient", "--kappa", "2"],
+                                  ["polytope", "--kappa", "2"]])
+def test_cli_rejects_non_utf8_input(capsys, tmp_path, argv):
+    p = tmp_path / "latin1.col"
+    p.write_bytes(b"c caf\xe9\n" + K3_COL.encode())
+    code, out, err = _run(capsys, [argv[0], str(p), *argv[1:]])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "UTF-8" in err
+
+
 def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
     import dataclasses
 

@@ -1,5 +1,8 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -101,6 +104,122 @@ def test_resolve_matches_fresh_solve():
     direct = fresh.solve()
     assert resolved.objective == pytest.approx(direct.objective)
     assert resolved.objective >= first.objective - 1e-9  # cut can only hurt a min
+
+
+def _solve_exact(planes, n):
+    """The point where n planes (coeffs, rhs) meet, by Fraction Gauss-Jordan;
+    None when they do not meet in one point."""
+    m = [[Fraction(coeffs.get(j, 0)) for j in range(n)] + [Fraction(rhs)]
+         for coeffs, rhs in planes]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if m[r][col]), None)
+        if piv is None:
+            return None
+        m[col], m[piv] = m[piv], m[col]
+        for r in range(n):
+            if r != col and m[r][col]:
+                f = m[r][col] / m[col][col]
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [m[j][n] / m[j][j] for j in range(n)]
+
+
+def _vertex_optimum(c, lo, hi, rows):
+    """Reference: the least objective over the vertices of the feasible box
+    polytope, by exact enumeration; None when no vertex is feasible."""
+    n = len(c)
+    planes = [({j: 1}, b) for j in range(n) for b in (lo[j], hi[j])]
+    planes += [(coeffs, rhs) for coeffs, _, rhs in rows]
+    best = None
+    for subset in combinations(planes, n):
+        x = _solve_exact(subset, n)
+        if x is None or any(not lo[j] <= x[j] <= hi[j] for j in range(n)):
+            continue
+        lhs = [sum(cv * x[j] for j, cv in coeffs.items()) for coeffs, _, _ in rows]
+        if all(v <= rhs if sense == "<=" else v == rhs
+               for v, (_, sense, rhs) in zip(lhs, rows)):
+            value = sum(cj * xj for cj, xj in zip(c, x))
+            best = value if best is None else min(best, value)
+    return best
+
+
+def _check_against_reference(lp, sol):
+    ref = _vertex_optimum(list(lp.c), list(lp.lo), list(lp.hi), lp.rows)
+    if ref is None:
+        assert sol.status == "infeasible"
+        return
+    assert sol.optimal and sol.objective == pytest.approx(float(ref), abs=1e-7)
+    assert np.all(sol.x >= lp.lo - 1e-7) and np.all(sol.x <= lp.hi + 1e-7)
+    for coeffs, sense, rhs in lp.rows:
+        lhs = sum(cv * sol.x[j] for j, cv in coeffs.items())
+        assert lhs <= rhs + 1e-7 if sense == "<=" else lhs == pytest.approx(rhs, abs=1e-7)
+    assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6)
+
+
+def _tiny_program(rng):
+    """Integer data on up to three variables, some fixed or crossed bounds,
+    mixed `<=` and `=` rows."""
+    n = rng.randint(1, 3)
+    c = [rng.randint(-3, 3) for _ in range(n)]
+    lo, hi = [], []
+    for _ in range(n):
+        a = rng.randint(-2, 2)
+        kind = rng.random()
+        b = a if kind < 0.15 else a - 1 if kind < 0.2 else a + rng.randint(1, 3)
+        lo.append(a)
+        hi.append(b)
+    rows = []
+    for _ in range(rng.randint(0, 5)):
+        coeffs = {j: rng.choice([-3, -2, -1, 1, 2, 3]) for j in range(n) if rng.random() < 0.7}
+        rows.append((coeffs, "=" if rng.random() < 0.15 else "<=", rng.randint(0, 6)))
+    return c, lo, hi, rows
+
+
+def test_dual_simplex_matches_vertex_enumeration():
+    rng = random.Random(101)
+    seen = {"optimal": 0, "infeasible": 0, "warm": 0}
+    for _ in range(250):
+        c, lo, hi, rows = _tiny_program(rng)
+        cold = LinearProgram(c, lo, hi)
+        for row in rows:
+            cold.add_row(*row)
+        sol = cold.solve()
+        _check_against_reference(cold, sol)
+        seen[sol.status] += 1
+        again = cold.solve()  # nothing new: no pivot, same answer
+        assert again.iterations == 0 and again.status == sol.status
+        assert not sol.optimal or again.objective == pytest.approx(sol.objective, abs=1e-9)
+
+        split = rng.randint(0, len(rows))
+        warm = LinearProgram(c, lo, hi)
+        for row in rows[:split]:
+            warm.add_row(*row)
+        _check_against_reference(warm, warm.solve())
+        _check_against_reference(warm, warm.add_rows_and_resolve(rows[split:]))
+
+        if sol.optimal:
+            coeffs = {j: rng.randint(-2, 2) for j in range(len(c))}
+            lhs = sum(cv * sol.x[j] for j, cv in coeffs.items())
+            sense = rng.choice(["<=", "="])
+            slack = rng.choice([0.0, 1.0]) if sense == "<=" else 0.0
+            tight = cold.add_rows_and_resolve([(coeffs, sense, lhs + slack)])
+            assert tight.optimal and tight.iterations == 0
+            assert tight.objective == pytest.approx(sol.objective, abs=1e-9)
+            seen["warm"] += 1
+    assert seen["optimal"] >= 120 and seen["infeasible"] >= 60 and seen["warm"] >= 120
+
+
+def test_program_is_freed_without_the_cyclic_collector():
+    lp = LinearProgram([-1, -1], [0, 0], [1, 1])
+    lp.add_row({0: 1, 1: 1}, "<=", 1.5)
+    lp.solve()
+    lp.add_rows_and_resolve([({0: 1}, "<=", 0.5)])
+    ref = weakref.ref(lp)
+    gc.disable()
+    try:
+        del lp
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_degenerate_program_terminates():

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+import random
 import types
 
 import pytest
@@ -220,11 +222,13 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
     solve_soft_cost(inst)
-    # Branching without cuts on myciel3, edges in sorted order, meets a child
-    # whose forced arcs close a cycle; the child filter in `_process_node`
-    # must drop it.
+    # Branching after one cut round on this G(9, 0.5) draw (found by a seeded
+    # search) meets children whose forced arcs close a cycle; the child
+    # filter in `_branch` must drop them.
     monkeypatch.setattr(solver, "MAX_CUT_ROUNDS", 1)
-    g = UndirectedGraph(11, sorted(_myciel3().edges))
+    rng = random.Random(11)
+    g = UndirectedGraph(9, [e for e in itertools.combinations(range(9), 2)
+                            if rng.random() < 0.5])
     assert solve_model(g, ModelConfig(kappa=3, variant=AO)).objective == 3
     assert 1 in branchings
     assert sum(bool(n.forced) for _, n in seen) > 10
