@@ -21,9 +21,8 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from .dimacs import parse_dimacs
-from .errors import InfeasibleError, InputError, SizeRefusalError, TimeLimitError
+from .errors import InfeasibleError, InputError, TimeLimitError
 from .fap import (
-    BRUTE_MAX_FREQ,
     FapInstance,
     brute_force_fixed_spectrum,
     brute_force_min_spectrum,
@@ -184,8 +183,6 @@ def cmd_orient(args, deadline: float) -> int:
 def _fap_oracle(inst: FapInstance, mode: str, result) -> bool:
     if mode == "minimum":
         phi, _ = result
-        if phi > BRUTE_MAX_FREQ:
-            raise SizeRefusalError(f"oracle scan capped at frequency {BRUTE_MAX_FREQ}")
         expect, _assign = brute_force_min_spectrum(inst)
         return phi == expect
     if mode == "fixed":

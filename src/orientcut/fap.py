@@ -512,7 +512,8 @@ def _candidate_freqs(inst: FapInstance, phi: int) -> Optional[List[List[int]]]:
 
 def brute_force_min_spectrum(inst: FapInstance, max_links: int = BRUTE_MAX_LINKS,
                              max_freq: int = BRUTE_MAX_FREQ) -> Tuple[int, Tuple[int, ...]]:
-    """Reference spectrum optimum by scanning all capped assignments."""
+    """Reference spectrum optimum by scanning all capped assignments; only an
+    exhaustive scan, every link's set within [0, max_freq], proves infeasibility."""
     if inst.links > max_links:
         raise SizeRefusalError(f"assignment scan capped at {max_links} links, got {inst.links}")
     if inst.has_costs:
@@ -525,7 +526,9 @@ def brute_force_min_spectrum(inst: FapInstance, max_links: int = BRUTE_MAX_LINKS
         for f in itertools.product(*cols):
             if all(abs(f[p.i] - f[p.j]) >= p.d for p in hard):
                 return phi, f
-    raise InfeasibleError(f"no assignment with frequencies up to {max_freq}")
+    if all(fs is not None and max(fs, default=0) <= max_freq for fs in inst.freq_sets):
+        raise InfeasibleError("no assignment from the frequency sets")
+    raise SizeRefusalError(f"assignment scan capped at frequency {max_freq}")
 
 
 def brute_force_fixed_spectrum(inst: FapInstance,
@@ -556,6 +559,8 @@ def brute_force_soft_cost(inst: FapInstance,
     phi = inst.spectrum
     if phi is None:
         raise InputError("soft-cost scan needs the spectrum field")
+    if phi > BRUTE_MAX_FREQ:
+        raise SizeRefusalError(f"assignment scan capped at spectrum {BRUTE_MAX_FREQ}, got {phi}")
     cols = _candidate_freqs(inst, phi)
     best = None
     if cols is not None:

@@ -5,7 +5,9 @@ an `=` row. Every structural variable is boxed, so the slack basis with each
 structural variable at the bound its cost prefers is dual feasible and the
 dual simplex starts from it. A row added later joins the basis with its
 slack, which keeps the basis dual feasible, so a re-solve goes on from the
-last basis. An empty ratio test proves the rows infeasible.
+last basis. An empty ratio test proves the rows infeasible. A `branch` copy
+fixes variables, which never enter the basis, so it re-optimises from the
+original's basis, still dual feasible, and never writes the original.
 
 The leaving row is the one with the largest bound violation and the ratio
 test breaks ties towards the largest pivot; after a burst of dual-degenerate
@@ -16,11 +18,12 @@ of rows) solve in milliseconds on a dense tableau.
 
 from __future__ import annotations
 
+import copy
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,9 +51,9 @@ class LpSolution:
 class LinearProgram:
     """min c'x subject to rows (a'x <= b or a'x = b) and lo <= x <= hi.
 
-    Rows are sparse dicts over variable indices. The program keeps its
-    simplex state: `solve` brings in the rows added since the last call and
-    re-optimises from the last basis.
+    Rows are sparse dicts over variable indices. The program holds its live
+    tableau B^-1 [A I | b]: `solve` brings in the rows added since the last
+    call and re-optimises from the last basis.
     """
 
     def __init__(self, objective: Sequence[float], lower: Sequence[float],
@@ -58,12 +61,21 @@ class LinearProgram:
         self.c = np.asarray(objective, dtype=float)
         self.lo = np.asarray(lower, dtype=float)
         self.hi = np.asarray(upper, dtype=float)
-        if not (len(self.c) == len(self.lo) == len(self.hi)):
+        ns = len(self.c)
+        if not (ns == len(self.lo) == len(self.hi)):
             raise InputError("objective and bounds must have equal length")
         if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
             raise InputError("structural bounds must be finite")
         self.rows: List[Tuple[Dict[int, float], str, float]] = []
-        self._simplex = _Simplex(self.c, self.lo, self.hi)
+        # Bounds and values of every tableau column, slacks after structurals.
+        self.col_lo, self.col_hi = self.lo.copy(), self.hi.copy()
+        self.val = np.where(self.c < 0, self.hi, self.lo)
+        self.d = self.c.copy()
+        self.tab = np.zeros((0, ns + 1))
+        self.a = np.zeros((0, ns))      # the rows as given, for `_verify`
+        self.b = np.zeros(0)
+        self.basis = np.zeros(0, dtype=int)
+        self.in_basis = np.zeros(ns, dtype=bool)
 
     def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float):
         if sense not in ("<=", "="):
@@ -80,48 +92,38 @@ class LinearProgram:
             self.add_row(coeffs, sense, rhs)
         return self.solve()
 
+    def branch(self, fixed: Iterable[Tuple[int, float]]) -> "LinearProgram":
+        """A copy with each (variable, value) of `fixed` fixed at its value;
+        it owns every array a solve or a branch writes in place and shares
+        the ones only ever replaced, so this program is not written."""
+        child = copy.copy(self)
+        for name in ("tab", "val", "d", "basis", "in_basis", "lo", "hi", "col_lo", "col_hi"):
+            setattr(child, name, getattr(self, name).copy())
+        child.rows = list(self.rows)
+        for j, v in fixed:
+            child.lo[j] = child.hi[j] = child.col_lo[j] = child.col_hi[j] = v
+            if not child.in_basis[j]:
+                child.val[j] = v
+        child._refresh_basics()
+        return child
+
     def solve(self) -> LpSolution:
         if np.any(self.lo > self.hi + _BOUND_TOL):
             return LpSolution(status="infeasible")
-        return self._simplex.solve(self.rows)
-
-
-class _Simplex:
-    """The live tableau of one program: B^-1 [A I | b] over the structural
-    columns, one slack column per row and the right-hand side.
-
-    It holds the program's arrays but not the program, so a dropped program
-    is freed by reference counting alone.
-    """
-
-    def __init__(self, c: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        ns = len(c)
-        self.ns = self.total = ns
-        self.nr = 0
-        self.c, self.lo, self.hi = c, lo, hi  # `_add` replaces these, never writes them
-        self.val = np.where(c < 0, hi, lo)
-        self.d = c.copy()
-        self.tab = np.zeros((0, ns + 1))
-        self.a = np.zeros((0, ns))      # the rows as given, for `_verify`
-        self.b = np.zeros(0)
-        self.basis = np.zeros(0, dtype=int)
-        self.in_basis = np.zeros(ns, dtype=bool)
-
-    def solve(self, rows) -> LpSolution:
-        if len(rows) > self.nr:
-            self._add(rows[self.nr:])
+        if len(self.rows) > len(self.basis):
+            self._add(self.rows[len(self.basis):])
         iterations = self._iterate()
         if iterations is None:
             return LpSolution(status="infeasible")
         self._refresh_basics()
         self._verify()
-        ns = self.ns
-        x = np.clip(self.val[:ns], self.lo[:ns], self.hi[:ns])
-        return LpSolution("optimal", x, float(self.c[:ns] @ x), -self.d[ns:], iterations)
+        ns = len(self.c)
+        x = np.clip(self.val[:ns], self.lo, self.hi)
+        return LpSolution("optimal", x, float(self.c @ x), -self.d[ns:], iterations)
 
     def _add(self, rows):
         """Append rows with their slacks basic, expressed in the current basis."""
-        k, ns, nr, total = len(rows), self.ns, self.nr, self.total
+        k, ns, nr, total = len(rows), len(self.c), len(self.basis), len(self.val)
         raw = np.zeros((k, total + k + 1))
         for i, (coeffs, sense, rhs) in enumerate(rows):
             for j, cval in coeffs.items():
@@ -137,25 +139,22 @@ class _Simplex:
         tab[nr:] = raw
         self.tab = tab
         upper = [0.0 if sense == "=" else np.inf for (_, sense, _) in rows]
-        self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.hi = np.concatenate([self.hi, upper])
-        self.c = np.concatenate([self.c, np.zeros(k)])
+        self.col_lo = np.concatenate([self.col_lo, np.zeros(k)])
+        self.col_hi = np.concatenate([self.col_hi, upper])
         self.d = np.concatenate([self.d, np.zeros(k)])
         self.val = np.concatenate([self.val, np.zeros(k)])
         self.basis = np.concatenate([self.basis, np.arange(total, total + k)])
         self.in_basis = np.concatenate([self.in_basis, np.ones(k, dtype=bool)])
-        self.nr += k
-        self.total += k
         self._refresh_basics()
 
     def _iterate(self) -> Optional[int]:
         """Dual simplex pivots until the basis is primal feasible; the pivot
         count, or None once a row proves the program infeasible."""
-        tab, val, lo, hi, d = self.tab, self.val, self.lo, self.hi, self.d
-        basis, in_basis, total = self.basis, self.in_basis, self.total
+        tab, val, lo, hi, d = self.tab, self.val, self.col_lo, self.col_hi, self.d
+        basis, in_basis, total = self.basis, self.in_basis, len(val)
         movable = hi > lo
-        bland_at = 5 * (self.nr + total)
-        max_iter = 500 + 50 * (self.nr + total)
+        bland_at = 5 * (len(basis) + total)
+        max_iter = 500 + 50 * (len(basis) + total)
         iterations = degenerate = 0
         while True:
             xb = val[basis]
@@ -211,14 +210,14 @@ class _Simplex:
     def _refresh_basics(self):
         val_nb = self.val.copy()
         val_nb[self.basis] = 0.0
-        self.val[self.basis] = self.tab[:, self.total] - self.tab[:, :self.total] @ val_nb
+        self.val[self.basis] = self.tab[:, -1] - self.tab[:, :-1] @ val_nb
 
     def _verify(self):
-        ns = self.ns
+        ns = len(self.c)
         resid = self.a @ self.val[:ns] + self.val[ns:] - self.b
         if np.any(np.abs(resid) > 1e-6):
             raise SolverError(f"row residual {np.abs(resid).max():.3e} exceeds tolerance")
-        if np.any(self.val < self.lo - 1e-6) or np.any(self.val > self.hi + 1e-6):
+        if np.any(self.val < self.col_lo - 1e-6) or np.any(self.val > self.col_hi + 1e-6):
             raise SolverError("variable bound violated beyond tolerance")
 
 

@@ -1,7 +1,9 @@
 """Branch and bound with cutting planes over the orientation models.
 
-Nodes carry their own cut rows (inherited from the parent), so processing a
-node is a pure function of the node and the shared, read-only problem data.
+Nodes carry their own cut rows and their parent's last program, which a node
+copies with its forced arcs fixed and re-solves from the parent's basis.
+Nothing writes the parent's program, so processing a node is a pure function
+of the node and the shared, read-only problem data.
 Every cut round runs the three exact separators: cycles, kappa-arc paths and
 the cycle-z rows, the one template family the solver separates. The search
 is a plain best-first loop: it pops the open node with the smallest bound
@@ -106,6 +108,7 @@ class SolveReport:
 class _Node:
     forced: Tuple[Tuple[int, int], ...]  # sorted (arc, value) pairs
     rows: Tuple[LinearRow, ...]
+    lp: LinearProgram  # the parent's last program; copied, never written
 
 
 @dataclass
@@ -131,39 +134,27 @@ class _Context:
         self.extra_rows = tuple(extra_rows)
         self.deadline = deadline
         m = d.graph.m
-        self.nvar = 2 * m + 1
-        self.obj_vector = [0.0] * self.nvar
-        self.obj_vector[2 * m] = objective.z_coeff
-        for a, c in objective.w_coeffs.items():
-            self.obj_vector[a] += c
         self.base_rows = tuple(row_edge_pair(self.d, e, cfg.variant)
                                for e in range(m)) + self.extra_rows
+        cost = [0.0] * (2 * m) + [objective.z_coeff]
+        for a, c in objective.w_coeffs.items():
+            cost[a] += c
+        self.base_lp = LinearProgram(cost, [0.0] * (2 * m) + [cfg.z_lower],
+                                     [1.0] * (2 * m) + [cfg.z_upper])
+        for row in self.base_rows:
+            self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
 
     def expired(self) -> bool:
         """Whether the solve's deadline has passed."""
         return self.deadline is not None and time.monotonic() >= self.deadline
 
-    def build_lp(self, node: _Node) -> LinearProgram:
-        m = self.g.m
-        lower = [0.0] * self.nvar
-        upper = [1.0] * (2 * m) + [0.0]
-        lower[2 * m] = self.cfg.z_lower
-        upper[2 * m] = self.cfg.z_upper
-        for a, v in node.forced:
-            lower[a] = upper[a] = float(v)
-        lp = LinearProgram(self.obj_vector, lower, upper)
-        for row in self.base_rows:
-            lp.add_row(row.coeffs_with_z(self.nvar - 1), row.sense, row.rhs)
-        for row in node.rows:
-            lp.add_row(row.coeffs_with_z(self.nvar - 1), row.sense, row.rhs)
-        return lp
-
 
 def _branch(ctx: _Context, node: _Node, w: Sequence[float],
-            rows: Tuple[LinearRow, ...]) -> Tuple[_Node, ...]:
+            rows: Tuple[LinearRow, ...], lp: LinearProgram) -> Tuple[_Node, ...]:
     """Children on the most fractional edge: pair sum closest to one, then
-    the largest smaller direction, ties by edge index. A child whose forced
-    arcs close a cycle is dropped."""
+    the largest smaller direction, ties by edge index. Both children carry
+    `lp`, the program that gave `w`. A child whose forced arcs close a cycle
+    is dropped."""
     edge = min(
         (e for e in range(ctx.g.m)
          if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
@@ -182,7 +173,7 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     for child_forced in (down, up):
         child_ones = [a for a, v in child_forced.items() if v == 1]
         if find_directed_cycle(ctx.d, child_ones) is None:
-            children.append(_Node(tuple(sorted(child_forced.items())), rows))
+            children.append(_Node(tuple(sorted(child_forced.items())), rows, lp))
     return tuple(children)
 
 
@@ -192,7 +183,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
-    lp = ctx.build_lp(node)
+    lp = node.lp.branch(node.forced)
     sol = lp.solve()
     iterations = sol.iterations
     history: List[float] = []
@@ -251,12 +242,12 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
                 fresh += add_rows(separate_templates(d, w, z, cfg.kappa))
             if not fresh:
                 return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                                   children=_branch(ctx, node, w, tuple(rows)))
+                                   children=_branch(ctx, node, w, tuple(rows), lp))
         # An integral cut and a fractional round both end here; only the
         # fractional rounds count towards `rounds` and `tail`.
         rows.extend(fresh)
         sol = lp.add_rows_and_resolve(
-            [(r.coeffs_with_z(ctx.nvar - 1), r.sense, r.rhs) for r in fresh])
+            [(r.coeffs_with_z(2 * m), r.sense, r.rhs) for r in fresh])
         iterations += sol.iterations
 
 
@@ -342,8 +333,8 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     forced: Dict[int, int] = {}
     if use_symmetry:
         forced = {0: 1, 1: 0}
-    root = _Node(tuple(sorted(forced.items())), ())
     ctx = _Context(d, cfg, obj, extra_rows, deadline)
+    root = _Node(tuple(sorted(forced.items())), (), ctx.base_lp)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]

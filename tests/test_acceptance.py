@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from orientcut.errors import InfeasibleError
+from orientcut.errors import SizeRefusalError
 from orientcut.fap import (
     FapInstance,
     FapPair,
@@ -212,7 +212,7 @@ def test_criterion_7_frequency_assignment():
     def run(inst):
         try:
             want, _ = brute_force_min_spectrum(inst)
-        except InfeasibleError:
+        except SizeRefusalError:
             # nothing fits under the oracle's frequency cap, so the true
             # optimum must lie above it
             got, _ = min_spectrum(inst)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -133,6 +134,17 @@ def test_cli_fap_soft(capsys, tmp_path):
     assert rep["mode"] == "soft" and rep["totalCost"] == 1
     assert len(rep["violatedPairs"]) == 1
     assert rep["oracleAgrees"] is True
+
+
+def test_cli_fap_soft_oracle_refuses_a_large_spectrum(capsys, tmp_path):
+    doc = {"links": 3, "freqSets": [[], [], []], "spectrum": 2000,
+           "pairs": [{"i": 0, "j": 1, "d": 1, "c": 2.0}, {"i": 1, "j": 2, "d": 1}]}
+    p = tmp_path / "wide.json"
+    p.write_text(json.dumps(doc))
+    started = time.monotonic()
+    code, out, err = _run(capsys, ["fap", str(p), "--oracle", "--time-limit", "2"])
+    assert code == 1 and not out and err.startswith("error:")
+    assert time.monotonic() - started < 10
 
 
 @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])

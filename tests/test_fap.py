@@ -237,6 +237,24 @@ def test_brute_force_guards():
         brute_force_min_spectrum(big)
     with pytest.raises(SizeRefusalError):
         brute_force_fixed_spectrum(_inst(2, [(0, 1, 1)], spectrum=9))
+    with pytest.raises(SizeRefusalError):
+        brute_force_soft_cost(_inst(3, [(0, 1, 1, 2.0), (1, 2, 1)], spectrum=2000))
+
+
+def test_brute_force_min_spectrum_tells_infeasible_from_capped():
+    """Only an exhaustive scan proves infeasibility; past the cap it refuses."""
+    spread = _inst(4, [(i, j, 3) for i, j in itertools.combinations(range(4), 2)])
+    assert min_spectrum(spread)[0] == 9
+    with pytest.raises(SizeRefusalError):
+        brute_force_min_spectrum(spread)
+    for far in ([[7], [0]], [None, [7]]):
+        with pytest.raises(SizeRefusalError):
+            brute_force_min_spectrum(_inst(2, [(0, 1, 1)], freq_sets=far))
+    clash = _inst(2, [(0, 1, 2)], freq_sets=[[0, 1], [1]])
+    with pytest.raises(InfeasibleError):
+        brute_force_min_spectrum(clash)
+    with pytest.raises(InfeasibleError):
+        min_spectrum(clash)
 
 
 def test_verify_catches_bad_assignments():

@@ -1,8 +1,9 @@
 """Source hygiene: every imported name is used by the module that imports it,
-and every parameter of a package function is read by that function.
+every parameter of a package function is read by that function, and every
+private function, class or method of the package has a reader.
 
-The suite runs no linter, so these scans are what catch a stale import or a
-parameter nothing reads.
+The suite runs no linter, so these scans are what catch a stale import, a
+parameter nothing reads or a helper nothing calls.
 """
 
 import ast
@@ -14,6 +15,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "orientcut").glob("*.py"))
 MODULES = SOURCES + sorted((ROOT / "tests").glob("*.py"))
 PACKAGE_INIT = ROOT / "src" / "orientcut" / "__init__.py"
+READERS = MODULES + sorted((ROOT / "benchmarks").glob("*.py"))
 
 
 def _imported(tree: ast.Module):
@@ -95,3 +97,35 @@ def test_no_unread_parameters(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     unread = list(_unread_parameters(tree))
     assert not unread, f"{path.name}: parameters never read {unread}"
+
+
+def _named(tree: ast.AST):
+    """(name, node) for every name, attribute, imported name and string
+    constant in a tree; monkeypatching names its target by string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.asname or node.name, node
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node
+
+
+def test_every_private_definition_has_a_reader():
+    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in READERS}
+    named = {path: list(_named(tree)) for path, tree in trees.items()}
+    unread = []
+    for path in SOURCES:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if not any(n == name and (other != path or id(ref) not in inside)
+                       for other, refs in named.items() for n, ref in refs):
+                unread.append(f"{path.name}:{node.lineno} {name}")
+    assert not unread, f"private definitions nothing reads: {unread}"

@@ -208,6 +208,94 @@ def test_dual_simplex_matches_vertex_enumeration():
     assert seen["optimal"] >= 120 and seen["infeasible"] >= 60 and seen["warm"] >= 120
 
 
+def _cold(c, lo, hi, rows):
+    lp = LinearProgram(c, lo, hi)
+    for row in rows:
+        lp.add_row(*row)
+    return lp
+
+
+def test_branch_matches_cold_program_at_fixed_bounds():
+    rng = random.Random(303)
+    seen = {"optimal": 0, "infeasible": 0}
+    for _ in range(250):
+        c, lo, hi, rows = _tiny_program(rng)
+        parent = _cold(c, lo, hi, rows)
+        if rng.random() < 0.8:  # an unsolved parent is the solver's root
+            parent.solve()
+        fixed = [(j, rng.randint(min(lo[j], hi[j]), max(lo[j], hi[j])))
+                 for j in range(len(c)) if rng.random() < 0.5]
+        child = parent.branch(fixed)
+        sol = child.solve()
+        _check_against_reference(child, sol)
+        flo, fhi = list(lo), list(hi)
+        for j, v in fixed:
+            flo[j] = fhi[j] = v
+        assert list(child.lo) == flo and list(child.hi) == fhi
+        cold = _cold(c, flo, fhi, rows).solve()
+        assert cold.status == sol.status
+        assert not sol.optimal or sol.objective == pytest.approx(cold.objective, abs=1e-7)
+        seen[sol.status] += 1
+    assert seen["optimal"] >= 100 and seen["infeasible"] >= 60
+
+
+def test_branch_siblings_and_parent_stay_apart():
+    """Solving one sibling and adding rows to it writes nothing the other
+    sibling or the parent reads."""
+    rng = random.Random(404)
+    checked = 0
+    for _ in range(200):
+        c, lo, hi, rows = _tiny_program(rng)
+        parent = _cold(c, lo, hi, rows)
+        first = parent.solve()
+        if not first.optimal or lo[0] >= hi[0]:
+            continue
+        down, up = parent.branch([(0, lo[0])]), parent.branch([(0, hi[0])])
+        if not down.solve().optimal:
+            continue
+        cut = ({j: rng.randint(-2, 2) for j in range(len(c))}, "<=", rng.randint(-1, 3))
+        down.add_rows_and_resolve([cut])
+        _check_against_reference(up, up.solve())
+        again = parent.solve()
+        assert again.iterations == 0 and again.objective == pytest.approx(first.objective)
+        assert len(parent.rows) == len(up.rows) == len(down.rows) - 1
+        checked += 1
+    assert checked >= 50
+
+
+def test_branch_at_the_nonbasic_value_costs_no_pivot():
+    rng = random.Random(505)
+    checked = 0
+    for _ in range(200):
+        c, lo, hi, rows = _tiny_program(rng)
+        parent = _cold(c, lo, hi, rows)
+        sol = parent.solve()
+        if not sol.optimal:
+            continue
+        fixed = [(j, sol.x[j]) for j in range(len(c)) if not parent.in_basis[j]]
+        child = parent.branch(fixed)
+        again = child.solve()
+        assert again.iterations == 0 and again.objective == pytest.approx(sol.objective)
+        checked += bool(fixed)
+    assert checked >= 80
+
+
+def test_dropped_branch_is_freed_without_the_cyclic_collector():
+    lp = LinearProgram([-1, -1], [0, 0], [1, 1])
+    lp.add_row({0: 1, 1: 1}, "<=", 1.5)
+    lp.solve()
+    child = lp.branch([(0, 0.0)])
+    child.add_rows_and_resolve([({1: 1}, "<=", 0.5)])
+    ref = weakref.ref(child)
+    gc.disable()
+    try:
+        del child
+        assert ref() is None
+    finally:
+        gc.enable()
+    assert lp.solve().objective == pytest.approx(-1.5)
+
+
 def test_program_is_freed_without_the_cyclic_collector():
     lp = LinearProgram([-1, -1], [0, 0], [1, 1])
     lp.add_row({0: 1, 1: 1}, "<=", 1.5)

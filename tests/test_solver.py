@@ -1,12 +1,10 @@
 import collections
-import itertools
 import math
-import random
 import types
 
 import pytest
 
-from orientcut import separation, solver
+from orientcut import fap, separation, solver
 from orientcut.errors import InputError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
@@ -19,6 +17,7 @@ from orientcut.graphs import (
     path_graph,
     petersen_graph,
 )
+from orientcut.lp import LinearProgram
 from orientcut.model import AO, AS, LinearRow, ModelConfig, ModelPoint, check_integral_feasible
 from orientcut.polytope import brute_force_optimum
 from orientcut.solver import (
@@ -184,35 +183,47 @@ def test_solve_determinism():
     assert fingerprint(a) == fingerprint(solve_ao(_myciel3(), 3))
 
 
-def test_one_lp_build_per_counted_node(monkeypatch):
-    """Every node whose LP is built is counted; none is solved and thrown away."""
-    builds = []
-    build_lp = solver._Context.build_lp
+def test_one_lp_build_per_solve_and_one_branch_per_node(monkeypatch):
+    """A searching solve builds one program; each counted node copies its
+    parent's once, and none is copied and thrown away."""
+    events, reports = [], []
+    init, branch, solve = LinearProgram.__init__, LinearProgram.branch, solver.solve_model
 
-    def spy(ctx, node):
-        builds.append(node)
-        return build_lp(ctx, node)
+    def init_spy(lp, *args):
+        events.append("init")
+        init(lp, *args)
 
-    monkeypatch.setattr(solver._Context, "build_lp", spy)
+    def branch_spy(lp, fixed):
+        events.append("branch")
+        return branch(lp, fixed)
+
+    def solve_spy(*args, **kwargs):
+        start = len(events)
+        rep = solve(*args, **kwargs)
+        reports.append((events[start:].count("init"), events[start:].count("branch"), rep))
+        return rep
+
+    monkeypatch.setattr(LinearProgram, "__init__", init_spy)
+    monkeypatch.setattr(LinearProgram, "branch", branch_spy)
+    for module in (solver, fap):
+        monkeypatch.setattr(module, "solve_model", solve_spy)
     inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
-    reports = []
-    assert solve_soft_cost(inst, reports=reports).total_cost == 0
-    nodes = sum(r.node_count for r in reports)
-    assert nodes > 1 and len(builds) == nodes
+    assert solve_soft_cost(inst).total_cost == 0
+    assert solve_ao(_myciel3(), 3).objective == 3
+    assert len(reports) == 2
+    for inits, branches, rep in reports:
+        assert rep.node_count > 1 and inits == 1 and branches == rep.node_count
 
 
 def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     """The invariant that lets `_process_node` skip a cycle check on entry."""
     seen = []
-    branchings = []
     process = solver._process_node
 
     def spy(ctx, node):
         res = process(ctx, node)
         seen.extend((ctx.d, n) for n in (node,) + res.children)
-        if res.status == "branched":
-            branchings.append(len(res.children))
         return res
 
     monkeypatch.setattr(solver, "_process_node", spy)
@@ -222,18 +233,23 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
     solve_soft_cost(inst)
-    # Branching after one cut round on this G(9, 0.5) draw (found by a seeded
-    # search) meets children whose forced arcs close a cycle; the child
-    # filter in `_branch` must drop them.
-    monkeypatch.setattr(solver, "MAX_CUT_ROUNDS", 1)
-    rng = random.Random(11)
-    g = UndirectedGraph(9, [e for e in itertools.combinations(range(9), 2)
-                            if rng.random() < 0.5])
-    assert solve_model(g, ModelConfig(kappa=3, variant=AO)).objective == 3
-    assert 1 in branchings
     assert sum(bool(n.forced) for _, n in seen) > 10
     for d, node in seen:
         assert is_acyclic(d, [a for a, v in node.forced if v == 1]), node.forced
+
+    # On K3 with 0->1 and 1->2 forced, the child filter in `_branch` must drop
+    # the child that forces 2->0, whichever direction of {0, 2} it branches on.
+    ctx = solver._Context(BidirectedDigraph(complete_graph(3)),
+                          ModelConfig(kappa=2, variant=AO), solver.Objective(), (), None)
+    arc = ctx.d.arc
+    forced = {arc(0, 1): 1, arc(1, 0): 0, arc(1, 2): 1, arc(2, 1): 0}
+    node = solver._Node(tuple(sorted(forced.items())), (), ctx.base_lp)
+    for share in (0.6, 0.4):
+        w = [0.0] * 6
+        w[arc(0, 1)] = w[arc(1, 2)] = 1.0
+        w[arc(0, 2)], w[arc(2, 0)] = share, 1.0 - share
+        children = solver._branch(ctx, node, w, (), ctx.base_lp)
+        assert [dict(c.forced)[arc(2, 0)] for c in children] == [0], share
 
 
 def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
