@@ -3,7 +3,9 @@
 Reports carry no wall-clock fields and serialize with sorted keys, and the
 search is sequential and not random, so identical inputs reproduce them byte
 for byte; timing goes to the stderr summary instead. Exit codes: 0 solved,
-2 infeasible, 3 time limit, 1 usage or input trouble.
+2 infeasible, 3 time limit, 1 usage or input trouble or an oracle that
+disagrees with a solved answer. An oracle that refuses an instance past its
+scan's size cap leaves `oracleAgrees` null and the exit code as it is.
 
 `main` turns `--time-limit` into one deadline, a `time.monotonic()` reading
 taken once after the arguments parse, and every command hands that deadline
@@ -18,10 +20,10 @@ import json
 import math
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .dimacs import parse_dimacs
-from .errors import InfeasibleError, InputError, TimeLimitError
+from .errors import InfeasibleError, InputError, SizeRefusalError, TimeLimitError
 from .fap import (
     FapInstance,
     brute_force_fixed_spectrum,
@@ -101,6 +103,15 @@ def _read_instance(path: str) -> Tuple[str, str]:
     return text, hashlib.sha256(raw).hexdigest()[:16]
 
 
+def _oracle(check: Callable[[], bool]) -> Optional[bool]:
+    """The brute-force verdict, or None when the scan refuses the instance."""
+    try:
+        return check()
+    except SizeRefusalError as exc:
+        sys.stderr.write(f"oracle refused: {exc}\n")
+        return None
+
+
 def _aggregate(reports: List[SolveReport]) -> dict:
     cuts: Dict[str, int] = {}
     for rep in reports:
@@ -145,10 +156,10 @@ def cmd_color(args, deadline: float) -> int:
     report = {"command": "color", "digest": digest, "status": "optimal", "chromatic": chi,
               "classes": source_decomposition(d, arcs), **_aggregate(reports)}
     if args.oracle:
-        report["oracleAgrees"] = brute_force_chromatic(g) == chi
+        report["oracleAgrees"] = _oracle(lambda: brute_force_chromatic(g) == chi)
     _emit(report, f"chromatic number {chi} ({report['nodes']} nodes, "
           f"{report['solves']} window solves)", started)
-    return 0 if not args.oracle or report["oracleAgrees"] else 1
+    return 1 if report.get("oracleAgrees") is False else 0
 
 
 def cmd_orient(args, deadline: float) -> int:
@@ -166,18 +177,18 @@ def cmd_orient(args, deadline: float) -> int:
     if rep.status == "infeasible":
         return _emit(base, "infeasible", started, 2)
     point = rep.best_point
-    ok, witness = check_integral_feasible(
-        BidirectedDigraph(g), ModelConfig(kappa=args.kappa, variant=AO), point)
+    cfg = ModelConfig(kappa=args.kappa, variant=AO)
+    ok, witness = check_integral_feasible(BidirectedDigraph(g), cfg, point)
     if not ok:
         raise InputError(f"orientation failed the final recheck: {witness}")
     base["z"] = rep.objective
     base["arcs"] = sorted(point.arc_set())
     if args.oracle:
-        value, _ = brute_force_optimum(g, ModelConfig(kappa=args.kappa, variant=AO))
-        base["oracleAgrees"] = abs(value - rep.objective) < 1e-6
+        base["oracleAgrees"] = _oracle(
+            lambda: abs(brute_force_optimum(g, cfg)[0] - rep.objective) < 1e-6)
     _emit(base, f"window load {rep.objective:g} at kappa {args.kappa} "
           f"({rep.node_count} nodes)", started)
-    return 0 if not args.oracle or base["oracleAgrees"] else 1
+    return 1 if base.get("oracleAgrees") is False else 0
 
 
 def _fap_oracle(inst: FapInstance, mode: str, result) -> bool:
@@ -241,7 +252,7 @@ def cmd_fap(args, deadline: float) -> int:
         bound = getattr(exc, "bound", math.inf)
         report.update(status="infeasible", bound=bound, **_aggregate(reports))
         if args.oracle:
-            report["oracleAgrees"] = _fap_oracle_infeasible(inst, mode)
+            report["oracleAgrees"] = _oracle(lambda: _fap_oracle_infeasible(inst, mode))
         return _emit(report, "infeasible", started, 2)
     if mode == "minimum":
         phi, assignment = result
@@ -256,9 +267,9 @@ def cmd_fap(args, deadline: float) -> int:
                   violatedPairs=[list(p) for p in sorted(assignment.violated_pairs)],
                   totalCost=assignment.total_cost, **_aggregate(reports))
     if args.oracle:
-        report["oracleAgrees"] = _fap_oracle(inst, mode, result)
+        report["oracleAgrees"] = _oracle(lambda: _fap_oracle(inst, mode, result))
     _emit(report, summary + f" ({report['nodes']} nodes)", started)
-    return 0 if not args.oracle or report["oracleAgrees"] else 1
+    return 1 if report.get("oracleAgrees") is False else 0
 
 
 def _class_rows(g: UndirectedGraph, kappa: int, cls: str):

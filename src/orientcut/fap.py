@@ -192,14 +192,12 @@ class GadgetExpansion:
     """The expanded graph with its chain bookkeeping.
 
     `aux_vertices` maps each original pair needing separation >= 2 to its
-    chain's new vertices in order from i to j. `back_map[v]` is ("link", i)
-    for original vertices and ("aux", i, j, t) for chain interiors.
+    chain's new vertices in order from i to j.
     """
 
     graph: UndirectedGraph
     aux_vertices: Dict[Tuple[int, int], Tuple[int, ...]]
     side_rows: Tuple[LinearRow, ...]
-    back_map: Tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -245,20 +243,18 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
     monotone and its endpoint labels differ by at least d.
     """
     edges: List[Tuple[int, int]] = []
-    back: List[tuple] = [("link", i) for i in range(inst.links)]
+    n = inst.links
     aux: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     chains: List[List[int]] = []
     for p in inst.conflict_pairs():
-        new = []
-        for t in range(p.d - 1):
-            back.append(("aux", p.i, p.j, t))
-            new.append(len(back) - 1)
+        new = list(range(n, n + p.d - 1))
+        n += len(new)
         chain = [p.i, *new, p.j]
         edges.extend((chain[t], chain[t + 1]) for t in range(p.d))
         if new:
             aux[(p.i, p.j)] = tuple(new)
             chains.append(chain)
-    g = UndirectedGraph(len(back), edges)
+    g = UndirectedGraph(n, edges)
     d = BidirectedDigraph(g)
     rows = []
     for chain in chains:
@@ -268,7 +264,7 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
                                   0.0, 1.0, "<=", "gadget-side"))
             rows.append(LinearRow({d.arc(v, prev): 1.0, d.arc(v, nxt): 1.0},
                                   0.0, 1.0, "<=", "gadget-side"))
-    return GadgetExpansion(g, aux, tuple(rows), tuple(back))
+    return GadgetExpansion(g, aux, tuple(rows))
 
 
 def _lifted_labels(inst: FapInstance, exp: GadgetExpansion, arcs,

@@ -40,7 +40,6 @@ class LpSolution:
     status: str                       # "optimal" or "infeasible"
     x: Optional[np.ndarray] = None    # structural variable values
     objective: Optional[float] = None
-    duals: Optional[np.ndarray] = None  # one multiplier per row, in row order
     iterations: int = 0               # pivots of this call only
 
     @property
@@ -119,7 +118,7 @@ class LinearProgram:
         self._verify()
         ns = len(self.c)
         x = np.clip(self.val[:ns], self.lo, self.hi)
-        return LpSolution("optimal", x, float(self.c @ x), -self.d[ns:], iterations)
+        return LpSolution("optimal", x, float(self.c @ x), iterations)
 
     def _add(self, rows):
         """Append rows with their slacks basic, expressed in the current basis."""
@@ -219,30 +218,6 @@ class LinearProgram:
             raise SolverError(f"row residual {np.abs(resid).max():.3e} exceeds tolerance")
         if np.any(self.val < self.col_lo - 1e-6) or np.any(self.val > self.col_hi + 1e-6):
             raise SolverError("variable bound violated beyond tolerance")
-
-
-def dual_objective(lp: LinearProgram, sol: LpSolution) -> float:
-    """Value of the bound-aware dual at the solution's multipliers.
-
-    For min c'x with Ax (<=,=) b and finite variable bounds, the dual value is
-    y'b plus, per variable, the reduced cost times whichever bound the sign
-    selects. At an optimum this matches the primal objective.
-    """
-    if not sol.optimal:
-        raise InputError("dual objective needs an optimal solution")
-    y = sol.duals
-    ns = len(lp.c)
-    red = lp.c.astype(float).copy()
-    for i, (coeffs, _, _) in enumerate(lp.rows):
-        for j, cval in coeffs.items():
-            red[j] -= y[i] * cval
-    total = float(np.dot(y, [rhs for (_, _, rhs) in lp.rows]))
-    for j in range(ns):
-        dj = red[j]
-        if abs(dj) <= 1e-7:
-            continue
-        total += dj * (lp.lo[j] if dj > 0 else lp.hi[j])
-    return total
 
 
 def affine_dimension(points: Sequence[Sequence]) -> int:

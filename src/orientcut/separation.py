@@ -4,9 +4,12 @@ Cycle rows are separated exactly through shortest paths under arc lengths
 1 - w (a directed cycle is violated precisely when its total length drops
 below 1). One shortest-path tree per vertex closes every arc into a shortest
 cycle through it; no second search is needed as long as w keeps the edge-pair
-rows, as every node LP does (see `separate_cycles`). Path rows are separated
-by a pruned depth-first search over all elementary paths with exactly kappa
-arcs, and cycle-z rows by the same search over cycles with kappa + 1 arcs.
+rows, as every node LP does (see `separate_cycles`). Path and cycle-z rows
+bound the same thing, the load of a window, over paths of kappa arcs and over
+cycles of kappa + 1 arcs, so one depth-first window search separates both,
+walking open windows for paths and closed ones for cycles. It holds only the
+`cap` most violated windows found so far and cuts every branch that cannot
+beat z or, once `cap` are held, the least violation among them.
 The structured row families (cycle-z, path-km1, path-km2, cycle-arcs,
 adjacent-paths) are enumerated exhaustively by `template_rows` for the
 polytope laboratory. The solver separates only the cycle-z family; on the
@@ -107,96 +110,88 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
     return _top_rows(found, cap)
 
 
-def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                   cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
-    """All kappa-arc paths whose load exceeds z at (w, z), most violated first.
+def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+                      closed: bool, cap: int) -> List[Tuple[int, ...]]:
+    """Vertices of the `cap` elementary windows whose load exceeds z at
+    (w, z) by more than VIOLATION_TOL, most violated first.
 
-    Exact via depth-first search; a branch is cut only when even collecting the
-    maximum arc weight for every remaining step cannot beat z. Candidates are
-    ranked as `_top_rows` ranks rows, by violation and then by the sorted arc
-    support that is a path row's key, and only the `cap` kept become rows.
+    An open window is a path of kappa arcs, walked from every start. A
+    closed window is a cycle of kappa + 1 arcs, met once: walked from its
+    smallest vertex s over vertices above s and closed by an arc back to s.
+    The load is summed in window order, so load - z equals the row's
+    `violation` to the bit, and ties rank on the sorted arc support, as
+    `_top_rows` ranks rows.
+
+    A branch is cut when its reach, the load plus the maximum arc weight for
+    every remaining arc, cannot beat z, and, once `cap` windows are held,
+    when the reach falls below the cap-th largest violation by more than
+    1e-9: every window under it would rank after all those held, and the
+    margin keeps windows that tie on load.
     """
     if len(w) != d.num_arcs:
         raise InputError("w has wrong arc dimension")
     if kappa < 1:
         raise InputError("kappa must be at least 1")
+    arcs = kappa + closed
     wmax = max(w, default=0.0)
-    found: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    path: List[int] = []
-    arcs: List[int] = []
-    onpath = set()
+    # A heap of (violation, negated sorted support, vertices) with the window
+    # that ranks last at its root; every support has `arcs` entries, so
+    # negating them reverses their order.
+    held: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
+    verts: List[int] = []
+    walk: List[int] = []
+    on = [False] * d.n
+
+    def keep(viol: float, support: List[int], window: List[int]):
+        if viol > VIOLATION_TOL:
+            item = (viol, tuple(-a for a in sorted(support)), tuple(window))
+            if len(held) < cap:
+                heapq.heappush(held, item)
+            else:
+                heapq.heappushpop(held, item)
 
     def extend(v: int, load: float):
-        used = len(arcs)
-        if used == kappa:
-            if load > z + VIOLATION_TOL:
-                found.append((z - load, tuple(sorted(arcs)), tuple(path)))
+        used = len(walk)
+        reach = load + (arcs - used) * wmax
+        if reach <= z + VIOLATION_TOL or \
+                len(held) == cap and reach - z < held[0][0] - 1e-9:
             return
-        if load + (kappa - used) * wmax <= z + VIOLATION_TOL:
-            return
+        s = verts[0]
         for a, u in d.out_arcs[v]:
-            if u not in onpath:
-                path.append(u)
-                arcs.append(a)
-                onpath.add(u)
+            if used == arcs - 1:
+                if (u == s) if closed else not on[u]:
+                    keep(load + w[a] - z, walk + [a], verts if closed else verts + [u])
+            elif not on[u] and (u > s or not closed):
+                verts.append(u)
+                walk.append(a)
+                on[u] = True
                 extend(u, load + w[a])
-                path.pop()
-                arcs.pop()
-                onpath.remove(u)
+                verts.pop()
+                walk.pop()
+                on[u] = False
 
-    if kappa <= d.n - 1:
+    if cap > 0 and arcs + (not closed) <= d.n:
         for s in range(d.n):
-            path.append(s)
-            onpath.add(s)
+            verts.append(s)
+            on[s] = True
             extend(s, 0.0)
-            path.pop()
-            onpath.remove(s)
-    return [row_path(d, p, kappa) for _, _, p in heapq.nsmallest(cap, found)]
+            verts.pop()
+            on[s] = False
+    return [window for _, _, window in sorted(held, reverse=True)]
+
+
+def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+                   cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
+    """The `cap` kappa-arc path rows most violated at (w, z), most violated
+    first: exact, by the window search over open windows."""
+    return [row_path(d, p, kappa) for p in _violated_windows(d, w, z, kappa, False, cap)]
 
 
 def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
                        cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
-    """Violated cycle-z rows at (w, z), most violated first, at most `cap`.
-
-    Exact via depth-first search, as in `separate_paths`: from each start s
-    it walks simple paths over vertices above s, so each cycle is met once,
-    from its smallest vertex, and closes every walk of kappa arcs with the
-    arc back to s. A branch is cut when even the maximum arc weight on every
-    remaining arc cannot beat z. The load is summed in cycle order, so
-    load - z equals the row's `violation` to the bit, and candidates rank as
-    `_top_rows` ranks rows; only the `cap` kept become rows.
-    """
-    if len(w) != d.num_arcs:
-        raise InputError("w has wrong arc dimension")
-    if kappa < 1:
-        raise InputError("kappa must be at least 1")
-    wmax = max(w, default=0.0)
-    found: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    cycle: List[int] = []
-    arcs: List[int] = []
-
-    def extend(v: int, load: float):
-        used = len(arcs)
-        if load + (kappa + 1 - used) * wmax <= z + VIOLATION_TOL:
-            return
-        s = cycle[0]
-        for a, u in d.out_arcs[v]:
-            if used == kappa:
-                if u == s and load + w[a] - z > VIOLATION_TOL:
-                    found.append((z - (load + w[a]), tuple(sorted(arcs + [a])), tuple(cycle)))
-            elif u > s and u not in cycle:
-                cycle.append(u)
-                arcs.append(a)
-                extend(u, load + w[a])
-                cycle.pop()
-                arcs.pop()
-
-    if kappa + 1 <= d.n:
-        for s in range(d.n):
-            cycle.append(s)
-            extend(s, 0.0)
-            cycle.pop()
-    return [row_cycle_z(d, c, kappa) for _, _, c in heapq.nsmallest(cap, found)]
+    """The `cap` cycle-z rows most violated at (w, z), most violated first:
+    exact, by the window search over closed windows of kappa + 1 arcs."""
+    return [row_cycle_z(d, c, kappa) for c in _violated_windows(d, w, z, kappa, True, cap)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,20 @@
 """Branch and bound with cutting planes over the orientation models.
 
-Nodes carry their own cut rows and their parent's last program, which a node
-copies with its forced arcs fixed and re-solves from the parent's basis.
-Nothing writes the parent's program, so processing a node is a pure function
-of the node and the shared, read-only problem data.
+Nodes carry their parent's last program, which a node copies with its forced
+arcs fixed and re-solves from the parent's basis; the program's rows are the
+node's row set, base rows and every cut of its lineage. Nothing writes the
+parent's program, so processing a node is a pure function of the node and
+the shared, read-only problem data.
 Every cut round runs the three exact separators: cycles, kappa-arc paths and
-the cycle-z rows, the one template family the solver separates. The search
-is a plain best-first loop: it pops the open node with the smallest bound
-(ties go to the most recently pushed), prunes it against the incumbent or
-processes it, and pushes its children. Nothing in it is random and, apart
-from the deadline, nothing depends on timing, so identical inputs reproduce
-every report, which is part of the reporting contract.
+the cycle-z rows, the one template family the solver separates. Each returns
+only rows violated by more than 1e-6 at the LP optimum, where every row of
+the program holds to within 1e-7, and no two families share a row, so a
+round appends each row it finds and never one the program already has.
+The search is a plain best-first loop: it pops the open node with the
+smallest bound (ties go to the most recently pushed), prunes it against the
+incumbent or processes it, and pushes its children. Nothing in it is random
+and, apart from the deadline, nothing depends on timing, so identical inputs
+reproduce every report, which is part of the reporting contract.
 
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
@@ -88,8 +92,6 @@ def default_objective(cfg: ModelConfig, m: int) -> Objective:
 @dataclass
 class SolveReport:
     status: str
-    variant: str
-    kappa: int
     best_point: Optional[ModelPoint]
     objective: Optional[float]
     bound: float
@@ -107,7 +109,6 @@ class SolveReport:
 @dataclass(frozen=True)
 class _Node:
     forced: Tuple[Tuple[int, int], ...]  # sorted (arc, value) pairs
-    rows: Tuple[LinearRow, ...]
     lp: LinearProgram  # the parent's last program; copied, never written
 
 
@@ -134,14 +135,13 @@ class _Context:
         self.extra_rows = tuple(extra_rows)
         self.deadline = deadline
         m = d.graph.m
-        self.base_rows = tuple(row_edge_pair(self.d, e, cfg.variant)
-                               for e in range(m)) + self.extra_rows
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
             cost[a] += c
         self.base_lp = LinearProgram(cost, [0.0] * (2 * m) + [cfg.z_lower],
                                      [1.0] * (2 * m) + [cfg.z_upper])
-        for row in self.base_rows:
+        pairs = [row_edge_pair(d, e, cfg.variant) for e in range(m)]
+        for row in pairs + list(self.extra_rows):
             self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
 
     def expired(self) -> bool:
@@ -150,7 +150,7 @@ class _Context:
 
 
 def _branch(ctx: _Context, node: _Node, w: Sequence[float],
-            rows: Tuple[LinearRow, ...], lp: LinearProgram) -> Tuple[_Node, ...]:
+            lp: LinearProgram) -> Tuple[_Node, ...]:
     """Children on the most fractional edge: pair sum closest to one, then
     the largest smaller direction, ties by edge index. Both children carry
     `lp`, the program that gave `w`. A child whose forced arcs close a cycle
@@ -173,7 +173,7 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     for child_forced in (down, up):
         child_ones = [a for a, v in child_forced.items() if v == 1]
         if find_directed_cycle(ctx.d, child_ones) is None:
-            children.append(_Node(tuple(sorted(child_forced.items())), rows, lp))
+            children.append(_Node(tuple(sorted(child_forced.items())), lp))
     return tuple(children)
 
 
@@ -188,19 +188,8 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     iterations = sol.iterations
     history: List[float] = []
     cuts_by_tag: Dict[str, int] = {}
-    rows = list(node.rows)
-    keys = {r.key for r in ctx.base_rows} | {r.key for r in rows}
     tail = 0
     rounds = 0
-
-    def add_rows(new_rows: List[LinearRow]) -> List[LinearRow]:
-        fresh = []
-        for r in new_rows:
-            if r.key not in keys:
-                keys.add(r.key)
-                fresh.append(r)
-                cuts_by_tag[r.tag] = cuts_by_tag.get(r.tag, 0) + 1
-        return fresh
 
     while True:
         if not sol.optimal:
@@ -214,7 +203,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
             sel = [a for a in range(2 * m) if w[a] > 0.5]
             cyc = find_directed_cycle(d, sel)
             if cyc is not None:
-                fresh = add_rows([row_cycle(d, cyc)])
+                fresh = [row_cycle(d, cyc)]
             else:
                 load, witness = max_path_load(d, sel, cfg.kappa)
                 if load <= z + INT_TOL:
@@ -228,7 +217,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
                             raise SolverError(f"integral point violates a model row: {r}")
                     return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
                                        candidate=point)
-                fresh = add_rows([row_path(d, witness, cfg.kappa)])
+                fresh = [row_path(d, witness, cfg.kappa)]
         else:
             rounds += 1
             if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
@@ -237,15 +226,15 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
                 tail = 0
             fresh = []
             if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
-                fresh = add_rows(separate_cycles(d, w))
-                fresh += add_rows(separate_paths(d, w, z, cfg.kappa))
-                fresh += add_rows(separate_templates(d, w, z, cfg.kappa))
+                fresh = (separate_cycles(d, w) + separate_paths(d, w, z, cfg.kappa)
+                         + separate_templates(d, w, z, cfg.kappa))
             if not fresh:
                 return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                                   children=_branch(ctx, node, w, tuple(rows), lp))
+                                   children=_branch(ctx, node, w, lp))
         # An integral cut and a fractional round both end here; only the
         # fractional rounds count towards `rounds` and `tail`.
-        rows.extend(fresh)
+        for r in fresh:
+            cuts_by_tag[r.tag] = cuts_by_tag.get(r.tag, 0) + 1
         sol = lp.add_rows_and_resolve(
             [(r.coeffs_with_z(2 * m), r.sense, r.rhs) for r in fresh])
         iterations += sol.iterations
@@ -278,8 +267,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     integral_obj = obj.is_integral
 
     def report(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters):
-        return SolveReport(status, cfg.variant, cfg.kappa, best, best_obj, bound,
-                           nodes, pruned, cuts, hist, iters)
+        return SolveReport(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters)
 
     if m == 0:
         z0 = cfg.z_lower
@@ -334,7 +322,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     if use_symmetry:
         forced = {0: 1, 1: 0}
     ctx = _Context(d, cfg, obj, extra_rows, deadline)
-    root = _Node(tuple(sorted(forced.items())), (), ctx.base_lp)
+    root = _Node(tuple(sorted(forced.items())), ctx.base_lp)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]

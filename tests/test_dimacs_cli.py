@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import orientcut.cli
 from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
 from orientcut.errors import ParseError
@@ -143,8 +144,39 @@ def test_cli_fap_soft_oracle_refuses_a_large_spectrum(capsys, tmp_path):
     p.write_text(json.dumps(doc))
     started = time.monotonic()
     code, out, err = _run(capsys, ["fap", str(p), "--oracle", "--time-limit", "2"])
-    assert code == 1 and not out and err.startswith("error:")
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "optimal" and rep["oracleAgrees"] is None
+    assert "oracle refused" in err
     assert time.monotonic() - started < 10
+
+
+PATH11_COL = "p edge 11 10\n" + "".join(f"e {i} {i + 1}\n" for i in range(1, 11))
+
+
+@pytest.mark.parametrize("argv, name, text, code, status", [
+    (["color"], "path11.col", PATH11_COL, 0, "optimal"),
+    (["orient", "--kappa", "2"], "path11.col", PATH11_COL, 0, "optimal"),
+    (["fap"], "fap3.json", json.dumps({"links": 3, "freqSets": [[0], [0], []],
+                                       "pairs": [{"i": 0, "j": 1, "d": 1}]}), 2, "infeasible"),
+])
+def test_cli_oracle_refusal_keeps_the_report(capsys, tmp_path, argv, name, text, code, status):
+    """Past the scan's size cap the oracle gives no verdict; the solved
+    report stands and the exit code is the one without `--oracle`."""
+    p = tmp_path / name
+    p.write_text(text)
+    plain, out, _ = _run(capsys, argv + [str(p)])
+    assert plain == code
+    got, out, err = _run(capsys, argv + [str(p), "--oracle"])
+    rep = json.loads(out)
+    assert got == code and rep["status"] == status and rep["oracleAgrees"] is None
+    assert "oracle refused" in err
+
+
+def test_cli_disagreeing_oracle_exits_1(capsys, monkeypatch, k3_file):
+    monkeypatch.setattr(orientcut.cli, "brute_force_chromatic", lambda g: 4)
+    code, out, _ = _run(capsys, ["color", k3_file, "--oracle"])
+    rep = json.loads(out)
+    assert code == 1 and rep["chromatic"] == 3 and rep["oracleAgrees"] is False
 
 
 @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])

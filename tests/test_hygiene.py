@@ -1,9 +1,10 @@
 """Source hygiene: every imported name is used by the module that imports it,
-every parameter of a package function is read by that function, and every
-private function, class or method of the package has a reader.
+every parameter of a package function is read by that function, every
+private function, class or method of the package has a reader, and so does
+every field of a package dataclass.
 
 The suite runs no linter, so these scans are what catch a stale import, a
-parameter nothing reads or a helper nothing calls.
+parameter nothing reads, a helper nothing calls or a field nothing reads.
 """
 
 import ast
@@ -129,3 +130,25 @@ def test_every_private_definition_has_a_reader():
                        for other, refs in named.items() for n, ref in refs):
                 unread.append(f"{path.name}:{node.lineno} {name}")
     assert not unread, f"private definitions nothing reads: {unread}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass"
+               or isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+               and dec.func.id == "dataclass" for dec in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """A field counts as read when some file reads an attribute of its name."""
+    read = {node.attr for path in READERS
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for path in SOURCES:
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                unread += [f"{path.name}:{field.lineno} {cls.name}.{field.target.id}"
+                           for field in cls.body if isinstance(field, ast.AnnAssign)
+                           and isinstance(field.target, ast.Name)
+                           and field.target.id not in read]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

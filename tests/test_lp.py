@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orientcut.errors import InputError
-from orientcut.lp import LinearProgram, affine_dimension, dual_objective
+from orientcut.lp import LinearProgram, affine_dimension
 
 
 def test_unconstrained_rests_at_bounds():
@@ -29,14 +29,13 @@ def test_small_known_optimum():
     assert sol.x[0] + sol.x[1] == pytest.approx(1.5)
 
 
-def test_equality_rows_and_duals():
-    # min x + 2y st x + y = 1; dual of the equality prices the objective
+def test_equality_rows():
+    # min x + 2y st x + y = 1
     lp = LinearProgram([1, 2], [0, 0], [5, 5])
     lp.add_row({0: 1, 1: 1}, "=", 1)
     sol = lp.solve()
     assert sol.optimal and sol.objective == pytest.approx(1)
     assert list(sol.x) == pytest.approx([1, 0])
-    assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-7)
 
 
 def test_infeasible_detected():
@@ -59,7 +58,7 @@ def test_bad_input_rejected():
         lp.add_row({0: 1}, ">=", 0)
 
 
-def test_weak_duality_on_random_programs():
+def test_random_programs_are_primal_feasible():
     rng = random.Random(7)
     solved = 0
     for _ in range(60):
@@ -82,8 +81,6 @@ def test_weak_duality_on_random_programs():
                 assert lhs <= rhs + 1e-6
             else:
                 assert lhs == pytest.approx(rhs, abs=1e-6)
-        # duals certify the same value
-        assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-5)
     assert solved >= 30
 
 
@@ -152,7 +149,6 @@ def _check_against_reference(lp, sol):
     for coeffs, sense, rhs in lp.rows:
         lhs = sum(cv * sol.x[j] for j, cv in coeffs.items())
         assert lhs <= rhs + 1e-7 if sense == "<=" else lhs == pytest.approx(rhs, abs=1e-7)
-    assert dual_objective(lp, sol) == pytest.approx(sol.objective, abs=1e-6)
 
 
 def _tiny_program(rng):

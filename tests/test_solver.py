@@ -243,12 +243,12 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
                           ModelConfig(kappa=2, variant=AO), solver.Objective(), (), None)
     arc = ctx.d.arc
     forced = {arc(0, 1): 1, arc(1, 0): 0, arc(1, 2): 1, arc(2, 1): 0}
-    node = solver._Node(tuple(sorted(forced.items())), (), ctx.base_lp)
+    node = solver._Node(tuple(sorted(forced.items())), ctx.base_lp)
     for share in (0.6, 0.4):
         w = [0.0] * 6
         w[arc(0, 1)] = w[arc(1, 2)] = 1.0
         w[arc(0, 2)], w[arc(2, 0)] = share, 1.0 - share
-        children = solver._branch(ctx, node, w, (), ctx.base_lp)
+        children = solver._branch(ctx, node, w, ctx.base_lp)
         assert [dict(c.forced)[arc(2, 0)] for c in children] == [0], share
 
 
@@ -273,6 +273,35 @@ def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
         solve()
         assert len(worst) > before
     assert max(worst) <= 1.0 + 1e-6
+
+
+def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
+    """The node's program is its row set: every row a round appends is new to
+    the program and appears once in the round, with no key set to filter it."""
+    appended = []
+    resolve = LinearProgram.add_rows_and_resolve
+
+    def key(row):
+        coeffs, sense, rhs = row
+        return tuple(sorted(coeffs.items())), sense, rhs
+
+    def spy(lp, rows):
+        new = [key(r) for r in rows]
+        assert len(set(new)) == len(new)
+        assert set(new).isdisjoint(key(r) for r in lp.rows)
+        appended.append(len(new))
+        return resolve(lp, rows)
+
+    monkeypatch.setattr(LinearProgram, "add_rows_and_resolve", spy)
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    solves = (lambda: solve_ao(petersen_graph(), 3),
+              lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
+              lambda: solve_soft_cost(inst))
+    for solve in solves:
+        before = len(appended)
+        solve()
+        assert len(appended) > before and sum(appended[before:]) > 0
 
 
 def _count_template_generation(monkeypatch):
