@@ -191,32 +191,19 @@ def cmd_orient(args, deadline: float) -> int:
     return 1 if base.get("oracleAgrees") is False else 0
 
 
-def _fap_oracle(inst: FapInstance, mode: str, result) -> bool:
-    if mode == "minimum":
-        phi, _ = result
-        expect, _assign = brute_force_min_spectrum(inst)
-        return phi == expect
-    if mode == "fixed":
-        try:
-            brute_force_fixed_spectrum(inst)
-        except InfeasibleError:
-            return False
-        return True
-    cost, _assign = brute_force_soft_cost(inst)
-    return abs(cost - result.total_cost) < 1e-6
-
-
-def _fap_oracle_infeasible(inst: FapInstance, mode: str) -> bool:
+def _fap_oracle(inst: FapInstance, mode: str):
+    """The brute-force answer: the least spectrum, True when the fixed
+    spectrum fits, or the least cost; None when the scan proves that no
+    assignment exists."""
     try:
         if mode == "minimum":
-            brute_force_min_spectrum(inst)
-        elif mode == "fixed":
+            return brute_force_min_spectrum(inst)[0]
+        if mode == "fixed":
             brute_force_fixed_spectrum(inst)
-        else:
-            brute_force_soft_cost(inst)
+            return True
+        return brute_force_soft_cost(inst)[0]
     except InfeasibleError:
-        return True
-    return False
+        return None
 
 
 def cmd_fap(args, deadline: float) -> int:
@@ -252,14 +239,15 @@ def cmd_fap(args, deadline: float) -> int:
         bound = getattr(exc, "bound", math.inf)
         report.update(status="infeasible", bound=bound, **_aggregate(reports))
         if args.oracle:
-            report["oracleAgrees"] = _oracle(lambda: _fap_oracle_infeasible(inst, mode))
+            report["oracleAgrees"] = _oracle(lambda: _fap_oracle(inst, mode) is None)
         return _emit(report, "infeasible", started, 2)
     if mode == "minimum":
         phi, assignment = result
-        report["spectrum"] = phi
+        report["spectrum"] = answer = phi
         summary = f"minimum spectrum {phi}"
     else:
         assignment = result
+        answer = assignment.total_cost if mode == "soft" else True
         summary = (f"total violation cost {assignment.total_cost:g}" if mode == "soft"
                    else f"feasible within spectrum {inst.spectrum}")
     assignment.verify(inst if mode != "minimum" else inst.with_spectrum(report["spectrum"]))
@@ -267,7 +255,11 @@ def cmd_fap(args, deadline: float) -> int:
                   violatedPairs=[list(p) for p in sorted(assignment.violated_pairs)],
                   totalCost=assignment.total_cost, **_aggregate(reports))
     if args.oracle:
-        report["oracleAgrees"] = _oracle(lambda: _fap_oracle(inst, mode, result))
+        def agrees() -> bool:
+            expect = _fap_oracle(inst, mode)
+            return expect is not None and abs(expect - answer) < 1e-6
+
+        report["oracleAgrees"] = _oracle(agrees)
     _emit(report, summary + f" ({report['nodes']} nodes)", started)
     return 1 if report.get("oracleAgrees") is False else 0
 

@@ -5,11 +5,20 @@ arcs fixed and re-solves from the parent's basis; the program's rows are the
 node's row set, base rows and every cut of its lineage. Nothing writes the
 parent's program, so processing a node is a pure function of the node and
 the shared, read-only problem data.
-Every cut round runs the three exact separators: cycles, kappa-arc paths and
-the cycle-z rows, the one template family the solver separates. Each returns
-only rows violated by more than 1e-6 at the LP optimum, where every row of
-the program holds to within 1e-7, and no two families share a row, so a
+Every LP point, integral or fractional, goes through the same cut round. The
+round asks the window search for kappa-arc path rows and for cycle-z rows, the
+one template family the solver separates, and asks the cycle separator, one
+Dijkstra search per vertex, only when both return nothing. Each separator
+returns only rows violated by more than 1e-6 at the LP optimum, where every row
+of the program holds to within 1e-7, and no two families share a row, so a
 round appends each row it finds and never one the program already has.
+An integral point is the node's candidate when `check_integral_feasible`
+accepts it at z = max(load, z_lower) and its load, the most selected arcs on
+one kappa-arc path, is at most the LP's z. Otherwise it has a directed cycle
+or an overloaded window, which the exact separators cut off, and its round
+must find a row: an integral point cannot branch, so its round ignores the
+round, tail and deadline limits. A node branches only when a fractional round
+finds no row.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
 incumbent or processes it, and pushes its children. Nothing in it is random
@@ -21,7 +30,7 @@ drivers hand the one deadline of a command to every solve they make. The
 search checks it before each node, and a node's cut loop checks it before
 each fractional separation round: past it, the node stops separating and
 branches, so the search stops after that node and reports `timeout` with the
-best bound among its open nodes.
+best bound among its open nodes. A round at an integral point always runs.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
@@ -52,9 +61,7 @@ from .model import (
     ModelConfig,
     ModelPoint,
     check_integral_feasible,
-    row_cycle,
     row_edge_pair,
-    row_path,
 )
 from .separation import separate_cycles, separate_paths, separate_templates
 
@@ -132,7 +139,6 @@ class _Context:
         self.cfg = cfg
         self.d = d
         self.objective = objective
-        self.extra_rows = tuple(extra_rows)
         self.deadline = deadline
         m = d.graph.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
@@ -141,7 +147,7 @@ class _Context:
         self.base_lp = LinearProgram(cost, [0.0] * (2 * m) + [cfg.z_lower],
                                      [1.0] * (2 * m) + [cfg.z_upper])
         pairs = [row_edge_pair(d, e, cfg.variant) for e in range(m)]
-        for row in pairs + list(self.extra_rows):
+        for row in pairs + list(extra_rows):
             self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
 
     def expired(self) -> bool:
@@ -177,6 +183,15 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     return tuple(children)
 
 
+def _integral_point(d: BidirectedDigraph, cfg: ModelConfig,
+                    arcs: AbstractSet[int]) -> Tuple[ModelPoint, int]:
+    """The 0/1 point that selects `arcs`, at z = max(load, z_lower), and its
+    load: the most arcs of `arcs` on one kappa-arc path."""
+    load, _ = max_path_load(d, arcs, cfg.kappa)
+    w = tuple(1.0 if a in arcs else 0.0 for a in range(d.num_arcs))
+    return ModelPoint(w, float(max(load, int(round(cfg.z_lower))))), load
+
+
 def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
     """Cut loop on one node. Pure in ctx and node apart from the deadline,
     which ends the separation rounds early; never reads the incumbent."""
@@ -200,39 +215,25 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
         z = sol.x[2 * m]
         integral = all(min(x, 1.0 - x) < INT_TOL for x in w)
         if integral:
-            sel = [a for a in range(2 * m) if w[a] > 0.5]
-            cyc = find_directed_cycle(d, sel)
-            if cyc is not None:
-                fresh = [row_cycle(d, cyc)]
-            else:
-                load, witness = max_path_load(d, sel, cfg.kappa)
-                if load <= z + INT_TOL:
-                    z_cand = float(max(load, int(round(cfg.z_lower))))
-                    point = ModelPoint(tuple(round(x) * 1.0 for x in w), z_cand)
-                    ok, witness_row = check_integral_feasible(d, cfg, point)
-                    if not ok:
-                        raise SolverError(f"integral point failed recheck: {witness_row}")
-                    for r in ctx.extra_rows:
-                        if not r.satisfied(point.w, point.z, tol=1e-7):
-                            raise SolverError(f"integral point violates a model row: {r}")
-                    return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
-                                       candidate=point)
-                fresh = [row_path(d, witness, cfg.kappa)]
+            point, load = _integral_point(d, cfg, {a for a in range(2 * m) if w[a] > 0.5})
+            if load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0]:
+                return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
+                                   candidate=point)
         else:
             rounds += 1
             if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
                 tail += 1
             else:
                 tail = 0
-            fresh = []
-            if rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
-                fresh = (separate_cycles(d, w) + separate_paths(d, w, z, cfg.kappa)
-                         + separate_templates(d, w, z, cfg.kappa))
-            if not fresh:
-                return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                                   children=_branch(ctx, node, w, lp))
-        # An integral cut and a fractional round both end here; only the
-        # fractional rounds count towards `rounds` and `tail`.
+        fresh = []
+        if integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
+            fresh = (separate_paths(d, w, z, cfg.kappa) + separate_templates(d, w, z, cfg.kappa)
+                     or separate_cycles(d, w))
+        if not fresh:
+            if integral:
+                raise SolverError("no cut separates an infeasible integral point")
+            return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
+                               children=_branch(ctx, node, w, lp))
         for r in fresh:
             cuts_by_tag[r.tag] = cuts_by_tag.get(r.tag, 0) + 1
         sol = lp.add_rows_and_resolve(
@@ -289,26 +290,18 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
 
     # Opportunistic greedy incumbent: orient along a greedy coloring.
     colors = greedy_coloring(g)
-    greedy_orient = Orientation(
-        g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges])
-    arcs = greedy_orient.arcs()
-    load, _ = max_path_load(d, arcs, cfg.kappa)
-    gz = max(load, int(round(cfg.z_lower)))
-    if gz <= cfg.z_upper + 1e-9:
-        w = tuple(1.0 if a in arcs else 0.0 for a in range(2 * m))
-        greedy_point = ModelPoint(w, float(gz))
-        ok, _ = check_integral_feasible(d, cfg, greedy_point)
-        if ok and all(r.satisfied(greedy_point.w, greedy_point.z, tol=1e-7)
-                      for r in extra_rows):
-            offer(greedy_point)
+    arcs = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges]).arcs()
+    greedy_point, _ = _integral_point(d, cfg, arcs)
+    if check_integral_feasible(d, cfg, greedy_point)[0] and \
+            all(r.satisfied(greedy_point.w, greedy_point.z, tol=1e-7) for r in extra_rows):
+        offer(greedy_point)
 
     # A clique on kappa + 1 vertices forces a fully loaded window in every
     # orientation, so the plain-z orientation objective cannot beat kappa.
     if cfg.variant == AO and not extra_rows and cfg.z_fixed is None and \
             obj.z_coeff == 1.0 and not obj.w_coeffs and not obj.const and \
             len(greedy_clique(g)) - 1 >= cfg.kappa:
-        w = tuple(1.0 if a in arcs else 0.0 for a in range(2 * m))
-        point = ModelPoint(w, float(cfg.kappa))
+        point = ModelPoint(greedy_point.w, float(cfg.kappa))
         ok, witness = check_integral_feasible(d, cfg, point)
         if not ok:
             raise SolverError(f"clique shortcut point failed recheck: {witness}")

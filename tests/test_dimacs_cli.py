@@ -6,7 +6,7 @@ import pytest
 import orientcut.cli
 from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
-from orientcut.errors import ParseError
+from orientcut.errors import InfeasibleError, ParseError
 
 from conftest import queen_graph
 
@@ -177,6 +177,27 @@ def test_cli_disagreeing_oracle_exits_1(capsys, monkeypatch, k3_file):
     code, out, _ = _run(capsys, ["color", k3_file, "--oracle"])
     rep = json.loads(out)
     assert code == 1 and rep["chromatic"] == 3 and rep["oracleAgrees"] is False
+
+
+@pytest.mark.parametrize("scan, doc", [
+    ("brute_force_min_spectrum", {"links": 2, "freqSets": [[], []],
+                                  "pairs": [{"i": 0, "j": 1, "d": 1}]}),
+    ("brute_force_soft_cost", {"links": 2, "freqSets": [[], []], "spectrum": 1,
+                               "pairs": [{"i": 0, "j": 1, "d": 1, "c": 1.0}]}),
+])
+def test_cli_fap_oracle_that_proves_infeasible_disagrees(capsys, monkeypatch, tmp_path,
+                                                          scan, doc):
+    """A solved instance that the scan proves infeasible is a disagreement:
+    the report stands with `oracleAgrees` false and the command exits 1."""
+    def infeasible(inst):
+        raise InfeasibleError("no assignment")
+
+    monkeypatch.setattr(orientcut.cli, scan, infeasible)
+    p = tmp_path / "fap.json"
+    p.write_text(json.dumps(doc))
+    code, out, _ = _run(capsys, ["fap", str(p), "--oracle"])
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "optimal" and rep["oracleAgrees"] is False
 
 
 @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])

@@ -18,7 +18,15 @@ from orientcut.graphs import (
     petersen_graph,
 )
 from orientcut.lp import LinearProgram
-from orientcut.model import AO, AS, LinearRow, ModelConfig, ModelPoint, check_integral_feasible
+from orientcut.model import (
+    AO,
+    AS,
+    INT_TOL,
+    LinearRow,
+    ModelConfig,
+    ModelPoint,
+    check_integral_feasible,
+)
 from orientcut.polytope import brute_force_optimum
 from orientcut.solver import (
     check_load_reduction,
@@ -41,6 +49,15 @@ def _myciel3():
         out += [(u, n + v), (v, n + u)]
     out += [(n + v, 2 * n) for v in range(n)]
     return UndirectedGraph(2 * n + 1, out)
+
+
+def _separating_solves():
+    """An AO solve, an AS solve and a soft FAP solve that all run cut rounds."""
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    return (lambda: solve_ao(petersen_graph(), 3),
+            lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
+            lambda: solve_soft_cost(inst))
 
 
 def test_default_objectives():
@@ -91,7 +108,7 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
     stops with the node's bound among its open bounds."""
     rounds = []
     per_node = []
-    separate = solver.separate_cycles
+    separate = solver.separate_paths
     process = solver._process_node
 
     def spy(*args):
@@ -104,11 +121,13 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
         per_node.append(len(rounds) - before)
         return res
 
-    monkeypatch.setattr(solver, "separate_cycles", spy)
+    monkeypatch.setattr(solver, "separate_paths", spy)
     monkeypatch.setattr(solver, "_process_node", counted)
     g = _myciel3()
     free = solve_ao(g, 3)
-    assert per_node[0] == 2
+    # the root's first LP point is integral and gets a round of its own,
+    # then two fractional rounds run before the root branches
+    assert per_node[0] == 3
     # the clock passes the deadline once the root's first separation round
     # has started, so the round completes and no second one begins
     rounds.clear()
@@ -263,12 +282,7 @@ def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
         return separate(d, w, *args, **kwargs)
 
     monkeypatch.setattr(solver, "separate_cycles", spy)
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
-                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
-    solves = (lambda: solve_ao(petersen_graph(), 3),
-              lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
-              lambda: solve_soft_cost(inst))
-    for solve in solves:
+    for solve in _separating_solves():
         before = len(worst)
         solve()
         assert len(worst) > before
@@ -293,15 +307,39 @@ def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
         return resolve(lp, rows)
 
     monkeypatch.setattr(LinearProgram, "add_rows_and_resolve", spy)
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
-                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
-    solves = (lambda: solve_ao(petersen_graph(), 3),
-              lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
-              lambda: solve_soft_cost(inst))
-    for solve in solves:
+    for solve in _separating_solves():
         before = len(appended)
         solve()
         assert len(appended) > before and sum(appended[before:]) > 0
+
+
+def test_cycle_separator_runs_last(monkeypatch):
+    """A round asks the window search for path and cycle-z rows, and the cycle
+    separator only when both find none; a round at an integral point, which
+    cannot branch, always finds a row."""
+    rounds = []
+
+    def spy(name):
+        separate = getattr(solver, name)
+
+        def call(d, w, *args):
+            if name == "separate_paths":
+                rounds.append({"integral": all(min(x, 1.0 - x) < INT_TOL for x in w)})
+            rows = rounds[-1][name] = separate(d, w, *args)
+            return rows
+        return call
+
+    for name in ("separate_paths", "separate_templates", "separate_cycles"):
+        monkeypatch.setattr(solver, name, spy(name))
+    for solve in _separating_solves():
+        solve()
+    for r in rounds:
+        window = r["separate_paths"] + r["separate_templates"]
+        assert ("separate_cycles" in r) == (not window)
+        if r["integral"]:
+            assert window or r["separate_cycles"]
+    assert sum(r["integral"] for r in rounds) > 0
+    assert sum("separate_cycles" in r for r in rounds) > 0
 
 
 def _count_template_generation(monkeypatch):
