@@ -9,8 +9,9 @@ and safe to share between threads.
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import ContractError, InputError
 
@@ -415,14 +416,30 @@ def max_path_load(d: BidirectedDigraph, selected: Iterable[int], kappa: int):
 
 
 def greedy_coloring(g: UndirectedGraph) -> List[int]:
-    """Greedy proper coloring (smallest available color), largest degree first."""
+    """DSATUR proper coloring (Brelaz, CACM 1979).
+
+    The next vertex colored is the one whose neighbors use the most distinct
+    colors, ties going to the largest degree, then to the smallest index; it
+    takes the smallest color its neighbors leave free.
+    """
     colors = [-1] * g.n
-    for v in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
-        taken = {colors[u] for u in g.adj[v] if colors[u] >= 0}
+    taken: List[Set[int]] = [set() for _ in range(g.n)]
+    # Entries (-saturation, -degree, v); a vertex whose saturation grows is
+    # pushed again, and its stale entries pop after it is colored.
+    queue = [(0, -g.degree(v), v) for v in range(g.n)]
+    heapq.heapify(queue)
+    while queue:
+        v = heapq.heappop(queue)[2]
+        if colors[v] >= 0:
+            continue
         c = 0
-        while c in taken:
+        while c in taken[v]:
             c += 1
         colors[v] = c
+        for u in g.adj[v]:
+            if colors[u] < 0 and c not in taken[u]:
+                taken[u].add(c)
+                heapq.heappush(queue, (-len(taken[u]), -g.degree(u), u))
     return colors
 
 

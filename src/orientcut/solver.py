@@ -288,7 +288,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             return True
         return False
 
-    # Opportunistic greedy incumbent: orient along a greedy coloring.
+    # Opportunistic incumbent: orient along the DSATUR coloring.
     colors = greedy_coloring(g)
     arcs = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges]).arcs()
     greedy_point, _ = _integral_point(d, cfg, arcs)
@@ -403,9 +403,10 @@ def min_diameter_orientation(g: UndirectedGraph, *,
                              deadline: Optional[float] = None) -> Tuple[Orientation, int]:
     """Acyclic orientation minimizing the longest directed path, with its length.
 
-    Each connected component starts from a greedy coloring orientation and
-    repeatedly solves the window-load model at the incumbent diameter; the
-    window shrinks strictly until the model certifies it cannot be beaten.
+    Each connected component starts from the orientation of its DSATUR
+    coloring and repeatedly solves the window-load model at the incumbent
+    diameter; the window shrinks strictly until the model certifies it cannot
+    be beaten.
     Every window solve shares `deadline`; a solve that reaches it raises
     TimeLimitError.
     """

@@ -65,6 +65,15 @@ def queen_graph(k: int) -> UndirectedGraph:
         or abs(cells[u][0] - cells[v][0]) == abs(cells[u][1] - cells[v][1])])
 
 
+def mycielski(g: UndirectedGraph) -> UndirectedGraph:
+    """Mycielski's construction: g, a shadow n + v of each vertex v, and an apex 2n."""
+    n, out = g.n, list(g.edges)
+    for u, v in g.edges:
+        out += [(u, n + v), (v, n + u)]
+    out += [(n + v, 2 * n) for v in range(n)]
+    return UndirectedGraph(2 * n + 1, out)
+
+
 def random_point(g: UndirectedGraph, kappa: int, rng: random.Random) -> ModelPoint:
     w = tuple(rng.random() for _ in range(2 * g.m))
     return ModelPoint(w, rng.random() * kappa)

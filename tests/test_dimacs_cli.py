@@ -7,8 +7,9 @@ import orientcut.cli
 from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
 from orientcut.errors import InfeasibleError, ParseError
+from orientcut.graphs import cycle_graph
 
-from conftest import queen_graph
+from conftest import mycielski, queen_graph
 
 K3_COL = "c tiny triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -315,15 +316,24 @@ def test_cli_one_deadline_per_command(capsys, tmp_path, monkeypatch, command, te
     assert before + 50 <= deadlines[0] <= after + 50
 
 
-def test_cli_time_limit_bounds_the_command(capsys, tmp_path):
-    """queen4 is not solved in a second; the command must stop soon after."""
-    import time
-
-    g = queen_graph(4)
-    path = tmp_path / "queen4.col"
+def _write_col(path, g):
     path.write_text(f"p edge {g.n} {g.m}\n" + "".join(f"e {i + 1} {j + 1}\n" for i, j in g.edges))
+    return str(path)
+
+
+def test_cli_color_solves_queen4(capsys, tmp_path):
+    """DSATUR's 5 colours meet the 5-clique, so one window solve closes queen4."""
+    path = _write_col(tmp_path / "queen4.col", queen_graph(4))
+    code, out, _ = _run(capsys, ["color", path, "--time-limit", "5"])
+    rep = json.loads(out)
+    assert code == 0 and rep["status"] == "optimal" and rep["chromatic"] == 5
+
+
+def test_cli_time_limit_bounds_the_command(capsys, tmp_path):
+    """myciel4 is not solved in a second; the command must stop soon after."""
+    path = _write_col(tmp_path / "myciel4.col", mycielski(mycielski(cycle_graph(5))))
     start = time.monotonic()
-    code, out, _ = _run(capsys, ["color", str(path), "--time-limit", "1"])
+    code, out, _ = _run(capsys, ["color", path, "--time-limit", "1"])
     assert code == 3 and json.loads(out)["status"] == "timeout"
     assert time.monotonic() - start < 4.0
 

@@ -28,6 +28,8 @@ from orientcut.graphs import (
     star_graph,
 )
 
+from conftest import BATTERY, queen_graph
+
 
 def test_undirected_graph_basics():
     g = UndirectedGraph(4, [(0, 1), (2, 1), (2, 3)])
@@ -225,9 +227,24 @@ def test_greedy_helpers():
     clique = greedy_clique(g)
     assert len(clique) == 3
     assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
-    colors = greedy_coloring(g)
-    assert all(colors[u] != colors[v] for u, v in g.edges)
-    assert max(colors) + 1 <= 4
+    assert max(greedy_coloring(g)) + 1 <= 4
+    for name, bg, _ in BATTERY:
+        colors = greedy_coloring(bg)
+        assert all(colors[u] != colors[v] for u, v in bg.edges), name
+
+
+def test_greedy_coloring_is_dsatur():
+    # A 6-cycle 0-3-4-1-2-5 with vertex 6 joined to 1 and 2. By hand: 1 first
+    # (largest degree, smallest index), then 2 (saturation ties with 4 and 6,
+    # largest degree), 6 (saturation 2), then 4, 3, 0, 5 on smallest index.
+    g = UndirectedGraph(7, [(0, 3), (0, 5), (2, 1), (2, 5), (4, 1), (4, 3), (6, 1), (6, 2)])
+    assert greedy_coloring(g) == [1, 0, 1, 0, 1, 0, 2]
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_greedy_coloring_meets_the_queen_clique(k):
+    # Both boards have a 5-clique, so 5 colours is optimal.
+    assert max(greedy_coloring(queen_graph(k))) + 1 == 5
 
 
 def test_named_constructors():

@@ -38,17 +38,12 @@ from orientcut.solver import (
     solve_model,
 )
 
-from conftest import BATTERY
+from conftest import BATTERY, mycielski
 
 
 def _myciel3():
     """The Groetzsch graph: Mycielski's construction applied to C5."""
-    n, edges = 5, cycle_graph(5).edges
-    out = list(edges)
-    for u, v in edges:
-        out += [(u, n + v), (v, n + u)]
-    out += [(n + v, 2 * n) for v in range(n)]
-    return UndirectedGraph(2 * n + 1, out)
+    return mycielski(cycle_graph(5))
 
 
 def _separating_solves():
