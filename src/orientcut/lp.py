@@ -9,11 +9,18 @@ last basis. An empty ratio test proves the rows infeasible. A `branch` copy
 fixes variables, which never enter the basis, so it re-optimises from the
 original's basis, still dual feasible, and never writes the original.
 
+The tableau is the compact (dictionary) form: one column per nonbasic
+variable plus the rhs, so it is rows x (structurals + 1) however many rows
+the program has, and one pivot costs O(rows x structurals). When the basic
+solution a solve ends with fails its residual check (drift), the tableau is
+rebuilt once from the rows and the basis and the solve goes on from there.
+
 The leaving row is the one with the largest bound violation and the ratio
-test breaks ties towards the largest pivot; after a burst of dual-degenerate
-pivots both choices fall back to the smallest variable index (Bland's rule)
-to rule out cycling. Problems at the scale handled here (tens of variables, hundreds
-of rows) solve in milliseconds on a dense tableau.
+test breaks ties towards the largest pivot, then the smallest variable
+index; after a burst of dual-degenerate pivots both choices go to the
+smallest variable index (Bland's rule) to rule out cycling. Problems at the
+scale handled here (a hundred or so variables, hundreds of rows) solve in
+milliseconds.
 """
 
 from __future__ import annotations
@@ -50,9 +57,12 @@ class LpSolution:
 class LinearProgram:
     """min c'x subject to rows (a'x <= b or a'x = b) and lo <= x <= hi.
 
-    Rows are sparse dicts over variable indices. The program holds its live
-    tableau B^-1 [A I | b]: `solve` brings in the rows added since the last
-    call and re-optimises from the last basis.
+    Rows are sparse dicts over variable indices; the slack of row i is
+    variable ns + i, where ns = len(c). The program holds its live compact
+    tableau: row i reads x[basis[i]] = tab[i, -1] - tab[i, :-1] @ x[nonbasic],
+    and `d` holds the reduced costs of the nonbasic columns. `solve` brings
+    in the rows added since the last call and re-optimises from the last
+    basis.
     """
 
     def __init__(self, objective: Sequence[float], lower: Sequence[float],
@@ -66,14 +76,15 @@ class LinearProgram:
         if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
             raise InputError("structural bounds must be finite")
         self.rows: List[Tuple[Dict[int, float], str, float]] = []
-        # Bounds and values of every tableau column, slacks after structurals.
+        # Bounds and values of every variable, slacks after structurals.
         self.col_lo, self.col_hi = self.lo.copy(), self.hi.copy()
         self.val = np.where(self.c < 0, self.hi, self.lo)
         self.d = self.c.copy()
         self.tab = np.zeros((0, ns + 1))
-        self.a = np.zeros((0, ns))      # the rows as given, for `_verify`
+        self.a = np.zeros((0, ns))      # the rows as given, for `_check` and `_refactor`
         self.b = np.zeros(0)
         self.basis = np.zeros(0, dtype=int)
+        self.nonbasic = np.arange(ns)
         self.in_basis = np.zeros(ns, dtype=bool)
 
     def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float):
@@ -96,7 +107,8 @@ class LinearProgram:
         it owns every array a solve or a branch writes in place and shares
         the ones only ever replaced, so this program is not written."""
         child = copy.copy(self)
-        for name in ("tab", "val", "d", "basis", "in_basis", "lo", "hi", "col_lo", "col_hi"):
+        for name in ("tab", "val", "d", "basis", "nonbasic", "in_basis",
+                     "lo", "hi", "col_lo", "col_hi"):
             setattr(child, name, getattr(self, name).copy())
         child.rows = list(self.rows)
         for j, v in fixed:
@@ -112,35 +124,36 @@ class LinearProgram:
         if len(self.rows) > len(self.basis):
             self._add(self.rows[len(self.basis):])
         iterations = self._iterate()
+        if self._check(iterations is not None) is not None:
+            # Drift: rebuild the tableau from the rows and the basis, pivot again.
+            self._refactor()
+            more = self._iterate()
+            fault = self._check(more is not None)
+            if fault is not None:
+                raise SolverError(fault)
+            iterations = None if more is None else (iterations or 0) + more
         if iterations is None:
             return LpSolution(status="infeasible")
-        self._refresh_basics()
-        self._verify()
         ns = len(self.c)
         x = np.clip(self.val[:ns], self.lo, self.hi)
         return LpSolution("optimal", x, float(self.c @ x), iterations)
 
     def _add(self, rows):
         """Append rows with their slacks basic, expressed in the current basis."""
-        k, ns, nr, total = len(rows), len(self.c), len(self.basis), len(self.val)
-        raw = np.zeros((k, total + k + 1))
+        k, ns, total = len(rows), len(self.c), len(self.val)
+        raw = np.zeros((k, total + 1))
         for i, (coeffs, sense, rhs) in enumerate(rows):
             for j, cval in coeffs.items():
                 raw[i, j] = cval
-            raw[i, total + i] = 1.0
             raw[i, -1] = rhs
         self.a = np.vstack([self.a, raw[:, :ns]])
         self.b = np.concatenate([self.b, raw[:, -1]])
-        tab = np.zeros((nr + k, total + k + 1))
-        tab[:nr, :total] = self.tab[:, :total]
-        tab[:nr, -1] = self.tab[:, -1]
-        raw -= raw[:, self.basis] @ tab[:nr]
-        tab[nr:] = raw
-        self.tab = tab
+        # The new slacks are s = b - a_B x_B - a_N x_N with x_B = t - T x_N.
+        new = raw[:, np.append(self.nonbasic, total)] - raw[:, self.basis] @ self.tab
+        self.tab = np.vstack([self.tab, new])
         upper = [0.0 if sense == "=" else np.inf for (_, sense, _) in rows]
         self.col_lo = np.concatenate([self.col_lo, np.zeros(k)])
         self.col_hi = np.concatenate([self.col_hi, upper])
-        self.d = np.concatenate([self.d, np.zeros(k)])
         self.val = np.concatenate([self.val, np.zeros(k)])
         self.basis = np.concatenate([self.basis, np.arange(total, total + k)])
         self.in_basis = np.concatenate([self.in_basis, np.ones(k, dtype=bool)])
@@ -149,75 +162,123 @@ class LinearProgram:
     def _iterate(self) -> Optional[int]:
         """Dual simplex pivots until the basis is primal feasible; the pivot
         count, or None once a row proves the program infeasible."""
-        tab, val, lo, hi, d = self.tab, self.val, self.col_lo, self.col_hi, self.d
-        basis, in_basis, total = self.basis, self.in_basis, len(val)
-        movable = hi > lo
-        bland_at = 5 * (len(basis) + total)
-        max_iter = 500 + 50 * (len(basis) + total)
+        if not len(self.basis):
+            return 0
+        tab, val, d = self.tab, self.val, self.d
+        basis, nonbasic, in_basis = self.basis, self.nonbasic, self.in_basis
+        lo, hi = self.col_lo, self.col_hi
+        bland_at = 5 * (len(basis) + len(val))
+        max_iter = 500 + 50 * (len(basis) + len(val))
+        # Basic values and bounds by row; +1 for a nonbasic column at its
+        # lower bound, -1 at its upper bound, 0 when it is fixed.
+        xb, lob, hib = val[basis], lo[basis], hi[basis]
+        lon, hin = lo[nonbasic], hi[nonbasic]
+        sign = np.where(hin > lon, np.where(val[nonbasic] > lon, -1.0, 1.0), 0.0)
         iterations = degenerate = 0
-        while True:
-            xb = val[basis]
-            below = lo[basis] - xb
-            violation = np.maximum(below, xb - hi[basis])
-            rows = np.flatnonzero(violation > FEAS_TOL)
-            if not len(rows):
-                return iterations
-            if degenerate <= bland_at:
-                r = int(rows[np.argmax(violation[rows])])
-            else:
-                r = int(rows[np.argmin(basis[rows])])
-            if iterations > max_iter:
-                raise SolverError("simplex iteration limit reached")
-            leaving = basis[r]
-            rising = below[r] > 0
-            alpha = tab[r, :total]
-            # Nonbasic columns that move the leaving variable towards the
-            # bound it violates; a column at its upper bound can only fall.
-            toward = -alpha if rising else alpha
-            at_upper = val > lo
-            cand = ~in_basis & movable & np.where(at_upper, toward < -PIVOT_TOL,
-                                                  toward > PIVOT_TOL)
-            if not cand.any():
-                return None
-            ratios = np.full(total, np.inf)
-            ratios[cand] = np.maximum(d[cand] / toward[cand], 0.0)
-            step = float(ratios.min())
-            ties = ratios <= step + 1e-12
-            if degenerate <= bland_at:
-                q = int(np.argmax(np.where(ties, np.abs(alpha), 0.0)))
-            else:
-                q = int(np.argmax(ties))
-            if step < _DEGEN_EPS:
-                degenerate += 1
-            iterations += 1
+        bland = False
+        ratios = np.empty(len(nonbasic))
+        try:
+            while True:
+                violation = np.maximum(lob - xb, xb - hib)
+                if bland:
+                    rows = np.flatnonzero(violation > FEAS_TOL)
+                    if not len(rows):
+                        return iterations
+                    r = int(rows[np.argmin(basis[rows])])
+                else:
+                    r = int(violation.argmax())
+                    if violation[r] <= FEAS_TOL:
+                        return iterations
+                if iterations > max_iter:
+                    raise SolverError("simplex iteration limit reached")
+                leaving = basis[r]
+                rising = lob[r] - xb[r] > 0
+                alpha = tab[r, :-1]
+                # Nonbasic columns that move the leaving variable towards the
+                # bound it violates; a column at its upper bound can only fall.
+                toward = -alpha if rising else alpha
+                cand = sign * toward > PIVOT_TOL
+                ratios.fill(np.inf)
+                np.divide(d, toward, out=ratios, where=cand)
+                np.maximum(ratios, 0.0, out=ratios)
+                step = ratios.min()
+                if step == np.inf:
+                    return None
+                q = _entering(ratios <= step + 1e-12, alpha, nonbasic, bland)
+                if step < _DEGEN_EPS:
+                    degenerate += 1
+                    bland = degenerate > bland_at
+                iterations += 1
 
-            target = lo[leaving] if rising else hi[leaving]
-            delta = (val[leaving] - target) / alpha[q]
-            col = tab[:, q].copy()
-            val[basis] -= col * delta
-            val[q] += delta
-            val[leaving] = target
-            prow = tab[r] / alpha[q]
-            tab -= np.outer(col, prow)
-            tab[r] = prow
-            d -= d[q] * prow[:total]
-            d[q] = 0.0
-            in_basis[leaving] = False
-            in_basis[q] = True
-            basis[r] = q
+                entering = nonbasic[q]
+                target = lob[r] if rising else hib[r]
+                p = float(alpha[q])
+                delta = (float(xb[r]) - target) / p
+                col = tab[:, q].copy()
+                xb -= col * delta
+                xb[r] = val[entering] + delta
+                val[leaving] = target
+                # The leaving variable takes column q: -col/p, and 1/p in row r.
+                inv = 1.0 / p
+                tab[:, q] = 0.0
+                prow = tab[r] / p
+                prow[q] = inv
+                tab -= col[:, None] * prow
+                tab[r] = prow
+                dq = d[q]
+                d[q] = 0.0
+                d -= dq * prow[:-1]
+                sign[q] = 0.0 if hib[r] <= lob[r] else 1.0 if rising else -1.0
+                lob[r], hib[r] = lo[entering], hi[entering]
+                in_basis[leaving] = False
+                in_basis[entering] = True
+                basis[r] = entering
+                nonbasic[q] = leaving
+        finally:
+            val[basis] = xb
 
     def _refresh_basics(self):
-        val_nb = self.val.copy()
-        val_nb[self.basis] = 0.0
-        self.val[self.basis] = self.tab[:, -1] - self.tab[:, :-1] @ val_nb
+        self.val[self.basis] = self.tab[:, -1] - self.tab[:, :-1] @ self.val[self.nonbasic]
 
-    def _verify(self):
+    def _refactor(self):
+        """Rebuild the tableau and the reduced costs from the rows and the
+        current basis: one dense solve with the basis columns of [A I]."""
+        ns, nr = len(self.c), len(self.basis)
+        full = np.hstack([self.a, np.eye(nr)])
+        cost = np.concatenate([self.c, np.zeros(nr)])
+        try:
+            self.tab = np.linalg.solve(full[:, self.basis],
+                                       np.column_stack([full[:, self.nonbasic], self.b]))
+        except np.linalg.LinAlgError:
+            raise SolverError("basis matrix is singular") from None
+        self.d = cost[self.nonbasic] - cost[self.basis] @ self.tab[:, :ns]
+        self._refresh_basics()
+
+    def _check(self, feasible: bool) -> Optional[str]:
+        """Refresh the basic values from the tableau; why they fail the rows,
+        or the bounds when the basis claims to be `feasible`, beyond
+        tolerance, or None."""
+        self._refresh_basics()
         ns = len(self.c)
         resid = self.a @ self.val[:ns] + self.val[ns:] - self.b
         if np.any(np.abs(resid) > 1e-6):
-            raise SolverError(f"row residual {np.abs(resid).max():.3e} exceeds tolerance")
-        if np.any(self.val < self.col_lo - 1e-6) or np.any(self.val > self.col_hi + 1e-6):
-            raise SolverError("variable bound violated beyond tolerance")
+            return f"row residual {np.abs(resid).max():.3e} exceeds tolerance"
+        if feasible and (np.any(self.val < self.col_lo - 1e-6)
+                         or np.any(self.val > self.col_hi + 1e-6)):
+            return "variable bound violated beyond tolerance"
+        return None
+
+
+def _entering(ties: np.ndarray, alpha: np.ndarray, ids: np.ndarray, bland: bool) -> int:
+    """The entering column among the ratio-test `ties`: the largest |alpha|
+    (any tie under Bland's rule), then the smallest variable id in `ids`."""
+    cols = np.flatnonzero(ties)
+    if len(cols) == 1:
+        return int(cols[0])
+    if not bland:
+        size = np.abs(alpha[cols])
+        cols = cols[size == size.max()]
+    return int(cols[ids[cols].argmin()])
 
 
 def affine_dimension(points: Sequence[Sequence]) -> int:

@@ -41,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
     BidirectedDigraph,
@@ -213,7 +215,7 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
         history.append(bound)
         w = sol.x[:2 * m]
         z = sol.x[2 * m]
-        integral = all(min(x, 1.0 - x) < INT_TOL for x in w)
+        integral = bool(np.all(np.minimum(w, 1.0 - w) < INT_TOL))
         if integral:
             point, load = _integral_point(d, cfg, {a for a in range(2 * m) if w[a] > 0.5})
             if load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0]:
@@ -267,14 +269,11 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     obj = objective if objective is not None else default_objective(cfg, m)
     integral_obj = obj.is_integral
 
-    def report(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters):
-        return SolveReport(status, best, best_obj, bound, nodes, pruned, cuts, hist, iters)
-
     if m == 0:
         z0 = cfg.z_lower
         point = ModelPoint((), float(z0))
         val = obj.value(point)
-        return report("optimal", point, val, val, 0, 0, {}, [], 0)
+        return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
 
     incumbent_obj = math.inf
     best: Optional[ModelPoint] = None
@@ -306,10 +305,10 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         if not ok:
             raise SolverError(f"clique shortcut point failed recheck: {witness}")
         val = obj.value(point)
-        return report("optimal", point, val, val, 0, 0, {}, [], 0)
+        return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
 
     if feasibility_stop and best is not None:
-        return report("optimal", best, incumbent_obj, incumbent_obj, 0, 0, {}, [], 0)
+        return SolveReport("optimal", best, incumbent_obj, incumbent_obj, 0, 0, {}, [], 0)
 
     forced: Dict[int, int] = {}
     if use_symmetry:
@@ -357,13 +356,13 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     if status == "timeout" or stopped_early:
         open_bounds = [b for b, _, _ in heap]
         bound = min(open_bounds + [incumbent_obj])
-        return report(status, best, None if best is None else incumbent_obj,
-                      bound, node_count, pruned_count, cut_counts, histories, lp_iters)
+        return SolveReport(status, best, None if best is None else incumbent_obj,
+                           bound, node_count, pruned_count, cut_counts, histories, lp_iters)
     if best is None:
-        return report("infeasible", None, None, math.inf, node_count, pruned_count,
-                      cut_counts, histories, lp_iters)
-    return report("optimal", best, incumbent_obj, incumbent_obj, node_count,
-                  pruned_count, cut_counts, histories, lp_iters)
+        return SolveReport("infeasible", None, None, math.inf, node_count, pruned_count,
+                           cut_counts, histories, lp_iters)
+    return SolveReport("optimal", best, incumbent_obj, incumbent_obj, node_count,
+                       pruned_count, cut_counts, histories, lp_iters)
 
 
 def solve_ao(g: UndirectedGraph, kappa: int, *,

@@ -7,8 +7,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from orientcut.errors import InputError
-from orientcut.lp import LinearProgram, affine_dimension
+from orientcut.errors import InputError, SolverError
+from orientcut.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, _entering, affine_dimension
 
 
 def test_unconstrained_rests_at_bounds():
@@ -313,6 +313,201 @@ def test_degenerate_program_terminates():
         lp.add_row({0: k, 1: k}, "<=", k)
     sol = lp.solve()
     assert sol.optimal and sol.objective == pytest.approx(-1)
+
+
+def test_tableau_width_stays_columns_plus_one():
+    """The compact tableau keeps one column per nonbasic variable plus the
+    rhs, however many rows arrive, and basis and nonbasic split the variables."""
+    rng = random.Random(606)
+    n = 6
+    lp = LinearProgram([rng.uniform(-2, 1) for _ in range(n)], [0.0] * n, [1.0] * n)
+    programs = [lp]
+    for _ in range(40):
+        coeffs = {j: rng.choice([-1, 1, 2]) for j in rng.sample(range(n), 3)}
+        assert lp.add_rows_and_resolve([(coeffs, "<=", rng.randint(1, 3))]).optimal
+        if rng.random() < 0.2:  # the origin stays feasible
+            lp = lp.branch([(rng.randrange(n), 0.0)])
+            programs.append(lp)
+    lp.solve()
+    for prog in programs:
+        total = n + len(prog.rows)
+        assert prog.tab.shape == (len(prog.rows), n + 1)
+        assert len(prog.d) == len(prog.nonbasic) == n
+        assert sorted(np.concatenate([prog.basis, prog.nonbasic])) == list(range(total))
+        assert list(np.flatnonzero(prog.in_basis)) == sorted(prog.basis)
+    assert len(programs) > 3 and len(lp.rows) == 40
+
+
+def _full_tableau_solves(c, lo, hi, batches):
+    """Reference: the same bounded dual simplex on the full tableau
+    B^-1 [A I | b], whose column order is the variable order. Each batch of
+    rows is added and solved in turn; the pivot count of each solve (None
+    once one proves infeasibility) and the final basis."""
+    c = np.asarray(c, dtype=float)
+    col_lo, col_hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    val = np.where(c < 0, col_hi, col_lo)
+    d = c.copy()
+    tab = np.zeros((0, len(c) + 1))
+    basis = np.zeros(0, dtype=int)
+
+    def refresh():
+        nonbasic = val.copy()
+        nonbasic[basis] = 0.0
+        val[basis] = tab[:, -1] - tab[:, :-1] @ nonbasic
+
+    counts = []
+    for rows in batches:
+        k, nr, total = len(rows), len(basis), len(val)
+        raw = np.zeros((k, total + k + 1))
+        for i, (coeffs, sense, rhs) in enumerate(rows):
+            for j, cv in coeffs.items():
+                raw[i, j] = cv
+            raw[i, total + i] = 1.0
+            raw[i, -1] = rhs
+        grown = np.zeros((nr + k, total + k + 1))
+        grown[:nr, :total], grown[:nr, -1] = tab[:, :-1], tab[:, -1]
+        raw -= raw[:, basis] @ grown[:nr]
+        grown[nr:] = raw
+        tab = grown
+        col_lo = np.concatenate([col_lo, np.zeros(k)])
+        col_hi = np.concatenate([col_hi, [0.0 if s == "=" else np.inf for _, s, _ in rows]])
+        d, val = np.concatenate([d, np.zeros(k)]), np.concatenate([val, np.zeros(k)])
+        basis = np.concatenate([basis, np.arange(total, total + k)])
+        refresh()
+        total += k
+        bland_at = 5 * (len(basis) + total)
+        pivots = degenerate = 0
+        while True:
+            xb = val[basis]
+            below = col_lo[basis] - xb
+            violation = np.maximum(below, xb - col_hi[basis])
+            viol_rows = np.flatnonzero(violation > FEAS_TOL)
+            if not len(viol_rows):
+                break
+            bland = degenerate > bland_at
+            r = int(viol_rows[np.argmin(basis[viol_rows])] if bland
+                    else viol_rows[np.argmax(violation[viol_rows])])
+            alpha = tab[r, :total]
+            toward = -alpha if below[r] > 0 else alpha
+            free = np.ones(total, dtype=bool)
+            free[basis] = False
+            cand = free & (col_hi > col_lo) & np.where(val > col_lo, toward < -PIVOT_TOL,
+                                                       toward > PIVOT_TOL)
+            if not cand.any():
+                pivots = None
+                break
+            ratios = np.full(total, np.inf)
+            ratios[cand] = np.maximum(d[cand] / toward[cand], 0.0)
+            step = ratios.min()
+            ties = ratios <= step + 1e-12
+            q = int(np.argmax(ties) if bland else np.argmax(np.where(ties, np.abs(alpha), 0.0)))
+            degenerate += step < 1e-10
+            pivots += 1
+            leaving = basis[r]
+            target = col_lo[leaving] if below[r] > 0 else col_hi[leaving]
+            delta = (val[leaving] - target) / alpha[q]
+            col = tab[:, q].copy()
+            val[basis] -= col * delta
+            val[q] += delta
+            val[leaving] = target
+            prow = tab[r] / alpha[q]
+            tab -= np.outer(col, prow)
+            tab[r] = prow
+            d -= d[q] * prow[:total]
+            d[q] = 0.0
+            basis[r] = q
+        counts.append(pivots)
+        if pivots is None:
+            break
+        refresh()
+    return counts, basis
+
+
+def _degenerate_program(rng):
+    """Boxed 0/1-style data whose rows mostly pass through one vertex, with
+    zero or unit costs: many ratio-test ties and dual-degenerate pivots."""
+    n = rng.randint(2, 5)
+    c = [rng.choice([-1, -1, 0, 1]) for _ in range(n)]
+    vertex = [rng.randint(0, 1) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(2, 9)):
+        coeffs = {j: rng.choice([-1, 1, 1, 2]) for j in range(n) if rng.random() < 0.7}
+        tight = sum(cv * vertex[j] for j, cv in coeffs.items())
+        rows.append((coeffs, "=" if rng.random() < 0.1 else "<=", tight + rng.choice([0, 0, 0, 1])))
+    return c, [0] * n, [1] * n, rows
+
+
+def test_pivots_match_the_full_tableau_reference():
+    """The compact tableau pivots exactly as the full one: same pivot count
+    per solve and the same final basis, row by row, on degenerate programs
+    whose rows arrive in batches, so column order drifts from variable order."""
+    rng = random.Random(707)
+    shuffled = 0
+    for _ in range(300):
+        c, lo, hi, rows = _degenerate_program(rng) if rng.random() < 0.7 else _tiny_program(rng)
+        if any(a > b for a, b in zip(lo, hi)):
+            continue
+        cuts = sorted(rng.sample(range(len(rows) + 1), min(2, len(rows) + 1)))
+        batches = [rows[:cuts[0]], rows[cuts[0]:cuts[-1]], rows[cuts[-1]:]]
+        counts, basis = _full_tableau_solves(c, lo, hi, batches)
+        lp = LinearProgram(c, lo, hi)
+        got = []
+        for batch in batches[:len(counts)]:
+            sol = lp.add_rows_and_resolve(batch)
+            got.append(sol.iterations if sol.optimal else None)
+        assert got == counts
+        if counts[-1] is not None:
+            assert list(lp.basis) == list(basis)
+            shuffled += any(lp.nonbasic[k] > lp.nonbasic[k + 1] for k in range(len(c) - 1))
+    assert shuffled >= 50  # column order no longer follows variable order
+
+
+def test_entering_ties_go_to_the_smallest_variable_id():
+    """Columns hold variables out of order. Among ratio ties the largest
+    |alpha| wins, then the smallest variable id; under Bland's rule any tie
+    goes to the smallest variable id."""
+    ids = np.array([7, 3, 9, 1, 5])
+    alpha = np.array([2.0, -2.0, 1.0, 0.5, 2.0])
+    ties = np.array([True, True, True, True, False])
+    assert _entering(ties, alpha, ids, bland=False) == 1      # |alpha| 2: ids 7, 3
+    assert _entering(ties, alpha, ids, bland=True) == 3       # id 1
+    one = np.array([False, False, True, False, False])
+    assert _entering(one, alpha, ids, bland=False) == _entering(one, alpha, ids, bland=True) == 2
+    equal = np.ones(5, dtype=bool)
+    assert _entering(equal, np.ones(5), ids, bland=False) == 3
+
+
+def test_drifted_tableau_is_refactorised_once():
+    """A tableau whose rhs drifted fails the residual check after the next
+    solve; the program rebuilds it from its rows and the basis and still
+    reaches the optimum of a cold build of the same rows."""
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(100):
+        c, lo, hi, rows = _degenerate_program(rng)
+        lp = _cold(c, lo, hi, rows)
+        if not lp.solve().optimal:
+            continue
+        lp.tab[:, -1] += 1e-4
+        extra = ({j: 1 for j in range(len(c))}, "<=", len(c) - 1)
+        sol = lp.add_rows_and_resolve([extra])
+        cold = _cold(c, lo, hi, rows + [extra]).solve()
+        assert sol.status == cold.status
+        if cold.optimal:
+            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+            assert lp.a @ sol.x[:len(c)] == pytest.approx(lp.b - lp.val[len(c):], abs=1e-9)
+            checked += 1
+    assert checked >= 40
+
+
+def test_refactorisation_gives_up_on_a_second_fault(monkeypatch):
+    lp = LinearProgram([-1, -1], [0, 0], [1, 1])
+    lp.add_row({0: 1, 1: 1}, "<=", 1.5)
+    lp.solve()
+    monkeypatch.setattr(LinearProgram, "_refactor", lambda self: None)
+    lp.tab[:, -1] += 1e-4
+    with pytest.raises(SolverError, match="row residual"):
+        lp.add_rows_and_resolve([({0: 1}, "<=", 0.8)])
 
 
 def test_affine_dimension_exact():
