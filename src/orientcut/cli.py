@@ -15,6 +15,7 @@ to all of its solves, so the limit bounds the whole command.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -338,7 +339,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="cross-check against brute-force enumeration (small instances)")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
+    """The argument parser, built on the first call and shared after it:
+    parsing reads it and never changes it."""
     parser = _Parser(prog="orientcut",
                      description="Exact acyclic orientation solving under path constraints")
     subs = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)

@@ -3,8 +3,9 @@
 Nodes carry their parent's last program, which a node copies with its forced
 arcs fixed and re-solves from the parent's basis; the program's rows are the
 node's row set, base rows and every cut of its lineage. Nothing writes the
-parent's program, so processing a node is a pure function of the node and
-the shared, read-only problem data.
+parent's program, so processing a node is a pure function of the node, the
+incumbent's objective when it is popped and the shared, read-only problem
+data.
 Every LP point, integral or fractional, goes through the same cut round. The
 round asks the window search for kappa-arc path rows and for cycle-z rows, the
 one template family the solver separates, and asks the cycle separator, one
@@ -17,13 +18,17 @@ accepts it at z = max(load, z_lower) and its load, the most selected arcs on
 one kappa-arc path, is at most the LP's z. Otherwise it has a directed cycle
 or an overloaded window, which the exact separators cut off, and its round
 must find a row: an integral point cannot branch, so its round ignores the
-round, tail and deadline limits. A node branches only when a fractional round
-finds no row.
+round, tail and deadline limits. After each LP solve and its candidate test,
+the node stops once its bound meets the incumbent's cutoff: it runs no
+further round and has no children, since every point below it would be no
+better than the incumbent. A node branches only when a fractional round finds
+no row.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
 incumbent or processes it, and pushes its children. Nothing in it is random
 and, apart from the deadline, nothing depends on timing, so identical inputs
-reproduce every report, which is part of the reporting contract.
+reproduce the incumbent at every pop and with it every report, which is part
+of the reporting contract.
 
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
@@ -123,7 +128,7 @@ class _Node:
 
 @dataclass
 class _NodeResult:
-    status: str  # "infeasible" | "candidate" | "branched"
+    status: str  # "infeasible" | "candidate" | "pruned" | "branched"
     bound: float
     history: List[float]
     cuts_by_tag: Dict[str, int]
@@ -194,9 +199,11 @@ def _integral_point(d: BidirectedDigraph, cfg: ModelConfig,
     return ModelPoint(w, float(max(load, int(round(cfg.z_lower))))), load
 
 
-def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
-    """Cut loop on one node. Pure in ctx and node apart from the deadline,
-    which ends the separation rounds early; never reads the incumbent."""
+def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
+    """Cut loop on one node. Pure in its arguments apart from the deadline,
+    which ends the separation rounds early. An LP point that is not a
+    candidate and whose bound meets the cutoff of `incumbent`, the best
+    objective so far, prunes the node: no further round and no children."""
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
@@ -221,7 +228,9 @@ def _process_node(ctx: _Context, node: _Node) -> _NodeResult:
             if load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0]:
                 return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
                                    candidate=point)
-        else:
+        if _prunable(bound, incumbent, ctx.objective.is_integral):
+            return _NodeResult("pruned", bound, history, cuts_by_tag, iterations)
+        if not integral:
             rounds += 1
             if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
                 tail += 1
@@ -334,7 +343,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         if _prunable(bound, incumbent_obj, integral_obj):
             pruned_count += 1
             continue
-        res = _process_node(ctx, node)
+        res = _process_node(ctx, node, incumbent_obj)
         node_count += 1
         lp_iters += res.lp_iterations
         for tag, cnt in res.cuts_by_tag.items():
@@ -345,11 +354,12 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             if feasibility_stop:
                 stopped_early = True
                 break
+        elif res.status == "pruned":
+            pruned_count += 1
         elif res.status == "branched":
+            # no child needs a cutoff test: the cut loop found this bound
+            # short of the cutoff, and the incumbent has not moved since
             for child in res.children:
-                if _prunable(res.bound, incumbent_obj, integral_obj):
-                    pruned_count += 1
-                    continue
                 seq += 1
                 heapq.heappush(heap, (res.bound, -seq, child))
 

@@ -47,10 +47,12 @@ def _myciel3():
 
 
 def _separating_solves():
-    """An AO solve, an AS solve and a soft FAP solve that all run cut rounds."""
+    """An AO solve, an AS solve and a soft FAP solve that all run cut rounds
+    and reach the cycle separator. Petersen at kappa 3 does not: its root
+    meets the DSATUR cutoff before any cycle round."""
     inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
-    return (lambda: solve_ao(petersen_graph(), 3),
+    return (lambda: solve_ao(petersen_graph(), 5),
             lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
             lambda: solve_soft_cost(inst))
 
@@ -110,9 +112,9 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
         rounds.append(args)
         return separate(*args)
 
-    def counted(ctx, node):
+    def counted(ctx, node, incumbent):
         before = len(rounds)
-        res = process(ctx, node)
+        res = process(ctx, node, incumbent)
         per_node.append(len(rounds) - before)
         return res
 
@@ -134,6 +136,71 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
     history = rep.root_bound_history
     assert history == free.root_bound_history[:len(history)]
     assert math.isfinite(rep.bound) and rep.bound == history[-1] < free.objective
+
+
+def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
+    """A node that stops at the incumbent's cutoff only skips work whose result
+    the search would throw away: every solve visits the same nodes and gives
+    the same answer as with no cutoff, in no more LP solves."""
+    process, solve, lp_solve = solver._process_node, solver.solve_model, LinearProgram.solve
+    reports, solves = [], [0]
+
+    def report_spy(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        reports.append((rep.status, rep.objective, rep.best_point, rep.node_count))
+        return rep
+
+    def solve_spy(lp):
+        solves[0] += 1
+        return lp_solve(lp)
+
+    def run(call, cutoff):
+        monkeypatch.setattr(solver, "_process_node", process if cutoff else
+                            lambda ctx, node, incumbent: process(ctx, node, math.inf))
+        reports.clear()
+        solves[0] = 0
+        call()
+        return list(reports), solves[0]
+
+    for module in (solver, fap):
+        monkeypatch.setattr(module, "solve_model", report_spy)
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    calls = [((name, kappa, variant), lambda g=g, cfg=ModelConfig(kappa=kappa, variant=variant):
+              solver.solve_model(g, cfg, use_symmetry=cfg.variant == AO))
+             for name, g, _ in BATTERY for kappa in (1, 2, 3) for variant in (AO, AS)]
+    calls += [("myciel3", lambda: solve_ao(_myciel3(), 3)),
+              ("soft fap", lambda: solve_soft_cost(inst)),
+              ("petersen", lambda: solve_ao(petersen_graph(), 3))]
+    for label, call in calls:
+        got, fewer = run(call, True)
+        want, more = run(call, False)
+        assert got and got == want, label
+        assert fewer <= more, label
+    # the last call, Petersen at kappa 3, prunes its root inside the cut loop
+    assert fewer < more
+
+
+def test_node_at_the_cutoff_is_pruned_without_a_round(monkeypatch):
+    """A node whose first bound meets the cutoff separates nothing and has no
+    children; with no incumbent the same node goes on to separate."""
+    class Separated(Exception):
+        pass
+
+    def refuse(*args):
+        raise Separated
+
+    ctx = solver._Context(BidirectedDigraph(petersen_graph()),
+                          ModelConfig(kappa=3, variant=AO), solver.Objective(), (), None)
+    node = solver._Node(((0, 1), (1, 0)), ctx.base_lp)
+    first = ctx.base_lp.branch(node.forced).solve().objective
+    for name in ("separate_paths", "separate_templates", "separate_cycles"):
+        monkeypatch.setattr(solver, name, refuse)
+    res = solver._process_node(ctx, node, math.ceil(first))
+    assert res.status == "pruned" and res.children == () and res.history == [first]
+    with pytest.raises(Separated):
+        solver._process_node(ctx, node, math.inf)
 
 
 def test_drivers_take_no_open_keywords():
@@ -235,8 +302,8 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     seen = []
     process = solver._process_node
 
-    def spy(ctx, node):
-        res = process(ctx, node)
+    def spy(ctx, node, incumbent):
+        res = process(ctx, node, incumbent)
         seen.extend((ctx.d, n) for n in (node,) + res.children)
         return res
 
