@@ -14,13 +14,12 @@ orientation where leaving a unit-separation edge unoriented costs its
 violation penalty).
 
 Per-link frequency availability sets have no native variables in the model.
-Each solved orientation instead gets the least labeling compatible with the
-sets; when none exists the orientation is cut off with a no-good row and the
-solve repeats, up to a fixed number of rejections.
+The one search of a fixed-spectrum probe cuts off, with a no-good row, each
+orientation it finds that has no labeling compatible with the sets.
 
 Each entry point takes one `deadline`, a `time.monotonic()` reading, and
-hands it to every solve it makes, so a spectrum search or a no-good loop
-stops when a single solve would.
+hands it to every solve it makes, so a spectrum search stops when a single
+solve would.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .model import AO, AS, LinearRow, ModelConfig, row_edge_pair
 from .solver import Objective, SolveReport, solve_model
 
 MAX_SEPARATION = 3
-NO_GOOD_LIMIT = 100
 BRUTE_MAX_LINKS = 4
 BRUTE_MAX_FREQ = 6
 
@@ -314,13 +312,13 @@ def solve_fixed_spectrum(inst: FapInstance, *,
                          deadline: Optional[float] = None) -> FrequencyAssignment:
     """Feasibility at the instance's fixed spectrum, hard separations only.
 
-    Full orientation of the expanded graph with the load bound pinned to the
-    spectrum; the first acyclic orientation of diameter at most the spectrum
-    yields the frequencies through the least admissible labeling. Raises
-    InfeasibleError (carrying the final bound as `.bound`) when no assignment
-    exists, and UnsupportedInstanceError when availability sets keep
-    rejecting orientations past the retry limit. Every solve of the no-good
-    loop shares `deadline`; a solve that reaches it raises TimeLimitError.
+    One search over full orientations of the expanded graph with the load
+    bound pinned to the spectrum; it accepts the first acyclic orientation of
+    diameter at most the spectrum that has a least admissible labeling, and
+    that labeling gives the frequencies. Orientations the availability sets
+    reject are cut off inside the search, with no limit on their number.
+    Raises InfeasibleError (carrying the final bound as `.bound`) when no
+    assignment exists, and TimeLimitError when the solve reaches `deadline`.
     """
     phi = inst.spectrum
     if phi is None:
@@ -329,28 +327,16 @@ def solve_fixed_spectrum(inst: FapInstance, *,
         raise UnsupportedInstanceError("instance carries violation costs; use the soft solve")
     exp = expand_gadgets(inst)
     cfg = ModelConfig(kappa=phi + 1, variant=AO, z_fixed=float(phi))
-    extra = list(exp.side_rows)
-    for _ in range(NO_GOOD_LIMIT):
-        rep = solve_model(exp.graph, cfg, extra_rows=extra, feasibility_stop=True,
-                          use_symmetry=False, deadline=deadline)
-        if reports is not None:
-            reports.append(rep)
-        _check_solver_status(rep, phi)
-        arcs = rep.best_point.arc_set()
-        lifted = _lifted_labels(inst, exp, arcs, phi)
-        if lifted is not None:
-            out = FrequencyAssignment(tuple(lifted[: inst.links]), frozenset(), 0.0)
-            out.verify(inst)
-            return out
-        if not arcs:
-            # The empty orientation is the only one, and it just failed.
-            err = InfeasibleError(f"no assignment fits spectrum {phi}")
-            err.bound = float("inf")
-            raise err
-        extra.append(LinearRow({a: 1.0 for a in sorted(arcs)}, 0.0,
-                               float(len(arcs) - 1), "<=", "no-good"))
-    raise UnsupportedInstanceError(
-        f"availability sets rejected {NO_GOOD_LIMIT} orientations; giving up")
+    rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows,
+                      admissible=lambda arcs: _lifted_labels(inst, exp, arcs, phi) is not None,
+                      deadline=deadline)
+    if reports is not None:
+        reports.append(rep)
+    _check_solver_status(rep, phi)
+    lifted = _lifted_labels(inst, exp, rep.best_point.arc_set(), phi)
+    out = FrequencyAssignment(tuple(lifted[: inst.links]), frozenset(), 0.0)
+    out.verify(inst)
+    return out
 
 
 def greedy_assignment(inst: FapInstance) -> Optional[List[int]]:

@@ -14,15 +14,18 @@ returns only rows violated by more than 1e-6 at the LP optimum, where every row
 of the program holds to within 1e-7, and no two families share a row, so a
 round appends each row it finds and never one the program already has.
 An integral point is the node's candidate when `check_integral_feasible`
-accepts it at z = max(load, z_lower) and its load, the most selected arcs on
-one kappa-arc path, is at most the LP's z. Otherwise it has a directed cycle
-or an overloaded window, which the exact separators cut off, and its round
-must find a row: an integral point cannot branch, so its round ignores the
-round, tail and deadline limits. After each LP solve and its candidate test,
-the node stops once its bound meets the incumbent's cutoff: it runs no
-further round and has no children, since every point below it would be no
-better than the incumbent. A node branches only when a fractional round finds
-no row.
+accepts it at z = max(load, z_lower), its load, the most selected arcs on one
+kappa-arc path, is at most the LP's z, and the solve's `admissible` test, if
+any, accepts its arc set. A point refused by that test alone gets the no-good
+row sum_{a in arcs} w_a <= |arcs| - 1 as its round; in the orientation model,
+the only one the test is for, every point selects m arcs, so the row removes
+that one orientation. Any other integral point that is no candidate has a
+directed cycle or an overloaded window, which the exact separators cut off;
+it cannot branch, so its round must find a row and ignores the round and
+tail limits. After each LP solve and its candidate test, the node stops once
+its bound meets the incumbent's cutoff: it runs no further round and has no
+children, since every point below it would be no better than the incumbent.
+A node branches only when a fractional round finds no row.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
 incumbent or processes it, and pushes its children. Nothing in it is random
@@ -33,9 +36,10 @@ of the reporting contract.
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
 search checks it before each node, and a node's cut loop checks it before
-each fractional separation round: past it, the node stops separating and
-branches, so the search stops after that node and reports `timeout` with the
-best bound among its open nodes. A round at an integral point always runs.
+each round: past it, a node at a fractional point stops separating and
+branches, and a node at an integral point that is no candidate goes back onto
+the heap with its current program. Either way the search stops at the next
+pop and reports `timeout` with the best bound among its open nodes.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -141,12 +145,14 @@ class _Context:
     """Shared, read-only problem data for node processing."""
 
     def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
-                 extra_rows: Sequence[LinearRow], deadline: Optional[float]):
+                 extra_rows: Sequence[LinearRow], deadline: Optional[float],
+                 admissible: Optional[Callable[[frozenset], bool]] = None):
         self.g = d.graph
         self.cfg = cfg
         self.d = d
         self.objective = objective
         self.deadline = deadline
+        self.admissible = admissible
         m = d.graph.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
@@ -203,7 +209,9 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     """Cut loop on one node. Pure in its arguments apart from the deadline,
     which ends the separation rounds early. An LP point that is not a
     candidate and whose bound meets the cutoff of `incumbent`, the best
-    objective so far, prunes the node: no further round and no children."""
+    objective so far, prunes the node: no further round and no children. Past
+    the deadline, an integral point that is no candidate makes the node, with
+    its current program, its own one child."""
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
@@ -223,21 +231,28 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         w = sol.x[:2 * m]
         z = sol.x[2 * m]
         integral = bool(np.all(np.minimum(w, 1.0 - w) < INT_TOL))
+        fresh = []
         if integral:
-            point, load = _integral_point(d, cfg, {a for a in range(2 * m) if w[a] > 0.5})
+            arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
+            point, load = _integral_point(d, cfg, arcs)
             if load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0]:
-                return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
-                                   candidate=point)
+                if ctx.admissible is None or ctx.admissible(arcs):
+                    return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
+                                       candidate=point)
+                fresh = [LinearRow(dict.fromkeys(arcs, 1.0), 0, len(arcs) - 1, "<=", "no-good")]
         if _prunable(bound, incumbent, ctx.objective.is_integral):
             return _NodeResult("pruned", bound, history, cuts_by_tag, iterations)
+        if integral and ctx.expired():
+            return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
+                               children=(_Node(node.forced, lp),))
         if not integral:
             rounds += 1
             if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
                 tail += 1
             else:
                 tail = 0
-        fresh = []
-        if integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS and not ctx.expired():
+        if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS
+                          and not ctx.expired()):
             fresh = (separate_paths(d, w, z, cfg.kappa) + separate_templates(d, w, z, cfg.kappa)
                      or separate_cycles(d, w))
         if not fresh:
@@ -263,24 +278,30 @@ def _prunable(bound: float, incumbent: float, integral_objective: bool) -> bool:
 def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
-                feasibility_stop: bool = False,
+                admissible: Optional[Callable[[frozenset], bool]] = None,
                 use_symmetry: bool = False,
                 deadline: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
-    `extra_rows` are hard constraints. `use_symmetry` pre-orients the first
-    edge and is only sound when rows and objective are reversal invariant.
-    `feasibility_stop` returns the first incumbent found. Past `deadline`
-    (a `time.monotonic()` reading) the search stops with status `timeout`.
+    `extra_rows` are hard constraints. `admissible` (orientation model only)
+    tests a point's arc set: the start point and every node candidate must
+    pass it, and a refused candidate's orientation is cut off by a no-good
+    row, after which its node re-solves. `use_symmetry` pre-orients the first
+    edge and is only sound when rows, objective and `admissible` are reversal
+    invariant. Past `deadline` (a `time.monotonic()` reading) the search
+    stops with status `timeout`.
     """
+    if admissible is not None and cfg.variant != AO:
+        raise InputError("an admissibility test needs the orientation model")
     m = g.m
     d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
     integral_obj = obj.is_integral
 
     if m == 0:
-        z0 = cfg.z_lower
-        point = ModelPoint((), float(z0))
+        if admissible is not None and not admissible(frozenset()):
+            return SolveReport("infeasible", None, None, math.inf, 0, 0, {}, [], 0)
+        point = ModelPoint((), float(cfg.z_lower))
         val = obj.value(point)
         return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
 
@@ -301,13 +322,14 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     arcs = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges]).arcs()
     greedy_point, _ = _integral_point(d, cfg, arcs)
     if check_integral_feasible(d, cfg, greedy_point)[0] and \
-            all(r.satisfied(greedy_point.w, greedy_point.z, tol=1e-7) for r in extra_rows):
+            all(r.satisfied(greedy_point.w, greedy_point.z, tol=1e-7) for r in extra_rows) \
+            and (admissible is None or admissible(arcs)):
         offer(greedy_point)
 
     # A clique on kappa + 1 vertices forces a fully loaded window in every
     # orientation, so the plain-z orientation objective cannot beat kappa.
-    if cfg.variant == AO and not extra_rows and cfg.z_fixed is None and \
-            obj.z_coeff == 1.0 and not obj.w_coeffs and not obj.const and \
+    if cfg.variant == AO and not extra_rows and admissible is None and cfg.z_fixed is None \
+            and obj.z_coeff == 1.0 and not obj.w_coeffs and not obj.const and \
             len(greedy_clique(g)) - 1 >= cfg.kappa:
         point = ModelPoint(greedy_point.w, float(cfg.kappa))
         ok, witness = check_integral_feasible(d, cfg, point)
@@ -316,13 +338,10 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         val = obj.value(point)
         return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
 
-    if feasibility_stop and best is not None:
-        return SolveReport("optimal", best, incumbent_obj, incumbent_obj, 0, 0, {}, [], 0)
-
     forced: Dict[int, int] = {}
     if use_symmetry:
         forced = {0: 1, 1: 0}
-    ctx = _Context(d, cfg, obj, extra_rows, deadline)
+    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible)
     root = _Node(tuple(sorted(forced.items())), ctx.base_lp)
 
     seq = 0
@@ -332,13 +351,12 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     cut_counts: Dict[str, int] = {}
     histories: List[List[float]] = []
     lp_iters = 0
-    status = "optimal"
-    stopped_early = False
 
     while heap:
         if ctx.expired():
-            status = "timeout"
-            break
+            bound = min([b for b, _, _ in heap] + [incumbent_obj])
+            return SolveReport("timeout", best, None if best is None else incumbent_obj,
+                               bound, node_count, pruned_count, cut_counts, histories, lp_iters)
         bound, _, node = heapq.heappop(heap)
         if _prunable(bound, incumbent_obj, integral_obj):
             pruned_count += 1
@@ -351,9 +369,6 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         histories.append(res.history)
         if res.status == "candidate":
             offer(res.candidate)
-            if feasibility_stop:
-                stopped_early = True
-                break
         elif res.status == "pruned":
             pruned_count += 1
         elif res.status == "branched":
@@ -363,11 +378,6 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 seq += 1
                 heapq.heappush(heap, (res.bound, -seq, child))
 
-    if status == "timeout" or stopped_early:
-        open_bounds = [b for b, _, _ in heap]
-        bound = min(open_bounds + [incumbent_obj])
-        return SolveReport(status, best, None if best is None else incumbent_obj,
-                           bound, node_count, pruned_count, cut_counts, histories, lp_iters)
     if best is None:
         return SolveReport("infeasible", None, None, math.inf, node_count, pruned_count,
                            cut_counts, histories, lp_iters)

@@ -122,12 +122,25 @@ def test_fixed_spectrum_d2_edge():
 
 def test_fixed_spectrum_respects_menus():
     inst = _inst(2, [(0, 1, 2)], spectrum=3, freq_sets=[[1], [3]])
-    fa = solve_fixed_spectrum(inst)
+    reports = []
+    fa = solve_fixed_spectrum(inst, reports=reports)
     assert sorted(fa.freq) == [1, 3]
-    # both menus stuck at the same value: provably infeasible, not a retry abort
+    # one search: the chain oriented from link 1 to link 0 is refused inside
+    # it with a no-good row
+    assert len(reports) == 1 and reports[0].cut_counts["no-good"] == 1
+    # both menus stuck at the same value: provably infeasible
     stuck = _inst(2, [(0, 1, 2)], spectrum=3, freq_sets=[[0, 1], [0, 1]])
     with pytest.raises(InfeasibleError):
         solve_fixed_spectrum(stuck)
+
+
+def test_fixed_spectrum_edgeless_menu_outside_spectrum():
+    # no pair, so the expansion has no edge; the one empty orientation is
+    # refused because link 0's only frequency lies above the spectrum
+    inst = FapInstance(2, [frozenset({5}), None], [], 3)
+    with pytest.raises(InfeasibleError) as err:
+        solve_fixed_spectrum(inst)
+    assert err.value.bound == float("inf")
 
 
 def test_min_spectrum_examples():

@@ -138,6 +138,61 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
     assert math.isfinite(rep.bound) and rep.bound == history[-1] < free.objective
 
 
+def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
+    """Past the deadline, an integral point that is no candidate sends its
+    node back onto the heap: no separator runs, and the search reports the
+    node's bound among its open bounds."""
+    separated = []
+    solved = []
+    lp_solve = LinearProgram.solve
+
+    def refuse(*args):
+        separated.append(args)
+        return []
+
+    def solve_spy(lp):
+        solved.append(lp)
+        return lp_solve(lp)
+
+    for name in ("separate_paths", "separate_templates", "separate_cycles"):
+        monkeypatch.setattr(solver, name, refuse)
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    # the clock passes the deadline right after the root's first LP solve,
+    # whose point is integral and has an overloaded window
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(monotonic=lambda: 1.0 if solved else 0.0))
+    rep = solve_ao(_myciel3(), 3, deadline=0.5)
+    assert separated == [] and len(solved) == 1
+    assert rep.status == "timeout" and rep.node_count == 1
+    assert rep.root_bound_history == [rep.bound] and math.isfinite(rep.bound)
+
+
+def test_deadline_after_a_refusal_ends_the_search(monkeypatch):
+    """An admissibility test that refuses everything keeps a node at integral
+    points; once the deadline passes after its first refusal inside a node,
+    the search stops with `timeout`."""
+    refusals = []
+    inside = []
+    process = solver._process_node
+
+    def counted(ctx, node, incumbent):
+        inside.append(node)
+        return process(ctx, node, incumbent)
+
+    def refuse(arcs):
+        if inside:
+            refusals.append(arcs)
+        return False
+
+    monkeypatch.setattr(solver, "_process_node", counted)
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(monotonic=lambda: 1.0 if refusals else 0.0))
+    rep = solve_model(complete_graph(3), ModelConfig(kappa=1, variant=AO),
+                      admissible=refuse, deadline=0.5)
+    assert len(refusals) == 1
+    assert rep.status == "timeout" and rep.best_point is None and math.isfinite(rep.bound)
+
+
 def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
     """A node that stops at the incumbent's cutoff only skips work whose result
     the search would throw away: every solve visits the same nodes and gives
@@ -217,13 +272,29 @@ def test_drivers_take_no_open_keywords():
         solve_ao(g, 2, use_symmetry=False)
 
 
-def test_feasibility_stop_returns_valid_point():
-    g = complete_graph(4)
-    rep = solve_model(g, ModelConfig(kappa=3, variant=AO), feasibility_stop=True,
-                      use_symmetry=True)
-    assert rep.status == "optimal" and rep.best_point is not None
-    ok, _ = check_integral_feasible(BidirectedDigraph(g), ModelConfig(kappa=3, variant=AO), rep.best_point)
-    assert ok
+def test_admissible_refusals_become_no_good_rows():
+    """A refused orientation never comes back, and the search still finds the
+    best one the test accepts; refusing every orientation proves infeasibility."""
+    no_goods = 0
+    for name, g, _ in BATTERY:
+        for kappa in (1, 2, 3):
+            cfg = ModelConfig(kappa=kappa, variant=AO)
+            ref, best = brute_force_optimum(g, cfg)
+            refused = best.arc_set()
+            rep = solve_model(g, cfg, admissible=lambda arcs: arcs != refused)
+            assert rep.status == "optimal", (name, kappa)
+            assert rep.best_point.arc_set() != refused, (name, kappa)
+            assert rep.objective >= ref - 1e-9, (name, kappa)
+            assert check_integral_feasible(BidirectedDigraph(g), cfg, rep.best_point)[0]
+            no_goods += rep.cut_counts.get("no-good", 0)
+            none = solve_model(g, cfg, admissible=lambda arcs: False)
+            assert none.status == "infeasible" and none.best_point is None, (name, kappa)
+            assert none.bound == math.inf
+    # some searches met the refused orientation inside a node
+    assert no_goods > 0
+    with pytest.raises(InputError):
+        solve_model(complete_graph(3), ModelConfig(kappa=2, variant=AS),
+                    admissible=lambda arcs: True)
 
 
 def test_extra_rows_cut_off_solutions():
