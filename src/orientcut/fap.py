@@ -13,9 +13,10 @@ search over feasibility probes), and soft-cost optimization (partial
 orientation where leaving a unit-separation edge unoriented costs its
 violation penalty).
 
-Per-link frequency availability sets have no native variables in the model.
-The one search of a fixed-spectrum probe cuts off, with a no-good row, each
-orientation it finds that has no labeling compatible with the sets.
+Per-link frequency availability sets have no native variables in the model;
+they alone bring an admissibility test, by which the one search of a
+fixed-spectrum probe cuts off, with a no-good row, each orientation it finds
+that has no labeling compatible with the sets.
 
 Each entry point takes one `deadline`, a `time.monotonic()` reading, and
 hands it to every solve it makes, so a spectrum search stops when a single
@@ -24,6 +25,7 @@ solve would.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import sys
 from dataclasses import dataclass
@@ -45,6 +47,7 @@ from .solver import Objective, SolveReport, solve_model
 MAX_SEPARATION = 3
 BRUTE_MAX_LINKS = 4
 BRUTE_MAX_FREQ = 6
+CLIQUE_SPAN_LINKS = 7  # clique links whose orderings `_clique_span_bound` tries
 
 
 def _plain_int(v) -> bool:
@@ -161,12 +164,8 @@ class FapInstance:
         return cls(links, freq_sets, pairs, spectrum)
 
     def with_spectrum(self, spectrum: Optional[int]) -> "FapInstance":
-        inst = FapInstance.__new__(FapInstance)
-        inst.links = self.links
-        inst.freq_sets = self.freq_sets
-        inst.pairs = self.pairs
+        inst = copy.copy(self)
         inst.spectrum = spectrum
-        inst._sep = self._sep
         return inst
 
     @property
@@ -315,8 +314,10 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     One search over full orientations of the expanded graph with the load
     bound pinned to the spectrum; it accepts the first acyclic orientation of
     diameter at most the spectrum that has a least admissible labeling, and
-    that labeling gives the frequencies. Orientations the availability sets
-    reject are cut off inside the search, with no limit on their number.
+    that labeling gives the frequencies. Only availability sets bring an
+    admissibility test (without them the least labeling is the longest-path
+    one, which always fits), and the orientations they reject are cut off
+    inside the search, with no limit on their number.
     Raises InfeasibleError (carrying the final bound as `.bound`) when no
     assignment exists, and TimeLimitError when the solve reaches `deadline`.
     """
@@ -327,9 +328,10 @@ def solve_fixed_spectrum(inst: FapInstance, *,
         raise UnsupportedInstanceError("instance carries violation costs; use the soft solve")
     exp = expand_gadgets(inst)
     cfg = ModelConfig(kappa=phi + 1, variant=AO, z_fixed=float(phi))
-    rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows,
-                      admissible=lambda arcs: _lifted_labels(inst, exp, arcs, phi) is not None,
-                      deadline=deadline)
+    menus = any(fs is not None for fs in inst.freq_sets)
+    rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows, deadline=deadline,
+                      admissible=(lambda arcs: _lifted_labels(inst, exp, arcs, phi) is not None)
+                      if menus else None)
     if reports is not None:
         reports.append(rep)
     _check_solver_status(rep, phi)
@@ -366,7 +368,7 @@ def greedy_assignment(inst: FapInstance) -> Optional[List[int]]:
     return [freq[i] for i in range(inst.links)]
 
 
-def _clique_span_bound(inst: FapInstance, cap: int = 7) -> int:
+def _clique_span_bound(inst: FapInstance) -> int:
     """Spectrum lower bound from one clique of mutually conflicting links.
 
     Links of a conflict clique occupy distinct frequencies, and sorting them
@@ -374,7 +376,7 @@ def _clique_span_bound(inst: FapInstance, cap: int = 7) -> int:
     cheapest ordering of the clique therefore bounds the span from below.
     """
     conflict = UndirectedGraph(inst.links, [(p.i, p.j) for p in inst.conflict_pairs()])
-    clique = greedy_clique(conflict)[:cap]
+    clique = greedy_clique(conflict)[:CLIQUE_SPAN_LINKS]
     if len(clique) < 2:
         return 0
     best = None
@@ -466,7 +468,7 @@ def solve_soft_cost(inst: FapInstance, *,
                           const=sum(p.c for p in soft))
     cfg = ModelConfig(kappa=phi + 1, variant=AS, z_fixed=float(phi))
     rep = solve_model(exp.graph, cfg, objective=objective, extra_rows=extra,
-                      use_symmetry=False, deadline=deadline)
+                      deadline=deadline)
     if reports is not None:
         reports.append(rep)
     _check_solver_status(rep, phi)

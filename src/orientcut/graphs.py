@@ -135,9 +135,6 @@ class BidirectedDigraph:
     def edge_of(self, a: int) -> int:
         return a >> 1
 
-    def endpoints(self, a: int) -> Tuple[int, int]:
-        return self.tails[a], self.heads[a]
-
     def check_arcs(self, arcs: Iterable[int]) -> frozenset:
         s = frozenset(arcs)
         for a in s:

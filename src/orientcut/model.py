@@ -79,8 +79,8 @@ class ModelPoint:
     w: Tuple[float, ...]
     z: float
 
-    def is_integral(self, tol: float = INT_TOL) -> bool:
-        return all(abs(v - round(v)) <= tol for v in self.w)
+    def is_integral(self) -> bool:
+        return all(abs(v - round(v)) <= INT_TOL for v in self.w)
 
     def arc_set(self) -> frozenset:
         return frozenset(a for a, v in enumerate(self.w) if v > 0.5)

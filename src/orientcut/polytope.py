@@ -61,8 +61,7 @@ def _selection_scan(d: BidirectedDigraph, cfg: ModelConfig) -> Iterator[Tuple[Tu
         yield w, mask, load
 
 
-def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig,
-                              max_edges: int = MAX_LAB_EDGES) -> List[ModelPoint]:
+def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[ModelPoint]:
     """All feasible integral points, with z swept over its integer levels.
 
     For each acyclic selection, z ranges over the integers from the maximum
@@ -70,8 +69,8 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig,
     combinations of the endpoints, so affine hulls computed from these points
     coincide with those of the full continuous-z solution set.
     """
-    if g.m > max_edges:
-        raise SizeRefusalError(f"point enumeration capped at {max_edges} edges, got {g.m}")
+    if g.m > MAX_LAB_EDGES:
+        raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
     d = BidirectedDigraph(g)
     z_lo = int(round(cfg.z_lower))
     z_up = int(round(cfg.z_upper))

@@ -65,8 +65,7 @@ def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int):
     return dist, pred
 
 
-def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
-                    cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
+def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]:
     """Directed cycles whose arcs sum above |C| - 1 at w, most violated first.
 
     Under lengths 1 - w a cycle is violated when its length is below
@@ -107,7 +106,7 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float],
         viol = row.violation(w, 0.0)
         if viol > VIOLATION_TOL:
             found[canon] = (viol, row)
-    return _top_rows(found, cap)
+    return _top_rows(found, MAX_CUTS_PER_CLASS)
 
 
 def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
@@ -180,18 +179,21 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     return [window for _, _, window in sorted(held, reverse=True)]
 
 
-def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                   cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
-    """The `cap` kappa-arc path rows most violated at (w, z), most violated
-    first: exact, by the window search over open windows."""
-    return [row_path(d, p, kappa) for p in _violated_windows(d, w, z, kappa, False, cap)]
+def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float,
+                   kappa: int) -> List[LinearRow]:
+    """The MAX_CUTS_PER_CLASS kappa-arc path rows most violated at (w, z), most
+    violated first: exact, by the window search over open windows."""
+    return [row_path(d, p, kappa)
+            for p in _violated_windows(d, w, z, kappa, False, MAX_CUTS_PER_CLASS)]
 
 
-def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                       cap: int = MAX_CUTS_PER_CLASS) -> List[LinearRow]:
-    """The `cap` cycle-z rows most violated at (w, z), most violated first:
-    exact, by the window search over closed windows of kappa + 1 arcs."""
-    return [row_cycle_z(d, c, kappa) for c in _violated_windows(d, w, z, kappa, True, cap)]
+def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float,
+                       kappa: int) -> List[LinearRow]:
+    """The MAX_CUTS_PER_CLASS cycle-z rows most violated at (w, z), most
+    violated first: exact, by the window search over closed windows of
+    kappa + 1 arcs."""
+    return [row_cycle_z(d, c, kappa)
+            for c in _violated_windows(d, w, z, kappa, True, MAX_CUTS_PER_CLASS)]
 
 
 # ---------------------------------------------------------------------------

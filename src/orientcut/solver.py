@@ -9,22 +9,24 @@ data.
 Every LP point, integral or fractional, goes through the same cut round. The
 round asks the window search for kappa-arc path rows and for cycle-z rows, the
 one template family the solver separates, and asks the cycle separator, one
-Dijkstra search per vertex, only when both return nothing. Each separator
-returns only rows violated by more than 1e-6 at the LP optimum, where every row
-of the program holds to within 1e-7, and no two families share a row, so a
-round appends each row it finds and never one the program already has.
-An integral point is the node's candidate when `check_integral_feasible`
-accepts it at z = max(load, z_lower), its load, the most selected arcs on one
-kappa-arc path, is at most the LP's z, and the solve's `admissible` test, if
-any, accepts its arc set. A point refused by that test alone gets the no-good
-row sum_{a in arcs} w_a <= |arcs| - 1 as its round; in the orientation model,
-the only one the test is for, every point selects m arcs, so the row removes
-that one orientation. Any other integral point that is no candidate has a
-directed cycle or an overloaded window, which the exact separators cut off;
-it cannot branch, so its round must find a row and ignores the round and
-tail limits. After each LP solve and its candidate test, the node stops once
-its bound meets the incumbent's cutoff: it runs no further round and has no
-children, since every point below it would be no better than the incumbent.
+Dijkstra search per vertex, only at an integral point where both return
+nothing. Each separator returns only rows violated by more than 1e-6 at the LP
+optimum, where every row of the program holds to within 1e-7, and no two
+families share a row, so a round appends each row it finds and never one the
+program already has.
+An integral point is the node's candidate, at z = max(load, z_lower), when its
+load, the most selected arcs on one kappa-arc path, is at most the LP's z, its
+arcs close no directed cycle (the LP point holds bounds and pair rows already)
+and the solve's `admissible` test, if any, accepts its arc set. A point refused
+by that test alone gets the no-good row sum_{a in arcs} w_a <= |arcs| - 1 as
+its round; in the orientation model, the only one the test is for, every point
+selects m arcs, so the row removes that one orientation. Any other integral
+point that is no candidate has a directed cycle or an overloaded window, which
+the exact separators cut off; it cannot branch, so its round must find a row
+and ignores the round and tail limits. After each LP solve and its candidate
+test, the node stops once its bound meets the incumbent's cutoff: it runs no
+further round and has no children, since every point below it would be no
+better than the incumbent.
 A node branches only when a fractional round finds no row.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
@@ -202,7 +204,7 @@ def _integral_point(d: BidirectedDigraph, cfg: ModelConfig,
     load: the most arcs of `arcs` on one kappa-arc path."""
     load, _ = max_path_load(d, arcs, cfg.kappa)
     w = tuple(1.0 if a in arcs else 0.0 for a in range(d.num_arcs))
-    return ModelPoint(w, float(max(load, int(round(cfg.z_lower))))), load
+    return ModelPoint(w, max(float(load), cfg.z_lower)), load
 
 
 def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
@@ -235,7 +237,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         if integral:
             arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
             point, load = _integral_point(d, cfg, arcs)
-            if load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0]:
+            if load <= z + INT_TOL and find_directed_cycle(d, arcs) is None:
                 if ctx.admissible is None or ctx.admissible(arcs):
                     return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
                                        candidate=point)
@@ -254,7 +256,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS
                           and not ctx.expired()):
             fresh = (separate_paths(d, w, z, cfg.kappa) + separate_templates(d, w, z, cfg.kappa)
-                     or separate_cycles(d, w))
+                     or (separate_cycles(d, w) if integral else []))
         if not fresh:
             if integral:
                 raise SolverError("no cut separates an infeasible integral point")
@@ -279,17 +281,19 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
                 admissible: Optional[Callable[[frozenset], bool]] = None,
-                use_symmetry: bool = False,
                 deadline: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
     `extra_rows` are hard constraints. `admissible` (orientation model only)
     tests a point's arc set: the start point and every node candidate must
     pass it, and a refused candidate's orientation is cut off by a no-good
-    row, after which its node re-solves. `use_symmetry` pre-orients the first
-    edge and is only sound when rows, objective and `admissible` are reversal
-    invariant. Past `deadline` (a `time.monotonic()` reading) the search
-    stops with status `timeout`.
+    row, after which its node re-solves. Past `deadline` (a `time.monotonic()`
+    reading) the search stops with status `timeout`.
+    Reversing every arc maps the pair, cycle and path rows onto themselves, so
+    the search fixes arc 0 on and arc 1 off, halving itself, when all else is
+    reversal invariant too: the orientation model, no `admissible`, equal
+    costs on a and a ^ 1, and `extra_rows` whose keys, arcs mapped a -> a ^ 1,
+    are again keys of extra rows.
     """
     if admissible is not None and cfg.variant != AO:
         raise InputError("an admissibility test needs the orientation model")
@@ -338,11 +342,12 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         val = obj.value(point)
         return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
 
-    forced: Dict[int, int] = {}
-    if use_symmetry:
-        forced = {0: 1, 1: 0}
+    keys = {r.key for r in extra_rows}
+    mirrored = {(s, rhs, zc, tuple(sorted((a ^ 1, c) for a, c in cs))) for s, rhs, zc, cs in keys}
+    symmetric = cfg.variant == AO and admissible is None and mirrored == keys and all(
+        obj.w_coeffs.get(a ^ 1, 0.0) == c for a, c in obj.w_coeffs.items())
     ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible)
-    root = _Node(tuple(sorted(forced.items())), ctx.base_lp)
+    root = _Node(((0, 1), (1, 0)) if symmetric else (), ctx.base_lp)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]
@@ -388,8 +393,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
 def solve_ao(g: UndirectedGraph, kappa: int, *,
              deadline: Optional[float] = None) -> SolveReport:
     """Minimum achievable window load over acyclic orientations."""
-    return solve_model(g, ModelConfig(kappa=kappa, variant=AO), use_symmetry=True,
-                       deadline=deadline)
+    return solve_model(g, ModelConfig(kappa=kappa, variant=AO), deadline=deadline)
 
 
 def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]], *,
@@ -461,10 +465,6 @@ def chromatic_number(g: UndirectedGraph, *,
     fewer classes than longest path + 1. Raises TimeLimitError past
     `deadline`.
     """
-    if g.n == 0:
-        return 0, []
-    if g.m == 0:
-        return 1, [0] * g.n
     orient, q = min_diameter_orientation(g, deadline=deadline)
     colors = longest_path_labels(BidirectedDigraph(g), orient.arcs())
     if max(colors) != q:

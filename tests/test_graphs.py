@@ -69,8 +69,8 @@ def test_arc_indexing_round_trips():
         assert d.arc(u, v) == 2 * e
         assert d.arc(v, u) == 2 * e + 1
         assert d.reverse(2 * e) == 2 * e + 1
-        assert d.endpoints(2 * e) == (u, v)
-        assert d.endpoints(2 * e + 1) == (v, u)
+        assert (d.tails[2 * e], d.heads[2 * e]) == (u, v)
+        assert (d.tails[2 * e + 1], d.heads[2 * e + 1]) == (v, u)
         assert d.edge_of(2 * e) == e == d.edge_of(2 * e + 1)
 
 

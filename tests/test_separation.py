@@ -14,7 +14,7 @@ from orientcut.graphs import (
     paw_graph,
     petersen_graph,
 )
-from orientcut.model import AO, AS, ModelConfig, row_cycle, row_path
+from orientcut.model import AO, AS, ModelConfig, row_cycle, row_cycle_z, row_path
 from orientcut.polytope import enumerate_feasible_points
 from orientcut.separation import (
     MAX_CUTS_PER_CLASS,
@@ -375,7 +375,9 @@ def test_template_search_matches_per_call_reference(rng):
                 w, z = _pair_feasible_point(g, AO, rng), kappa * (0.3 + 0.4 * rng.random())
             for cap in (MAX_CUTS_PER_CLASS, 10 ** 6):
                 ref = _templates_per_call(d, w, z, kappa, cap)
-                got = separate_templates(d, w, z, kappa, cap=cap)
+                got = separate_templates(d, w, z, kappa) if cap == MAX_CUTS_PER_CLASS else \
+                    [row_cycle_z(d, c, kappa)
+                     for c in separation._violated_windows(d, w, z, kappa, True, cap)]
                 assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
                     (g.edges, kappa, w, z, cap)
             violated += len(ref)

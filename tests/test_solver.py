@@ -46,15 +46,22 @@ def _myciel3():
     return mycielski(cycle_graph(5))
 
 
-def _separating_solves():
-    """An AO solve, an AS solve and a soft FAP solve that all run cut rounds
-    and reach the cycle separator. Petersen at kappa 3 does not: its root
-    meets the DSATUR cutoff before any cycle round."""
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
+def _soft_fap():
+    return FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+
+
+def _separating_solves():
+    """An AO solve, an AS solve and two soft FAP solves that all run cut
+    rounds. The last search meets an integral point with a directed cycle,
+    the one kind of point the cycle separator is asked about."""
+    pairs = [(3, 5, 1), (3, 4, 2), (2, 4, 2), (1, 4, 1, 6.0), (2, 5, 1, 5.0), (0, 5, 1, 9.0),
+             (2, 3, 1), (0, 4, 1)]
+    cyclic = FapInstance(6, [None] * 6, [FapPair(*p) for p in pairs], spectrum=4)
     return (lambda: solve_ao(petersen_graph(), 5),
             lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
-            lambda: solve_soft_cost(inst))
+            lambda: solve_soft_cost(_soft_fap()),
+            lambda: solve_soft_cost(cyclic))
 
 
 def test_default_objectives():
@@ -220,10 +227,9 @@ def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
     for module in (solver, fap):
         monkeypatch.setattr(module, "solve_model", report_spy)
     monkeypatch.setattr(LinearProgram, "solve", solve_spy)
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
-                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    inst = _soft_fap()
     calls = [((name, kappa, variant), lambda g=g, cfg=ModelConfig(kappa=kappa, variant=variant):
-              solver.solve_model(g, cfg, use_symmetry=cfg.variant == AO))
+              solver.solve_model(g, cfg))
              for name, g, _ in BATTERY for kappa in (1, 2, 3) for variant in (AO, AS)]
     calls += [("myciel3", lambda: solve_ao(_myciel3(), 3)),
               ("soft fap", lambda: solve_soft_cost(inst)),
@@ -303,9 +309,97 @@ def test_extra_rows_cut_off_solutions():
     base = solve_ao(g, 1)
     assert base.objective == pytest.approx(1.0)
     push = LinearRow({}, -1, -2, "<=", "bound")  # -z <= -2
-    rep = solve_model(g, ModelConfig(kappa=1, variant=AO), extra_rows=(push,),
-                      use_symmetry=True)
+    rep = solve_model(g, ModelConfig(kappa=1, variant=AO), extra_rows=(push,))
     assert rep.objective == pytest.approx(2.0) or rep.status == "infeasible"
+
+
+def test_candidate_test_agrees_with_the_full_check(monkeypatch):
+    """A node accepts an integral LP point exactly when its load is within the
+    LP's z and `check_integral_feasible` accepts the point."""
+    solutions, seen, decided, inside = [], [], [], []
+    lp_solve, integral_point, process = LinearProgram.solve, solver._integral_point, \
+        solver._process_node
+
+    def solve_spy(lp):
+        solutions.append(lp_solve(lp))
+        return solutions[-1]
+
+    def point_spy(d, cfg, arcs):
+        point, load = integral_point(d, cfg, arcs)
+        if inside:  # not the start point, which is tested before any node
+            seen.append((d, cfg, point, load, solutions[-1].x[d.num_arcs]))
+        return point, load
+
+    def process_spy(ctx, node, incumbent):
+        start = len(seen)
+        inside.append(node)
+        res = process(ctx, node, incumbent)
+        inside.pop()
+        for d, cfg, point, load, z in seen[start:]:
+            accepted = res.status == "candidate" and res.candidate is point
+            assert accepted == (load <= z + INT_TOL and check_integral_feasible(d, cfg, point)[0])
+            decided.append(accepted)
+        return res
+
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    monkeypatch.setattr(solver, "_integral_point", point_spy)
+    monkeypatch.setattr(solver, "_process_node", process_spy)
+    for _, g, _ in BATTERY:
+        for kappa in (1, 2, 3):
+            for variant in (AO, AS):
+                solve_model(g, ModelConfig(kappa=kappa, variant=variant))
+    solve_ao(_myciel3(), 3)
+    solve_soft_cost(_soft_fap())
+    # a candidate takes z_lower as it is, not rounded
+    assert solve_model(path_graph(4), ModelConfig(kappa=3, z_fixed=2.5)).objective == 2.5
+    assert True in decided and False in decided
+
+
+def _root_forced(monkeypatch):
+    """The forced arcs of every root node processed from here on."""
+    roots = []
+    process = solver._process_node
+
+    def spy(ctx, node, incumbent):
+        if node.lp is ctx.base_lp:
+            roots.append(dict(node.forced))
+        return process(ctx, node, incumbent)
+
+    monkeypatch.setattr(solver, "_process_node", spy)
+    return roots
+
+
+def test_reversal_symmetry_is_derived(monkeypatch):
+    """Edge 0 is pre-oriented exactly when the whole problem is reversal
+    invariant."""
+    roots = _root_forced(monkeypatch)
+    g, cfg = cycle_graph(5), ModelConfig(kappa=2, variant=AO)
+    exp = fap.expand_gadgets(_soft_fap())
+    menu_free = FapInstance(4, [None] * 4, [FapPair(0, 1, 3), FapPair(0, 2, 2), FapPair(0, 3, 1),
+                                            FapPair(1, 3, 1), FapPair(2, 3, 3)], spectrum=4)
+    symmetric = [lambda: solve_ao(g, 2),
+                 lambda: solve_model(exp.graph, ModelConfig(kappa=3, variant=AO),
+                                     extra_rows=exp.side_rows),
+                 lambda: fap.solve_fixed_spectrum(menu_free)]
+    one_way = LinearRow({0: 1, 2: 1}, 0, 1, "<=", "no-good")  # its reversal is missing
+    plain = [lambda: solve_model(g, ModelConfig(kappa=2, variant=AS)),
+             lambda: solve_model(g, cfg, admissible=lambda arcs: True),
+             lambda: solve_model(g, cfg, extra_rows=(one_way,)),
+             lambda: solve_model(g, cfg, objective=solver.Objective(w_coeffs={0: 1.0}))]
+    for expect, calls in (({0: 1, 1: 0}, symmetric), ({}, plain)):
+        for call in calls:
+            roots.clear()
+            call()
+            assert roots == [expect]
+    # once wrong with edge 0 pre-oriented by request: a selection model whose
+    # optimum leaves edge 0 unoriented, and a test that refuses arc 0's direction
+    wrong = ((path_graph(3), ModelConfig(kappa=1, variant=AS, z_fixed=0), None),
+             (complete_graph(3), ModelConfig(kappa=2), lambda arcs: 1 in arcs))
+    for h, config, admissible in wrong:
+        roots.clear()
+        rep = solve_model(h, config, admissible=admissible)
+        assert roots == [{}]
+        assert rep.status == "optimal" and rep.objective == brute_force_optimum(h, config)[0]
 
 
 def test_no_good_rows_are_hard_constraints():
@@ -359,8 +453,7 @@ def test_one_lp_build_per_solve_and_one_branch_per_node(monkeypatch):
     monkeypatch.setattr(LinearProgram, "branch", branch_spy)
     for module in (solver, fap):
         monkeypatch.setattr(module, "solve_model", solve_spy)
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
-                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+    inst = _soft_fap()
     assert solve_soft_cost(inst).total_cost == 0
     assert solve_ao(_myciel3(), 3).objective == 3
     assert len(reports) == 2
@@ -381,9 +474,8 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     monkeypatch.setattr(solver, "_process_node", spy)
     for g, kappa in ((petersen_graph(), 2), (_myciel3(), 3)):
         for variant in (AO, AS):
-            solve_model(g, ModelConfig(kappa=kappa, variant=variant), use_symmetry=True)
-    inst = FapInstance(4, [None] * 4, [FapPair(0, 1, 2), FapPair(0, 2, 1),
-                                       FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
+            solve_model(g, ModelConfig(kappa=kappa, variant=variant))
+    inst = _soft_fap()
     solve_soft_cost(inst)
     assert sum(bool(n.forced) for _, n in seen) > 10
     for d, node in seen:
@@ -406,20 +498,22 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
 
 def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
     """`separate_cycles` searches no further than a 2-cycle closure; that is
-    exact because every point the solver separates keeps the pair rows."""
-    worst = []
+    exact because every point the solver separates keeps the pair rows. The
+    solver asks it at integral points only."""
+    seen = []
     separate = solver.separate_cycles
 
-    def spy(d, w, *args, **kwargs):
-        worst.append(max(w[a] + w[a + 1] for a in range(0, d.num_arcs, 2)))
-        return separate(d, w, *args, **kwargs)
+    def spy(d, w):
+        seen.append((max(w[a] + w[a + 1] for a in range(0, d.num_arcs, 2)),
+                     all(min(x, 1.0 - x) < INT_TOL for x in w)))
+        return separate(d, w)
 
     monkeypatch.setattr(solver, "separate_cycles", spy)
     for solve in _separating_solves():
-        before = len(worst)
         solve()
-        assert len(worst) > before
-    assert max(worst) <= 1.0 + 1e-6
+    assert seen
+    assert all(integral for _, integral in seen)
+    assert max(worst for worst, _ in seen) <= 1.0 + 1e-6
 
 
 def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
@@ -447,8 +541,9 @@ def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
 
 
 def test_cycle_separator_runs_last(monkeypatch):
-    """A round asks the window search for path and cycle-z rows, and the cycle
-    separator only when both find none; a round at an integral point, which
+    """A round asks the window search for path and cycle-z rows; a fractional
+    round never asks the cycle separator, and an integral one asks it exactly
+    when the window search finds none. A round at an integral point, which
     cannot branch, always finds a row."""
     rounds = []
 
@@ -468,11 +563,14 @@ def test_cycle_separator_runs_last(monkeypatch):
         solve()
     for r in rounds:
         window = r["separate_paths"] + r["separate_templates"]
-        assert ("separate_cycles" in r) == (not window)
+        assert ("separate_cycles" in r) == (r["integral"] and not window)
         if r["integral"]:
             assert window or r["separate_cycles"]
     assert sum(r["integral"] for r in rounds) > 0
     assert sum("separate_cycles" in r for r in rounds) > 0
+    # fractional rounds whose window search came back empty: they branch
+    assert any(not r["integral"] and not r["separate_paths"] + r["separate_templates"]
+               for r in rounds)
 
 
 def _count_template_generation(monkeypatch):
