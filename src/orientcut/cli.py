@@ -24,7 +24,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dimacs import parse_dimacs
-from .errors import InfeasibleError, InputError, SizeRefusalError, TimeLimitError
+from .errors import ContractError, InfeasibleError, InputError, SizeRefusalError, TimeLimitError
 from .fap import (
     FapInstance,
     brute_force_fixed_spectrum,
@@ -37,13 +37,11 @@ from .fap import (
 from .graphs import (
     BidirectedDigraph,
     UndirectedGraph,
-    dag_longest_path,
     enumerate_cycles,
     enumerate_paths_k,
-    longest_path_labels,
     source_decomposition,
 )
-from .model import AO, AS, ModelConfig, ModelPoint, check_integral_feasible, row_cycle, row_path
+from .model import AO, AS, ModelConfig, check_integral_feasible, row_cycle, row_path
 from .polytope import (
     brute_force_chromatic,
     brute_force_optimum,
@@ -138,24 +136,19 @@ def cmd_color(args, deadline: float) -> int:
     except TimeLimitError:
         return _emit({"command": "color", "digest": digest, "status": "timeout"},
                      "time limit reached", started, 3)
-    d = BidirectedDigraph(g)
-    arcs = orient.arcs()
-    if g.m:
-        point = ModelPoint(tuple(1.0 if a in arcs else 0.0 for a in range(d.num_arcs)),
-                           float(q))
-        ok, witness = check_integral_feasible(
-            d, ModelConfig(kappa=q + 1, variant=AO, z_fixed=float(q)), point)
-        if not ok:
-            raise InputError(f"orientation failed the final recheck: {witness}")
-        if dag_longest_path(d, arcs) != q:
-            raise InputError("orientation diameter disagrees with the reported optimum")
-    colors = longest_path_labels(d, arcs)
-    for i, j in g.edges:
-        if colors[i] == colors[j]:
-            raise InputError("coloring left an edge monochromatic")
+    # one longest-path pass checks the answer: acyclic, q + 1 layers, each
+    # an independent set, and the layers are the reported classes
+    try:
+        classes = source_decomposition(BidirectedDigraph(g), orient.arcs())
+    except ContractError:
+        raise InputError("orientation failed the final recheck: directed cycle") from None
+    layer = {v: k for k, members in enumerate(classes) for v in members}
+    if len(classes) != q + 1 or any(layer[i] == layer[j] for i, j in g.edges):
+        raise InputError(f"coloring failed the final recheck: {len(classes)} layers, "
+                         f"window optimum {q}")
     chi = q + 1
     report = {"command": "color", "digest": digest, "status": "optimal", "chromatic": chi,
-              "classes": source_decomposition(d, arcs), **_aggregate(reports)}
+              "classes": classes, **_aggregate(reports)}
     if args.oracle:
         report["oracleAgrees"] = _oracle(lambda: brute_force_chromatic(g) == chi)
     _emit(report, f"chromatic number {chi} ({report['nodes']} nodes, "

@@ -186,14 +186,10 @@ class FapInstance:
 
 @dataclass(frozen=True)
 class GadgetExpansion:
-    """The expanded graph with its chain bookkeeping.
-
-    `aux_vertices` maps each original pair needing separation >= 2 to its
-    chain's new vertices in order from i to j.
-    """
+    """The expanded graph, its arc doubling and the chains' side rows."""
 
     graph: UndirectedGraph
-    aux_vertices: Dict[Tuple[int, int], Tuple[int, ...]]
+    digraph: BidirectedDigraph
     side_rows: Tuple[LinearRow, ...]
 
 
@@ -241,7 +237,6 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
     """
     edges: List[Tuple[int, int]] = []
     n = inst.links
-    aux: Dict[Tuple[int, int], Tuple[int, ...]] = {}
     chains: List[List[int]] = []
     for p in inst.conflict_pairs():
         new = list(range(n, n + p.d - 1))
@@ -249,7 +244,6 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
         chain = [p.i, *new, p.j]
         edges.extend((chain[t], chain[t + 1]) for t in range(p.d))
         if new:
-            aux[(p.i, p.j)] = tuple(new)
             chains.append(chain)
     g = UndirectedGraph(n, edges)
     d = BidirectedDigraph(g)
@@ -261,7 +255,7 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
                                   0.0, 1.0, "<=", "gadget-side"))
             rows.append(LinearRow({d.arc(v, prev): 1.0, d.arc(v, nxt): 1.0},
                                   0.0, 1.0, "<=", "gadget-side"))
-    return GadgetExpansion(g, aux, tuple(rows))
+    return GadgetExpansion(g, d, tuple(rows))
 
 
 def _lifted_labels(inst: FapInstance, exp: GadgetExpansion, arcs,
@@ -274,7 +268,7 @@ def _lifted_labels(inst: FapInstance, exp: GadgetExpansion, arcs,
     orientation extends to no admissible assignment within the spectrum.
     Without availability sets this reduces to the longest-path labels.
     """
-    d = BidirectedDigraph(exp.graph)
+    d = exp.digraph
     base = longest_path_labels(d, arcs)
     ins: List[List[int]] = [[] for _ in range(exp.graph.n)]
     for a in arcs:
@@ -455,7 +449,7 @@ def solve_soft_cost(inst: FapInstance, *,
         raise UnsupportedInstanceError(
             "availability sets cannot be combined with violation costs")
     exp = expand_gadgets(inst)
-    d = BidirectedDigraph(exp.graph)
+    d = exp.digraph
     soft_edges = {exp.graph.edge_index(p.i, p.j): p for p in soft}
     extra = list(exp.side_rows)
     extra.extend(row_edge_pair(d, e, AO) for e in range(exp.graph.m)

@@ -132,9 +132,6 @@ class BidirectedDigraph:
     def reverse(self, a: int) -> int:
         return a ^ 1
 
-    def edge_of(self, a: int) -> int:
-        return a >> 1
-
     def check_arcs(self, arcs: Iterable[int]) -> frozenset:
         s = frozenset(arcs)
         for a in s:

@@ -49,7 +49,10 @@ ROW_TAGS = (
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape of one model instance: path length kappa, variant, optional fixed z."""
+    """Shape of one model instance: path length kappa, variant, optional fixed z.
+
+    A fixed z must be a whole number in [0, kappa]: it bounds a count of arcs.
+    """
 
     kappa: int
     variant: str = AO
@@ -60,8 +63,9 @@ class ModelConfig:
             raise InputError("kappa must be at least 1")
         if self.variant not in (AO, AS):
             raise InputError(f"unknown variant {self.variant!r}")
-        if self.z_fixed is not None and not (0 <= self.z_fixed <= self.kappa):
-            raise InputError("fixed z must lie in [0, kappa]")
+        if self.z_fixed is not None and not (0 <= self.z_fixed <= self.kappa
+                                             and float(self.z_fixed).is_integer()):
+            raise InputError("fixed z must be a whole number in [0, kappa]")
 
     @property
     def z_lower(self) -> float:

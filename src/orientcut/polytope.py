@@ -72,8 +72,8 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[Mode
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
     d = BidirectedDigraph(g)
-    z_lo = int(round(cfg.z_lower))
-    z_up = int(round(cfg.z_upper))
+    z_lo = int(cfg.z_lower)
+    z_up = int(cfg.z_upper)
     points = []
     for w, _, load in _selection_scan(d, cfg):
         for zi in range(max(load, z_lo), z_up + 1):
@@ -228,8 +228,8 @@ def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig,
     if g.m > max_edges:
         raise SizeRefusalError(f"optimum brute force capped at {max_edges} edges, got {g.m}")
     d = BidirectedDigraph(g)
-    z_lo = int(round(cfg.z_lower))
-    z_up = int(round(cfg.z_upper))
+    z_lo = int(cfg.z_lower)
+    z_up = int(cfg.z_upper)
     penalty = g.m + 1
     best: Optional[Tuple[float, ModelPoint]] = None
     for w, mask, load in _selection_scan(d, cfg):

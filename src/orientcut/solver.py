@@ -35,13 +35,21 @@ and, apart from the deadline, nothing depends on timing, so identical inputs
 reproduce the incumbent at every pop and with it every report, which is part
 of the reporting contract.
 
+In the orientation model a clique on kappa + 1 vertices bounds z from below
+by kappa: every orientation of it has a directed path of kappa arcs (Redei's
+theorem on tournaments). The root enters the heap with the cost minimum over
+the variable box, so a start point that meets that bound settles the solve
+without an LP.
+
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
-search checks it before each node, and a node's cut loop checks it before
-each round: past it, a node at a fractional point stops separating and
-branches, and a node at an integral point that is no candidate goes back onto
-the heap with its current program. Either way the search stops at the next
-pop and reports `timeout` with the best bound among its open nodes.
+search checks it after each pop, once the popped node has escaped pruning (a
+node the incumbent prunes is pruned even past the deadline), and a node's cut
+loop checks it before each round: past it, a node at a fractional point stops
+separating and branches, and a node at an integral point that is no
+candidate goes back onto the heap with its current program. Either way the
+search stops at the next pop it cannot prune and reports `timeout` with the
+best bound among that node and the open ones.
 """
 
 from __future__ import annotations
@@ -159,8 +167,14 @@ class _Context:
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
             cost[a] += c
-        self.base_lp = LinearProgram(cost, [0.0] * (2 * m) + [cfg.z_lower],
-                                     [1.0] * (2 * m) + [cfg.z_upper])
+        z_lower = cfg.z_lower
+        if cfg.variant == AO and len(greedy_clique(d.graph)) > cfg.kappa:
+            z_lower = max(z_lower, float(cfg.kappa))  # the clique bound
+        lower, upper = [0.0] * (2 * m) + [z_lower], [1.0] * (2 * m) + [cfg.z_upper]
+        self.base_lp = LinearProgram(cost, lower, upper)
+        # the root's bound: each variable at the bound its cost prefers
+        self.box_bound = objective.const + sum(
+            c * (hi if c < 0 else lo) for c, lo, hi in zip(cost, lower, upper))
         pairs = [row_edge_pair(d, e, cfg.variant) for e in range(m)]
         for row in pairs + list(extra_rows):
             self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
@@ -270,7 +284,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
 
 
 def _prunable(bound: float, incumbent: float, integral_objective: bool) -> bool:
-    if incumbent == math.inf or bound == -math.inf:
+    if incumbent == math.inf:
         return False
     if integral_objective:
         return math.ceil(bound - PRUNE_EPS) >= incumbent - 1e-9
@@ -285,10 +299,14 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     """Exact minimization over acyclic orientations or partial selections.
 
     `extra_rows` are hard constraints. `admissible` (orientation model only)
-    tests a point's arc set: the start point and every node candidate must
-    pass it, and a refused candidate's orientation is cut off by a no-good
-    row, after which its node re-solves. Past `deadline` (a `time.monotonic()`
-    reading) the search stops with status `timeout`.
+    tests a point's arc set: every node candidate must pass it, and a refused
+    candidate's orientation is cut off by a no-good row, after which its node
+    re-solves. Past `deadline` (a `time.monotonic()` reading) the search stops
+    with status `timeout`.
+    In the orientation model, a clique of more than kappa vertices raises the
+    z lower bound to kappa, whatever the objective, rows or test. The start
+    point, the DSATUR orientation, is offered when its load is at most the z
+    upper bound, it satisfies `extra_rows` and `admissible` accepts it.
     Reversing every arc maps the pair, cycle and path rows onto themselves, so
     the search fixes arc 0 on and arc 1 off, halving itself, when all else is
     reversal invariant too: the orientation model, no `admissible`, equal
@@ -321,26 +339,11 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             return True
         return False
 
-    # Opportunistic incumbent: orient along the DSATUR coloring.
-    colors = greedy_coloring(g)
-    arcs = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges]).arcs()
-    greedy_point, _ = _integral_point(d, cfg, arcs)
-    if check_integral_feasible(d, cfg, greedy_point)[0] and \
-            all(r.satisfied(greedy_point.w, greedy_point.z, tol=1e-7) for r in extra_rows) \
+    arcs = _dsatur_orientation(g).arcs()
+    start, load = _integral_point(d, cfg, arcs)
+    if load <= cfg.z_upper and all(r.satisfied(start.w, start.z, tol=1e-7) for r in extra_rows) \
             and (admissible is None or admissible(arcs)):
-        offer(greedy_point)
-
-    # A clique on kappa + 1 vertices forces a fully loaded window in every
-    # orientation, so the plain-z orientation objective cannot beat kappa.
-    if cfg.variant == AO and not extra_rows and admissible is None and cfg.z_fixed is None \
-            and obj.z_coeff == 1.0 and not obj.w_coeffs and not obj.const and \
-            len(greedy_clique(g)) - 1 >= cfg.kappa:
-        point = ModelPoint(greedy_point.w, float(cfg.kappa))
-        ok, witness = check_integral_feasible(d, cfg, point)
-        if not ok:
-            raise SolverError(f"clique shortcut point failed recheck: {witness}")
-        val = obj.value(point)
-        return SolveReport("optimal", point, val, val, 0, 0, {}, [], 0)
+        offer(start)
 
     keys = {r.key for r in extra_rows}
     mirrored = {(s, rhs, zc, tuple(sorted((a ^ 1, c) for a, c in cs))) for s, rhs, zc, cs in keys}
@@ -350,7 +353,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     root = _Node(((0, 1), (1, 0)) if symmetric else (), ctx.base_lp)
 
     seq = 0
-    heap: List[Tuple[float, int, _Node]] = [(-math.inf, -seq, root)]
+    heap: List[Tuple[float, int, _Node]] = [(ctx.box_bound, -seq, root)]
     node_count = 0
     pruned_count = 0
     cut_counts: Dict[str, int] = {}
@@ -358,14 +361,14 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     lp_iters = 0
 
     while heap:
-        if ctx.expired():
-            bound = min([b for b, _, _ in heap] + [incumbent_obj])
-            return SolveReport("timeout", best, None if best is None else incumbent_obj,
-                               bound, node_count, pruned_count, cut_counts, histories, lp_iters)
         bound, _, node = heapq.heappop(heap)
         if _prunable(bound, incumbent_obj, integral_obj):
             pruned_count += 1
             continue
+        if ctx.expired():
+            bound = min([bound, incumbent_obj] + [b for b, _, _ in heap])
+            return SolveReport("timeout", best, None if best is None else incumbent_obj,
+                               bound, node_count, pruned_count, cut_counts, histories, lp_iters)
         res = _process_node(ctx, node, incumbent_obj)
         node_count += 1
         lp_iters += res.lp_iterations
@@ -396,11 +399,17 @@ def solve_ao(g: UndirectedGraph, kappa: int, *,
     return solve_model(g, ModelConfig(kappa=kappa, variant=AO), deadline=deadline)
 
 
+def _dsatur_orientation(g: UndirectedGraph) -> Orientation:
+    """Every edge runs up the order (DSATUR colour, -index), so the
+    orientation is acyclic with one arc per edge whatever the colouring."""
+    colors = greedy_coloring(g)
+    return Orientation.from_vertex_order(g, sorted(range(g.n), key=lambda v: (colors[v], -v)))
+
+
 def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]], *,
                             deadline: Optional[float] = None) -> Tuple[Orientation, int]:
     d = BidirectedDigraph(g)
-    colors = greedy_coloring(g)
-    orient = Orientation(g, [0 if colors[i] < colors[j] else 1 for i, j in g.edges])
+    orient = _dsatur_orientation(g)
     kappa = dag_longest_path(d, orient.arcs())
     while kappa >= 1:
         rep = solve_ao(g, kappa, deadline=deadline)
@@ -433,14 +442,9 @@ def min_diameter_orientation(g: UndirectedGraph, *,
     Every window solve shares `deadline`; a solve that reaches it raises
     TimeLimitError.
     """
-    if g.m == 0:
-        return Orientation(g, []), 0
-    comps = g.components()
-    if len(comps) == 1:
-        return _min_diameter_connected(g, reports, deadline=deadline)
     dirs = [0] * g.m
     q = 0
-    for comp in comps:
+    for comp in g.components():
         members = set(comp)
         sub, _ = g.induced_subgraph(comp)
         if sub.m == 0:

@@ -395,7 +395,11 @@ def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
     def cyclic(g, **kwargs):
         return Orientation(g, [0 if (j - i) % 3 == 1 else 1 for i, j in g.edges]), 2
 
-    monkeypatch.setattr(cli, "min_diameter_orientation", cyclic)
-    code, out, err = _run(capsys, ["color", k3_file])
-    assert code == 1 and not out
-    assert err.startswith("error:") and "recheck" in err
+    def too_long(g, **kwargs):  # acyclic, but its longest path has 2 arcs
+        return Orientation.from_vertex_order(g, range(g.n)), 1
+
+    for wrong in (cyclic, too_long):
+        monkeypatch.setattr(cli, "min_diameter_orientation", wrong)
+        code, out, err = _run(capsys, ["color", k3_file])
+        assert code == 1 and not out
+        assert err.startswith("error:") and "recheck" in err

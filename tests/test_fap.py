@@ -78,8 +78,9 @@ def test_gadget_sizes():
     three = expand_gadgets(_inst(2, [(0, 1, 3)]))
     assert three.graph.n == 4 and three.graph.m == 3
     assert len(three.side_rows) == 4
-    # links keep their ids; aux vertices come after, keyed by original pair
-    assert sorted(three.aux_vertices[(0, 1)]) == [2, 3]
+    # links keep their ids; the chain's aux vertices come after, in order
+    assert three.graph.edges == ((0, 2), (2, 3), (1, 3))
+    assert three.digraph.graph is three.graph
 
 
 def test_d3_gadget_enumerated_monotonicity():

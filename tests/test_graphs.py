@@ -71,7 +71,6 @@ def test_arc_indexing_round_trips():
         assert d.reverse(2 * e) == 2 * e + 1
         assert (d.tails[2 * e], d.heads[2 * e]) == (u, v)
         assert (d.tails[2 * e + 1], d.heads[2 * e + 1]) == (v, u)
-        assert d.edge_of(2 * e) == e == d.edge_of(2 * e + 1)
 
 
 def test_orientation_constructors_agree():

@@ -30,6 +30,8 @@ def test_config_validation():
         ModelConfig(kappa=2, variant="XX")
     with pytest.raises(InputError):
         ModelConfig(kappa=2, z_fixed=3)
+    with pytest.raises(InputError):  # a window load counts arcs
+        ModelConfig(kappa=3, z_fixed=2.5)
 
 
 def test_point_integrality_and_support():

@@ -5,10 +5,11 @@ import types
 import pytest
 
 from orientcut import fap, separation, solver
-from orientcut.errors import InputError
+from orientcut.errors import InfeasibleError, InputError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
     BidirectedDigraph,
+    Orientation,
     UndirectedGraph,
     complete_graph,
     cycle_graph,
@@ -105,6 +106,26 @@ def test_timeout_is_honest():
     rep = solve_ao(petersen_graph(), 3, deadline=0.0)
     assert rep.status == "timeout"
     assert rep.objective is None or rep.bound <= rep.objective + 1e-9
+    # a clique-settled window answers past the deadline: the root's box
+    # bound meets the start point, so it is pruned before the clock is read
+    rep = solve_ao(complete_graph(4), 3, deadline=0.0)
+    assert rep.status == "optimal" and rep.objective == 3
+    assert rep.node_count == 0 and rep.pruned_count == 1
+
+
+def test_clique_bound_reaches_every_orientation_solve():
+    """A clique on kappa + 1 vertices bounds z by kappa whatever the solve
+    carries: a fixed z below it, or an extra row."""
+    g = complete_graph(4)
+    cfg, low = ModelConfig(kappa=3, variant=AO), ModelConfig(kappa=3, variant=AO, z_fixed=2)
+    rep = solve_model(g, low)
+    assert rep.status == "infeasible" and rep.node_count <= 1
+    with pytest.raises(InfeasibleError):
+        brute_force_optimum(g, low)
+    side = LinearRow({0: 1.0}, 0, 1, "<=", "gadget-side")
+    rep = solve_model(g, cfg, extra_rows=(side,))
+    assert rep.status == "optimal" and rep.node_count == 0
+    assert rep.objective == brute_force_optimum(g, cfg)[0] == 3
 
 
 def test_deadline_ends_the_cut_loop(monkeypatch):
@@ -350,8 +371,6 @@ def test_candidate_test_agrees_with_the_full_check(monkeypatch):
                 solve_model(g, ModelConfig(kappa=kappa, variant=variant))
     solve_ao(_myciel3(), 3)
     solve_soft_cost(_soft_fap())
-    # a candidate takes z_lower as it is, not rounded
-    assert solve_model(path_graph(4), ModelConfig(kappa=3, z_fixed=2.5)).objective == 2.5
     assert True in decided and False in decided
 
 
@@ -616,6 +635,11 @@ def test_chromatic_number_disconnected():
     chi, colors = chromatic_number(g)
     assert chi == 3
     assert colors[4] != colors[5]
+    # no edges: every component is skipped by the component loop
+    reports = []
+    edgeless = UndirectedGraph(3, [])
+    assert min_diameter_orientation(edgeless, reports=reports) == (Orientation(edgeless, []), 0)
+    assert reports == [] and chromatic_number(edgeless) == (1, [0, 0, 0])
 
 
 def test_min_diameter_orientation_realizes_q():
