@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
@@ -82,8 +83,18 @@ def _jsonable(obj):
 
 
 def _emit(report: dict, summary: str, started: float, code: int = 0) -> int:
-    """Print the report and its summary line; return the exit code `code`."""
-    print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+    """Print the report and its summary line; return the exit code `code`.
+    A reader that closes stdout early ends the report quietly: the rest of
+    it, and the flush at exit, go to os.devnull."""
+    try:
+        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        finally:
+            os.close(devnull)
     sys.stderr.write(f"{summary} [{time.perf_counter() - started:.2f}s]\n")
     return code
 

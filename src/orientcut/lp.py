@@ -8,6 +8,14 @@ slack, which keeps the basis dual feasible, so a re-solve goes on from the
 last basis. An empty ratio test proves the rows infeasible. A `branch` copy
 fixes variables, which never enter the basis, so it re-optimises from the
 original's basis, still dual feasible, and never writes the original.
+`pivot_block` makes a set of structural columns basic at once, each in the
+one row it is nonzero in, so no other row changes: those rows are divided
+by their pivots, the labels swap and the reduced costs lose d_Q times those
+rows. That is a fixed number of numpy calls for the whole block, where the
+dual simplex spends about twenty-five on each pivot. It checks that each
+column is such a singleton, that each pivot clears PIVOT_TOL and that the
+result is dual feasible, and raises otherwise. A program nobody
+block-pivots starts from the slack basis.
 
 The tableau is the compact (dictionary) form: one column per nonbasic
 variable plus the rhs, so it is rows x (structurals + 1) however many rows
@@ -117,6 +125,61 @@ class LinearProgram:
                 child.val[j] = v
         child._refresh_basics()
         return child
+
+    def pivot_block(self, pairs: Sequence[Tuple[int, int]]):
+        """Pivot each structural j of the (row, j) `pairs` into the basis in
+        its row, all at once, after bringing in the rows added so far.
+
+        Each j must be nonbasic and nonzero in its own row only, so no other
+        row changes: the chosen rows are divided by their pivots, each
+        leaving variable goes to its bound nearer its value (the bound it
+        violates, if any) and the reduced costs lose d_Q @ rows. Raises
+        InputError, leaving the program as it was, when a column is not such
+        a singleton, a pivot is smaller than PIVOT_TOL or the result is not
+        dual feasible."""
+        if len(self.rows) > len(self.basis):
+            self._add(self.rows[len(self.basis):])
+        if not len(pairs):
+            return
+        rows, cols = (np.asarray(v, dtype=int) for v in zip(*pairs))
+        k, ns = len(rows), len(self.c)
+        if min(rows.min(), cols.min()) < 0 or rows.max() >= len(self.basis) \
+                or cols.max() >= ns or len(set(rows.tolist())) < k:
+            raise InputError("block pivot needs distinct rows and structural columns")
+        place = np.full(len(self.val), -1)
+        place[self.nonbasic] = np.arange(len(self.nonbasic))
+        q = place[cols]
+        if q.min() < 0:
+            raise InputError("block pivot column is basic")
+        block = self.tab[:, q]
+        piv = block[rows, np.arange(k)]
+        if np.count_nonzero(block) != np.count_nonzero(piv):
+            raise InputError("block pivot column is not a singleton in its row")
+        if np.abs(piv).min() <= PIVOT_TOL:
+            raise InputError("block pivot is too small")
+        leaving = self.basis[rows]
+        lo, hi, v = self.col_lo[leaving], self.col_hi[leaving], self.val[leaving]
+        prows = self.tab[rows] / piv[:, None]
+        prows[np.arange(k), q] = 1.0 / piv
+        d = self.d.copy()
+        d[q] = 0.0
+        d -= self.d[q] @ prows[:, :-1]
+        nonbasic = self.nonbasic.copy()
+        nonbasic[q] = leaving
+        val = self.val.copy()
+        val[leaving] = np.where(hi - v < v - lo, hi, lo)
+        # A column at its lower bound must not gain by rising, one at its upper
+        # bound by falling; a fixed column may have any reduced cost.
+        vn = val[nonbasic]
+        if ((d < -FEAS_TOL) & (vn < self.col_hi[nonbasic])
+                | (d > FEAS_TOL) & (vn > self.col_lo[nonbasic])).any():
+            raise InputError("block pivot leaves the basis dual infeasible")
+        self.tab[rows] = prows
+        self.d, self.nonbasic, self.val = d, nonbasic, val
+        self.basis[rows] = cols
+        self.in_basis[leaving] = False
+        self.in_basis[cols] = True
+        val[cols] = prows[:, -1] - prows[:, :-1] @ vn
 
     def solve(self) -> LpSolution:
         if np.any(self.lo > self.hi + _BOUND_TOL):

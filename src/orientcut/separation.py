@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
@@ -110,7 +111,8 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]
 
 
 def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                      closed: bool, cap: int) -> List[Tuple[int, ...]]:
+                      closed: bool, cap: int,
+                      deadline: Optional[float] = None) -> List[Tuple[int, ...]]:
     """Vertices of the `cap` elementary windows whose load exceeds z at
     (w, z) by more than VIOLATION_TOL, most violated first.
 
@@ -126,6 +128,10 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     when the reach falls below the cap-th largest violation by more than
     1e-9: every window under it would rank after all those held, and the
     margin keeps windows that tie on load.
+
+    Past `deadline` (a `time.monotonic()` reading), read at each walk of one
+    or two arcs that escapes the cut, the search stops and returns the
+    windows held.
     """
     if len(w) != d.num_arcs:
         raise InputError("w has wrong arc dimension")
@@ -155,6 +161,8 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
         if reach <= z + VIOLATION_TOL or \
                 len(held) == cap and reach - z < held[0][0] - 1e-9:
             return
+        if 0 < used < 3 and deadline is not None and time.monotonic() >= deadline:
+            return
         s = verts[0]
         for a, u in d.out_arcs[v]:
             if used == arcs - 1:
@@ -179,21 +187,22 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     return [window for _, _, window in sorted(held, reverse=True)]
 
 
-def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float,
-                   kappa: int) -> List[LinearRow]:
+def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+                   deadline: Optional[float] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS kappa-arc path rows most violated at (w, z), most
-    violated first: exact, by the window search over open windows."""
+    violated first: exact, by the window search over open windows, unless
+    `deadline` stops the search."""
     return [row_path(d, p, kappa)
-            for p in _violated_windows(d, w, z, kappa, False, MAX_CUTS_PER_CLASS)]
+            for p in _violated_windows(d, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline)]
 
 
-def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float,
-                       kappa: int) -> List[LinearRow]:
+def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+                       deadline: Optional[float] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS cycle-z rows most violated at (w, z), most
     violated first: exact, by the window search over closed windows of
-    kappa + 1 arcs."""
+    kappa + 1 arcs, unless `deadline` stops the search."""
     return [row_cycle_z(d, c, kappa)
-            for c in _violated_windows(d, w, z, kappa, True, MAX_CUTS_PER_CLASS)]
+            for c in _violated_windows(d, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline)]
 
 
 # ---------------------------------------------------------------------------

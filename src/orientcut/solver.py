@@ -41,15 +41,27 @@ theorem on tournaments). The root enters the heap with the cost minimum over
 the variable box, so a start point that meets that bound settles the solve
 without an LP.
 
+The base program starts in the basis the root's first solve would reach
+after its pivots on the edge-pair rows. At the start point, each variable at
+the bound its cost prefers, a pair row whose two arcs cost the same is
+violated, unless it is a selection row and that cost is not negative. The
+dual simplex would pivot each such row once, degenerately or not, and its
+ratio test would pick arc 2e. `_Context` makes those pivots as one block
+pivot before the side rows join, except on the edge the root fixes. On the
+instances of the tests and the benchmark the root's first solve then ends
+in the same basis as from the slack basis, one pivot sooner per row pivoted.
+
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
 search checks it after each pop, once the popped node has escaped pruning (a
 node the incumbent prunes is pruned even past the deadline), and a node's cut
 loop checks it before each round: past it, a node at a fractional point stops
 separating and branches, and a node at an integral point that is no
-candidate goes back onto the heap with its current program. Either way the
-search stops at the next pop it cannot prune and reports `timeout` with the
-best bound among that node and the open ones.
+candidate goes back onto the heap with its current program. The window
+search reads the deadline too and, past it, returns the rows it holds; an
+integral round that it leaves without a row also sends the node back onto
+the heap. Either way the search stops at the next pop it cannot prune and
+reports `timeout` with the best bound among that node and the open ones.
 """
 
 from __future__ import annotations
@@ -74,7 +86,7 @@ from .graphs import (
     longest_path_labels,
     max_path_load,
 )
-from .lp import LinearProgram
+from .lp import FEAS_TOL, LinearProgram
 from .model import (
     AO,
     INT_TOL,
@@ -156,7 +168,8 @@ class _Context:
 
     def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
-                 admissible: Optional[Callable[[frozenset], bool]] = None):
+                 admissible: Optional[Callable[[frozenset], bool]] = None,
+                 root_forced: Tuple[Tuple[int, int], ...] = ()):
         self.g = d.graph
         self.cfg = cfg
         self.d = d
@@ -172,11 +185,21 @@ class _Context:
             z_lower = max(z_lower, float(cfg.kappa))  # the clique bound
         lower, upper = [0.0] * (2 * m) + [z_lower], [1.0] * (2 * m) + [cfg.z_upper]
         self.base_lp = LinearProgram(cost, lower, upper)
-        # the root's bound: each variable at the bound its cost prefers
-        self.box_bound = objective.const + sum(
-            c * (hi if c < 0 else lo) for c, lo, hi in zip(cost, lower, upper))
+        # the start point: each variable at the bound its cost prefers
+        start = [hi if c < 0 else lo for c, lo, hi in zip(cost, lower, upper)]
+        self.box_bound = objective.const + sum(c * s for c, s in zip(cost, start))
         pairs = [row_edge_pair(d, e, cfg.variant) for e in range(m)]
-        for row in pairs + list(extra_rows):
+        for row in pairs:
+            self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
+        # The root's first pivots, made at once: arc 2e enters on each pair
+        # row the start point violates, as the ratio test's tie-break picks
+        # it when both arcs cost the same, except on an edge the root fixes.
+        fixed = {a // 2 for a, _ in root_forced}
+        self.base_lp.pivot_block([
+            (e, 2 * e) for e, row in enumerate(pairs)
+            if cost[2 * e] == cost[2 * e + 1] and e not in fixed
+            and row.violation(start[:2 * m], start[2 * m]) > FEAS_TOL])
+        for row in extra_rows:
             self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
 
     def expired(self) -> bool:
@@ -269,9 +292,13 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
                 tail = 0
         if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS
                           and not ctx.expired()):
-            fresh = (separate_paths(d, w, z, cfg.kappa) + separate_templates(d, w, z, cfg.kappa)
+            fresh = (separate_paths(d, w, z, cfg.kappa, ctx.deadline)
+                     + separate_templates(d, w, z, cfg.kappa, ctx.deadline)
                      or (separate_cycles(d, w) if integral else []))
         if not fresh:
+            if integral and ctx.expired():  # the window search stopped early
+                return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
+                                   children=(_Node(node.forced, lp),))
             if integral:
                 raise SolverError("no cut separates an infeasible integral point")
             return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
@@ -349,8 +376,9 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     mirrored = {(s, rhs, zc, tuple(sorted((a ^ 1, c) for a, c in cs))) for s, rhs, zc, cs in keys}
     symmetric = cfg.variant == AO and admissible is None and mirrored == keys and all(
         obj.w_coeffs.get(a ^ 1, 0.0) == c for a, c in obj.w_coeffs.items())
-    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible)
-    root = _Node(((0, 1), (1, 0)) if symmetric else (), ctx.base_lp)
+    root_forced = ((0, 1), (1, 0)) if symmetric else ()
+    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible, root_forced)
+    root = _Node(root_forced, ctx.base_lp)
 
     seq = 0
     heap: List[Tuple[float, int, _Node]] = [(ctx.box_bound, -seq, root)]

@@ -1,4 +1,6 @@
 import json
+import os
+import sys
 import time
 
 import pytest
@@ -403,3 +405,38 @@ def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
         code, out, err = _run(capsys, ["color", k3_file])
         assert code == 1 and not out
         assert err.startswith("error:") and "recheck" in err
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("limit, expect", [("10", 0), ("0", 3)])
+def test_cli_closed_stdout_ends_quietly(capsys, monkeypatch, tmp_path, limit, expect):
+    """The command returns its own exit code with no traceback, and stdout's
+    descriptor now points at os.devnull, so the flush at exit stays quiet."""
+    path = _write_col(tmp_path / "myciel3.col", mycielski(cycle_graph(5)))
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(fd))
+        code = main(["color", path, "--time-limit", limit])
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    monkeypatch.undo()
+    assert code == expect
+    assert (tmp_path / "stdout").read_text() == ""
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1

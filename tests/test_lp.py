@@ -573,3 +573,57 @@ def test_integer_rank_matches_fraction_reference(kind):
     assert affine_dimension(single * 5) == 0
     with pytest.raises(InputError):
         affine_dimension([(1, 2, 3), (1, 2)])
+
+
+def _pair_program(c):
+    """Two edge-pair rows, x0 + x1 = 1 and x2 + x3 = 1, with a column z at index 4."""
+    lp = LinearProgram(c, [0] * 5, [1] * 4 + [3])
+    lp.add_row({0: 1, 1: 1}, "=", 1)
+    lp.add_row({2: 1, 3: 1}, "=", 1)
+    return lp
+
+
+def test_block_pivot_lands_where_the_simplex_pivots_would():
+    """Pivoting both pair rows at once, then adding the side rows, ends the
+    first solve as the slack-basis start does, two pivots sooner."""
+    side = [({0: 1, 2: 1, 4: -1}, "<=", 0), ({1: 1, 3: 1}, "<=", 1)]
+    plain, fast = _pair_program([0, 0, 0, 0, 1]), _pair_program([0, 0, 0, 0, 1])
+    fast.pivot_block([(0, 0), (1, 2)])
+    assert list(fast.basis) == [0, 2] and list(fast.val[:4]) == [1, 0, 1, 0]
+    a, b = fast.add_rows_and_resolve(side), plain.add_rows_and_resolve(side)
+    assert np.array_equal(fast.basis, plain.basis)
+    assert np.array_equal(a.x, b.x) and a.objective == b.objective == 1
+    assert b.iterations - a.iterations == 2
+    # nobody pivots an empty block: the program keeps its slack basis
+    idle = _pair_program([0, 0, 0, 0, 1])
+    idle.pivot_block([])
+    assert list(idle.basis) == [5, 6]
+
+
+@pytest.mark.parametrize("pairs, costs, why", [
+    ([(0, 0)], [0, 0, 0, 0, 1], "singleton"),         # x0 also sits in the side row
+    ([(0, 0), (0, 1)], [0, 0, 0, 0, 1], "distinct"),  # two columns for one row
+    ([(0, 4)], [0, 0, 0, 0, 1], "too small"),         # z is in no row: a zero pivot
+    ([(1, 3)], [0, 0, 1, 2, 1], "dual infeasible"),   # the dearer arc enters
+])
+def test_block_pivot_refuses_and_keeps_the_program(pairs, costs, why):
+    lp = _pair_program(costs)
+    if why == "singleton":
+        lp.add_row({0: 1, 4: -1}, "<=", 0)
+    lp.pivot_block([])  # brings the rows into the tableau, pivots nothing
+    before = [getattr(lp, k).copy() for k in ("tab", "d", "val", "basis", "nonbasic")]
+    with pytest.raises(InputError, match=why):
+        lp.pivot_block(pairs)
+    after = [getattr(lp, k) for k in ("tab", "d", "val", "basis", "nonbasic")]
+    assert all(np.array_equal(x, y) for x, y in zip(before, after))
+
+
+def test_block_pivot_refuses_a_tiny_pivot_and_a_basic_column():
+    lp = LinearProgram([0, 0, 0], [0, 0, 0], [1, 1, 1])
+    lp.add_row({0: PIVOT_TOL / 2, 1: 1}, "<=", 1)
+    lp.add_row({2: 1}, "<=", 1)
+    with pytest.raises(InputError, match="too small"):
+        lp.pivot_block([(0, 0)])
+    lp.pivot_block([(1, 2)])
+    with pytest.raises(InputError, match="basic"):
+        lp.pivot_block([(0, 2)])

@@ -1,5 +1,7 @@
 import heapq
 import itertools
+import math
+import types
 
 import pytest
 
@@ -383,3 +385,27 @@ def test_template_search_matches_per_call_reference(rng):
             violated += len(ref)
             capped += len(ref) > MAX_CUTS_PER_CLASS
     assert violated > 4000 and capped > 20
+
+
+def test_window_search_stops_at_the_deadline(monkeypatch):
+    """The clock is read at walks of one or two arcs; once it reaches the
+    deadline the search returns the windows it holds, all of them rows the
+    full search returns too."""
+    d = BidirectedDigraph(petersen_graph())
+    w = [0.5] * d.num_arcs
+    short_walks = sum(1 + len(d.out_arcs[d.heads[a]]) for a in range(d.num_arcs))
+    for closed in (False, True):
+        full = separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6)
+        assert len(full) >= 24
+        clock = itertools.count()
+        monkeypatch.setattr(separation, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(clock)))
+        part = separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6, deadline=5)
+        assert 0 < len(part) < len(full) and set(part) <= set(full)
+        # no walk of three or more arcs read the clock
+        assert next(clock) <= short_walks
+        monkeypatch.undo()
+        assert separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6,
+                                            deadline=math.inf) == full
+    assert separate_paths(d, w, 0.5, 4, deadline=0.0) == []
+    assert separate_templates(d, w, 0.5, 4, deadline=0.0) == []

@@ -2,10 +2,11 @@ import collections
 import math
 import types
 
+import numpy as np
 import pytest
 
 from orientcut import fap, separation, solver
-from orientcut.errors import InfeasibleError, InputError
+from orientcut.errors import InfeasibleError, InputError, SolverError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
     BidirectedDigraph,
@@ -52,17 +53,22 @@ def _soft_fap():
                                        FapPair(1, 3, 2), FapPair(2, 3, 1)], spectrum=3)
 
 
+def _costed_fap():
+    """Gadget chains, three costed pairs and a search that meets an integral
+    point with a directed cycle."""
+    pairs = [(3, 5, 1), (3, 4, 2), (2, 4, 2), (1, 4, 1, 6.0), (2, 5, 1, 5.0), (0, 5, 1, 9.0),
+             (2, 3, 1), (0, 4, 1)]
+    return FapInstance(6, [None] * 6, [FapPair(*p) for p in pairs], spectrum=4)
+
+
 def _separating_solves():
     """An AO solve, an AS solve and two soft FAP solves that all run cut
     rounds. The last search meets an integral point with a directed cycle,
     the one kind of point the cycle separator is asked about."""
-    pairs = [(3, 5, 1), (3, 4, 2), (2, 4, 2), (1, 4, 1, 6.0), (2, 5, 1, 5.0), (0, 5, 1, 9.0),
-             (2, 3, 1), (0, 4, 1)]
-    cyclic = FapInstance(6, [None] * 6, [FapPair(*p) for p in pairs], spectrum=4)
     return (lambda: solve_ao(petersen_graph(), 5),
             lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
             lambda: solve_soft_cost(_soft_fap()),
-            lambda: solve_soft_cost(cyclic))
+            lambda: solve_soft_cost(_costed_fap()))
 
 
 def test_default_objectives():
@@ -192,6 +198,30 @@ def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
     rep = solve_ao(_myciel3(), 3, deadline=0.5)
     assert separated == [] and len(solved) == 1
     assert rep.status == "timeout" and rep.node_count == 1
+    assert rep.root_bound_history == [rep.bound] and math.isfinite(rep.bound)
+
+
+def test_window_search_cut_short_sends_the_node_back(monkeypatch):
+    """An integral point with an overloaded window whose round finds no row
+    is a fault, unless the deadline passed during the round: the window
+    search then stopped early, and the node goes back onto the heap."""
+    rounds = []
+
+    def stopped(*args):
+        rounds.append(args)
+        return []
+
+    for name in ("separate_paths", "separate_templates", "separate_cycles"):
+        monkeypatch.setattr(solver, name, stopped)
+    with pytest.raises(SolverError, match="no cut separates"):
+        solve_ao(_myciel3(), 3, deadline=math.inf)
+    # the clock passes the deadline inside the root's first window search
+    rounds.clear()
+    monkeypatch.setattr(solver, "time",
+                        types.SimpleNamespace(monotonic=lambda: 1.0 if rounds else 0.0))
+    rep = solve_ao(_myciel3(), 3, deadline=0.5)
+    assert rep.status == "timeout" and rep.node_count == 1
+    assert len(rounds) == 3 and all(args[-1] == 0.5 for args in rounds[:2])
     assert rep.root_bound_history == [rep.bound] and math.isfinite(rep.bound)
 
 
@@ -419,6 +449,43 @@ def test_reversal_symmetry_is_derived(monkeypatch):
         rep = solve_model(h, config, admissible=admissible)
         assert roots == [{}]
         assert rep.status == "optimal" and rep.objective == brute_force_optimum(h, config)[0]
+
+
+def test_root_program_starts_where_its_pair_pivots_lead(monkeypatch):
+    """The root's program, built with its violated pair rows pivoted at once,
+    ends its first solve as the same rows built from the slack basis do: the
+    same basis, point and objective, with one pivot fewer per row pivoted."""
+    roots = []
+    process = solver._process_node
+
+    def spy(ctx, node, incumbent):
+        if node.lp is ctx.base_lp:
+            roots.append((node.forced, ctx.base_lp))
+        return process(ctx, node, incumbent)
+
+    monkeypatch.setattr(solver, "_process_node", spy)
+    exp = fap.expand_gadgets(_soft_fap())
+    for _, g, _ in BATTERY:
+        for kappa in (1, 2, 3):
+            for variant in (AO, AS):
+                solve_model(g, ModelConfig(kappa=kappa, variant=variant))
+    solve_model(exp.graph, ModelConfig(kappa=3, variant=AO), extra_rows=exp.side_rows)
+    solve_soft_cost(_costed_fap())
+    assert len(roots) > 2 * len(BATTERY)
+    saved = 0
+    for forced, lp in roots:
+        pivoted = int(np.count_nonzero(lp.basis < len(lp.c)))
+        plain = LinearProgram(lp.c, lp.lo, lp.hi)
+        for coeffs, sense, rhs in lp.rows:
+            plain.add_row(coeffs, sense, rhs)
+        fast, slow = lp.branch(forced), plain.branch(forced)
+        a, b = fast.solve(), slow.solve()
+        assert a.status == b.status == "optimal"
+        assert np.array_equal(fast.basis, slow.basis)
+        assert np.array_equal(a.x, b.x) and a.objective == b.objective
+        assert b.iterations - a.iterations == pivoted
+        saved += pivoted
+    assert saved > len(roots)
 
 
 def test_no_good_rows_are_hard_constraints():
