@@ -272,7 +272,7 @@ def cmd_fap(args, deadline: float) -> int:
 def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
     d = BidirectedDigraph(g)
     if cls == "cycle":
-        rows = (row_cycle(d, c) for c in enumerate_cycles(d, d.n))
+        rows = (row_cycle(d, c) for c in enumerate_cycles(d, max(d.n, 2)))
     elif cls == "path":
         rows = (row_path(d, p, kappa) for p in enumerate_paths_k(d, kappa))
     else:

@@ -187,68 +187,48 @@ class Orientation:
         return f"Orientation({self.dirs})"
 
 
-def _topological_order(d: BidirectedDigraph, arcs: frozenset) -> Optional[List[int]]:
-    """Kahn's algorithm on the sub-digraph given by `arcs`; None if cyclic."""
+def _kahn(d: BidirectedDigraph, arcs: frozenset) -> Tuple[List[int], List[int]]:
+    """Kahn's pass on the sub-digraph given by `arcs`: the vertices it
+    orders, in order, and each vertex's in-degree from the vertices it
+    leaves. The arc set is acyclic exactly when every vertex is ordered."""
     indeg = [0] * d.n
     outs: List[List[int]] = [[] for _ in range(d.n)]
     for a in sorted(arcs):
         u, v = d.tails[a], d.heads[a]
         outs[u].append(v)
         indeg[v] += 1
-    queue = [v for v in range(d.n) if indeg[v] == 0]
-    order = []
-    while queue:
-        nxt = []
-        for v in queue:
-            order.append(v)
-            for u in outs[v]:
-                indeg[u] -= 1
-                if indeg[u] == 0:
-                    nxt.append(u)
-        queue = nxt
-    return order if len(order) == d.n else None
+    order = [v for v in range(d.n) if indeg[v] == 0]
+    for v in order:  # the list grows as the pass frees vertices
+        for u in outs[v]:
+            indeg[u] -= 1
+            if indeg[u] == 0:
+                order.append(u)
+    return order, indeg
 
 
 def is_acyclic(d: BidirectedDigraph, arcs: Iterable[int]) -> bool:
     """True if the arc set induces no directed cycle. A reverse pair is a 2-cycle."""
-    return _topological_order(d, d.check_arcs(arcs)) is not None
+    return len(_kahn(d, d.check_arcs(arcs))[0]) == d.n
 
 
 def find_directed_cycle(d: BidirectedDigraph, arcs: Iterable[int]) -> Optional[List[int]]:
-    """Some directed elementary cycle in the arc set, as a vertex list, or None."""
+    """Some directed elementary cycle in the arc set, as a vertex list, or None.
+
+    Every vertex Kahn's pass leaves keeps an in-arc from another vertex it
+    leaves, so walking back along such arcs from one of them must repeat a
+    vertex; the walk from that vertex's first visit is a cycle, reversed.
+    """
     s = d.check_arcs(arcs)
-    outs: List[List[int]] = [[] for _ in range(d.n)]
-    for a in sorted(s):
-        outs[d.tails[a]].append(d.heads[a])
-    color = [0] * d.n  # 0 unseen, 1 on stack, 2 done
-    parent = [-1] * d.n
-    for root in range(d.n):
-        if color[root]:
-            continue
-        stack = [(root, iter(outs[root]))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if color[u] == 0:
-                    color[u] = 1
-                    parent[u] = v
-                    stack.append((u, iter(outs[u])))
-                    advanced = True
-                    break
-                if color[u] == 1:
-                    cyc = [v]
-                    w = v
-                    while w != u:
-                        w = parent[w]
-                        cyc.append(w)
-                    cyc.reverse()
-                    return cyc
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return None
+    order, indeg = _kahn(d, s)
+    if len(order) == d.n:
+        return None
+    pred = {d.heads[a]: d.tails[a] for a in sorted(s) if indeg[d.tails[a]]}
+    walk = [next(v for v in range(d.n) if indeg[v])]
+    seen = {walk[0]: 0}
+    while (v := pred[walk[-1]]) not in seen:
+        seen[v] = len(walk)
+        walk.append(v)
+    return walk[seen[v]:][::-1]
 
 
 def longest_path_labels(d: BidirectedDigraph, arcs: Iterable[int]) -> List[int]:
@@ -257,8 +237,8 @@ def longest_path_labels(d: BidirectedDigraph, arcs: Iterable[int]) -> List[int]:
     Raises ContractError when the arc set is cyclic.
     """
     s = d.check_arcs(arcs)
-    order = _topological_order(d, s)
-    if order is None:
+    order, _ = _kahn(d, s)
+    if len(order) < d.n:
         raise ContractError("arc set is cyclic")
     labels = [0] * d.n
     ins: List[List[int]] = [[] for _ in range(d.n)]

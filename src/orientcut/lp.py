@@ -76,24 +76,22 @@ class LinearProgram:
     def __init__(self, objective: Sequence[float], lower: Sequence[float],
                  upper: Sequence[float]):
         self.c = np.asarray(objective, dtype=float)
-        self.lo = np.asarray(lower, dtype=float)
-        self.hi = np.asarray(upper, dtype=float)
+        # Bounds and values of every variable, slacks after structurals.
+        self.col_lo = np.array(lower, dtype=float)
+        self.col_hi = np.array(upper, dtype=float)
         ns = len(self.c)
-        if not (ns == len(self.lo) == len(self.hi)):
+        if not (ns == len(self.col_lo) == len(self.col_hi)):
             raise InputError("objective and bounds must have equal length")
-        if not np.all(np.isfinite(self.lo)) or not np.all(np.isfinite(self.hi)):
+        if not np.all(np.isfinite(self.col_lo)) or not np.all(np.isfinite(self.col_hi)):
             raise InputError("structural bounds must be finite")
         self.rows: List[Tuple[Dict[int, float], str, float]] = []
-        # Bounds and values of every variable, slacks after structurals.
-        self.col_lo, self.col_hi = self.lo.copy(), self.hi.copy()
-        self.val = np.where(self.c < 0, self.hi, self.lo)
+        self.val = np.where(self.c < 0, self.col_hi, self.col_lo)
         self.d = self.c.copy()
         self.tab = np.zeros((0, ns + 1))
         self.a = np.zeros((0, ns))      # the rows as given, for `_check` and `_refactor`
         self.b = np.zeros(0)
         self.basis = np.zeros(0, dtype=int)
         self.nonbasic = np.arange(ns)
-        self.in_basis = np.zeros(ns, dtype=bool)
 
     def add_row(self, coeffs: Dict[int, float], sense: str, rhs: float):
         if sense not in ("<=", "="):
@@ -115,14 +113,11 @@ class LinearProgram:
         it owns every array a solve or a branch writes in place and shares
         the ones only ever replaced, so this program is not written."""
         child = copy.copy(self)
-        for name in ("tab", "val", "d", "basis", "nonbasic", "in_basis",
-                     "lo", "hi", "col_lo", "col_hi"):
+        for name in ("tab", "val", "d", "basis", "nonbasic", "col_lo", "col_hi"):
             setattr(child, name, getattr(self, name).copy())
         child.rows = list(self.rows)
-        for j, v in fixed:
-            child.lo[j] = child.hi[j] = child.col_lo[j] = child.col_hi[j] = v
-            if not child.in_basis[j]:
-                child.val[j] = v
+        for j, v in fixed:  # a basic j's value is recomputed just below
+            child.col_lo[j] = child.col_hi[j] = child.val[j] = v
         child._refresh_basics()
         return child
 
@@ -177,12 +172,11 @@ class LinearProgram:
         self.tab[rows] = prows
         self.d, self.nonbasic, self.val = d, nonbasic, val
         self.basis[rows] = cols
-        self.in_basis[leaving] = False
-        self.in_basis[cols] = True
         val[cols] = prows[:, -1] - prows[:, :-1] @ vn
 
     def solve(self) -> LpSolution:
-        if np.any(self.lo > self.hi + _BOUND_TOL):
+        ns = len(self.c)
+        if np.any(self.col_lo[:ns] > self.col_hi[:ns] + _BOUND_TOL):
             return LpSolution(status="infeasible")
         if len(self.rows) > len(self.basis):
             self._add(self.rows[len(self.basis):])
@@ -197,8 +191,7 @@ class LinearProgram:
             iterations = None if more is None else (iterations or 0) + more
         if iterations is None:
             return LpSolution(status="infeasible")
-        ns = len(self.c)
-        x = np.clip(self.val[:ns], self.lo, self.hi)
+        x = np.clip(self.val[:ns], self.col_lo[:ns], self.col_hi[:ns])
         return LpSolution("optimal", x, float(self.c @ x), iterations)
 
     def _add(self, rows):
@@ -219,7 +212,6 @@ class LinearProgram:
         self.col_hi = np.concatenate([self.col_hi, upper])
         self.val = np.concatenate([self.val, np.zeros(k)])
         self.basis = np.concatenate([self.basis, np.arange(total, total + k)])
-        self.in_basis = np.concatenate([self.in_basis, np.ones(k, dtype=bool)])
         self._refresh_basics()
 
     def _iterate(self) -> Optional[int]:
@@ -228,7 +220,7 @@ class LinearProgram:
         if not len(self.basis):
             return 0
         tab, val, d = self.tab, self.val, self.d
-        basis, nonbasic, in_basis = self.basis, self.nonbasic, self.in_basis
+        basis, nonbasic = self.basis, self.nonbasic
         lo, hi = self.col_lo, self.col_hi
         bland_at = 5 * (len(basis) + len(val))
         max_iter = 500 + 50 * (len(basis) + len(val))
@@ -293,8 +285,6 @@ class LinearProgram:
                 d -= dq * prow[:-1]
                 sign[q] = 0.0 if hib[r] <= lob[r] else 1.0 if rising else -1.0
                 lob[r], hib[r] = lo[entering], hi[entering]
-                in_basis[leaving] = False
-                in_basis[entering] = True
                 basis[r] = entering
                 nonbasic[q] = leaving
         finally:

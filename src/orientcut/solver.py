@@ -27,7 +27,7 @@ and ignores the round and tail limits. After each LP solve and its candidate
 test, the node stops once its bound meets the incumbent's cutoff: it runs no
 further round and has no children, since every point below it would be no
 better than the incumbent.
-A node branches only when a fractional round finds no row.
+A node branches only when a fractional round finds no row before the deadline.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
 incumbent or processes it, and pushes its children. Nothing in it is random
@@ -55,13 +55,12 @@ A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
 search checks it after each pop, once the popped node has escaped pruning (a
 node the incumbent prunes is pruned even past the deadline), and a node's cut
-loop checks it before each round: past it, a node at a fractional point stops
-separating and branches, and a node at an integral point that is no
-candidate goes back onto the heap with its current program. The window
-search reads the deadline too and, past it, returns the rows it holds; an
-integral round that it leaves without a row also sends the node back onto
-the heap. Either way the search stops at the next pop it cannot prune and
-reports `timeout` with the best bound among that node and the open ones.
+loop checks it before each round and after a round that finds no row (the
+window search reads it too and, past it, returns the rows it holds). Past
+it, a node that is neither a candidate nor pruned goes back onto the heap
+with its current program, whatever its point. The search stops at the next
+pop it cannot prune and reports `timeout` with the best bound among that
+node and the open ones.
 """
 
 from __future__ import annotations
@@ -249,8 +248,8 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     which ends the separation rounds early. An LP point that is not a
     candidate and whose bound meets the cutoff of `incumbent`, the best
     objective so far, prunes the node: no further round and no children. Past
-    the deadline, an integral point that is no candidate makes the node, with
-    its current program, its own one child."""
+    the deadline, any other point makes the node, with its current program,
+    its own one child."""
     d = ctx.d
     cfg = ctx.cfg
     m = ctx.g.m
@@ -281,7 +280,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
                 fresh = [LinearRow(dict.fromkeys(arcs, 1.0), 0, len(arcs) - 1, "<=", "no-good")]
         if _prunable(bound, incumbent, ctx.objective.is_integral):
             return _NodeResult("pruned", bound, history, cuts_by_tag, iterations)
-        if integral and ctx.expired():
+        if ctx.expired():
             return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
                                children=(_Node(node.forced, lp),))
         if not integral:
@@ -290,13 +289,12 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
                 tail += 1
             else:
                 tail = 0
-        if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS
-                          and not ctx.expired()):
+        if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS):
             fresh = (separate_paths(d, w, z, cfg.kappa, ctx.deadline)
                      + separate_templates(d, w, z, cfg.kappa, ctx.deadline)
                      or (separate_cycles(d, w) if integral else []))
         if not fresh:
-            if integral and ctx.expired():  # the window search stopped early
+            if ctx.expired():  # the window search stopped early
                 return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
                                    children=(_Node(node.forced, lp),))
             if integral:
@@ -339,12 +337,19 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     reversal invariant too: the orientation model, no `admissible`, equal
     costs on a and a ^ 1, and `extra_rows` whose keys, arcs mapped a -> a ^ 1,
     are again keys of extra rows.
+    Raises InputError for a negative z cost, which the search's integral
+    points, at z = max(load, z lower bound), would misprice, and for an arc
+    index outside [0, 2m) in the objective or in `extra_rows`.
     """
     if admissible is not None and cfg.variant != AO:
         raise InputError("an admissibility test needs the orientation model")
     m = g.m
     d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
+    if obj.z_coeff < 0:
+        raise InputError("the z cost must not be negative")
+    if not set(obj.w_coeffs).union(*(r.coeffs for r in extra_rows)) <= set(range(2 * m)):
+        raise InputError(f"an objective or row arc index is outside [0, {2 * m})")
     integral_obj = obj.is_integral
 
     if m == 0:

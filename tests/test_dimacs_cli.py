@@ -242,6 +242,16 @@ def test_cli_polytope_classify(capsys, k3_file):
         assert row["valid"] is True and row["isFacet"] is True
 
 
+def test_cli_polytope_classify_cycle_on_one_vertex(capsys, tmp_path):
+    """A graph too small for any cycle has no cycle rows, not an error."""
+    path = tmp_path / "k1.col"
+    path.write_text("p edge 1 0\n")
+    code, out, _ = _run(capsys, ["polytope", str(path), "--kappa", "1", "--classify", "cycle"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["rows"] == [] and rep["validCount"] == rep["facetCount"] == 0
+
+
 def test_cli_polytope_one_rank_per_row(capsys, k3_file, monkeypatch):
     from orientcut import polytope
 

@@ -147,6 +147,43 @@ def test_acyclicity_and_cycle_witness():
     assert find_directed_cycle(d, transitive) is None
 
 
+def _arc_sets(rng, g):
+    """An acyclic orientation of g, the same with one and with two edges
+    reversed, and an arbitrary arc subset that may hold both arcs of an edge."""
+    order = list(range(g.n))
+    rng.shuffle(order)
+    arcs = set(Orientation.from_vertex_order(g, order).arcs())
+    yield frozenset(arcs)
+    for flips in (1, 2):
+        flipped = set(arcs)
+        for a in rng.sample(sorted(arcs), min(flips, len(arcs))):
+            flipped ^= {a, a ^ 1}
+        yield frozenset(flipped)
+    yield frozenset(a for a in range(2 * g.m) if rng.random() < 0.5)
+
+
+def test_find_directed_cycle_agrees_with_brute_force(rng):
+    """None exactly when no enumerated cycle lies inside the arc set;
+    otherwise distinct vertices whose arcs, closing arc included, all do."""
+    cyclic = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        p = rng.random()
+        g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+        d = BidirectedDigraph(g)
+        cycles = [frozenset(cycle_arc_list(d, c)) for c in enumerate_cycles(d, max(n, 2))]
+        for arcs in _arc_sets(rng, g):
+            found = find_directed_cycle(d, arcs)
+            if found is None:
+                assert not any(c <= arcs for c in cycles)
+                continue
+            cyclic += 1
+            assert len(found) >= 2 and len(set(found)) == len(found)
+            assert set(cycle_arc_list(d, found)) <= arcs
+    assert cyclic > 200
+
+
 def test_longest_path_labels_count_arcs():
     g = path_graph(4)
     d = BidirectedDigraph(g)

@@ -74,7 +74,7 @@ def test_random_programs_are_primal_feasible():
             continue
         solved += 1
         # primal feasibility of the reported point
-        assert np.all(sol.x >= lp.lo - 1e-7) and np.all(sol.x <= lp.hi + 1e-7)
+        assert np.all(sol.x >= lp.col_lo[:n] - 1e-7) and np.all(sol.x <= lp.col_hi[:n] + 1e-7)
         for coeffs, sense, rhs in lp.rows:
             lhs = sum(c * sol.x[j] for j, c in coeffs.items())
             if sense == "<=":
@@ -140,12 +140,14 @@ def _vertex_optimum(c, lo, hi, rows):
 
 
 def _check_against_reference(lp, sol):
-    ref = _vertex_optimum(list(lp.c), list(lp.lo), list(lp.hi), lp.rows)
+    n = len(lp.c)
+    lo, hi = lp.col_lo[:n], lp.col_hi[:n]
+    ref = _vertex_optimum(list(lp.c), list(lo), list(hi), lp.rows)
     if ref is None:
         assert sol.status == "infeasible"
         return
     assert sol.optimal and sol.objective == pytest.approx(float(ref), abs=1e-7)
-    assert np.all(sol.x >= lp.lo - 1e-7) and np.all(sol.x <= lp.hi + 1e-7)
+    assert np.all(sol.x >= lo - 1e-7) and np.all(sol.x <= hi + 1e-7)
     for coeffs, sense, rhs in lp.rows:
         lhs = sum(cv * sol.x[j] for j, cv in coeffs.items())
         assert lhs <= rhs + 1e-7 if sense == "<=" else lhs == pytest.approx(rhs, abs=1e-7)
@@ -227,7 +229,7 @@ def test_branch_matches_cold_program_at_fixed_bounds():
         flo, fhi = list(lo), list(hi)
         for j, v in fixed:
             flo[j] = fhi[j] = v
-        assert list(child.lo) == flo and list(child.hi) == fhi
+        assert list(child.col_lo[:len(c)]) == flo and list(child.col_hi[:len(c)]) == fhi
         cold = _cold(c, flo, fhi, rows).solve()
         assert cold.status == sol.status
         assert not sol.optimal or sol.objective == pytest.approx(cold.objective, abs=1e-7)
@@ -268,7 +270,7 @@ def test_branch_at_the_nonbasic_value_costs_no_pivot():
         sol = parent.solve()
         if not sol.optimal:
             continue
-        fixed = [(j, sol.x[j]) for j in range(len(c)) if not parent.in_basis[j]]
+        fixed = [(j, sol.x[j]) for j in range(len(c)) if j not in parent.basis]
         child = parent.branch(fixed)
         again = child.solve()
         assert again.iterations == 0 and again.objective == pytest.approx(sol.objective)
@@ -334,7 +336,6 @@ def test_tableau_width_stays_columns_plus_one():
         assert prog.tab.shape == (len(prog.rows), n + 1)
         assert len(prog.d) == len(prog.nonbasic) == n
         assert sorted(np.concatenate([prog.basis, prog.nonbasic])) == list(range(total))
-        assert list(np.flatnonzero(prog.in_basis)) == sorted(prog.basis)
     assert len(programs) > 3 and len(lp.rows) == 40
 
 

@@ -29,7 +29,7 @@ from orientcut.model import (
     ModelPoint,
     check_integral_feasible,
 )
-from orientcut.polytope import brute_force_optimum
+from orientcut.polytope import brute_force_optimum, enumerate_feasible_points
 from orientcut.solver import (
     check_load_reduction,
     chromatic_number,
@@ -135,8 +135,9 @@ def test_clique_bound_reaches_every_orientation_solve():
 
 
 def test_deadline_ends_the_cut_loop(monkeypatch):
-    """Past the deadline a node stops separating and branches, and the search
-    stops with the node's bound among its open bounds."""
+    """Past the deadline a node stops separating and goes back onto the heap
+    with its current program, and the search stops with the node's bound
+    among its open bounds."""
     rounds = []
     per_node = []
     separate = solver.separate_paths
@@ -170,6 +171,39 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
     history = rep.root_bound_history
     assert history == free.root_bound_history[:len(history)]
     assert math.isfinite(rep.bound) and rep.bound == history[-1] < free.objective
+
+
+def test_deadline_at_a_fractional_point_sends_the_node_back(monkeypatch):
+    """A node at a fractional point past the deadline does not branch: it goes
+    back onto the heap like an integral one, and the search stops at the next
+    pop with the node's bound."""
+    solved = []
+    branched = []
+    lp_solve = LinearProgram.solve
+    branch = solver._branch
+
+    def solve_spy(lp):
+        try:
+            return lp_solve(lp)
+        finally:
+            solved.append(lp)
+
+    def branch_spy(*args):
+        branched.append(args)
+        return branch(*args)
+
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    monkeypatch.setattr(solver, "_branch", branch_spy)
+    # the clock passes the deadline after the root's second LP solve, whose
+    # point, after the integral first point's round, is fractional
+    clock = types.SimpleNamespace(monotonic=lambda: 1.0 if len(solved) >= 2 else 0.0)
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(separation, "time", clock)
+    rep = solve_ao(_myciel3(), 3, deadline=0.5)
+    assert len(solved) == 2 and branched == []
+    assert rep.status == "timeout" and rep.node_count == 1
+    history = rep.root_bound_history
+    assert len(history) == 2 and rep.bound == history[-1] == pytest.approx(2.0)
 
 
 def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
@@ -354,6 +388,27 @@ def test_admissible_refusals_become_no_good_rows():
                     admissible=lambda arcs: True)
 
 
+def test_solve_model_refuses_a_negative_z_cost():
+    """Every selection of path_graph(3) can take z = kappa = 2, so the optimum
+    of -z is -2; the search would set z to the load and report -1."""
+    g, cfg = path_graph(3), ModelConfig(kappa=2, variant=AS)
+    objective = solver.Objective(z_coeff=-1.0)
+    assert min(objective.value(p) for p in enumerate_feasible_points(g, cfg)) == -2.0
+    with pytest.raises(InputError, match="z cost"):
+        solve_model(g, cfg, objective=objective)
+
+
+@pytest.mark.parametrize("arc", [4, -1])
+def test_solve_model_refuses_an_arc_out_of_range(arc):
+    """path_graph(3) has arcs 0-3: an objective or row naming another arc
+    fails as input before any search, not as an IndexError inside one."""
+    g, cfg = path_graph(3), ModelConfig(kappa=2, variant=AO)
+    with pytest.raises(InputError, match="arc index"):
+        solve_model(g, cfg, objective=solver.Objective(w_coeffs={arc: 5.0}))
+    with pytest.raises(InputError, match="arc index"):
+        solve_model(g, cfg, extra_rows=(LinearRow({0: 1.0, arc: 1.0}, 0, 1, "<=", "gadget-side"),))
+
+
 def test_extra_rows_cut_off_solutions():
     # forbid z below 2 via an explicit row; optimum moves from 1 to 2
     g = path_graph(3)
@@ -475,7 +530,8 @@ def test_root_program_starts_where_its_pair_pivots_lead(monkeypatch):
     saved = 0
     for forced, lp in roots:
         pivoted = int(np.count_nonzero(lp.basis < len(lp.c)))
-        plain = LinearProgram(lp.c, lp.lo, lp.hi)
+        ns = len(lp.c)
+        plain = LinearProgram(lp.c, lp.col_lo[:ns], lp.col_hi[:ns])
         for coeffs, sense, rhs in lp.rows:
             plain.add_row(coeffs, sense, rhs)
         fast, slow = lp.branch(forced), plain.branch(forced)
