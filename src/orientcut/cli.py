@@ -2,14 +2,16 @@
 
 Reports carry no wall-clock fields and serialize with sorted keys, and the
 search is sequential and not random, so identical inputs reproduce them byte
-for byte; timing goes to the stderr summary instead. Exit codes: 0 solved,
-2 infeasible, 3 time limit, 1 usage or input trouble or an oracle that
-disagrees with a solved answer. An oracle that refuses an instance past its
-scan's size cap leaves `oracleAgrees` null and the exit code as it is.
+for byte; timing goes to the stderr summary instead.
 
-`main` turns `--time-limit` into one deadline, a `time.monotonic()` reading
-taken once after the arguments parse, and every command hands that deadline
-to all of its solves, so the limit bounds the whole command.
+`main` reads the instance, turns `--time-limit` into one deadline, a
+`time.monotonic()` reading taken once after the arguments parse, and hands
+both to the command, which passes that deadline to all of its solves, so the
+limit bounds the whole command. Each command returns its report and summary;
+`main` alone stamps, prints and picks the exit code: 1 for usage or input
+trouble or an oracle that disagrees, whatever the verdict; else 2 infeasible,
+3 time limit, 0 solved. An oracle that refuses an instance past its scan's
+size cap leaves `oracleAgrees` null and the exit code as it is.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .separation import TEMPLATE_TAGS, template_rows
 from .solver import SolveReport, min_diameter_orientation, solve_ao
 
 DEFAULT_TIME_LIMIT = 300.0
+EXIT_CODES = {"infeasible": 2, "timeout": 3}
 ROW_CLASSES = ("cycle", "path") + TEMPLATE_TAGS
 
 
@@ -82,10 +85,10 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, summary: str, started: float, code: int = 0) -> int:
-    """Print the report and its summary line; return the exit code `code`.
-    A reader that closes stdout early ends the report quietly: the rest of
-    it, and the flush at exit, go to os.devnull."""
+def _emit(report: dict, summary: str, started: float) -> None:
+    """Print the report and its summary line. A reader that closes stdout
+    early ends the report quietly: the rest of it, and the flush at exit, go
+    to os.devnull."""
     try:
         print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
         sys.stdout.flush()
@@ -96,7 +99,6 @@ def _emit(report: dict, summary: str, started: float, code: int = 0) -> int:
         finally:
             os.close(devnull)
     sys.stderr.write(f"{summary} [{time.perf_counter() - started:.2f}s]\n")
-    return code
 
 
 def _read_instance(path: str) -> Tuple[str, str]:
@@ -137,16 +139,13 @@ def _aggregate(reports: List[SolveReport]) -> dict:
     }
 
 
-def cmd_color(args, deadline: float) -> int:
-    text, digest = _read_instance(args.file)
+def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
     g = parse_dimacs(text)
-    started = time.perf_counter()
     reports: List[SolveReport] = []
     try:
         orient, q = min_diameter_orientation(g, reports=reports, deadline=deadline)
     except TimeLimitError:
-        return _emit({"command": "color", "digest": digest, "status": "timeout"},
-                     "time limit reached", started, 3)
+        return {"status": "timeout", **_aggregate(reports)}, "time limit reached"
     # one longest-path pass checks the answer: acyclic, q + 1 layers, each
     # an independent set, and the layers are the reported classes
     try:
@@ -158,29 +157,23 @@ def cmd_color(args, deadline: float) -> int:
         raise InputError(f"coloring failed the final recheck: {len(classes)} layers, "
                          f"window optimum {q}")
     chi = q + 1
-    report = {"command": "color", "digest": digest, "status": "optimal", "chromatic": chi,
-              "classes": classes, **_aggregate(reports)}
+    report = {"status": "optimal", "chromatic": chi, "classes": classes,
+              **_aggregate(reports)}
     if args.oracle:
         report["oracleAgrees"] = _oracle(lambda: brute_force_chromatic(g) == chi)
-    _emit(report, f"chromatic number {chi} ({report['nodes']} nodes, "
-          f"{report['solves']} window solves)", started)
-    return 1 if report.get("oracleAgrees") is False else 0
+    return report, (f"chromatic number {chi} ({report['nodes']} nodes, "
+                    f"{report['solves']} window solves)")
 
 
-def cmd_orient(args, deadline: float) -> int:
-    text, digest = _read_instance(args.file)
+def cmd_orient(args, text: str, deadline: float) -> Tuple[dict, str]:
     g = parse_dimacs(text)
-    started = time.perf_counter()
     rep = solve_ao(g, args.kappa, deadline=deadline)
-    base = {"command": "orient", "digest": digest, "kappa": args.kappa,
-            "status": rep.status, "bound": rep.bound,
+    base = {"kappa": args.kappa, "status": rep.status, "bound": rep.bound,
             "nodes": rep.node_count, "pruned": rep.pruned_count,
             "cutCounts": dict(rep.cut_counts),
             "boundHistory": list(rep.root_bound_history)}
-    if rep.status == "timeout":
-        return _emit(base, "time limit reached", started, 3)
-    if rep.status == "infeasible":
-        return _emit(base, "infeasible", started, 2)
+    if rep.status != "optimal":
+        return base, "time limit reached" if rep.status == "timeout" else "infeasible"
     point = rep.best_point
     cfg = ModelConfig(kappa=args.kappa, variant=AO)
     ok, witness = check_integral_feasible(BidirectedDigraph(g), cfg, point)
@@ -191,9 +184,7 @@ def cmd_orient(args, deadline: float) -> int:
     if args.oracle:
         base["oracleAgrees"] = _oracle(
             lambda: abs(brute_force_optimum(g, cfg)[0] - rep.objective) < 1e-6)
-    _emit(base, f"window load {rep.objective:g} at kappa {args.kappa} "
-          f"({rep.node_count} nodes)", started)
-    return 1 if base.get("oracleAgrees") is False else 0
+    return base, f"window load {rep.objective:g} at kappa {args.kappa} ({rep.node_count} nodes)"
 
 
 def _fap_oracle(inst: FapInstance, mode: str):
@@ -211,8 +202,7 @@ def _fap_oracle(inst: FapInstance, mode: str):
         return None
 
 
-def cmd_fap(args, deadline: float) -> int:
-    text, digest = _read_instance(args.file)
+def cmd_fap(args, text: str, deadline: float) -> Tuple[dict, str]:
     try:
         data = json.loads(text)
     except ValueError as exc:
@@ -226,10 +216,8 @@ def cmd_fap(args, deadline: float) -> int:
         mode = "fixed"
     else:
         mode = "minimum"
-    started = time.perf_counter()
     reports: List[SolveReport] = []
-    report = {"command": "fap", "digest": digest, "mode": mode,
-              "links": inst.links, "spectrum": inst.spectrum}
+    report = {"mode": mode, "links": inst.links, "spectrum": inst.spectrum}
     try:
         if mode == "soft":
             result = solve_soft_cost(inst, reports=reports, deadline=deadline)
@@ -239,13 +227,13 @@ def cmd_fap(args, deadline: float) -> int:
             result = min_spectrum(inst, reports=reports, deadline=deadline)
     except TimeLimitError:
         report.update(status="timeout", **_aggregate(reports))
-        return _emit(report, "time limit reached", started, 3)
+        return report, "time limit reached"
     except InfeasibleError as exc:
         bound = getattr(exc, "bound", math.inf)
         report.update(status="infeasible", bound=bound, **_aggregate(reports))
         if args.oracle:
             report["oracleAgrees"] = _oracle(lambda: _fap_oracle(inst, mode) is None)
-        return _emit(report, "infeasible", started, 2)
+        return report, "infeasible"
     if mode == "minimum":
         phi, assignment = result
         report["spectrum"] = answer = phi
@@ -265,8 +253,7 @@ def cmd_fap(args, deadline: float) -> int:
             return expect is not None and abs(expect - answer) < 1e-6
 
         report["oracleAgrees"] = _oracle(agrees)
-    _emit(report, summary + f" ({report['nodes']} nodes)", started)
-    return 1 if report.get("oracleAgrees") is False else 0
+    return report, summary + f" ({report['nodes']} nodes)"
 
 
 def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
@@ -283,26 +270,23 @@ def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
     return [seen[k] for k in sorted(seen)]
 
 
-def cmd_polytope(args, deadline: float) -> int:
-    text, digest = _read_instance(args.file)
+def cmd_polytope(args, text: str, deadline: float) -> Tuple[dict, str]:
     g = parse_dimacs(text)
-    started = time.perf_counter()
     cfg = ModelConfig(kappa=args.kappa, variant=AS)
-    timeout = {"command": "polytope", "digest": digest, "status": "timeout"}
+    timeout = {"status": "timeout"}, "time limit reached"
     points = enumerate_feasible_points(g, cfg)
     if time.monotonic() >= deadline:
-        return _emit(timeout, "time limit reached", started, 3)
+        return timeout
     dim = polytope_dimension(g, cfg, points)
-    report = {"command": "polytope", "digest": digest, "kappa": args.kappa,
-              "status": "ok", "dimension": dim, "fullDimension": 2 * g.m + 1,
-              "points": len(points)}
+    report = {"kappa": args.kappa, "status": "ok", "dimension": dim,
+              "fullDimension": 2 * g.m + 1, "points": len(points)}
     summary = f"dimension {dim} of {2 * g.m + 1} over {len(points)} points"
     if args.classify:
         details = []
         facets = valid = 0
         for row in _class_rows(g, args.kappa, args.classify):
             if time.monotonic() >= deadline:
-                return _emit(timeout, "time limit reached", started, 3)
+                return timeout
             face = classify_face(g, cfg, row, points, dim)
             facets += face.is_facet
             valid += face.valid
@@ -315,7 +299,7 @@ def cmd_polytope(args, deadline: float) -> int:
                        "validCount": valid, "facetCount": facets})
         summary += (f"; {args.classify}: {len(details)} rows, "
                     f"{valid} valid, {facets} facets")
-    return _emit(report, summary, started)
+    return report, summary
 
 
 def _positive_int(text: str) -> int:
@@ -384,11 +368,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     deadline = time.monotonic() + args.time_limit
+    started = time.perf_counter()
     try:
-        return args.func(args, deadline)
+        text, digest = _read_instance(args.file)
+        report, summary = args.func(args, text, deadline)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    _emit({"command": args.subcommand, "digest": digest, **report}, summary, started)
+    if report.get("oracleAgrees") is False:
+        return 1
+    return EXIT_CODES.get(report["status"], 0)
 
 
 if __name__ == "__main__":

@@ -488,38 +488,38 @@ def _candidate_freqs(inst: FapInstance, phi: int) -> Optional[List[List[int]]]:
     return cols
 
 
-def brute_force_min_spectrum(inst: FapInstance, max_links: int = BRUTE_MAX_LINKS,
-                             max_freq: int = BRUTE_MAX_FREQ) -> Tuple[int, Tuple[int, ...]]:
+def brute_force_min_spectrum(inst: FapInstance) -> Tuple[int, Tuple[int, ...]]:
     """Reference spectrum optimum by scanning all capped assignments; only an
-    exhaustive scan, every link's set within [0, max_freq], proves infeasibility."""
-    if inst.links > max_links:
-        raise SizeRefusalError(f"assignment scan capped at {max_links} links, got {inst.links}")
+    exhaustive scan, every link's set within [0, BRUTE_MAX_FREQ], proves
+    infeasibility."""
+    if inst.links > BRUTE_MAX_LINKS:
+        raise SizeRefusalError(f"assignment scan capped at {BRUTE_MAX_LINKS} links, "
+                               f"got {inst.links}")
     if inst.has_costs:
         raise UnsupportedInstanceError("spectrum search is for hard instances only")
     hard = inst.conflict_pairs()
-    for phi in range(max_freq + 1):
+    for phi in range(BRUTE_MAX_FREQ + 1):
         cols = _candidate_freqs(inst, phi)
         if cols is None:
             continue
         for f in itertools.product(*cols):
             if all(abs(f[p.i] - f[p.j]) >= p.d for p in hard):
                 return phi, f
-    if all(fs is not None and max(fs, default=0) <= max_freq for fs in inst.freq_sets):
+    if all(fs is not None and max(fs, default=0) <= BRUTE_MAX_FREQ for fs in inst.freq_sets):
         raise InfeasibleError("no assignment from the frequency sets")
-    raise SizeRefusalError(f"assignment scan capped at frequency {max_freq}")
+    raise SizeRefusalError(f"assignment scan capped at frequency {BRUTE_MAX_FREQ}")
 
 
-def brute_force_fixed_spectrum(inst: FapInstance,
-                               max_links: int = BRUTE_MAX_LINKS,
-                               max_freq: int = BRUTE_MAX_FREQ) -> Tuple[int, ...]:
+def brute_force_fixed_spectrum(inst: FapInstance) -> Tuple[int, ...]:
     """Reference fixed-spectrum feasibility by scanning all assignments."""
-    if inst.links > max_links:
-        raise SizeRefusalError(f"assignment scan capped at {max_links} links, got {inst.links}")
+    if inst.links > BRUTE_MAX_LINKS:
+        raise SizeRefusalError(f"assignment scan capped at {BRUTE_MAX_LINKS} links, "
+                               f"got {inst.links}")
     phi = inst.spectrum
     if phi is None:
         raise InputError("fixed-spectrum scan needs the spectrum field")
-    if phi > max_freq:
-        raise SizeRefusalError(f"assignment scan capped at spectrum {max_freq}, got {phi}")
+    if phi > BRUTE_MAX_FREQ:
+        raise SizeRefusalError(f"assignment scan capped at spectrum {BRUTE_MAX_FREQ}, got {phi}")
     cols = _candidate_freqs(inst, phi)
     if cols is not None:
         hard = inst.conflict_pairs()
@@ -529,11 +529,11 @@ def brute_force_fixed_spectrum(inst: FapInstance,
     raise InfeasibleError(f"no assignment fits spectrum {phi}")
 
 
-def brute_force_soft_cost(inst: FapInstance,
-                          max_links: int = BRUTE_MAX_LINKS) -> Tuple[float, Tuple[int, ...]]:
+def brute_force_soft_cost(inst: FapInstance) -> Tuple[float, Tuple[int, ...]]:
     """Reference soft-cost optimum; hard pairs must hold, costed ones pay."""
-    if inst.links > max_links:
-        raise SizeRefusalError(f"assignment scan capped at {max_links} links, got {inst.links}")
+    if inst.links > BRUTE_MAX_LINKS:
+        raise SizeRefusalError(f"assignment scan capped at {BRUTE_MAX_LINKS} links, "
+                               f"got {inst.links}")
     phi = inst.spectrum
     if phi is None:
         raise InputError("soft-cost scan needs the spectrum field")

@@ -160,12 +160,18 @@ def row_cycle(d: BidirectedDigraph, cycle: Sequence[int]) -> LinearRow:
     return LinearRow({a: 1 for a in arcs}, 0, len(arcs) - 1, "<=", "cycle")
 
 
+def row_window(arcs: Sequence[int], tag: str) -> LinearRow:
+    """Load bound for a window given as its arcs: sum of the arcs <= z, with
+    the coefficients in the order of `arcs`."""
+    return LinearRow(dict.fromkeys(arcs, 1), -1, 0, "<=", tag)
+
+
 def row_path(d: BidirectedDigraph, path: Sequence[int], kappa: int) -> LinearRow:
     """Load bound for a path with exactly kappa arcs: sum of its arcs <= z."""
     arcs = path_arc_list(d, path)
     if len(arcs) != kappa:
         raise InputError(f"path must have exactly {kappa} arcs, got {len(arcs)}")
-    return LinearRow({a: 1 for a in arcs}, -1, 0, "<=", "path")
+    return row_window(arcs, "path")
 
 
 def row_cycle_z(d: BidirectedDigraph, cycle: Sequence[int], kappa: int) -> LinearRow:
@@ -173,7 +179,7 @@ def row_cycle_z(d: BidirectedDigraph, cycle: Sequence[int], kappa: int) -> Linea
     arcs = cycle_arc_list(d, cycle)
     if len(arcs) != kappa + 1:
         raise InputError(f"cycle must have exactly {kappa + 1} arcs, got {len(arcs)}")
-    return LinearRow({a: 1 for a in arcs}, -1, 0, "<=", "cycle-z")
+    return row_window(arcs, "cycle-z")
 
 
 def row_path_km1(d: BidirectedDigraph, path: Sequence[int], apex: int, kappa: int) -> LinearRow:

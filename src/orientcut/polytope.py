@@ -35,12 +35,14 @@ MAX_BRUTE_VERTICES = 10
 MAX_BRUTE_STATES = 1 << 20
 
 
-def _selection_scan(d: BidirectedDigraph, cfg: ModelConfig) -> Iterator[Tuple[Tuple[float, ...], int, int]]:
+def _selection_scan(d: BidirectedDigraph,
+                    cfg: ModelConfig) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     """Yield (w, arc bitmask, max path load) for every acyclic binary selection.
 
     A selection picks one direction per edge (both-variant also allows
     skipping the edge). Acyclicity and loads are popcount tests against
-    precomputed cycle and path masks.
+    precomputed cycle and path masks. `w` holds the mask's bits as 0/1 ints,
+    so the lab's points are integers from the start and need no conversion.
     """
     g = d.graph
     m = g.m
@@ -57,12 +59,13 @@ def _selection_scan(d: BidirectedDigraph, cfg: ModelConfig) -> Iterator[Tuple[Tu
         if any(cm & mask == cm for cm in cyc_masks):
             continue
         load = max(((pm & mask).bit_count() for pm in path_masks), default=0)
-        w = tuple(float(mask >> a & 1) for a in range(2 * m))
+        w = tuple(mask >> a & 1 for a in range(2 * m))
         yield w, mask, load
 
 
 def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[ModelPoint]:
-    """All feasible integral points, with z swept over its integer levels.
+    """All feasible integral points, with z swept over its integer levels;
+    every coordinate is an int.
 
     For each acyclic selection, z ranges over the integers from the maximum
     path load up to the z upper bound. Intermediate levels are convex
@@ -77,12 +80,12 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[Mode
     points = []
     for w, _, load in _selection_scan(d, cfg):
         for zi in range(max(load, z_lo), z_up + 1):
-            points.append(ModelPoint(w, float(zi)))
+            points.append(ModelPoint(w, zi))
     return points
 
 
 def _vectors(points: Sequence[ModelPoint]) -> List[Tuple[int, ...]]:
-    return [tuple(int(round(x)) for x in p.w) + (int(round(p.z)),) for p in points]
+    return [p.w + (p.z,) for p in points]
 
 
 def polytope_dimension(g: UndirectedGraph, cfg: ModelConfig,
@@ -113,11 +116,11 @@ def classify_face(g: UndirectedGraph, cfg: ModelConfig, row: LinearRow,
                   dimension: Optional[int] = None) -> FaceReport:
     """Validity and face dimension of an inequality over the solution set.
 
-    Coefficients, points and the right-hand side are all small integers here,
-    so the float row values, and with them validity and tightness, are exact;
-    only the tight points are converted for the rank. A facet is a valid face
-    one dimension below the polytope, whose rank is computed here unless
-    `dimension` gives it.
+    The lab's points are integers, as are the coefficients and right-hand
+    side of every row built here, so row values are evaluated in integer
+    arithmetic and validity and tightness are exact, and the tight points go
+    to the rank as they are. A facet is a valid face one dimension below the
+    polytope, whose rank is computed here unless `dimension` gives it.
     """
     if row.sense != "<=":
         raise InputError("face classification expects an inequality row")
@@ -182,15 +185,15 @@ def brute_force_chromatic(g: UndirectedGraph, max_n: int = MAX_BRUTE_VERTICES) -
     return upper
 
 
-def brute_force_min_diameter(g: UndirectedGraph,
-                             max_n: int = MAX_BRUTE_VERTICES) -> Tuple[int, Orientation]:
+def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, Orientation]:
     """Smallest possible longest directed path over all acyclic orientations.
 
     Scans either all edge-direction vectors or all vertex orders, whichever
     set is smaller; every acyclic orientation arises both ways.
     """
-    if g.n > max_n:
-        raise SizeRefusalError(f"orientation brute force capped at {max_n} vertices, got {g.n}")
+    if g.n > MAX_BRUTE_VERTICES:
+        raise SizeRefusalError(f"orientation brute force capped at {MAX_BRUTE_VERTICES} "
+                               f"vertices, got {g.n}")
     if g.m == 0:
         return 0, Orientation(g, [])
     d = BidirectedDigraph(g)
@@ -218,15 +221,14 @@ def brute_force_min_diameter(g: UndirectedGraph,
     return best
 
 
-def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig,
-                        max_edges: int = MAX_LAB_EDGES) -> Tuple[float, ModelPoint]:
+def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig) -> Tuple[float, ModelPoint]:
     """Exact optimum of the model objective by full state enumeration.
 
     Minimizes z for the orientation variant and z - (m + 1) * sum(w) for the
     selection variant. Raises InfeasibleError when no state fits the z window.
     """
-    if g.m > max_edges:
-        raise SizeRefusalError(f"optimum brute force capped at {max_edges} edges, got {g.m}")
+    if g.m > MAX_LAB_EDGES:
+        raise SizeRefusalError(f"optimum brute force capped at {MAX_LAB_EDGES} edges, got {g.m}")
     d = BidirectedDigraph(g)
     z_lo = int(cfg.z_lower)
     z_up = int(cfg.z_upper)
@@ -238,7 +240,7 @@ def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig,
             continue
         obj = float(z) if cfg.variant == AO else z - penalty * mask.bit_count()
         if best is None or obj < best[0]:
-            best = (obj, ModelPoint(w, float(z)))
+            best = (obj, ModelPoint(w, z))
     if best is None:
         raise InfeasibleError("no acyclic selection fits the z window")
     return best

@@ -31,9 +31,9 @@ from .model import (
     row_cycle,
     row_cycle_arcs,
     row_cycle_z,
-    row_path,
     row_path_km1,
     row_path_km2,
+    row_window,
 )
 
 VIOLATION_TOL = 1e-6
@@ -113,8 +113,8 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]
 def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
                       closed: bool, cap: int,
                       deadline: Optional[float] = None) -> List[Tuple[int, ...]]:
-    """Vertices of the `cap` elementary windows whose load exceeds z at
-    (w, z) by more than VIOLATION_TOL, most violated first.
+    """The `cap` elementary windows whose load exceeds z at (w, z) by more
+    than VIOLATION_TOL, most violated first, each as its arcs in window order.
 
     An open window is a path of kappa arcs, walked from every start. A
     closed window is a cycle of kappa + 1 arcs, met once: walked from its
@@ -139,23 +139,23 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
         raise InputError("kappa must be at least 1")
     arcs = kappa + closed
     wmax = max(w, default=0.0)
-    # A heap of (violation, negated sorted support, vertices) with the window
+    # A heap of (violation, negated sorted support, arcs) with the window
     # that ranks last at its root; every support has `arcs` entries, so
-    # negating them reverses their order.
+    # negating them reverses their order. Two windows that tie on violation
+    # and support are one window, so the arcs never decide a comparison.
     held: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
-    verts: List[int] = []
     walk: List[int] = []
     on = [False] * d.n
 
-    def keep(viol: float, support: List[int], window: List[int]):
+    def keep(viol: float, window: List[int]):
         if viol > VIOLATION_TOL:
-            item = (viol, tuple(-a for a in sorted(support)), tuple(window))
+            item = (viol, tuple(-a for a in sorted(window)), tuple(window))
             if len(held) < cap:
                 heapq.heappush(held, item)
             else:
                 heapq.heappushpop(held, item)
 
-    def extend(v: int, load: float):
+    def extend(s: int, v: int, load: float):
         used = len(walk)
         reach = load + (arcs - used) * wmax
         if reach <= z + VIOLATION_TOL or \
@@ -163,26 +163,21 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
             return
         if 0 < used < 3 and deadline is not None and time.monotonic() >= deadline:
             return
-        s = verts[0]
         for a, u in d.out_arcs[v]:
             if used == arcs - 1:
                 if (u == s) if closed else not on[u]:
-                    keep(load + w[a] - z, walk + [a], verts if closed else verts + [u])
+                    keep(load + w[a] - z, walk + [a])
             elif not on[u] and (u > s or not closed):
-                verts.append(u)
                 walk.append(a)
                 on[u] = True
-                extend(u, load + w[a])
-                verts.pop()
+                extend(s, u, load + w[a])
                 walk.pop()
                 on[u] = False
 
     if cap > 0 and arcs + (not closed) <= d.n:
         for s in range(d.n):
-            verts.append(s)
             on[s] = True
-            extend(s, 0.0)
-            verts.pop()
+            extend(s, s, 0.0)
             on[s] = False
     return [window for _, _, window in sorted(held, reverse=True)]
 
@@ -191,8 +186,9 @@ def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: in
                    deadline: Optional[float] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS kappa-arc path rows most violated at (w, z), most
     violated first: exact, by the window search over open windows, unless
-    `deadline` stops the search."""
-    return [row_path(d, p, kappa)
+    `deadline` stops the search. Each row lists its window's arcs head to
+    tail, in window order."""
+    return [row_window(p, "path")
             for p in _violated_windows(d, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline)]
 
 
@@ -200,8 +196,10 @@ def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa
                        deadline: Optional[float] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS cycle-z rows most violated at (w, z), most
     violated first: exact, by the window search over closed windows of
-    kappa + 1 arcs, unless `deadline` stops the search."""
-    return [row_cycle_z(d, c, kappa)
+    kappa + 1 arcs, unless `deadline` stops the search. Each row lists its
+    window's arcs in window order, from the cycle's smallest vertex round
+    to it."""
+    return [row_window(c, "cycle-z")
             for c in _violated_windows(d, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline)]
 
 

@@ -203,6 +203,18 @@ def test_cli_fap_oracle_that_proves_infeasible_disagrees(capsys, monkeypatch, tm
     assert code == 1 and rep["status"] == "optimal" and rep["oracleAgrees"] is False
 
 
+def test_cli_fap_disputed_infeasible_verdict_exits_1(capsys, monkeypatch, tmp_path):
+    """An oracle that disagrees exits 1 whatever the verdict, an infeasible
+    one included, so exit code 2 always means an undisputed infeasibility."""
+    monkeypatch.setattr(orientcut.cli, "brute_force_min_spectrum", lambda inst: (1, (0, 1)))
+    p = tmp_path / "clash.json"
+    p.write_text(json.dumps({"links": 2, "freqSets": [[0], [0]],
+                             "pairs": [{"i": 0, "j": 1, "d": 1}]}))
+    code, out, _ = _run(capsys, ["fap", str(p), "--oracle"])
+    rep = json.loads(out)
+    assert code == 1 and rep["status"] == "infeasible" and rep["oracleAgrees"] is False
+
+
 @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])
 def test_cli_fap_rejects_non_finite_costs(capsys, tmp_path, cost):
     p = tmp_path / "soft.json"
@@ -342,12 +354,16 @@ def test_cli_color_solves_queen4(capsys, tmp_path):
 
 
 def test_cli_time_limit_bounds_the_command(capsys, tmp_path):
-    """myciel4 is not solved in a second; the command must stop soon after."""
+    """myciel4 is not solved in a second; the command must stop soon after,
+    with the counters of the window solves it ran, the stopped one included."""
     path = _write_col(tmp_path / "myciel4.col", mycielski(mycielski(cycle_graph(5))))
     start = time.monotonic()
     code, out, _ = _run(capsys, ["color", path, "--time-limit", "1"])
-    assert code == 3 and json.loads(out)["status"] == "timeout"
+    rep = json.loads(out)
+    assert code == 3 and rep["status"] == "timeout"
     assert time.monotonic() - start < 4.0
+    assert rep["solves"] >= 1
+    assert {"nodes", "pruned", "cutCounts", "boundHistory"} <= rep.keys()
 
 
 def test_cli_error_exits(capsys, tmp_path):

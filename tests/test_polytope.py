@@ -80,6 +80,18 @@ def test_integer_z_levels_span_the_continuous_hull():
     assert affine_dimension(dense) == affine_dimension(ints)
 
 
+def test_lab_points_are_integers():
+    """Every coordinate of a lab point is an int, and the points' rank is the
+    rank of the same points taken as floats."""
+    for name, g, _ in BATTERY[3:]:
+        for variant in (AO, AS):
+            cfg = ModelConfig(kappa=2, variant=variant)
+            pts = enumerate_feasible_points(g, cfg)
+            assert all(type(x) is int for p in pts for x in p.w + (p.z,)), (name, variant)
+            floats = [tuple(map(float, p.w)) + (float(p.z),) for p in pts]
+            assert polytope_dimension(g, cfg, pts) == affine_dimension(floats), (name, variant)
+
+
 def test_classify_face_spot_checks():
     g = complete_graph(3)
     cfg = ModelConfig(kappa=2, variant=AS)

@@ -16,7 +16,7 @@ from orientcut.graphs import (
     paw_graph,
     petersen_graph,
 )
-from orientcut.model import AO, AS, ModelConfig, row_cycle, row_cycle_z, row_path
+from orientcut.model import AO, AS, ModelConfig, row_cycle, row_path, row_window
 from orientcut.polytope import enumerate_feasible_points
 from orientcut.separation import (
     MAX_CUTS_PER_CLASS,
@@ -378,13 +378,39 @@ def test_template_search_matches_per_call_reference(rng):
             for cap in (MAX_CUTS_PER_CLASS, 10 ** 6):
                 ref = _templates_per_call(d, w, z, kappa, cap)
                 got = separate_templates(d, w, z, kappa) if cap == MAX_CUTS_PER_CLASS else \
-                    [row_cycle_z(d, c, kappa)
+                    [row_window(c, "cycle-z")
                      for c in separation._violated_windows(d, w, z, kappa, True, cap)]
                 assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
                     (g.edges, kappa, w, z, cap)
             violated += len(ref)
             capped += len(ref) > MAX_CUTS_PER_CLASS
     assert violated > 4000 and capped > 20
+
+
+def test_window_rows_list_their_arcs_head_to_tail(rng):
+    """A path or cycle-z row lists its window's arcs in window order: each arc
+    leaves the vertex where the one before it ends, and a cycle-z row's last
+    arc returns to its first arc's tail. So its violation is the load summed
+    in that order, less z, to the bit."""
+    seen = {"path": 0, "cycle-z": 0}
+    cases = [(petersen_graph(), 3), (complete_graph(5), 2), (complete_graph(5), 3),
+             (paw_graph(), 2)]
+    for g, kappa in cases:
+        d = BidirectedDigraph(g)
+        for _ in range(4):
+            w, z = _fractional_point(g, kappa, rng)
+            for row in separate_paths(d, w, z, kappa) + separate_templates(d, w, z, kappa):
+                arcs = list(row.coeffs)
+                closed = row.tag == "cycle-z"
+                assert len(arcs) == kappa + closed
+                assert all(d.heads[a] == d.tails[b] for a, b in zip(arcs, arcs[1:])), row
+                assert (d.heads[arcs[-1]] == d.tails[arcs[0]]) == closed, row
+                load = 0.0
+                for a in arcs:
+                    load += w[a]
+                assert row.violation(w, z) == load - z
+                seen[row.tag] += 1
+    assert min(seen.values()) > 50, seen
 
 
 def test_window_search_stops_at_the_deadline(monkeypatch):
