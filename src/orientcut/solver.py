@@ -6,9 +6,10 @@ node's row set, base rows and every cut of its lineage. Nothing writes the
 parent's program, so processing a node is a pure function of the node, the
 incumbent's objective when it is popped and the shared, read-only problem
 data.
-Every LP point, integral or fractional, goes through the same cut round. The
-round asks the window search for kappa-arc path rows and for cycle-z rows, the
-one template family the solver separates, and asks the cycle separator, one
+Every LP point, integral or fractional, goes through the same cut round, which
+reads the point once as plain Python floats, the same doubles. The round asks
+the window search for kappa-arc path rows and for cycle-z rows, the one
+template family the solver separates, and asks the cycle separator, one
 Dijkstra search per vertex, only at an integral point where both return
 nothing. Each separator returns only rows violated by more than 1e-6 at the LP
 optimum, where every row of the program holds to within 1e-7, and no two
@@ -41,6 +42,20 @@ theorem on tournaments). The root enters the heap with the cost minimum over
 the variable box, so a start point that meets that bound settles the solve
 without an LP.
 
+In the orientation model, when every point that can still improve has z
+below kappa, none of them selects a directed path of kappa arcs: it would
+hold a kappa-arc window of load kappa. That holds when the z upper bound is
+below kappa, as in every fixed-spectrum probe, or when the objective is z
+alone and the incumbent is at most kappa when the search starts, as in every
+`color` certify window; the incumbent only falls after that. The search then
+propagates the forced arcs of each child it pushes to a fixpoint
+(`_propagate`): an unforced edge that one direction would close into a
+forced cycle or a forced path of kappa arcs is forced the other way, and a
+child left with a forced cycle, a forced path of kappa arcs or an edge with
+no direction is dropped and counted as pruned. That pass is the child's
+acyclicity test, which `_branch` makes where the search does not propagate.
+The root is not propagated.
+
 The base program starts in the basis the root's first solve would reach
 after its pivots on the edge-pair rows. At the start point, each variable at
 the bound its cost prefers, a pair row whose two arcs cost the same is
@@ -71,13 +86,12 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
     BidirectedDigraph,
     Orientation,
     UndirectedGraph,
+    _kahn,
     dag_longest_path,
     find_directed_cycle,
     greedy_clique,
@@ -168,13 +182,15 @@ class _Context:
     def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
                  admissible: Optional[Callable[[frozenset], bool]] = None,
-                 root_forced: Tuple[Tuple[int, int], ...] = ()):
+                 root_forced: Tuple[Tuple[int, int], ...] = (),
+                 propagate: bool = False):
         self.g = d.graph
         self.cfg = cfg
         self.d = d
         self.objective = objective
         self.deadline = deadline
         self.admissible = admissible
+        self.propagate = propagate  # whether the search propagates each child
         m = d.graph.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
@@ -211,7 +227,8 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     """Children on the most fractional edge: pair sum closest to one, then
     the largest smaller direction, ties by edge index. Both children carry
     `lp`, the program that gave `w`. A child whose forced arcs close a cycle
-    is dropped."""
+    is dropped, unless the search propagates each child, which makes that
+    test."""
     edge = min(
         (e for e in range(ctx.g.m)
          if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
@@ -228,10 +245,62 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
         down[arc ^ 1] = 1
     children = []
     for child_forced in (down, up):
-        child_ones = [a for a, v in child_forced.items() if v == 1]
-        if find_directed_cycle(ctx.d, child_ones) is None:
+        if ctx.propagate or find_directed_cycle(
+                ctx.d, [a for a, v in child_forced.items() if v == 1]) is None:
             children.append(_Node(tuple(sorted(child_forced.items())), lp))
     return tuple(children)
+
+
+def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...],
+               kappa: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+    """`forced`, AO-consistent, with the arcs that every acyclic orientation
+    with no directed path of kappa arcs that agrees with it must hold, or
+    None when there is no such orientation.
+
+    Each sweep is one Kahn pass over F, the arcs forced to 1: a cycle in F or
+    a path of kappa arcs in F leaves none. Otherwise an unforced edge {u, v}
+    cannot run u -> v when F leads from v to u, or when lin(u) + 1 + lout(v)
+    reaches kappa, where lin(u) is the most arcs on an F-path into u and
+    lout(v) the most on one out of v. An edge with no direction left leaves
+    none; one with one direction left is forced that way. The sweeps stop
+    when one forces nothing.
+    """
+    fixed = dict(forced)
+    n = d.n
+    while True:
+        ones = frozenset(a for a, v in fixed.items() if v == 1)
+        order, _ = _kahn(d, ones)
+        if len(order) < n:
+            return None
+        ins: List[List[int]] = [[] for _ in range(n)]
+        outs: List[List[int]] = [[] for _ in range(n)]
+        for a in ones:
+            ins[d.heads[a]].append(d.tails[a])
+            outs[d.tails[a]].append(d.heads[a])
+        lin, lout, reach = [0] * n, [0] * n, [0] * n  # reach: a bitmask of vertices
+        for v in order:
+            lin[v] = max((lin[u] + 1 for u in ins[v]), default=0)
+            if lin[v] >= kappa:
+                return None
+        for v in reversed(order):
+            for u in outs[v]:
+                lout[v] = max(lout[v], lout[u] + 1)
+                reach[v] |= reach[u] | 1 << u
+        new = {}
+        for a in range(0, d.num_arcs, 2):
+            if a in fixed:
+                continue
+            u, v = d.tails[a], d.heads[a]
+            no_uv = reach[v] >> u & 1 or lin[u] + 1 + lout[v] >= kappa
+            no_vu = reach[u] >> v & 1 or lin[v] + 1 + lout[u] >= kappa
+            if no_uv and no_vu:
+                return None
+            if no_uv or no_vu:
+                keep = a ^ 1 if no_uv else a
+                new[keep], new[keep ^ 1] = 1, 0
+        if not new:
+            return tuple(sorted(fixed.items()))
+        fixed.update(new)
 
 
 def _integral_point(d: BidirectedDigraph, cfg: ModelConfig,
@@ -266,9 +335,10 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
             return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
         bound = sol.objective + ctx.objective.const
         history.append(bound)
-        w = sol.x[:2 * m]
-        z = sol.x[2 * m]
-        integral = bool(np.all(np.minimum(w, 1.0 - w) < INT_TOL))
+        x = sol.x.tolist()
+        w = x[:2 * m]
+        z = x[2 * m]
+        integral = all(min(v, 1.0 - v) < INT_TOL for v in w)
         fresh = []
         if integral:
             arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
@@ -382,7 +452,11 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     symmetric = cfg.variant == AO and admissible is None and mirrored == keys and all(
         obj.w_coeffs.get(a ^ 1, 0.0) == c for a, c in obj.w_coeffs.items())
     root_forced = ((0, 1), (1, 0)) if symmetric else ()
-    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible, root_forced)
+    # whether every point that can still improve has z below kappa; once the
+    # incumbent is at most kappa it stays so, as it only falls
+    propagate = cfg.variant == AO and (
+        cfg.z_upper < cfg.kappa or obj == Objective() and incumbent_obj <= cfg.kappa)
+    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible, root_forced, propagate)
     root = _Node(root_forced, ctx.base_lp)
 
     seq = 0
@@ -416,6 +490,12 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             # no child needs a cutoff test: the cut loop found this bound
             # short of the cutoff, and the incumbent has not moved since
             for child in res.children:
+                if propagate:
+                    forced = _propagate(d, child.forced, cfg.kappa)
+                    if forced is None:
+                        pruned_count += 1
+                        continue
+                    child = _Node(forced, child.lp)
                 seq += 1
                 heapq.heappush(heap, (res.bound, -seq, child))
 

@@ -1,5 +1,7 @@
 import collections
+import itertools
 import math
+import random
 import types
 
 import numpy as np
@@ -15,6 +17,7 @@ from orientcut.graphs import (
     complete_graph,
     cycle_graph,
     dag_longest_path,
+    find_directed_cycle,
     is_acyclic,
     path_graph,
     petersen_graph,
@@ -636,6 +639,132 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
         w[arc(0, 2)], w[arc(2, 0)] = share, 1.0 - share
         children = solver._branch(ctx, node, w, ctx.base_lp)
         assert [dict(c.forced)[arc(2, 0)] for c in children] == [0], share
+
+
+def test_propagation_keeps_every_short_acyclic_orientation():
+    """Every acyclic orientation with no directed path of kappa arcs that
+    agrees with a forced set agrees with its propagation too, and a forced
+    set is dropped only when no such orientation exists."""
+    rng = random.Random(22)
+    cases = dropped = closed = 0
+    while cases < 2000:
+        n = rng.randint(2, 7)
+        g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < 0.45])
+        if not 1 <= g.m <= 10:
+            continue
+        d = BidirectedDigraph(g)
+        orientations = []
+        for dirs in itertools.product((0, 1), repeat=g.m):
+            arcs = Orientation(g, dirs).arcs()
+            if is_acyclic(d, arcs):
+                orientations.append((arcs, dag_longest_path(d, arcs)))
+        for kappa in (1, 2, 3, 4, 6):  # the path rule implies the reach rule below 6
+            for _ in range(10):
+                forced = {}
+                for e in rng.sample(range(g.m), rng.randint(0, min(3, g.m))):
+                    a = 2 * e + rng.randint(0, 1)
+                    forced[a], forced[a ^ 1] = 1, 0
+                agree = [arcs for arcs, longest in orientations if longest < kappa
+                         and all((a in arcs) == (v == 1) for a, v in forced.items())]
+                got = solver._propagate(d, tuple(sorted(forced.items())), kappa)
+                cases += 1
+                if got is None:
+                    assert not agree, (g.edges, kappa, forced)
+                    dropped += 1
+                    continue
+                got = dict(got)
+                assert forced.items() <= got.items()
+                assert all(got.get(a ^ 1) == 1 - v for a, v in got.items())
+                for arcs in agree:
+                    assert all((a in arcs) == (v == 1) for a, v in got.items()), \
+                        (g.edges, kappa, forced, got)
+                # F connects the ends of no free edge, so either direction keeps F
+                # acyclic: `_branch` leaves its cycle test to the propagation
+                ones = [a for a, v in got.items() if v == 1]
+                assert all(is_acyclic(d, ones + [a]) for a in range(2 * g.m) if a not in got)
+                closed += len(got) == 2 * g.m
+    assert dropped > 100 and closed > 100, (dropped, closed)
+
+
+def _no_propagation(d, forced, kappa):
+    """The child filter without propagation: drop a cycle, force nothing."""
+    return None if find_directed_cycle(d, [a for a, v in forced if v == 1]) else forced
+
+
+def test_propagation_changes_no_answer_and_saves_nodes(monkeypatch):
+    """Without propagation the same solves give the same answers in more
+    nodes."""
+    reports = []
+    solve = solver.solve_model
+
+    def report_spy(*args, **kwargs):
+        rep = solve(*args, **kwargs)
+        reports.append(rep)
+        return rep
+
+    for module in (solver, fap):
+        monkeypatch.setattr(module, "solve_model", report_spy)
+    calls = [lambda g=g, cfg=ModelConfig(kappa=kappa, variant=AO, z_fixed=z):
+             solver.solve_model(g, cfg)
+             for _, g, _ in BATTERY for kappa in (1, 2, 3) for z in (None, kappa - 1)]
+    calls += [lambda: solve_ao(_myciel3(), 3), lambda: solve_ao(petersen_graph(), 3),
+              lambda: solve_soft_cost(_soft_fap())]
+    totals = {}
+    for propagated in (True, False):
+        if not propagated:
+            monkeypatch.setattr(solver, "_propagate", _no_propagation)
+        reports.clear()
+        for call in calls:
+            call()
+        totals[propagated] = ([(r.status, r.objective) for r in reports],
+                              sum(r.node_count for r in reports))
+    assert totals[True][0] == totals[False][0]
+    assert totals[True][1] < totals[False][1]
+
+
+def test_dropped_children_are_pruned_and_never_processed(monkeypatch):
+    """A child the propagation drops counts in `pruned` and never reaches
+    `_process_node`."""
+    propagate, process = solver._propagate, solver._process_node
+    children, dropped, processed, pruned = [0], [], [], [0]
+
+    def propagate_spy(d, forced, kappa):
+        children[0] += 1
+        got = propagate(d, forced, kappa)
+        if got is None:
+            dropped.append(forced)
+        return got
+
+    def process_spy(ctx, node, incumbent):
+        processed.append(node.forced)
+        res = process(ctx, node, incumbent)
+        pruned[0] += res.status == "pruned"
+        return res
+
+    monkeypatch.setattr(solver, "_propagate", propagate_spy)
+    monkeypatch.setattr(solver, "_process_node", process_spy)
+    rep = solve_ao(_myciel3(), 3)
+    assert rep.status == "optimal" and rep.objective == 3 and dropped
+    assert not set(dropped) & set(processed)
+    # every pushed node, the root included, is processed or pruned at its pop
+    pushed = 1 + children[0] - len(dropped)
+    assert rep.pruned_count == pushed - rep.node_count + pruned[0] + len(dropped)
+
+
+def test_cut_loop_reads_plain_floats(monkeypatch):
+    """The separators see the LP point as a list of floats and z as a float."""
+    seen = []
+    paths = solver.separate_paths
+
+    def spy(d, w, z, kappa, deadline=None):
+        seen.append(type(w) is list and all(type(v) is float for v in w) and type(z) is float)
+        return paths(d, w, z, kappa, deadline)
+
+    monkeypatch.setattr(solver, "separate_paths", spy)
+    solve_ao(_myciel3(), 3)
+    solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS))
+    assert seen and all(seen)
 
 
 def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
