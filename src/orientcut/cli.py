@@ -42,6 +42,7 @@ from .graphs import (
     UndirectedGraph,
     enumerate_cycles,
     enumerate_paths_k,
+    greedy_clique,
     source_decomposition,
 )
 from .model import AO, AS, ModelConfig, check_integral_feasible, row_cycle, row_path
@@ -144,8 +145,14 @@ def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
     reports: List[SolveReport] = []
     try:
         orient, q = min_diameter_orientation(g, reports=reports, deadline=deadline)
-    except TimeLimitError:
-        return {"status": "timeout", **_aggregate(reports)}, "time limit reached"
+    except TimeLimitError as exc:
+        # how far it got: the best colouring so far, and the largest greedy
+        # clique, from every seed, as a lower bound
+        classes = source_decomposition(BidirectedDigraph(g), exc.orientation.arcs())
+        lower = len(greedy_clique(g, tries=g.n))
+        return ({"status": "timeout", "lower": lower, "upper": len(classes),
+                 "classes": classes, **_aggregate(reports)},
+                f"time limit reached ({lower} to {len(classes)} colours)")
     # one longest-path pass checks the answer: acyclic, q + 1 layers, each
     # an independent set, and the layers are the reported classes
     try:

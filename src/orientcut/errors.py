@@ -34,4 +34,9 @@ class SolverError(RuntimeError):
 
 
 class TimeLimitError(SolverError):
-    """The time limit expired before the search could reach a decision."""
+    """The time limit expired before the search could reach a decision.
+
+    `orientation`, when set, is the best acyclic orientation found by then.
+    """
+
+    orientation = None

@@ -417,10 +417,15 @@ def greedy_coloring(g: UndirectedGraph) -> List[int]:
     return colors
 
 
-def greedy_clique(g: UndirectedGraph) -> List[int]:
-    """A maximal clique found greedily from a few high-degree seeds."""
+def greedy_clique(g: UndirectedGraph, tries: int = 8) -> List[int]:
+    """A maximal clique found greedily from the `tries` highest-degree seeds.
+
+    From each seed it adds neighbours of higher degree first, ties by index,
+    and keeps the largest clique. A clique lies inside one component, so
+    with `tries` at least n it is the largest greedy clique of any component.
+    """
     best: List[int] = []
-    seeds = sorted(range(g.n), key=lambda v: (-g.degree(v), v))[:8]
+    seeds = sorted(range(g.n), key=lambda v: (-g.degree(v), v))[:tries]
     for s in seeds:
         clique = [s]
         for v in sorted(g.adj[s], key=lambda v: (-g.degree(v), v)):

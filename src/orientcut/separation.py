@@ -9,7 +9,14 @@ bound the same thing, the load of a window, over paths of kappa arcs and over
 cycles of kappa + 1 arcs, so one depth-first window search separates both,
 walking open windows for paths and closed ones for cycles. It holds only the
 `cap` most violated windows found so far and cuts every branch that cannot
-beat z or, once `cap` are held, the least violation among them.
+beat z or, once `cap` are held, the least violation among them. A branch's
+reach is exact for walks: its load plus the heaviest walk of the arcs left
+from its end (`walk_bounds`, one pass over the arcs per window length), and
+a closed window's last arc is the one arc back to its start. A walk may
+repeat vertices, so the reach bounds every elementary window that extends
+the branch, and the cuts drop none that the full search keeps. The solver
+builds the table once per cut round, for kappa + 1 arcs, and hands it to
+both searches.
 The structured row families (cycle-z, path-km1, path-km2, cycle-arcs,
 adjacent-paths) are enumerated exhaustively by `template_rows` for the
 polytope laboratory. The solver separates only the cycle-z family; on the
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,6 +46,7 @@ from .model import (
 
 VIOLATION_TOL = 1e-6
 MAX_CUTS_PER_CLASS = 50
+WALK_SLACK = 1e-12  # walk bounds and window loads sum in different orders
 
 TEMPLATE_TAGS = ("cycle-z", "path-km1", "path-km2", "cycle-arcs", "adjacent-paths")
 
@@ -110,9 +119,32 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]
     return _top_rows(found, MAX_CUTS_PER_CLASS)
 
 
+def walk_bounds(d: BidirectedDigraph, w: Sequence[float], arcs: int) -> List[List[float]]:
+    """best[r][v], for r = 0..arcs: the largest weight at w of an r-arc walk
+    out of v, or -inf when v starts none. One pass over the arcs per layer.
+
+    A walk may repeat vertices, so best[r][v] is at least the load of every
+    elementary window of r arcs from v, open or closed. Each entry sums its
+    walk from the far end, w[a1] + (w[a2] + ...), an order the window search
+    does not use, so a bound read from it can sit a few ulps below the
+    window's load summed in window order.
+    """
+    best = [[0.0] * d.n]
+    for _ in range(arcs):
+        prev = best[-1]
+        cur = [-math.inf] * d.n
+        for x, t, h in zip(w, d.tails, d.heads):
+            x += prev[h]
+            if x > cur[t]:
+                cur[t] = x
+        best.append(cur)
+    return best
+
+
 def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                      closed: bool, cap: int,
-                      deadline: Optional[float] = None) -> List[Tuple[int, ...]]:
+                      closed: bool, cap: int, deadline: Optional[float] = None,
+                      best: Optional[Sequence[Sequence[float]]] = None,
+                      ) -> List[Tuple[int, ...]]:
     """The `cap` elementary windows whose load exceeds z at (w, z) by more
     than VIOLATION_TOL, most violated first, each as its arcs in window order.
 
@@ -123,11 +155,17 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     `violation` to the bit, and ties rank on the sorted arc support, as
     `_top_rows` ranks rows.
 
-    A branch is cut when its reach, the load plus the maximum arc weight for
-    every remaining arc, cannot beat z, and, once `cap` windows are held,
-    when the reach falls below the cap-th largest violation by more than
-    1e-9: every window under it would rank after all those held, and the
-    margin keeps windows that tie on load.
+    `best` is `walk_bounds(d, w, r)` for some r of at least kappa + closed;
+    it is built here when None. A walk's reach is its load plus
+    best[arcs left][v] at its end v, the heaviest way to spend the arcs
+    left, so it bounds the load of every window that extends the walk; a
+    closed walk one arc short has one way left, the arc back to s, and its
+    reach adds that arc's weight. A step is cut when its reach is at most
+    z + VIOLATION_TOL - WALK_SLACK, the slack covering the table's summation
+    order, and, once `cap` windows are held, when the reach falls below the
+    cap-th largest violation by more than 1e-9: every window under it would
+    rank after all those held, and the margin keeps windows that tie on
+    load. Neither cut drops a window that the full search keeps.
 
     Past `deadline` (a `time.monotonic()` reading), read at each walk of one
     or two arcs that escapes the cut, the search stops and returns the
@@ -138,7 +176,10 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     arcs = kappa + closed
-    wmax = max(w, default=0.0)
+    if best is None:
+        best = walk_bounds(d, w, arcs)
+    floor = z + VIOLATION_TOL - WALK_SLACK
+    out = d.out_arcs
     # A heap of (violation, negated sorted support, arcs) with the window
     # that ranks last at its root; every support has `arcs` entries, so
     # negating them reverses their order. Two windows that tie on violation
@@ -146,10 +187,16 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     held: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
     walk: List[int] = []
     on = [False] * d.n
+    # closed windows from s: home[u] is the arc u -> s (or -1), back[u] its
+    # weight (or -inf), the one way to spend a window's last arc from u
+    home = [-1] * d.n
+    back = [-math.inf] * d.n
 
-    def keep(viol: float, window: List[int]):
-        if viol > VIOLATION_TOL:
-            item = (viol, tuple(-a for a in sorted(window)), tuple(window))
+    def keep(viol: float, a: int):
+        """Hold walk + [a], of violation `viol`, if it ranks among the top `cap`."""
+        if viol > VIOLATION_TOL and (len(held) < cap or viol >= held[0][0]):
+            window = walk + [a]
+            item = (viol, tuple(-b for b in sorted(window)), tuple(window))
             if len(held) < cap:
                 heapq.heappush(held, item)
             else:
@@ -157,50 +204,70 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
 
     def extend(s: int, v: int, load: float):
         used = len(walk)
-        reach = load + (arcs - used) * wmax
-        if reach <= z + VIOLATION_TOL or \
-                len(held) == cap and reach - z < held[0][0] - 1e-9:
-            return
         if 0 < used < 3 and deadline is not None and time.monotonic() >= deadline:
             return
-        for a, u in d.out_arcs[v]:
-            if used == arcs - 1:
-                if (u == s) if closed else not on[u]:
-                    keep(load + w[a] - z, walk + [a])
-            elif not on[u] and (u > s or not closed):
-                walk.append(a)
-                on[u] = True
-                extend(s, u, load + w[a])
-                walk.pop()
-                on[u] = False
+        if used == arcs - 1:
+            if closed:  # the cut above left only ends v with an arc back to s
+                keep(load + w[home[v]] - z, home[v])
+            else:
+                for a, u in out[v]:
+                    if not on[u]:
+                        keep(load + w[a] - z, a)
+            return
+        ahead = back if closed and used == arcs - 2 else best[arcs - used - 1]
+        for a, u in out[v]:
+            if on[u] or closed and u < s:
+                continue
+            reach = load + w[a] + ahead[u]
+            if reach <= floor or len(held) == cap and reach - z < held[0][0] - 1e-9:
+                continue
+            walk.append(a)
+            on[u] = True
+            extend(s, u, load + w[a])
+            walk.pop()
+            on[u] = False
 
     if cap > 0 and arcs + (not closed) <= d.n:
         for s in range(d.n):
+            if best[arcs][s] <= floor:
+                continue
+            if closed:
+                for a, u in out[s]:
+                    home[u], back[u] = a ^ 1, w[a ^ 1]
             on[s] = True
             extend(s, s, 0.0)
             on[s] = False
+            if closed:
+                for a, u in out[s]:
+                    home[u], back[u] = -1, -math.inf
     return [window for _, _, window in sorted(held, reverse=True)]
 
 
 def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                   deadline: Optional[float] = None) -> List[LinearRow]:
+                   deadline: Optional[float] = None,
+                   best: Optional[Sequence[Sequence[float]]] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS kappa-arc path rows most violated at (w, z), most
     violated first: exact, by the window search over open windows, unless
-    `deadline` stops the search. Each row lists its window's arcs head to
-    tail, in window order."""
-    return [row_window(p, "path")
-            for p in _violated_windows(d, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline)]
+    `deadline` stops the search. `best`, the walk bounds of (d, w) for at
+    least kappa arcs, prunes the search; a caller that also separates
+    cycle-z rows at the same point builds it once, for kappa + 1 arcs, and
+    passes it to both. Each row lists its window's arcs head to tail, in
+    window order."""
+    return [row_window(p, "path") for p in _violated_windows(
+        d, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline, best)]
 
 
 def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
-                       deadline: Optional[float] = None) -> List[LinearRow]:
+                       deadline: Optional[float] = None,
+                       best: Optional[Sequence[Sequence[float]]] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS cycle-z rows most violated at (w, z), most
     violated first: exact, by the window search over closed windows of
-    kappa + 1 arcs, unless `deadline` stops the search. Each row lists its
-    window's arcs in window order, from the cycle's smallest vertex round
-    to it."""
-    return [row_window(c, "cycle-z")
-            for c in _violated_windows(d, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline)]
+    kappa + 1 arcs, unless `deadline` stops the search. `best`, the walk
+    bounds of (d, w) for at least kappa + 1 arcs, prunes the search and is
+    built here when None. Each row lists its window's arcs in window order,
+    from the cycle's smallest vertex round to it."""
+    return [row_window(c, "cycle-z") for c in _violated_windows(
+        d, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline, best)]
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,8 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (AbstractSet, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
@@ -109,7 +110,7 @@ from .model import (
     check_integral_feasible,
     row_edge_pair,
 )
-from .separation import separate_cycles, separate_paths, separate_templates
+from .separation import separate_cycles, separate_paths, separate_templates, walk_bounds
 
 MAX_CUT_ROUNDS = 20
 TAIL_EPS = 1e-5
@@ -360,8 +361,9 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
             else:
                 tail = 0
         if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS):
-            fresh = (separate_paths(d, w, z, cfg.kappa, ctx.deadline)
-                     + separate_templates(d, w, z, cfg.kappa, ctx.deadline)
+            best = walk_bounds(d, w, cfg.kappa + 1)  # one table for both searches
+            fresh = (separate_paths(d, w, z, cfg.kappa, ctx.deadline, best)
+                     + separate_templates(d, w, z, cfg.kappa, ctx.deadline, best)
                      or (separate_cycles(d, w) if integral else []))
         if not fresh:
             if ctx.expired():  # the window search stopped early
@@ -519,10 +521,14 @@ def _dsatur_orientation(g: UndirectedGraph) -> Orientation:
     return Orientation.from_vertex_order(g, sorted(range(g.n), key=lambda v: (colors[v], -v)))
 
 
-def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveReport]], *,
-                            deadline: Optional[float] = None) -> Tuple[Orientation, int]:
+def _shorter_orientations(g: UndirectedGraph, orient: Orientation,
+                          reports: Optional[List[SolveReport]], *,
+                          deadline: Optional[float] = None) -> Iterator[Orientation]:
+    """Each strictly shorter acyclic orientation of the connected graph `g`
+    that the window solves find, starting from `orient`: the last one yielded,
+    or `orient` if none is, has the least longest path. Raises
+    TimeLimitError past `deadline`."""
     d = BidirectedDigraph(g)
-    orient = _dsatur_orientation(g)
     kappa = dag_longest_path(d, orient.arcs())
     while kappa >= 1:
         rep = solve_ao(g, kappa, deadline=deadline)
@@ -533,14 +539,13 @@ def _min_diameter_connected(g: UndirectedGraph, reports: Optional[List[SolveRepo
         if rep.status != "optimal":
             raise SolverError(f"window solve ended with status {rep.status}")
         if rep.objective >= kappa - 1e-9:
-            break
+            return
         arcs = rep.best_point.arc_set()
-        orient = Orientation.from_arcs(g, arcs)
         new_kappa = dag_longest_path(d, arcs)
         if new_kappa >= kappa:
             raise SolverError("window failed to shrink")
         kappa = new_kappa
-    return orient, kappa
+        yield Orientation.from_arcs(g, arcs)
 
 
 def min_diameter_orientation(g: UndirectedGraph, *,
@@ -553,24 +558,36 @@ def min_diameter_orientation(g: UndirectedGraph, *,
     diameter; the window shrinks strictly until the model certifies it cannot
     be beaten.
     Every window solve shares `deadline`; a solve that reaches it raises
-    TimeLimitError.
+    TimeLimitError, whose `orientation` is the best found so far: each
+    finished component's optimum, the current component's last window and
+    each later component's DSATUR start.
     """
-    dirs = [0] * g.m
-    q = 0
+    parts = []  # (vertices, induced subgraph), components with edges only
     for comp in g.components():
-        members = set(comp)
         sub, _ = g.induced_subgraph(comp)
-        if sub.m == 0:
-            continue
-        sub_orient, sub_q = _min_diameter_connected(sub, reports, deadline=deadline)
-        q = max(q, sub_q)
+        if sub.m:
+            parts.append((set(comp), sub))
+    best = [_dsatur_orientation(sub) for _, sub in parts]
+
+    def joined() -> Orientation:
         # The monotone relabeling keeps edge order and direction sense.
-        sub_e = 0
-        for e, (i, j) in enumerate(g.edges):
-            if i in members and j in members:
-                dirs[e] = sub_orient.dirs[sub_e]
-                sub_e += 1
-    return Orientation(g, dirs), q
+        dirs = [0] * g.m
+        for (members, _), orient in zip(parts, best):
+            sub_dirs = iter(orient.dirs)
+            for e, (i, _) in enumerate(g.edges):
+                if i in members:
+                    dirs[e] = next(sub_dirs)
+        return Orientation(g, dirs)
+
+    try:
+        for k, (_, sub) in enumerate(parts):
+            for best[k] in _shorter_orientations(sub, best[k], reports, deadline=deadline):
+                pass
+    except TimeLimitError as exc:
+        exc.orientation = joined()
+        raise
+    orient = joined()
+    return orient, dag_longest_path(BidirectedDigraph(g), orient.arcs())
 
 
 def chromatic_number(g: UndirectedGraph, *,

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import sys
@@ -9,7 +10,7 @@ import orientcut.cli
 from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
 from orientcut.errors import InfeasibleError, ParseError
-from orientcut.graphs import cycle_graph
+from orientcut.graphs import UndirectedGraph, cycle_graph
 
 from conftest import mycielski, queen_graph
 
@@ -364,6 +365,33 @@ def test_cli_time_limit_bounds_the_command(capsys, tmp_path):
     assert time.monotonic() - start < 4.0
     assert rep["solves"] >= 1
     assert {"nodes", "pruned", "cutCounts", "boundHistory"} <= rep.keys()
+
+
+def _proper_classes(g, classes):
+    """Whether `classes` partitions the vertices of g into independent sets."""
+    layer = {v: k for k, members in enumerate(classes) for v in members}
+    return sorted(layer) == list(range(g.n)) == sorted(v for c in classes for v in c) \
+        and all(layer[i] != layer[j] for i, j in g.edges)
+
+
+@pytest.mark.parametrize("name, lower", [("queen6", 6), ("queen6-k7", 7)])
+def test_cli_color_timeout_reports_its_bounds(capsys, tmp_path, name, lower):
+    """queen6's kappa 8 window is not settled in a second. The timeout report
+    carries the largest greedy clique as `lower` and DSATUR's 9-colouring as
+    `classes`, with its class count as `upper`. Beside a disjoint K7, none of
+    whose vertices is among the 8 of highest degree, `lower` is the K7 and
+    the colouring joins each component's best."""
+    g = queen_graph(6)
+    if name == "queen6-k7":
+        g = UndirectedGraph(43, list(g.edges) + [
+            (36 + i, 36 + j) for i, j in itertools.combinations(range(7), 2)])
+    path = _write_col(tmp_path / f"{name}.col", g)
+    code, out, err = _run(capsys, ["color", path, "--time-limit", "1"])
+    rep = json.loads(out)
+    assert code == 3 and rep["status"] == "timeout"
+    assert (rep["lower"], rep["upper"]) == (lower, 9)
+    assert len(rep["classes"]) == 9 and _proper_classes(g, rep["classes"])
+    assert f"{lower} to 9 colours" in err
 
 
 def test_cli_error_exits(capsys, tmp_path):

@@ -11,6 +11,7 @@ from orientcut.graphs import (
     BidirectedDigraph,
     UndirectedGraph,
     complete_graph,
+    cycle_graph,
     enumerate_cycles,
     enumerate_paths_k,
     paw_graph,
@@ -22,15 +23,17 @@ from orientcut.separation import (
     MAX_CUTS_PER_CLASS,
     TEMPLATE_TAGS,
     VIOLATION_TOL,
+    WALK_SLACK,
     _top_rows,
     rows_cycle_z,
     separate_cycles,
     separate_paths,
     separate_templates,
     template_rows,
+    walk_bounds,
 )
 
-from conftest import BATTERY, queen_graph, random_point
+from conftest import BATTERY, mycielski, queen_graph, random_point
 
 
 def _cycle_rows(d):
@@ -435,3 +438,67 @@ def test_window_search_stops_at_the_deadline(monkeypatch):
                                             deadline=math.inf) == full
     assert separate_paths(d, w, 0.5, 4, deadline=0.0) == []
     assert separate_templates(d, w, 0.5, 4, deadline=0.0) == []
+
+
+def _walk_maxima(d, w, r):
+    """Reference: per vertex, the largest weight of an r-arc walk out of it
+    over every such walk, each summed from its far end as `walk_bounds` sums,
+    or -inf when none exists."""
+    def walks(v, r):
+        if r == 0:
+            yield 0.0
+            return
+        for a, u in d.out_arcs[v]:
+            for rest in walks(u, r - 1):
+                yield w[a] + rest
+
+    return [max(walks(v, r), default=-math.inf) for v in range(d.n)]
+
+
+def test_walk_bounds_are_walk_maxima_above_every_path(rng):
+    """best[r][v] is the heaviest r-arc walk out of v, exactly, and so at
+    least the load of every elementary r-arc path out of v, summed in path
+    order, to within WALK_SLACK."""
+    graphs = [g for _, g, _ in BATTERY] + [petersen_graph(), mycielski(cycle_graph(5))]
+    paths = 0
+    for g in graphs:
+        d = BidirectedDigraph(g)
+        arcs = 4 if g.n > 10 else 5
+        for k in range(6):
+            w = list(random_point(g, arcs, rng).w) if k % 2 else _pair_feasible_point(g, AO, rng)
+            best = walk_bounds(d, w, arcs)
+            assert len(best) == arcs + 1 and best[0] == [0.0] * d.n
+            for r in range(1, arcs + 1):
+                assert best[r] == _walk_maxima(d, w, r), (g.edges, w, r)
+                for p in enumerate_paths_k(d, r):
+                    load = 0.0
+                    for u, v in zip(p, p[1:]):
+                        load += w[d.arc(u, v)]
+                    assert load <= best[r][p[0]] + WALK_SLACK
+                    paths += 1
+    assert paths > 10000
+
+
+def test_walk_bound_prunes_short_walks(monkeypatch):
+    """On Petersen at kappa 5, with every edge's arc 2e at 1 and its reverse
+    at 0, and z = 3.5, the walk bound cuts most walks of one or two arcs
+    before they read the clock: 28 of the 90 read it, where the old reach
+    `load + (arcs left) * max(w)` let 76 through. The windows found stay the
+    same."""
+    d = BidirectedDigraph(petersen_graph())
+    w = [1.0 - a % 2 for a in range(d.num_arcs)]
+    elementary = len(enumerate_paths_k(d, 1)) + len(enumerate_paths_k(d, 2))
+
+    def clock_reads(z):
+        clock = itertools.count()
+        monkeypatch.setattr(separation, "time",
+                            types.SimpleNamespace(monotonic=lambda: next(clock)))
+        found = separation._violated_windows(d, w, z, 5, False, 10 ** 6, deadline=10 ** 9)
+        monkeypatch.undo()
+        assert found == separation._violated_windows(d, w, z, 5, False, 10 ** 6)
+        return next(clock), found
+
+    reads, found = clock_reads(-10.0)  # z so low that nothing is cut
+    assert reads == elementary == 90 and len(found) == len(enumerate_paths_k(d, 5))
+    reads, found = clock_reads(3.5)
+    assert len(found) == 36 and reads == 28

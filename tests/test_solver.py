@@ -258,7 +258,7 @@ def test_window_search_cut_short_sends_the_node_back(monkeypatch):
                         types.SimpleNamespace(monotonic=lambda: 1.0 if rounds else 0.0))
     rep = solve_ao(_myciel3(), 3, deadline=0.5)
     assert rep.status == "timeout" and rep.node_count == 1
-    assert len(rounds) == 3 and all(args[-1] == 0.5 for args in rounds[:2])
+    assert len(rounds) == 3 and all(args[4] == 0.5 for args in rounds[:2])  # the deadline
     assert rep.root_bound_history == [rep.bound] and math.isfinite(rep.bound)
 
 
@@ -757,14 +757,36 @@ def test_cut_loop_reads_plain_floats(monkeypatch):
     seen = []
     paths = solver.separate_paths
 
-    def spy(d, w, z, kappa, deadline=None):
+    def spy(d, w, z, kappa, deadline=None, best=None):
         seen.append(type(w) is list and all(type(v) is float for v in w) and type(z) is float)
-        return paths(d, w, z, kappa, deadline)
+        return paths(d, w, z, kappa, deadline, best)
 
     monkeypatch.setattr(solver, "separate_paths", spy)
     solve_ao(_myciel3(), 3)
     solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS))
     assert seen and all(seen)
+
+
+def test_one_walk_table_per_round(monkeypatch):
+    """Each round builds the walk bounds of its point once, for kappa + 1
+    arcs, and hands that table to both window searches."""
+    tables = []
+
+    def spy(name):
+        separate = getattr(solver, name)
+
+        def call(d, w, z, kappa, deadline, best):
+            assert best == separation.walk_bounds(d, w, kappa + 1)
+            tables.append((name, best))
+            return separate(d, w, z, kappa, deadline, best)
+        return call
+
+    for name in ("separate_paths", "separate_templates"):
+        monkeypatch.setattr(solver, name, spy(name))
+    solve_ao(_myciel3(), 3)
+    assert tables and [name for name, _ in tables[::2]] == ["separate_paths"] * (len(tables) // 2)
+    assert all(p is t for (_, p), (_, t) in zip(tables[::2], tables[1::2]))
+    assert len({id(best) for _, best in tables}) == len(tables) // 2
 
 
 def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
