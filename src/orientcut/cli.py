@@ -232,9 +232,16 @@ def cmd_fap(args, text: str, deadline: float) -> Tuple[dict, str]:
             result = solve_fixed_spectrum(inst, reports=reports, deadline=deadline)
         else:
             result = min_spectrum(inst, reports=reports, deadline=deadline)
-    except TimeLimitError:
+    except TimeLimitError as exc:
         report.update(status="timeout", **_aggregate(reports))
-        return report, "time limit reached"
+        if mode != "minimum":
+            return report, "time limit reached"
+        # how far the spectrum search got: its bounds and its certificate
+        report["lower"] = exc.lower
+        if exc.assignment is None:
+            return report, f"time limit reached (spectrum at least {exc.lower})"
+        report.update(upper=exc.upper, frequencies=list(exc.assignment.freq))
+        return report, f"time limit reached (spectrum {exc.lower} to {exc.upper})"
     except InfeasibleError as exc:
         bound = getattr(exc, "bound", math.inf)
         report.update(status="infeasible", bound=bound, **_aggregate(reports))

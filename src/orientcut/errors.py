@@ -37,6 +37,12 @@ class TimeLimitError(SolverError):
     """The time limit expired before the search could reach a decision.
 
     `orientation`, when set, is the best acyclic orientation found by then.
+    A minimum-spectrum search sets `lower`, its lower bound, and, once it
+    holds a certificate, `upper` and `assignment`: the spectrum that
+    certificate fits and the certificate itself.
     """
 
     orientation = None
+    lower = None
+    upper = None
+    assignment = None

@@ -16,7 +16,10 @@ violation penalty).
 Per-link frequency availability sets have no native variables in the model;
 they alone bring an admissibility test, by which the one search of a
 fixed-spectrum probe cuts off, with a no-good row, each orientation it finds
-that has no labeling compatible with the sets.
+that has no labeling compatible with the sets. The probe also hands the sets
+to the search as `labels`, so that its child propagation narrows each link's
+label window to its menu and drops a child whose forced arcs leave a window
+empty before that child's LP; the chains' side rows propagate there too.
 
 Each entry point takes one `deadline`, a `time.monotonic()` reading, and
 hands it to every solve it makes, so a spectrum search stops when a single
@@ -311,7 +314,9 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     that labeling gives the frequencies. Only availability sets bring an
     admissibility test (without them the least labeling is the longest-path
     one, which always fits), and the orientations they reject are cut off
-    inside the search, with no limit on their number.
+    inside the search, with no limit on their number. The sets also go to
+    the search as `labels`, the links' menus with None for the chains'
+    vertices, which the test's least labeling must respect.
     Raises InfeasibleError (carrying the final bound as `.bound`) when no
     assignment exists, and TimeLimitError when the solve reaches `deadline`.
     """
@@ -325,6 +330,8 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     menus = any(fs is not None for fs in inst.freq_sets)
     rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows, deadline=deadline,
                       admissible=(lambda arcs: _lifted_labels(inst, exp, arcs, phi) is not None)
+                      if menus else None,
+                      labels=list(inst.freq_sets) + [None] * (exp.graph.n - inst.links)
                       if menus else None)
     if reports is not None:
         reports.append(rep)
@@ -403,29 +410,36 @@ def min_spectrum(inst: FapInstance, *,
     Binary search between a clique span lower bound and a greedy first-fit
     upper bound; every probe is an exact fixed-spectrum solve. When greedy
     dead-ends on availability sets, one probe at the saturation cap decides
-    overall feasibility. All probes share `deadline`.
+    overall feasibility. All probes share `deadline`. A probe that reaches it
+    raises TimeLimitError carrying how far the search got: `lower`, a
+    spectrum no assignment fits below, and, once a certificate exists,
+    `upper`, the spectrum it fits, with `assignment`, that certificate.
     """
     if inst.has_costs:
         raise UnsupportedInstanceError("spectrum search is for hard instances only")
     lo = max(inst.max_separation, _clique_span_bound(inst))
-    greedy = greedy_assignment(inst)
-    if greedy is not None:
-        cert = FrequencyAssignment(tuple(greedy), frozenset(), 0.0)
-        cert.verify(inst.with_spectrum(None))
-        hi = max(max(greedy), lo)
-    else:
-        cap = max(_spectrum_cap(inst), lo, 1)
-        cert = solve_fixed_spectrum(inst.with_spectrum(cap), reports=reports,
-                                    deadline=deadline)
-        hi = max(max(cert.freq), lo)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        try:
-            cert = solve_fixed_spectrum(inst.with_spectrum(mid), reports=reports,
+    hi, cert = None, None
+    try:
+        greedy = greedy_assignment(inst)
+        if greedy is not None:
+            cert = FrequencyAssignment(tuple(greedy), frozenset(), 0.0)
+            cert.verify(inst.with_spectrum(None))
+        else:
+            cap = max(_spectrum_cap(inst), lo, 1)
+            cert = solve_fixed_spectrum(inst.with_spectrum(cap), reports=reports,
                                         deadline=deadline)
-            hi = mid
-        except InfeasibleError:
-            lo = mid + 1
+        hi = max(max(cert.freq), lo)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            try:
+                cert = solve_fixed_spectrum(inst.with_spectrum(mid), reports=reports,
+                                            deadline=deadline)
+                hi = mid
+            except InfeasibleError:
+                lo = mid + 1
+    except TimeLimitError as exc:
+        exc.lower, exc.upper, exc.assignment = lo, hi, cert
+        raise
     return hi, cert
 
 

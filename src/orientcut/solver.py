@@ -47,14 +47,20 @@ below kappa, none of them selects a directed path of kappa arcs: it would
 hold a kappa-arc window of load kappa. That holds when the z upper bound is
 below kappa, as in every fixed-spectrum probe, or when the objective is z
 alone and the incumbent is at most kappa when the search starts, as in every
-`color` certify window; the incumbent only falls after that. The search then
-propagates the forced arcs of each child it pushes to a fixpoint
-(`_propagate`): an unforced edge that one direction would close into a
-forced cycle or a forced path of kappa arcs is forced the other way, and a
-child left with a forced cycle, a forced path of kappa arcs or an edge with
-no direction is dropped and counted as pruned. That pass is the child's
-acyclicity test, which `_branch` makes where the search does not propagate.
-The root is not propagated.
+`color` certify window; the incumbent only falls after that. Such a point's
+orientation has labels f(v) in [0, kappa - 1] that rise along every arc, its
+longest-path labels. The search then propagates the forced arcs of each
+child it pushes to a fixpoint (`_propagate`). Each vertex holds a window of
+the labels it may still take, narrowed by the forced arcs and, where the
+solve passes `labels`, by the labels its candidates must use (a
+fixed-spectrum probe's availability sets). An unforced edge that one
+direction would close into a forced cycle, or whose direction would leave
+no room between its ends' windows, is forced the other way. Every side row
+w_a + w_b <= 1 among the extra rows forces b's reverse once a is forced. A
+child left with a forced cycle, an empty window, a side row with both arcs
+forced or an edge with no direction is dropped and counted as pruned. That
+pass is the child's acyclicity test, which `_branch` makes where the search
+does not propagate. The root is not propagated.
 
 The base program starts in the basis the root's first solve would reach
 after its pivots on the edge-pair rows. At the start point, each variable at
@@ -80,6 +86,7 @@ node and the open ones.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -252,23 +259,58 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     return tuple(children)
 
 
-def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...],
-               kappa: int) -> Optional[Tuple[Tuple[int, int], ...]]:
+def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa: int,
+               labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
+               side: Sequence[Tuple[int, int]] = ()) -> Optional[Tuple[Tuple[int, int], ...]]:
     """`forced`, AO-consistent, with the arcs that every acyclic orientation
-    with no directed path of kappa arcs that agrees with it must hold, or
-    None when there is no such orientation.
+    agreeing with it must hold if it selects at most one arc of each pair in
+    `side` and has a labeling f with f(u) < f(v) on each arc u -> v, each
+    f(v) in [0, kappa - 1] and, where `labels[v]` is not None, in that sorted
+    tuple; or None when there is no such orientation. With no labels the
+    labeling says no directed path of kappa arcs.
 
-    Each sweep is one Kahn pass over F, the arcs forced to 1: a cycle in F or
-    a path of kappa arcs in F leaves none. Otherwise an unforced edge {u, v}
-    cannot run u -> v when F leads from v to u, or when lin(u) + 1 + lout(v)
-    reaches kappa, where lin(u) is the most arcs on an F-path into u and
-    lout(v) the most on one out of v. An edge with no direction left leaves
-    none; one with one direction left is forced that way. The sweeps stop
-    when one forces nothing.
+    Each sweep first reads `side`: an arc of a pair forced on forces the
+    other off, and so its reverse on, and a pair with both arcs on leaves
+    none. A sweep that forces nothing there makes one Kahn pass over F, the
+    arcs forced to 1, and a cycle in F leaves none. Otherwise each vertex v
+    gets a window [lo(v), hi(v)]: lo(v) is the least label v may take that
+    is at least lo(u) + 1 for every F-arc u -> v, and hi(v) the largest that
+    is at most hi(u) - 1 for every F-arc v -> u. Every labeling has
+    lo(v) <= f(v) <= hi(v), so an empty window leaves none. Without labels,
+    lo(v) is the most arcs on an F-path into v and kappa - 1 - hi(v) the
+    most on one out of v. An unforced edge {u, v} cannot run u -> v when F
+    leads from v to u, or when lo(u) >= hi(v): both are labels their
+    vertices may take, so that is exactly when v has none in
+    [lo(u) + 1, hi(v)], and when u has none in [lo(u), hi(v) - 1]. An edge
+    with no direction left leaves none; one with one direction left is
+    forced that way. The sweeps stop when one forces nothing.
+
+    The search does not propagate the root. That would have to happen
+    before `_Context` is built, since its block pivot on the pair rows
+    skips only the edges the root fixes. It also waits for the benchmark
+    runner to stop keeping every pass's output: on `color-sparse` it cut
+    the time per pass about fourfold, so the runner fit more passes and its
+    peak memory rose by a quarter, past that metric's bound.
     """
     fixed = dict(forced)
     n = d.n
+    top = kappa - 1
+    menus = labels or [None] * n
     while True:
+        off = set()
+        for pair in side:
+            for a, b in (pair, pair[::-1]):
+                if fixed.get(a) == 1:
+                    if fixed.get(b) == 1:
+                        return None
+                    if b not in fixed:
+                        off.add(b)
+        if off:
+            if any(b ^ 1 in off for b in off):
+                return None
+            for b in off:
+                fixed[b], fixed[b ^ 1] = 0, 1
+            continue
         ones = frozenset(a for a, v in fixed.items() if v == 1)
         order, _ = _kahn(d, ones)
         if len(order) < n:
@@ -278,22 +320,35 @@ def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...],
         for a in ones:
             ins[d.heads[a]].append(d.tails[a])
             outs[d.tails[a]].append(d.heads[a])
-        lin, lout, reach = [0] * n, [0] * n, [0] * n  # reach: a bitmask of vertices
+        lo, hi, reach = [0] * n, [top] * n, [0] * n  # reach: a bitmask of vertices
         for v in order:
-            lin[v] = max((lin[u] + 1 for u in ins[v]), default=0)
-            if lin[v] >= kappa:
+            low = max((lo[u] + 1 for u in ins[v]), default=0)
+            menu = menus[v]
+            if menu is not None:
+                i = bisect.bisect_left(menu, low)
+                low = menu[i] if i < len(menu) else kappa
+            if low > top:
                 return None
+            lo[v] = low
         for v in reversed(order):
+            high = top
             for u in outs[v]:
-                lout[v] = max(lout[v], lout[u] + 1)
+                high = min(high, hi[u] - 1)
                 reach[v] |= reach[u] | 1 << u
+            menu = menus[v]
+            if menu is not None:
+                i = bisect.bisect_right(menu, high)
+                high = menu[i - 1] if i else -1
+            if high < lo[v]:
+                return None
+            hi[v] = high
         new = {}
         for a in range(0, d.num_arcs, 2):
             if a in fixed:
                 continue
             u, v = d.tails[a], d.heads[a]
-            no_uv = reach[v] >> u & 1 or lin[u] + 1 + lout[v] >= kappa
-            no_vu = reach[u] >> v & 1 or lin[v] + 1 + lout[u] >= kappa
+            no_uv = reach[v] >> u & 1 or lo[u] >= hi[v]
+            no_vu = reach[u] >> v & 1 or lo[v] >= hi[u]
             if no_uv and no_vu:
                 return None
             if no_uv or no_vu:
@@ -392,14 +447,20 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
                 admissible: Optional[Callable[[frozenset], bool]] = None,
+                labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
                 deadline: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
     `extra_rows` are hard constraints. `admissible` (orientation model only)
     tests a point's arc set: every node candidate must pass it, and a refused
     candidate's orientation is cut off by a no-good row, after which its node
-    re-solves. Past `deadline` (a `time.monotonic()` reading) the search stops
-    with status `timeout`.
+    re-solves. `labels`, which needs `admissible`, gives each vertex a
+    sorted tuple of the labels it may take, or None for any: an arc set
+    passes `admissible` only if it has a labeling f with f(u) < f(v) on each
+    arc u -> v, each f(v) in [0, kappa - 1] and in its tuple. Only the
+    search's child propagation reads it, where that runs (see the module
+    docstring); `admissible` stays the candidate test. Past `deadline` (a
+    `time.monotonic()` reading) the search stops with status `timeout`.
     In the orientation model, a clique of more than kappa vertices raises the
     z lower bound to kappa, whatever the objective, rows or test. The start
     point, the DSATUR orientation, is offered when its load is at most the z
@@ -411,10 +472,17 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     are again keys of extra rows.
     Raises InputError for a negative z cost, which the search's integral
     points, at z = max(load, z lower bound), would misprice, and for an arc
-    index outside [0, 2m) in the objective or in `extra_rows`.
+    index outside [0, 2m) in the objective or in `extra_rows`, and for
+    `labels` without `admissible` or not one per vertex.
     """
     if admissible is not None and cfg.variant != AO:
         raise InputError("an admissibility test needs the orientation model")
+    if labels is not None:
+        if admissible is None:
+            raise InputError("labels need the admissibility test they are necessary for")
+        if len(labels) != g.n:
+            raise InputError(f"labels for {len(labels)} vertices, the graph has {g.n}")
+        labels = [None if menu is None else tuple(sorted(menu)) for menu in labels]
     m = g.m
     d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
@@ -458,6 +526,10 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     # incumbent is at most kappa it stays so, as it only falls
     propagate = cfg.variant == AO and (
         cfg.z_upper < cfg.kappa or obj == Objective() and incumbent_obj <= cfg.kappa)
+    # the side rows w_a + w_b <= 1 that the propagation reads
+    side = [tuple(r.coeffs) for r in extra_rows
+            if r.sense == "<=" and r.rhs == 1 and r.z_coeff == 0 and len(r.coeffs) == 2
+            and all(c == 1 for c in r.coeffs.values())] if propagate else []
     ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible, root_forced, propagate)
     root = _Node(root_forced, ctx.base_lp)
 
@@ -493,7 +565,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             # short of the cutoff, and the incumbent has not moved since
             for child in res.children:
                 if propagate:
-                    forced = _propagate(d, child.forced, cfg.kappa)
+                    forced = _propagate(d, child.forced, cfg.kappa, labels, side)
                     if forced is None:
                         pruned_count += 1
                         continue

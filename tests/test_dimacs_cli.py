@@ -10,6 +10,7 @@ import orientcut.cli
 from orientcut.cli import main
 from orientcut.dimacs import parse_dimacs
 from orientcut.errors import InfeasibleError, ParseError
+from orientcut.fap import FapInstance, FrequencyAssignment, brute_force_min_spectrum
 from orientcut.graphs import UndirectedGraph, cycle_graph
 
 from conftest import mycielski, queen_graph
@@ -114,6 +115,37 @@ def test_cli_fap_minimum(capsys, tmp_path):
     assert rep["mode"] == "minimum" and rep["spectrum"] == 2
     assert sorted(rep["frequencies"]) == [0, 1, 2]
     assert rep["oracleAgrees"] is True
+
+
+@pytest.mark.parametrize("freq_sets, pairs, lower, upper", [
+    # greedy first-fit gives 5, above the clique span 3: the first probe is at 4
+    ([[], [], [], []], [(0, 1, 3), (0, 2, 2), (0, 3, 1), (1, 3, 1), (2, 3, 3)], 3, 5),
+    # greedy dead-ends on the menus, so the first probe is the one at the cap
+    ([[1, 3], [0, 2]], [(0, 1, 2)], 2, None),
+])
+def test_cli_fap_minimum_timeout_reports_its_bounds(capsys, tmp_path, freq_sets, pairs,
+                                                    lower, upper):
+    """A spectrum search whose first probe is open at the deadline reports
+    its lower bound and, when it holds a certificate, that certificate's
+    frequencies and the spectrum they fit as `upper`."""
+    doc = {"links": len(freq_sets), "freqSets": freq_sets,
+           "pairs": [{"i": i, "j": j, "d": d} for i, j, d in pairs]}
+    p = tmp_path / "open.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["fap", str(p), "--time-limit", "0"])
+    rep = json.loads(out)
+    assert code == 3 and rep["status"] == "timeout" and rep["solves"] == 1
+    assert rep["lower"] == lower and rep.get("upper") == upper
+    best = brute_force_min_spectrum(FapInstance.from_dict(doc))[0]
+    assert lower <= best <= (upper if upper is not None else best)
+    if upper is None:
+        assert "frequencies" not in rep
+        assert f"spectrum at least {lower}" in err
+    else:
+        assert max(rep["frequencies"]) <= upper
+        FrequencyAssignment(tuple(rep["frequencies"]), frozenset(), 0.0).verify(
+            FapInstance.from_dict({**doc, "spectrum": upper}))
+        assert f"spectrum {lower} to {upper}" in err
 
 
 def test_cli_fap_fixed_infeasible(capsys, tmp_path):

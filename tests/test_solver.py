@@ -19,6 +19,7 @@ from orientcut.graphs import (
     dag_longest_path,
     find_directed_cycle,
     is_acyclic,
+    longest_path_labels,
     path_graph,
     petersen_graph,
 )
@@ -62,6 +63,23 @@ def _costed_fap():
     pairs = [(3, 5, 1), (3, 4, 2), (2, 4, 2), (1, 4, 1, 6.0), (2, 5, 1, 5.0), (0, 5, 1, 9.0),
              (2, 3, 1), (0, 4, 1)]
     return FapInstance(6, [None] * 6, [FapPair(*p) for p in pairs], spectrum=4)
+
+
+def _sets_fap():
+    """Availability sets that greedy first-fit meets at spectrum 4; link 5's
+    menu has no frequency below 4, so the probe at 3 is infeasible."""
+    sets = [None, {1, 2, 3}, None, None, {0, 6, 7}, {4, 6, 7}]
+    pairs = [(1, 5, 2), (3, 4, 1), (0, 3, 1), (2, 5, 1)]
+    return FapInstance(6, [None if s is None else frozenset(s) for s in sets],
+                       [FapPair(*p) for p in pairs])
+
+
+def _chain_fap():
+    """No menus and three gadget chains; the least spectrum is 4, which
+    greedy first-fit misses (it gives 5) and the clique span does not reach
+    (it gives 3)."""
+    pairs = [(0, 1, 3), (0, 2, 2), (0, 3, 1), (1, 3, 1), (2, 3, 3)]
+    return FapInstance(4, [None] * 4, [FapPair(*p) for p in pairs])
 
 
 def _separating_solves():
@@ -401,6 +419,16 @@ def test_solve_model_refuses_a_negative_z_cost():
         solve_model(g, cfg, objective=objective)
 
 
+def test_solve_model_refuses_labels_it_cannot_use():
+    """Labels narrow the search only as a necessary condition of the
+    candidate test, one tuple or None per vertex."""
+    g, cfg = path_graph(3), ModelConfig(kappa=2, variant=AO)
+    with pytest.raises(InputError, match="admissibility"):
+        solve_model(g, cfg, labels=[None, (0,), None])
+    with pytest.raises(InputError, match="vertices"):
+        solve_model(g, cfg, admissible=lambda arcs: True, labels=[None, (0,)])
+
+
 @pytest.mark.parametrize("arc", [4, -1])
 def test_solve_model_refuses_an_arc_out_of_range(arc):
     """path_graph(3) has arcs 0-3: an objective or row naming another arc
@@ -687,7 +715,98 @@ def test_propagation_keeps_every_short_acyclic_orientation():
     assert dropped > 100 and closed > 100, (dropped, closed)
 
 
-def _no_propagation(d, forced, kappa):
+def _least_labels(d, arcs, menus, top):
+    """The least labeling f of the acyclic arc set with u -> v => f(u) < f(v)
+    and each f(v) in menus[v] (any label where that is None), or None when
+    it needs a label above `top`. Each vertex in topological order takes
+    the least label its in-arcs and menu allow; every labeling is at least
+    this one, pointwise."""
+    ins = [[] for _ in range(d.n)]
+    for a in arcs:
+        ins[d.heads[a]].append(d.tails[a])
+    layer = longest_path_labels(d, arcs)
+    f = [0] * d.n
+    for v in sorted(range(d.n), key=layer.__getitem__):
+        need = max((f[u] + 1 for u in ins[v]), default=0)
+        fit = [x for x in (menus[v] if menus[v] is not None else [need]) if x >= need]
+        if not fit or min(fit) > top:
+            return None
+        f[v] = min(fit)
+    return f
+
+
+def test_label_windows_keep_every_labelled_orientation():
+    """On gadget expansions with m <= 12, with and without availability sets
+    and side rows: whenever some acyclic orientation agrees with a forced
+    set, keeps every kappa-arc path below kappa, holds the side rows it is
+    given and has a labeling f with u -> v => f(u) < f(v) and f(v) in its
+    menu, `_propagate` keeps the child, and every arc it forces holds in
+    all such orientations."""
+    rng = random.Random(24)
+    cases = dropped = closed = 0
+    gained = {"labels": 0, "side": 0}  # cases where the rule drops or forces more
+    instances = 0
+    while instances < 40:
+        links = rng.randint(2, 5)
+        pairs = [FapPair(i, j, rng.randint(1, 3))
+                 for i, j in itertools.combinations(range(links), 2) if rng.random() < 0.5]
+        phi = rng.randint(1, 4)
+        sets = [None if rng.random() < 0.4 else
+                frozenset(rng.sample(range(phi + 2), rng.randint(1, phi + 1)))
+                for _ in range(links)]
+        exp = fap.expand_gadgets(FapInstance(links, sets, pairs, phi))
+        g, d = exp.graph, exp.digraph
+        if not 1 <= g.m <= 12:
+            continue
+        instances += 1
+        kappa, top = phi + 1, phi
+        menus = [None if s is None else tuple(sorted(s)) for s in sets]
+        menus += [None] * (g.n - links)
+        side = [tuple(r.coeffs) for r in exp.side_rows]
+        kept = {(True, True): [], (True, False): [], (False, True): [], (False, False): []}
+        for dirs in itertools.product((0, 1), repeat=g.m):
+            arcs = Orientation(g, dirs).arcs()
+            if not is_acyclic(d, arcs):
+                continue
+            fits = _least_labels(d, arcs, [None] * g.n, top) is not None  # longest < kappa
+            menu_fits = fits and _least_labels(d, arcs, menus, top) is not None
+            holds = all(not (a in arcs and b in arcs) for a, b in side)
+            for use_labels, use_side in kept:
+                if (menu_fits if use_labels else fits) and (holds or not use_side):
+                    kept[use_labels, use_side].append(arcs)
+        for _ in range(10):
+            forced = {}
+            for e in rng.sample(range(g.m), rng.randint(0, min(3, g.m))):
+                a = 2 * e + rng.randint(0, 1)
+                forced[a], forced[a ^ 1] = 1, 0
+            key = tuple(sorted(forced.items()))
+            got = {}
+            for (use_labels, use_side), orientations in kept.items():
+                agree = [arcs for arcs in orientations
+                         if all((a in arcs) == (v == 1) for a, v in forced.items())]
+                out = solver._propagate(d, key, kappa, menus if use_labels else None,
+                                        side if use_side else ())
+                got[use_labels, use_side] = out
+                cases += 1
+                if out is None:
+                    assert not agree, (g.edges, kappa, menus, side, forced)
+                    dropped += 1
+                    continue
+                out = dict(out)
+                assert forced.items() <= out.items()
+                assert all(out.get(a ^ 1) == 1 - v for a, v in out.items())
+                for arcs in agree:
+                    assert all((a in arcs) == (v == 1) for a, v in out.items()), \
+                        (g.edges, kappa, menus, side, forced, out)
+                closed += len(out) == 2 * g.m
+            plain = got[False, False]
+            for rule, out in (("labels", got[True, False]), ("side", got[False, True])):
+                gained[rule] += plain is not None and (out is None or len(out) > len(plain))
+    assert dropped > 100 and closed > 100, (dropped, closed)
+    assert min(gained.values()) > 50, gained
+
+
+def _no_propagation(d, forced, kappa, labels, side):
     """The child filter without propagation: drop a cycle, force nothing."""
     return None if find_directed_cycle(d, [a for a, v in forced if v == 1]) else forced
 
@@ -709,7 +828,9 @@ def test_propagation_changes_no_answer_and_saves_nodes(monkeypatch):
              solver.solve_model(g, cfg)
              for _, g, _ in BATTERY for kappa in (1, 2, 3) for z in (None, kappa - 1)]
     calls += [lambda: solve_ao(_myciel3(), 3), lambda: solve_ao(petersen_graph(), 3),
-              lambda: solve_soft_cost(_soft_fap())]
+              lambda: solve_soft_cost(_soft_fap()),
+              # one probe with availability sets, and two without (at 4 and 3)
+              lambda: fap.min_spectrum(_sets_fap()), lambda: fap.min_spectrum(_chain_fap())]
     totals = {}
     for propagated in (True, False):
         if not propagated:
@@ -729,9 +850,9 @@ def test_dropped_children_are_pruned_and_never_processed(monkeypatch):
     propagate, process = solver._propagate, solver._process_node
     children, dropped, processed, pruned = [0], [], [], [0]
 
-    def propagate_spy(d, forced, kappa):
+    def propagate_spy(d, forced, kappa, labels, side):
         children[0] += 1
-        got = propagate(d, forced, kappa)
+        got = propagate(d, forced, kappa, labels, side)
         if got is None:
             dropped.append(forced)
         return got
