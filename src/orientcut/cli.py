@@ -149,7 +149,7 @@ def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
         # how far it got: the best colouring so far, and the largest greedy
         # clique, from every seed, as a lower bound
         classes = source_decomposition(BidirectedDigraph(g), exc.orientation.arcs())
-        lower = len(greedy_clique(g, tries=g.n))
+        lower = len(greedy_clique(g))
         return ({"status": "timeout", "lower": lower, "upper": len(classes),
                  "classes": classes, **_aggregate(reports)},
                 f"time limit reached ({lower} to {len(classes)} colours)")

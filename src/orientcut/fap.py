@@ -4,8 +4,9 @@ Links become vertices; a pair needing channel separation d becomes a chain of
 d unit edges through d - 1 auxiliary vertices, with side rows forcing any
 fully oriented chain to run monotonically from one endpoint to the other.
 An acyclic orientation of the expanded graph with longest directed path at
-most the spectrum bound then yields frequencies as longest-path labels, and
-chain monotonicity turns unit gaps per edge into the required separation.
+most the spectrum bound then yields frequencies as its least labels
+(`graphs.least_labels`), and chain monotonicity turns unit gaps per edge into
+the required separation.
 
 Three entry points share that reduction: fixed-spectrum feasibility (full
 orientation, z pinned to the spectrum), minimum-spectrum search (binary
@@ -13,13 +14,13 @@ search over feasibility probes), and soft-cost optimization (partial
 orientation where leaving a unit-separation edge unoriented costs its
 violation penalty).
 
-Per-link frequency availability sets have no native variables in the model;
-they alone bring an admissibility test, by which the one search of a
-fixed-spectrum probe cuts off, with a no-good row, each orientation it finds
-that has no labeling compatible with the sets. The probe also hands the sets
-to the search as `labels`, so that its child propagation narrows each link's
-label window to its menu and drops a child whose forced arcs leave a window
-empty before that child's LP; the chains' side rows propagate there too.
+Per-link frequency availability sets have no native variables in the model.
+A fixed-spectrum probe hands them to its one search as `labels`, the links'
+sorted menus: the search cuts off, with a no-good row, each orientation it
+finds whose least labeling leaves a menu or the spectrum, and its child
+propagation narrows each link's label window to its menu and drops a child
+whose forced arcs leave a window empty before that child's LP; the chains'
+side rows propagate there too.
 
 Each entry point takes one `deadline`, a `time.monotonic()` reading, and
 hands it to every solve it makes, so a spectrum search stops when a single
@@ -43,7 +44,13 @@ from .errors import (
     TimeLimitError,
     UnsupportedInstanceError,
 )
-from .graphs import BidirectedDigraph, UndirectedGraph, greedy_clique, longest_path_labels
+from .graphs import (
+    BidirectedDigraph,
+    UndirectedGraph,
+    greedy_clique,
+    least_labels,
+    longest_path_labels,
+)
 from .model import AO, AS, LinearRow, ModelConfig, row_edge_pair
 from .solver import Objective, SolveReport, solve_model
 
@@ -261,37 +268,6 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
     return GadgetExpansion(g, d, tuple(rows))
 
 
-def _lifted_labels(inst: FapInstance, exp: GadgetExpansion, arcs,
-                   phi: int) -> Optional[List[int]]:
-    """Least labeling of the oriented expansion that respects availability.
-
-    Topological sweep; every vertex takes the smallest admissible value that
-    clears each incoming arc by one. The result is pointwise minimal among
-    all labelings aligned with this orientation, so returning None proves the
-    orientation extends to no admissible assignment within the spectrum.
-    Without availability sets this reduces to the longest-path labels.
-    """
-    d = exp.digraph
-    base = longest_path_labels(d, arcs)
-    ins: List[List[int]] = [[] for _ in range(exp.graph.n)]
-    for a in arcs:
-        ins[d.heads[a]].append(d.tails[a])
-    f = [0] * exp.graph.n
-    for v in sorted(range(exp.graph.n), key=lambda v: base[v]):
-        need = max((f[u] + 1 for u in ins[v]), default=0)
-        menu = inst.freq_sets[v] if v < inst.links else None
-        if menu is None:
-            f[v] = need
-        else:
-            fit = [x for x in menu if x >= need]
-            if not fit:
-                return None
-            f[v] = min(fit)
-        if f[v] > phi:
-            return None
-    return f
-
-
 def _check_solver_status(rep: SolveReport, phi: int):
     if rep.status == "timeout":
         raise TimeLimitError("time limit hit before the spectrum probe could decide")
@@ -310,13 +286,12 @@ def solve_fixed_spectrum(inst: FapInstance, *,
 
     One search over full orientations of the expanded graph with the load
     bound pinned to the spectrum; it accepts the first acyclic orientation of
-    diameter at most the spectrum that has a least admissible labeling, and
-    that labeling gives the frequencies. Only availability sets bring an
-    admissibility test (without them the least labeling is the longest-path
-    one, which always fits), and the orientations they reject are cut off
-    inside the search, with no limit on their number. The sets also go to
-    the search as `labels`, the links' menus with None for the chains'
-    vertices, which the test's least labeling must respect.
+    diameter at most the spectrum whose least labeling keeps every link in
+    its availability set, and that labeling gives the frequencies. The sets
+    go to the search as `labels`, the links' sorted menus with None for the
+    chains' vertices, and None when no link has a set: the least labeling is
+    then the longest-path one, which always fits. The orientations the sets
+    reject are cut off inside the search, with no limit on their number.
     Raises InfeasibleError (carrying the final bound as `.bound`) when no
     assignment exists, and TimeLimitError when the solve reaches `deadline`.
     """
@@ -327,17 +302,17 @@ def solve_fixed_spectrum(inst: FapInstance, *,
         raise UnsupportedInstanceError("instance carries violation costs; use the soft solve")
     exp = expand_gadgets(inst)
     cfg = ModelConfig(kappa=phi + 1, variant=AO, z_fixed=float(phi))
-    menus = any(fs is not None for fs in inst.freq_sets)
-    rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows, deadline=deadline,
-                      admissible=(lambda arcs: _lifted_labels(inst, exp, arcs, phi) is not None)
-                      if menus else None,
-                      labels=list(inst.freq_sets) + [None] * (exp.graph.n - inst.links)
-                      if menus else None)
+    menus = None
+    if any(fs is not None for fs in inst.freq_sets):
+        menus = [None if fs is None else tuple(sorted(fs)) for fs in inst.freq_sets]
+        menus += [None] * (exp.graph.n - inst.links)
+    rep = solve_model(exp.graph, cfg, extra_rows=exp.side_rows, labels=menus,
+                      deadline=deadline)
     if reports is not None:
         reports.append(rep)
     _check_solver_status(rep, phi)
-    lifted = _lifted_labels(inst, exp, rep.best_point.arc_set(), phi)
-    out = FrequencyAssignment(tuple(lifted[: inst.links]), frozenset(), 0.0)
+    freq = least_labels(exp.digraph, rep.best_point.arc_set(), phi, menus)
+    out = FrequencyAssignment(tuple(freq[: inst.links]), frozenset(), 0.0)
     out.verify(inst)
     return out
 

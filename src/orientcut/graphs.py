@@ -3,12 +3,12 @@
 Vertices are 0-indexed everywhere; 1-indexed input formats are converted at the
 I/O boundary. Every edge [i, j] of an undirected graph doubles into the two
 arcs (i, j) and (j, i) of its bidirected companion digraph, and all orientation
-models work on those arc indices. Structures are immutable after construction
-and safe to share between threads.
+models work on those arc indices. Structures are immutable after construction.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
@@ -129,9 +129,6 @@ class BidirectedDigraph:
         except KeyError:
             raise InputError(f"no arc ({u},{v})") from None
 
-    def reverse(self, a: int) -> int:
-        return a ^ 1
-
     def check_arcs(self, arcs: Iterable[int]) -> frozenset:
         s = frozenset(arcs)
         for a in s:
@@ -231,23 +228,45 @@ def find_directed_cycle(d: BidirectedDigraph, arcs: Iterable[int]) -> Optional[L
     return walk[seen[v]:][::-1]
 
 
+def least_labels(d: BidirectedDigraph, arcs: Iterable[int], top: int,
+                 menus: Optional[Sequence[Optional[Sequence[int]]]] = None
+                 ) -> Optional[List[int]]:
+    """The least labeling f of the arc set: f(u) < f(v) on every arc u -> v,
+    each f(v) in [0, top] and, where `menus[v]` is not None, in that sorted
+    tuple; or None when the arcs close a cycle or no such labeling exists.
+
+    In topological order each vertex takes the least label its in-arcs and
+    menu allow, so every such labeling is at least this one, pointwise.
+    Without menus f(v) is the most arcs on a path into v (Gallai 1968, Roy 1967).
+    """
+    s = d.check_arcs(arcs)
+    order, _ = _kahn(d, s)
+    if len(order) < d.n:
+        return None
+    ins: List[List[int]] = [[] for _ in range(d.n)]
+    for a in s:
+        ins[d.heads[a]].append(d.tails[a])
+    f = [0] * d.n
+    for v in order:
+        low = max((f[u] + 1 for u in ins[v]), default=0)
+        menu = menus[v] if menus is not None else None
+        if menu is not None:
+            i = bisect.bisect_left(menu, low)
+            low = menu[i] if i < len(menu) else top + 1
+        if low > top:
+            return None
+        f[v] = low
+    return f
+
+
 def longest_path_labels(d: BidirectedDigraph, arcs: Iterable[int]) -> List[int]:
     """Per-vertex length of the longest directed path ending at that vertex.
 
     Raises ContractError when the arc set is cyclic.
     """
-    s = d.check_arcs(arcs)
-    order, _ = _kahn(d, s)
-    if len(order) < d.n:
+    labels = least_labels(d, arcs, d.n)
+    if labels is None:
         raise ContractError("arc set is cyclic")
-    labels = [0] * d.n
-    ins: List[List[int]] = [[] for _ in range(d.n)]
-    for a in s:
-        ins[d.heads[a]].append(d.tails[a])
-    for v in order:
-        for u in ins[v]:
-            if labels[u] + 1 > labels[v]:
-                labels[v] = labels[u] + 1
     return labels
 
 
@@ -417,20 +436,22 @@ def greedy_coloring(g: UndirectedGraph) -> List[int]:
     return colors
 
 
-def greedy_clique(g: UndirectedGraph, tries: int = 8) -> List[int]:
-    """A maximal clique found greedily from the `tries` highest-degree seeds.
+def greedy_clique(g: UndirectedGraph) -> List[int]:
+    """The largest of the maximal cliques grown greedily from each vertex.
 
-    From each seed it adds neighbours of higher degree first, ties by index,
-    and keeps the largest clique. A clique lies inside one component, so
-    with `tries` at least n it is the largest greedy clique of any component.
+    From each seed it takes the seed's neighbours by falling degree, then
+    index, and adds each one adjacent to every vertex of the clique so far.
+    It keeps the largest clique, the first found among equals with seeds
+    taken in the same order.
     """
+    adj = [set(a) for a in g.adj]
     best: List[int] = []
-    seeds = sorted(range(g.n), key=lambda v: (-g.degree(v), v))[:tries]
-    for s in seeds:
-        clique = [s]
+    for s in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        clique, common = [s], adj[s]  # common: the neighbours of every clique vertex
         for v in sorted(g.adj[s], key=lambda v: (-g.degree(v), v)):
-            if all(g.has_edge(v, u) for u in clique):
+            if v in common:
                 clique.append(v)
+                common = common & adj[v]
         if len(clique) > len(best):
             best = clique
     return sorted(best)

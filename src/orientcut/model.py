@@ -9,8 +9,9 @@ most z oriented arcs.
 
 Rows are kept sparse over arc indices with a separate z coefficient, and carry
 a class tag naming the template that generated them. The canonical key (sorted
-support, ignoring the tag) lets cut pools deduplicate structurally identical
-rows regardless of how they were derived.
+support, ignoring the tag) identifies structurally identical rows regardless of
+how they were derived: the polytope rows collapse on it, the separators break
+ties on it and the solver mirrors it to detect reversal symmetry.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class LinearRow:
     @property
     def key(self):
         """Canonical identity; ignores the tag so equal rows from different
-        templates collapse in a cut pool."""
+        templates compare equal."""
         return self._key
 
     def value(self, w: Sequence[float], z: float):
@@ -252,8 +253,7 @@ def row_cycle_arcs(d: BidirectedDigraph, cycle: Sequence[int], pendants: Sequenc
     coeffs: Dict[int, float] = {}
     for a in arcs:
         coeffs[a] = coeffs.get(a, 0) + half
-        rev = d.reverse(a)
-        coeffs[rev] = coeffs.get(rev, 0) + 1
+        coeffs[a ^ 1] = coeffs.get(a ^ 1, 0) + 1
     for v, r in zip(cycle, pendants):
         a = d.arc(r, v) if inbound else d.arc(v, r)
         coeffs[a] = coeffs.get(a, 0) + 1

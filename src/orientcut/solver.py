@@ -18,16 +18,16 @@ program already has.
 An integral point is the node's candidate, at z = max(load, z_lower), when its
 load, the most selected arcs on one kappa-arc path, is at most the LP's z, its
 arcs close no directed cycle (the LP point holds bounds and pair rows already)
-and the solve's `admissible` test, if any, accepts its arc set. A point refused
-by that test alone gets the no-good row sum_{a in arcs} w_a <= |arcs| - 1 as
-its round; in the orientation model, the only one the test is for, every point
-selects m arcs, so the row removes that one orientation. Any other integral
-point that is no candidate has a directed cycle or an overloaded window, which
-the exact separators cut off; it cannot branch, so its round must find a row
-and ignores the round and tail limits. After each LP solve and its candidate
-test, the node stops once its bound meets the incumbent's cutoff: it runs no
-further round and has no children, since every point below it would be no
-better than the incumbent.
+and, where the solve passes `labels`, its arcs have a labeling in them
+(`least_labels`). A point refused by the labels alone gets the no-good row
+sum_{a in arcs} w_a <= |arcs| - 1 as its round; in the orientation model, the
+only one labels are for, every point selects m arcs, so the row removes that
+one orientation. Any other integral point that is no candidate has a directed
+cycle or an overloaded window, which the exact separators cut off; it cannot
+branch, so its round must find a row and ignores the round and tail limits.
+After each LP solve and its candidate test, the node stops once its bound meets
+the incumbent's cutoff: it runs no further round and has no children, since
+every point below it would be no better than the incumbent.
 A node branches only when a fractional round finds no row before the deadline.
 The search is a plain best-first loop: it pops the open node with the
 smallest bound (ties go to the most recently pushed), prunes it against the
@@ -51,16 +51,16 @@ alone and the incumbent is at most kappa when the search starts, as in every
 orientation has labels f(v) in [0, kappa - 1] that rise along every arc, its
 longest-path labels. The search then propagates the forced arcs of each
 child it pushes to a fixpoint (`_propagate`). Each vertex holds a window of
-the labels it may still take, narrowed by the forced arcs and, where the
-solve passes `labels`, by the labels its candidates must use (a
-fixed-spectrum probe's availability sets). An unforced edge that one
-direction would close into a forced cycle, or whose direction would leave
-no room between its ends' windows, is forced the other way. Every side row
-w_a + w_b <= 1 among the extra rows forces b's reverse once a is forced. A
-child left with a forced cycle, an empty window, a side row with both arcs
-forced or an edge with no direction is dropped and counted as pruned. That
-pass is the child's acyclicity test, which `_branch` makes where the search
-does not propagate. The root is not propagated.
+the labels it may still take, narrowed by the forced arcs and by `labels`,
+the labels its candidates must use (a fixed-spectrum probe's availability
+sets). An unforced edge that one direction would close into a forced cycle,
+or whose direction would leave no room between its ends' windows, is forced
+the other way. Every side row w_a + w_b <= 1 among the extra rows forces
+b's reverse once a is forced. A child left with a forced cycle, an empty
+window, a side row with both arcs forced or an edge with no direction is
+dropped and counted as pruned. That pass is the child's acyclicity test,
+which `_branch` makes where the search does not propagate. The root is not
+propagated.
 
 The base program starts in the basis the root's first solve would reach
 after its pivots on the edge-pair rows. At the start point, each variable at
@@ -91,8 +91,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import (AbstractSet, Callable, Dict, Iterator, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
@@ -104,6 +103,7 @@ from .graphs import (
     find_directed_cycle,
     greedy_clique,
     greedy_coloring,
+    least_labels,
     longest_path_labels,
     max_path_load,
 )
@@ -189,7 +189,7 @@ class _Context:
 
     def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
-                 admissible: Optional[Callable[[frozenset], bool]] = None,
+                 labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
                  root_forced: Tuple[Tuple[int, int], ...] = (),
                  propagate: bool = False):
         self.g = d.graph
@@ -197,7 +197,7 @@ class _Context:
         self.d = d
         self.objective = objective
         self.deadline = deadline
-        self.admissible = admissible
+        self.labels = labels  # the candidate test's menus, None for none
         self.propagate = propagate  # whether the search propagates each child
         m = d.graph.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
@@ -400,7 +400,8 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
             arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
             point, load = _integral_point(d, cfg, arcs)
             if load <= z + INT_TOL and find_directed_cycle(d, arcs) is None:
-                if ctx.admissible is None or ctx.admissible(arcs):
+                if ctx.labels is None or least_labels(
+                        d, arcs, cfg.kappa - 1, ctx.labels) is not None:
                     return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
                                        candidate=point)
                 fresh = [LinearRow(dict.fromkeys(arcs, 1.0), 0, len(arcs) - 1, "<=", "no-good")]
@@ -446,40 +447,36 @@ def _prunable(bound: float, incumbent: float, integral_objective: bool) -> bool:
 def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
                 objective: Optional[Objective] = None,
                 extra_rows: Sequence[LinearRow] = (),
-                admissible: Optional[Callable[[frozenset], bool]] = None,
                 labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
                 deadline: Optional[float] = None) -> SolveReport:
     """Exact minimization over acyclic orientations or partial selections.
 
-    `extra_rows` are hard constraints. `admissible` (orientation model only)
-    tests a point's arc set: every node candidate must pass it, and a refused
-    candidate's orientation is cut off by a no-good row, after which its node
-    re-solves. `labels`, which needs `admissible`, gives each vertex a
-    sorted tuple of the labels it may take, or None for any: an arc set
-    passes `admissible` only if it has a labeling f with f(u) < f(v) on each
-    arc u -> v, each f(v) in [0, kappa - 1] and in its tuple. Only the
-    search's child propagation reads it, where that runs (see the module
-    docstring); `admissible` stays the candidate test. Past `deadline` (a
-    `time.monotonic()` reading) the search stops with status `timeout`.
+    `extra_rows` are hard constraints. `labels` (orientation model only)
+    gives each vertex the labels it may take, or None for any, and is the
+    candidate test: a point's arc set passes it when it has a labeling f
+    with f(u) < f(v) on each arc u -> v and each f(v) in [0, kappa - 1] and
+    in its labels (`least_labels`). A refused candidate's orientation is cut
+    off by a no-good row, after which its node re-solves; where the search
+    propagates children, the labels narrow that too (see the module
+    docstring). Past `deadline` (a `time.monotonic()` reading) the search
+    stops with status `timeout`.
     In the orientation model, a clique of more than kappa vertices raises the
-    z lower bound to kappa, whatever the objective, rows or test. The start
+    z lower bound to kappa, whatever the objective, rows or labels. The start
     point, the DSATUR orientation, is offered when its load is at most the z
-    upper bound, it satisfies `extra_rows` and `admissible` accepts it.
+    upper bound, it satisfies `extra_rows` and passes the labels.
     Reversing every arc maps the pair, cycle and path rows onto themselves, so
     the search fixes arc 0 on and arc 1 off, halving itself, when all else is
-    reversal invariant too: the orientation model, no `admissible`, equal
-    costs on a and a ^ 1, and `extra_rows` whose keys, arcs mapped a -> a ^ 1,
-    are again keys of extra rows.
+    reversal invariant too: the orientation model, no `labels`, equal costs
+    on a and a ^ 1, and `extra_rows` whose keys, arcs mapped a -> a ^ 1, are
+    again keys of extra rows.
     Raises InputError for a negative z cost, which the search's integral
-    points, at z = max(load, z lower bound), would misprice, and for an arc
+    points, at z = max(load, z lower bound), would misprice, for an arc
     index outside [0, 2m) in the objective or in `extra_rows`, and for
-    `labels` without `admissible` or not one per vertex.
+    `labels` on the selection model or not one per vertex.
     """
-    if admissible is not None and cfg.variant != AO:
-        raise InputError("an admissibility test needs the orientation model")
     if labels is not None:
-        if admissible is None:
-            raise InputError("labels need the admissibility test they are necessary for")
+        if cfg.variant != AO:
+            raise InputError("labels need the orientation model")
         if len(labels) != g.n:
             raise InputError(f"labels for {len(labels)} vertices, the graph has {g.n}")
         labels = [None if menu is None else tuple(sorted(menu)) for menu in labels]
@@ -493,7 +490,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     integral_obj = obj.is_integral
 
     if m == 0:
-        if admissible is not None and not admissible(frozenset()):
+        if labels is not None and least_labels(d, (), cfg.kappa - 1, labels) is None:
             return SolveReport("infeasible", None, None, math.inf, 0, 0, {}, [], 0)
         point = ModelPoint((), float(cfg.z_lower))
         val = obj.value(point)
@@ -514,12 +511,12 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     arcs = _dsatur_orientation(g).arcs()
     start, load = _integral_point(d, cfg, arcs)
     if load <= cfg.z_upper and all(r.satisfied(start.w, start.z, tol=1e-7) for r in extra_rows) \
-            and (admissible is None or admissible(arcs)):
+            and (labels is None or least_labels(d, arcs, cfg.kappa - 1, labels) is not None):
         offer(start)
 
     keys = {r.key for r in extra_rows}
     mirrored = {(s, rhs, zc, tuple(sorted((a ^ 1, c) for a, c in cs))) for s, rhs, zc, cs in keys}
-    symmetric = cfg.variant == AO and admissible is None and mirrored == keys and all(
+    symmetric = cfg.variant == AO and labels is None and mirrored == keys and all(
         obj.w_coeffs.get(a ^ 1, 0.0) == c for a, c in obj.w_coeffs.items())
     root_forced = ((0, 1), (1, 0)) if symmetric else ()
     # whether every point that can still improve has z below kappa; once the
@@ -530,7 +527,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     side = [tuple(r.coeffs) for r in extra_rows
             if r.sense == "<=" and r.rhs == 1 and r.z_coeff == 0 and len(r.coeffs) == 2
             and all(c == 1 for c in r.coeffs.values())] if propagate else []
-    ctx = _Context(d, cfg, obj, extra_rows, deadline, admissible, root_forced, propagate)
+    ctx = _Context(d, cfg, obj, extra_rows, deadline, labels, root_forced, propagate)
     root = _Node(root_forced, ctx.base_lp)
 
     seq = 0

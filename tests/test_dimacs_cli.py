@@ -410,9 +410,9 @@ def _proper_classes(g, classes):
 def test_cli_color_timeout_reports_its_bounds(capsys, tmp_path, name, lower):
     """queen6's kappa 8 window is not settled in a second. The timeout report
     carries the largest greedy clique as `lower` and DSATUR's 9-colouring as
-    `classes`, with its class count as `upper`. Beside a disjoint K7, none of
-    whose vertices is among the 8 of highest degree, `lower` is the K7 and
-    the colouring joins each component's best."""
+    `classes`, with its class count as `upper`. Beside a disjoint K7, whose
+    vertices all have lower degree than queen6's, `lower` is the K7 and the
+    colouring joins each component's best."""
     g = queen_graph(6)
     if name == "queen6-k7":
         g = UndirectedGraph(43, list(g.edges) + [

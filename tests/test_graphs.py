@@ -17,6 +17,7 @@ from orientcut.graphs import (
     greedy_clique,
     greedy_coloring,
     is_acyclic,
+    least_labels,
     longest_path_labels,
     max_path_load,
     path_arc_list,
@@ -68,7 +69,6 @@ def test_arc_indexing_round_trips():
     for e, (u, v) in enumerate(d.graph.edges):
         assert d.arc(u, v) == 2 * e
         assert d.arc(v, u) == 2 * e + 1
-        assert d.reverse(2 * e) == 2 * e + 1
         assert (d.tails[2 * e], d.heads[2 * e]) == (u, v)
         assert (d.tails[2 * e + 1], d.heads[2 * e + 1]) == (v, u)
 
@@ -195,6 +195,43 @@ def test_longest_path_labels_count_arcs():
     assert dag_longest_path(d, arcs) == 1
 
 
+def test_least_labels_is_the_least_labeling(rng):
+    """Against an exhaustive scan of the labelings in [0, top] on every arc
+    subset of small graphs, cyclic ones and reverse pairs included, with no
+    menus, random menus and menus with None entries: None exactly when no
+    labeling with f(u) < f(v) on each arc and each f(v) in its menu exists,
+    and otherwise such a labeling, pointwise at most every other one."""
+    graphs = [path_graph(3), complete_graph(3), star_graph(3), cycle_graph(4), paw_graph(),
+              path_graph(5), UndirectedGraph(5, [(0, 1), (1, 2), (3, 4)])]
+    found = refused = 0
+    for g in graphs:
+        d = BidirectedDigraph(g)
+        for top in range(4):
+            for menu_draw in range(3):
+                menus = None if menu_draw == 0 else [
+                    None if menu_draw == 2 and rng.random() < 0.5 else
+                    tuple(sorted(rng.sample(range(top + 2), rng.randint(1, min(3, top + 2)))))
+                    for _ in range(g.n)]
+                allowed = [range(top + 1) if menus is None or menus[v] is None
+                           else [x for x in menus[v] if x <= top] for v in range(g.n)]
+                # each labeling with the bitmask of the arcs it rises along
+                labelings = [(f, sum(1 << a for a in range(d.num_arcs)
+                                     if f[d.tails[a]] < f[d.heads[a]]))
+                             for f in itertools.product(*allowed)]
+                for mask in range(1 << d.num_arcs):
+                    arcs = [a for a in range(d.num_arcs) if mask >> a & 1]
+                    valid = [f for f, rises in labelings if mask & ~rises == 0]
+                    got = least_labels(d, arcs, top, menus)
+                    if not valid:
+                        assert got is None, (g.edges, arcs, top, menus)
+                        refused += 1
+                        continue
+                    assert got == [min(f[v] for f in valid) for v in range(g.n)], \
+                        (g.edges, arcs, top, menus)
+                    found += 1
+    assert found > 1000 and refused > 1000, (found, refused)
+
+
 def test_source_decomposition_layers_are_proper_coloring():
     g = petersen_graph()
     d = BidirectedDigraph(g)
@@ -275,6 +312,38 @@ def test_greedy_coloring_is_dsatur():
     # largest degree), 6 (saturation 2), then 4, 3, 0, 5 on smallest index.
     g = UndirectedGraph(7, [(0, 3), (0, 5), (2, 1), (2, 5), (4, 1), (4, 3), (6, 1), (6, 2)])
     assert greedy_coloring(g) == [1, 0, 1, 0, 1, 0, 2]
+
+
+def _grown_clique(g):
+    """Reference: grow a clique from every seed, both seeds and candidates
+    by falling degree, then index, testing each candidate edge by edge."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    best = []
+    for s in order:
+        clique = [s]
+        for v in order:
+            if all(g.has_edge(v, u) for u in clique):
+                clique.append(v)
+        if len(clique) > len(best):
+            best = clique
+    return sorted(best)
+
+
+def test_greedy_clique_grows_from_every_seed(rng):
+    """queen6's rows are 6-cliques, and beside a disjoint K7 every vertex of
+    queen6 outranks the K7's by degree; the 8 highest-degree seeds alone
+    find 5 in both. On G(n, p) draws it returns the reference's clique."""
+    board = queen_graph(6)
+    k7 = [(36 + i, 36 + j) for i, j in itertools.combinations(range(7), 2)]
+    for g, size in ((board, 6), (UndirectedGraph(43, list(board.edges) + k7), 7)):
+        clique = greedy_clique(g)
+        assert len(clique) == size
+        assert all(g.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
+    for _ in range(200):
+        n, p = rng.randint(1, 14), rng.random()
+        g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
+                                if rng.random() < p])
+        assert greedy_clique(g) == _grown_clique(g), g.edges
 
 
 @pytest.mark.parametrize("k", [4, 5])

@@ -126,7 +126,7 @@ def test_cycle_arcs_row_structure():
     half = 1
     for a in (d.arc(0, 1), d.arc(1, 2), d.arc(2, 0)):
         assert r.coeffs[a] == half
-        assert r.coeffs[d.reverse(a)] == 1
+        assert r.coeffs[a ^ 1] == 1
     for v, p in ((0, 3), (1, 4), (2, 5)):
         assert r.coeffs[d.arc(p, v)] == 1
     assert r.z_coeff == -half and r.rhs == 3

@@ -2,6 +2,7 @@ import collections
 import itertools
 import math
 import random
+import time
 import types
 
 import numpy as np
@@ -44,7 +45,7 @@ from orientcut.solver import (
     solve_model,
 )
 
-from conftest import BATTERY, mycielski
+from conftest import BATTERY, mycielski, queen_graph
 
 
 def _myciel3():
@@ -153,6 +154,17 @@ def test_clique_bound_reaches_every_orientation_solve():
     rep = solve_model(g, cfg, extra_rows=(side,))
     assert rep.status == "optimal" and rep.node_count == 0
     assert rep.objective == brute_force_optimum(g, cfg)[0] == 3
+
+
+def test_clique_bound_finds_a_clique_beside_denser_vertices():
+    """Beside queen6, whose vertices all have higher degree than the K7's,
+    the clique bound still finds the K7 and, with DSATUR's start at load 6,
+    settles the kappa 6 window without an LP."""
+    board = queen_graph(6)
+    g = UndirectedGraph(43, list(board.edges) + [
+        (36 + i, 36 + j) for i, j in itertools.combinations(range(7), 2)])
+    rep = solve_ao(g, 6, deadline=time.monotonic() + 2)
+    assert rep.status == "optimal" and rep.objective == 6 and rep.node_count == 0
 
 
 def test_deadline_ends_the_cut_loop(monkeypatch):
@@ -281,27 +293,30 @@ def test_window_search_cut_short_sends_the_node_back(monkeypatch):
 
 
 def test_deadline_after_a_refusal_ends_the_search(monkeypatch):
-    """An admissibility test that refuses everything keeps a node at integral
-    points; once the deadline passes after its first refusal inside a node,
-    the search stops with `timeout`."""
+    """At kappa 1 labels refuse every orientation, as each needs a label
+    above kappa - 1 = 0, which keeps a node at integral points; once the
+    deadline passes after its first refusal inside a node, the search stops
+    with `timeout`."""
     refusals = []
     inside = []
-    process = solver._process_node
+    process, least = solver._process_node, solver.least_labels
 
     def counted(ctx, node, incumbent):
         inside.append(node)
         return process(ctx, node, incumbent)
 
-    def refuse(arcs):
-        if inside:
+    def labelled(d, arcs, top, menus):
+        f = least(d, arcs, top, menus)
+        if inside and f is None:
             refusals.append(arcs)
-        return False
+        return f
 
     monkeypatch.setattr(solver, "_process_node", counted)
+    monkeypatch.setattr(solver, "least_labels", labelled)
     monkeypatch.setattr(solver, "time",
                         types.SimpleNamespace(monotonic=lambda: 1.0 if refusals else 0.0))
     rep = solve_model(complete_graph(3), ModelConfig(kappa=1, variant=AO),
-                      admissible=refuse, deadline=0.5)
+                      labels=[None] * 3, deadline=0.5)
     assert len(refusals) == 1
     assert rep.status == "timeout" and rep.best_point is None and math.isfinite(rep.bound)
 
@@ -384,29 +399,38 @@ def test_drivers_take_no_open_keywords():
         solve_ao(g, 2, use_symmetry=False)
 
 
-def test_admissible_refusals_become_no_good_rows():
-    """A refused orientation never comes back, and the search still finds the
-    best one the test accepts; refusing every orientation proves infeasibility."""
+def test_label_refusals_become_no_good_rows():
+    """Menus that the unlabelled optimum's labeling breaks: the search finds
+    the best orientation with a labeling below kappa in the menus, as an
+    exhaustive scan does, cutting off with no-good rows the ones it refuses;
+    menus no labeling meets prove infeasibility."""
     no_goods = 0
     for name, g, _ in BATTERY:
+        d = BidirectedDigraph(g)
         for kappa in (1, 2, 3):
             cfg = ModelConfig(kappa=kappa, variant=AO)
-            ref, best = brute_force_optimum(g, cfg)
-            refused = best.arc_set()
-            rep = solve_model(g, cfg, admissible=lambda arcs: arcs != refused)
-            assert rep.status == "optimal", (name, kappa)
-            assert rep.best_point.arc_set() != refused, (name, kappa)
-            assert rep.objective >= ref - 1e-9, (name, kappa)
-            assert check_integral_feasible(BidirectedDigraph(g), cfg, rep.best_point)[0]
+            _, best = brute_force_optimum(g, cfg)
+            f = longest_path_labels(d, best.arc_set())
+            v = f.index(max(f))
+            menus = [None] * g.n
+            menus[v] = tuple(range(f[v]))  # every labeling of `best` has f(v) or more
+            ref = min((p.z for p in enumerate_feasible_points(g, cfg)
+                       if _least_labels(d, p.arc_set(), menus, kappa - 1) is not None),
+                      default=None)
+            rep = solve_model(g, cfg, labels=menus)
+            if ref is None:
+                assert rep.status == "infeasible" and rep.bound == math.inf, (name, kappa)
+                continue
+            assert rep.status == "optimal" and rep.objective == ref, (name, kappa)
+            arcs = rep.best_point.arc_set()
+            assert _least_labels(d, arcs, menus, kappa - 1) is not None, (name, kappa)
+            assert check_integral_feasible(d, cfg, rep.best_point)[0]
             no_goods += rep.cut_counts.get("no-good", 0)
-            none = solve_model(g, cfg, admissible=lambda arcs: False)
+            none = solve_model(g, cfg, labels=[(kappa,)] * g.n)
             assert none.status == "infeasible" and none.best_point is None, (name, kappa)
             assert none.bound == math.inf
-    # some searches met the refused orientation inside a node
+    # some searches met a refused orientation inside a node
     assert no_goods > 0
-    with pytest.raises(InputError):
-        solve_model(complete_graph(3), ModelConfig(kappa=2, variant=AS),
-                    admissible=lambda arcs: True)
 
 
 def test_solve_model_refuses_a_negative_z_cost():
@@ -420,13 +444,12 @@ def test_solve_model_refuses_a_negative_z_cost():
 
 
 def test_solve_model_refuses_labels_it_cannot_use():
-    """Labels narrow the search only as a necessary condition of the
-    candidate test, one tuple or None per vertex."""
-    g, cfg = path_graph(3), ModelConfig(kappa=2, variant=AO)
-    with pytest.raises(InputError, match="admissibility"):
-        solve_model(g, cfg, labels=[None, (0,), None])
+    """Labels are for the orientation model, one tuple or None per vertex."""
+    g = path_graph(3)
+    with pytest.raises(InputError, match="orientation model"):
+        solve_model(g, ModelConfig(kappa=2, variant=AS), labels=[None, (0,), None])
     with pytest.raises(InputError, match="vertices"):
-        solve_model(g, cfg, admissible=lambda arcs: True, labels=[None, (0,)])
+        solve_model(g, ModelConfig(kappa=2, variant=AO), labels=[None, (0,)])
 
 
 @pytest.mark.parametrize("arc", [4, -1])
@@ -518,7 +541,7 @@ def test_reversal_symmetry_is_derived(monkeypatch):
                  lambda: fap.solve_fixed_spectrum(menu_free)]
     one_way = LinearRow({0: 1, 2: 1}, 0, 1, "<=", "no-good")  # its reversal is missing
     plain = [lambda: solve_model(g, ModelConfig(kappa=2, variant=AS)),
-             lambda: solve_model(g, cfg, admissible=lambda arcs: True),
+             lambda: solve_model(g, cfg, labels=[None] * g.n),
              lambda: solve_model(g, cfg, extra_rows=(one_way,)),
              lambda: solve_model(g, cfg, objective=solver.Objective(w_coeffs={0: 1.0}))]
     for expect, calls in (({0: 1, 1: 0}, symmetric), ({}, plain)):
@@ -527,12 +550,13 @@ def test_reversal_symmetry_is_derived(monkeypatch):
             call()
             assert roots == [expect]
     # once wrong with edge 0 pre-oriented by request: a selection model whose
-    # optimum leaves edge 0 unoriented, and a test that refuses arc 0's direction
+    # optimum leaves edge 0 unoriented, and K3 with vertex 1 held to label 0,
+    # which only arc 1's direction, 1 -> 0, meets
     wrong = ((path_graph(3), ModelConfig(kappa=1, variant=AS, z_fixed=0), None),
-             (complete_graph(3), ModelConfig(kappa=2), lambda arcs: 1 in arcs))
-    for h, config, admissible in wrong:
+             (complete_graph(3), ModelConfig(kappa=3), [None, (0,), None]))
+    for h, config, labels in wrong:
         roots.clear()
-        rep = solve_model(h, config, admissible=admissible)
+        rep = solve_model(h, config, labels=labels)
         assert roots == [{}]
         assert rep.status == "optimal" and rep.objective == brute_force_optimum(h, config)[0]
 
