@@ -19,7 +19,7 @@ from .errors import (
     TimeLimitError,
     UnsupportedInstanceError,
 )
-from .graphs import BidirectedDigraph, Orientation, UndirectedGraph
+from .graphs import Orientation, UndirectedGraph
 from .model import AO, AS, LinearRow, ModelConfig, ModelPoint, check_integral_feasible
 from .solver import (
     SolveReport,
@@ -55,7 +55,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AO",
     "AS",
-    "BidirectedDigraph",
     "ContractError",
     "FaceReport",
     "FapInstance",

@@ -38,7 +38,6 @@ from .fap import (
     solve_soft_cost,
 )
 from .graphs import (
-    BidirectedDigraph,
     UndirectedGraph,
     enumerate_cycles,
     enumerate_paths_k,
@@ -148,7 +147,7 @@ def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
     except TimeLimitError as exc:
         # how far it got: the best colouring so far, and the largest greedy
         # clique, from every seed, as a lower bound
-        classes = source_decomposition(BidirectedDigraph(g), exc.orientation.arcs())
+        classes = source_decomposition(g, exc.orientation.arcs())
         lower = len(greedy_clique(g))
         return ({"status": "timeout", "lower": lower, "upper": len(classes),
                  "classes": classes, **_aggregate(reports)},
@@ -156,7 +155,7 @@ def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
     # one longest-path pass checks the answer: acyclic, q + 1 layers, each
     # an independent set, and the layers are the reported classes
     try:
-        classes = source_decomposition(BidirectedDigraph(g), orient.arcs())
+        classes = source_decomposition(g, orient.arcs())
     except ContractError:
         raise InputError("orientation failed the final recheck: directed cycle") from None
     layer = {v: k for k, members in enumerate(classes) for v in members}
@@ -183,7 +182,7 @@ def cmd_orient(args, text: str, deadline: float) -> Tuple[dict, str]:
         return base, "time limit reached" if rep.status == "timeout" else "infeasible"
     point = rep.best_point
     cfg = ModelConfig(kappa=args.kappa, variant=AO)
-    ok, witness = check_integral_feasible(BidirectedDigraph(g), cfg, point)
+    ok, witness = check_integral_feasible(g, cfg, point)
     if not ok:
         raise InputError(f"orientation failed the final recheck: {witness}")
     base["z"] = rep.objective
@@ -217,8 +216,6 @@ def cmd_fap(args, text: str, deadline: float) -> Tuple[dict, str]:
     inst = FapInstance.from_dict(data)
     if inst.has_costs:
         mode = "soft"
-        if inst.spectrum is None:
-            raise InputError("soft instances need the spectrum field")
     elif inst.spectrum is not None:
         mode = "fixed"
     else:
@@ -271,13 +268,12 @@ def cmd_fap(args, text: str, deadline: float) -> Tuple[dict, str]:
 
 
 def _class_rows(g: UndirectedGraph, kappa: int, cls: str):
-    d = BidirectedDigraph(g)
     if cls == "cycle":
-        rows = (row_cycle(d, c) for c in enumerate_cycles(d, max(d.n, 2)))
+        rows = (row_cycle(g, c) for c in enumerate_cycles(g, max(g.n, 2)))
     elif cls == "path":
-        rows = (row_path(d, p, kappa) for p in enumerate_paths_k(d, kappa))
+        rows = (row_path(g, p, kappa) for p in enumerate_paths_k(g, kappa))
     else:
-        rows = template_rows(d, kappa, tags=(cls,))
+        rows = template_rows(g, kappa, tags=(cls,))
     seen = {}
     for row in rows:
         seen.setdefault(row.key, row)

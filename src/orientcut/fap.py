@@ -45,7 +45,6 @@ from .errors import (
     UnsupportedInstanceError,
 )
 from .graphs import (
-    BidirectedDigraph,
     UndirectedGraph,
     greedy_clique,
     least_labels,
@@ -117,8 +116,8 @@ class FapInstance:
                 raise InputError(f"duplicate pair {key}")
             seen.add(key)
             norm.append(FapPair(key[0], key[1], p.d, None if p.c is None else float(p.c)))
-        if spectrum is not None and (not _plain_int(spectrum) or spectrum < 1):
-            raise InputError("spectrum must be a positive integer")
+        if spectrum is not None and (not _plain_int(spectrum) or spectrum < 0):
+            raise InputError("spectrum must be a nonnegative integer")
         self.links = links
         self.freq_sets: Tuple[Optional[frozenset], ...] = tuple(sets)
         self.pairs: Tuple[FapPair, ...] = tuple(norm)
@@ -196,10 +195,9 @@ class FapInstance:
 
 @dataclass(frozen=True)
 class GadgetExpansion:
-    """The expanded graph, its arc doubling and the chains' side rows."""
+    """The expanded graph and the chains' side rows."""
 
     graph: UndirectedGraph
-    digraph: BidirectedDigraph
     side_rows: Tuple[LinearRow, ...]
 
 
@@ -256,16 +254,15 @@ def expand_gadgets(inst: FapInstance) -> GadgetExpansion:
         if new:
             chains.append(chain)
     g = UndirectedGraph(n, edges)
-    d = BidirectedDigraph(g)
     rows = []
     for chain in chains:
         for t in range(1, len(chain) - 1):
             prev, v, nxt = chain[t - 1], chain[t], chain[t + 1]
-            rows.append(LinearRow({d.arc(prev, v): 1.0, d.arc(nxt, v): 1.0},
+            rows.append(LinearRow({g.arc(prev, v): 1.0, g.arc(nxt, v): 1.0},
                                   0.0, 1.0, "<=", "gadget-side"))
-            rows.append(LinearRow({d.arc(v, prev): 1.0, d.arc(v, nxt): 1.0},
+            rows.append(LinearRow({g.arc(v, prev): 1.0, g.arc(v, nxt): 1.0},
                                   0.0, 1.0, "<=", "gadget-side"))
-    return GadgetExpansion(g, d, tuple(rows))
+    return GadgetExpansion(g, tuple(rows))
 
 
 def _check_solver_status(rep: SolveReport, phi: int):
@@ -311,7 +308,7 @@ def solve_fixed_spectrum(inst: FapInstance, *,
     if reports is not None:
         reports.append(rep)
     _check_solver_status(rep, phi)
-    freq = least_labels(exp.digraph, rep.best_point.arc_set(), phi, menus)
+    freq = least_labels(exp.graph, rep.best_point.arc_set(), phi, menus)
     out = FrequencyAssignment(tuple(freq[: inst.links]), frozenset(), 0.0)
     out.verify(inst)
     return out
@@ -438,10 +435,10 @@ def solve_soft_cost(inst: FapInstance, *,
         raise UnsupportedInstanceError(
             "availability sets cannot be combined with violation costs")
     exp = expand_gadgets(inst)
-    d = exp.digraph
-    soft_edges = {exp.graph.edge_index(p.i, p.j): p for p in soft}
+    g = exp.graph
+    soft_edges = {g.edge_index(p.i, p.j): p for p in soft}
     extra = list(exp.side_rows)
-    extra.extend(row_edge_pair(d, e, AO) for e in range(exp.graph.m)
+    extra.extend(row_edge_pair(g, e, AO) for e in range(g.m)
                  if e not in soft_edges)
     w_coeffs: Dict[int, float] = {}
     for e, p in soft_edges.items():
@@ -450,7 +447,7 @@ def solve_soft_cost(inst: FapInstance, *,
     objective = Objective(z_coeff=0.0, w_coeffs=w_coeffs,
                           const=sum(p.c for p in soft))
     cfg = ModelConfig(kappa=phi + 1, variant=AS, z_fixed=float(phi))
-    rep = solve_model(exp.graph, cfg, objective=objective, extra_rows=extra,
+    rep = solve_model(g, cfg, objective=objective, extra_rows=extra,
                       deadline=deadline)
     if reports is not None:
         reports.append(rep)
@@ -458,10 +455,10 @@ def solve_soft_cost(inst: FapInstance, *,
     point = rep.best_point
     violated = frozenset((p.i, p.j) for e, p in soft_edges.items()
                          if point.w[2 * e] + point.w[2 * e + 1] < 0.5)
-    total = sum(soft_edges[exp.graph.edge_index(i, j)].c for i, j in violated)
+    total = sum(soft_edges[g.edge_index(i, j)].c for i, j in violated)
     if abs(total - rep.objective) > 1e-6:
         raise SolverError("orientation objective disagrees with the violated-pair cost")
-    freq = tuple(longest_path_labels(d, point.arc_set())[: inst.links])
+    freq = tuple(longest_path_labels(g, point.arc_set())[: inst.links])
     out = FrequencyAssignment(freq, violated, total)
     out.verify(inst)
     return out

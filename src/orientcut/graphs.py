@@ -1,9 +1,9 @@
 """Graph structures and the path/cycle machinery used throughout the solvers.
 
 Vertices are 0-indexed everywhere; 1-indexed input formats are converted at the
-I/O boundary. Every edge [i, j] of an undirected graph doubles into the two
-arcs (i, j) and (j, i) of its bidirected companion digraph, and all orientation
-models work on those arc indices. Structures are immutable after construction.
+I/O boundary. A graph carries its own arc indexing: every edge [i, j] doubles
+into the two arcs (i, j) and (j, i), and all orientation models work on those
+arc indices. Structures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,10 +17,12 @@ from .errors import ContractError, InputError
 
 
 class UndirectedGraph:
-    """Simple undirected graph with indexed, normalized edges.
+    """Simple undirected graph with indexed, normalized edges and their arcs.
 
     Edges are stored as (min, max) pairs in insertion order. Self-loops and
-    duplicates are rejected.
+    duplicates are rejected. Edge e = [i, j] doubles into arc 2e = (i, j) and
+    arc 2e+1 = (j, i), so the reverse of arc a is always a ^ 1. Arc indices
+    are the variable indices of the orientation models.
     """
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]]):
@@ -41,11 +43,17 @@ class UndirectedGraph:
         self.n = n
         self.edges: Tuple[Tuple[int, int], ...] = tuple(norm)
         self.m = len(norm)
-        adj: List[List[int]] = [[] for _ in range(n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        self.adj: Tuple[Tuple[int, ...], ...] = tuple(tuple(sorted(a)) for a in adj)
+        self.num_arcs = 2 * self.m
+        self.tails = tuple(v for i, j in self.edges for v in (i, j))
+        self.heads = tuple(v for i, j in self.edges for v in (j, i))
+        out: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        for a, (u, v) in enumerate(zip(self.tails, self.heads)):
+            out[u].append((v, a))
+        # Deterministic neighbor order: sorted by head vertex.
+        self.out_arcs: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple((a, v) for v, a in sorted(lst)) for lst in out)
+        self.adj: Tuple[Tuple[int, ...], ...] = tuple(
+            tuple(v for _, v in arcs) for arcs in self.out_arcs)
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -56,6 +64,16 @@ class UndirectedGraph:
             return self._edge_index[(min(i, j), max(i, j))]
         except KeyError:
             raise InputError(f"no edge between {i} and {j}") from None
+
+    def arc(self, u: int, v: int) -> int:
+        return 2 * self.edge_index(u, v) + (u > v)
+
+    def check_arcs(self, arcs: Iterable[int]) -> frozenset:
+        s = frozenset(arcs)
+        for a in s:
+            if not (0 <= a < self.num_arcs):
+                raise InputError(f"arc index {a} out of range")
+        return s
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -88,56 +106,6 @@ class UndirectedGraph:
 
     def __repr__(self):
         return f"UndirectedGraph(n={self.n}, m={self.m})"
-
-
-class BidirectedDigraph:
-    """Arc doubling of an undirected graph.
-
-    Edge e = [i, j] contributes arc 2e = (i, j) and arc 2e+1 = (j, i), so the
-    reverse of arc a is always a ^ 1. Arc indices are the variable indices of
-    the orientation models.
-    """
-
-    def __init__(self, graph: UndirectedGraph):
-        self.graph = graph
-        self.num_arcs = 2 * graph.m
-        tails = []
-        heads = []
-        arc_index = {}
-        out: List[List[Tuple[int, int]]] = [[] for _ in range(graph.n)]
-        for e, (i, j) in enumerate(graph.edges):
-            for a, (u, v) in ((2 * e, (i, j)), (2 * e + 1, (j, i))):
-                tails.append(u)
-                heads.append(v)
-                arc_index[(u, v)] = a
-                out[u].append((a, v))
-        self.tails = tuple(tails)
-        self.heads = tuple(heads)
-        self._arc_index = arc_index
-        # Deterministic neighbor order: sorted by head vertex.
-        self.out_arcs: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
-            tuple(sorted(lst, key=lambda t: t[1])) for lst in out
-        )
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    def arc(self, u: int, v: int) -> int:
-        try:
-            return self._arc_index[(u, v)]
-        except KeyError:
-            raise InputError(f"no arc ({u},{v})") from None
-
-    def check_arcs(self, arcs: Iterable[int]) -> frozenset:
-        s = frozenset(arcs)
-        for a in s:
-            if not (0 <= a < self.num_arcs):
-                raise InputError(f"arc index {a} out of range")
-        return s
-
-    def __repr__(self):
-        return f"BidirectedDigraph(n={self.n}, arcs={self.num_arcs})"
 
 
 class Orientation:
@@ -184,17 +152,17 @@ class Orientation:
         return f"Orientation({self.dirs})"
 
 
-def _kahn(d: BidirectedDigraph, arcs: frozenset) -> Tuple[List[int], List[int]]:
+def _kahn(g: UndirectedGraph, arcs: frozenset) -> Tuple[List[int], List[int]]:
     """Kahn's pass on the sub-digraph given by `arcs`: the vertices it
     orders, in order, and each vertex's in-degree from the vertices it
     leaves. The arc set is acyclic exactly when every vertex is ordered."""
-    indeg = [0] * d.n
-    outs: List[List[int]] = [[] for _ in range(d.n)]
+    indeg = [0] * g.n
+    outs: List[List[int]] = [[] for _ in range(g.n)]
     for a in sorted(arcs):
-        u, v = d.tails[a], d.heads[a]
+        u, v = g.tails[a], g.heads[a]
         outs[u].append(v)
         indeg[v] += 1
-    order = [v for v in range(d.n) if indeg[v] == 0]
+    order = [v for v in range(g.n) if indeg[v] == 0]
     for v in order:  # the list grows as the pass frees vertices
         for u in outs[v]:
             indeg[u] -= 1
@@ -203,24 +171,24 @@ def _kahn(d: BidirectedDigraph, arcs: frozenset) -> Tuple[List[int], List[int]]:
     return order, indeg
 
 
-def is_acyclic(d: BidirectedDigraph, arcs: Iterable[int]) -> bool:
+def is_acyclic(g: UndirectedGraph, arcs: Iterable[int]) -> bool:
     """True if the arc set induces no directed cycle. A reverse pair is a 2-cycle."""
-    return len(_kahn(d, d.check_arcs(arcs))[0]) == d.n
+    return len(_kahn(g, g.check_arcs(arcs))[0]) == g.n
 
 
-def find_directed_cycle(d: BidirectedDigraph, arcs: Iterable[int]) -> Optional[List[int]]:
+def find_directed_cycle(g: UndirectedGraph, arcs: Iterable[int]) -> Optional[List[int]]:
     """Some directed elementary cycle in the arc set, as a vertex list, or None.
 
     Every vertex Kahn's pass leaves keeps an in-arc from another vertex it
     leaves, so walking back along such arcs from one of them must repeat a
     vertex; the walk from that vertex's first visit is a cycle, reversed.
     """
-    s = d.check_arcs(arcs)
-    order, indeg = _kahn(d, s)
-    if len(order) == d.n:
+    s = g.check_arcs(arcs)
+    order, indeg = _kahn(g, s)
+    if len(order) == g.n:
         return None
-    pred = {d.heads[a]: d.tails[a] for a in sorted(s) if indeg[d.tails[a]]}
-    walk = [next(v for v in range(d.n) if indeg[v])]
+    pred = {g.heads[a]: g.tails[a] for a in sorted(s) if indeg[g.tails[a]]}
+    walk = [next(v for v in range(g.n) if indeg[v])]
     seen = {walk[0]: 0}
     while (v := pred[walk[-1]]) not in seen:
         seen[v] = len(walk)
@@ -228,7 +196,7 @@ def find_directed_cycle(d: BidirectedDigraph, arcs: Iterable[int]) -> Optional[L
     return walk[seen[v]:][::-1]
 
 
-def least_labels(d: BidirectedDigraph, arcs: Iterable[int], top: int,
+def least_labels(g: UndirectedGraph, arcs: Iterable[int], top: int,
                  menus: Optional[Sequence[Optional[Sequence[int]]]] = None
                  ) -> Optional[List[int]]:
     """The least labeling f of the arc set: f(u) < f(v) on every arc u -> v,
@@ -239,14 +207,14 @@ def least_labels(d: BidirectedDigraph, arcs: Iterable[int], top: int,
     menu allow, so every such labeling is at least this one, pointwise.
     Without menus f(v) is the most arcs on a path into v (Gallai 1968, Roy 1967).
     """
-    s = d.check_arcs(arcs)
-    order, _ = _kahn(d, s)
-    if len(order) < d.n:
+    s = g.check_arcs(arcs)
+    order, _ = _kahn(g, s)
+    if len(order) < g.n:
         return None
-    ins: List[List[int]] = [[] for _ in range(d.n)]
+    ins: List[List[int]] = [[] for _ in range(g.n)]
     for a in s:
-        ins[d.heads[a]].append(d.tails[a])
-    f = [0] * d.n
+        ins[g.heads[a]].append(g.tails[a])
+    f = [0] * g.n
     for v in order:
         low = max((f[u] + 1 for u in ins[v]), default=0)
         menu = menus[v] if menus is not None else None
@@ -259,24 +227,24 @@ def least_labels(d: BidirectedDigraph, arcs: Iterable[int], top: int,
     return f
 
 
-def longest_path_labels(d: BidirectedDigraph, arcs: Iterable[int]) -> List[int]:
+def longest_path_labels(g: UndirectedGraph, arcs: Iterable[int]) -> List[int]:
     """Per-vertex length of the longest directed path ending at that vertex.
 
     Raises ContractError when the arc set is cyclic.
     """
-    labels = least_labels(d, arcs, d.n)
+    labels = least_labels(g, arcs, g.n)
     if labels is None:
         raise ContractError("arc set is cyclic")
     return labels
 
 
-def dag_longest_path(d: BidirectedDigraph, arcs: Iterable[int]) -> int:
+def dag_longest_path(g: UndirectedGraph, arcs: Iterable[int]) -> int:
     """Number of arcs on a longest directed path; 0 for an empty arc set."""
-    labels = longest_path_labels(d, arcs)
+    labels = longest_path_labels(g, arcs)
     return max(labels) if labels else 0
 
 
-def source_decomposition(d: BidirectedDigraph, arcs: Iterable[int]) -> List[List[int]]:
+def source_decomposition(g: UndirectedGraph, arcs: Iterable[int]) -> List[List[int]]:
     """The layers found by repeatedly stripping the in-degree-zero vertices.
 
     Layer k holds, sorted, the vertices whose longest incoming path has k
@@ -284,14 +252,14 @@ def source_decomposition(d: BidirectedDigraph, arcs: Iterable[int]) -> List[List
     to the oriented edges, and the layer count is dag_longest_path + 1.
     Raises ContractError when the arc set is cyclic.
     """
-    labels = longest_path_labels(d, arcs)
+    labels = longest_path_labels(g, arcs)
     layers: List[List[int]] = [[] for _ in range(max(labels) + 1)]
     for v, k in enumerate(labels):
         layers[k].append(v)
     return layers
 
 
-def enumerate_cycles(d: BidirectedDigraph, max_len: int) -> List[Tuple[int, ...]]:
+def enumerate_cycles(g: UndirectedGraph, max_len: int) -> List[Tuple[int, ...]]:
     """All directed elementary cycles with at most `max_len` arcs.
 
     Each cycle is reported once, as the vertex tuple rotated to start at its
@@ -302,13 +270,13 @@ def enumerate_cycles(d: BidirectedDigraph, max_len: int) -> List[Tuple[int, ...]
     if max_len < 2:
         raise InputError("cycles need at least 2 arcs")
     cycles = []
-    for s in range(d.n):
+    for s in range(g.n):
         # DFS restricted to vertices > s keeps s the minimum and kills rotations.
         path = [s]
         onpath = {s}
 
         def extend(v: int):
-            for _, u in d.out_arcs[v]:
+            for _, u in g.out_arcs[v]:
                 if u == s and len(path) >= 2:
                     cycles.append(tuple(path))
                 if u > s and u not in onpath and len(path) < max_len:
@@ -322,11 +290,11 @@ def enumerate_cycles(d: BidirectedDigraph, max_len: int) -> List[Tuple[int, ...]
     return cycles
 
 
-def enumerate_paths_k(d: BidirectedDigraph, k: int) -> List[Tuple[int, ...]]:
+def enumerate_paths_k(g: UndirectedGraph, k: int) -> List[Tuple[int, ...]]:
     """All directed elementary paths with exactly k arcs, as vertex tuples.
 
-    Empty when k exceeds n - 1. The result is closed under reversal since the
-    digraph is bidirected.
+    Empty when k exceeds n - 1. The result is closed under reversal since
+    every edge carries both arcs.
     """
     if k < 1:
         raise InputError("paths need at least 1 arc")
@@ -340,45 +308,45 @@ def enumerate_paths_k(d: BidirectedDigraph, k: int) -> List[Tuple[int, ...]]:
         if len(path) == k + 1:
             paths.append(tuple(path))
         else:
-            for _, u in d.out_arcs[v]:
+            for _, u in g.out_arcs[v]:
                 if u not in onpath:
                     extend(u)
         path.pop()
         onpath.remove(v)
 
-    for s in range(d.n):
+    for s in range(g.n):
         extend(s)
     return paths
 
 
-def path_arc_list(d: BidirectedDigraph, verts: Sequence[int]) -> List[int]:
+def path_arc_list(g: UndirectedGraph, verts: Sequence[int]) -> List[int]:
     """Arc indices along a vertex sequence; validates adjacency."""
     if len(verts) < 2:
         raise InputError("path needs at least 2 vertices")
     if len(set(verts)) != len(verts):
         raise InputError("path vertices must be distinct")
-    return [d.arc(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
+    return [g.arc(verts[i], verts[i + 1]) for i in range(len(verts) - 1)]
 
 
-def cycle_arc_list(d: BidirectedDigraph, verts: Sequence[int]) -> List[int]:
+def cycle_arc_list(g: UndirectedGraph, verts: Sequence[int]) -> List[int]:
     """Arc indices around a directed cycle given by its vertex tuple."""
     if len(verts) < 2:
         raise InputError("cycle needs at least 2 vertices")
     if len(set(verts)) != len(verts):
         raise InputError("cycle vertices must be distinct")
-    arcs = [d.arc(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
+    arcs = [g.arc(verts[i], verts[(i + 1) % len(verts)]) for i in range(len(verts))]
     return arcs
 
 
-def max_path_load(d: BidirectedDigraph, selected: Iterable[int], kappa: int):
+def max_path_load(g: UndirectedGraph, selected: Iterable[int], kappa: int):
     """Maximum number of selected arcs carried by any elementary k-arc path.
 
-    Considers every directed path of the bidirected digraph with exactly
+    Considers every directed path of the graph's arc doubling with exactly
     `kappa` arcs and counts how many of its arcs are selected. Returns
     (load, witness path or None); (0, None) when no such path exists.
     Exact; the search prunes branches that cannot beat the current best.
     """
-    sel = d.check_arcs(selected)
+    sel = g.check_arcs(selected)
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     best = [-1, None]
@@ -391,7 +359,7 @@ def max_path_load(d: BidirectedDigraph, selected: Iterable[int], kappa: int):
             return
         if load + (kappa - used) <= best[0]:
             return
-        for a, u in d.out_arcs[v]:
+        for a, u in g.out_arcs[v]:
             if u not in onpath:
                 path.append(u)
                 onpath.add(u)
@@ -400,8 +368,8 @@ def max_path_load(d: BidirectedDigraph, selected: Iterable[int], kappa: int):
                 path.pop()
                 onpath.remove(u)
 
-    if kappa <= d.n - 1:
-        for s in range(d.n):
+    if kappa <= g.n - 1:
+        for s in range(g.n):
             extend(s, 0, 0, [s], {s})
     if best[0] < 0:
         return 0, None
@@ -457,7 +425,7 @@ def greedy_clique(g: UndirectedGraph) -> List[int]:
     return sorted(best)
 
 
-# Small named graphs used by tests, documentation and the command line oracle.
+# Small named graphs used by the tests, the README and CI.
 
 def single_edge() -> UndirectedGraph:
     return UndirectedGraph(2, [(0, 1)])

@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .graphs import (
-    BidirectedDigraph,
+    UndirectedGraph,
     cycle_arc_list,
     find_directed_cycle,
     max_path_load,
@@ -145,9 +145,9 @@ class LinearRow:
         return f"LinearRow({self.tag}, {self.sense} {self.rhs}, support={sorted(self.coeffs)})"
 
 
-def row_edge_pair(d: BidirectedDigraph, edge: int, variant: str = AO) -> LinearRow:
+def row_edge_pair(g: UndirectedGraph, edge: int, variant: str = AO) -> LinearRow:
     """w_ij + w_ji = 1 (AO) or <= 1 (AS) for one edge."""
-    if not (0 <= edge < d.graph.m):
+    if not (0 <= edge < g.m):
         raise InputError(f"edge index {edge} out of range")
     sense = "=" if variant == AO else "<="
     if variant not in (AO, AS):
@@ -155,9 +155,9 @@ def row_edge_pair(d: BidirectedDigraph, edge: int, variant: str = AO) -> LinearR
     return LinearRow({2 * edge: 1, 2 * edge + 1: 1}, 0, 1, sense, "edge-pair")
 
 
-def row_cycle(d: BidirectedDigraph, cycle: Sequence[int]) -> LinearRow:
+def row_cycle(g: UndirectedGraph, cycle: Sequence[int]) -> LinearRow:
     """Directed cycle elimination: at most |C| - 1 of the cycle's arcs."""
-    arcs = cycle_arc_list(d, cycle)
+    arcs = cycle_arc_list(g, cycle)
     return LinearRow({a: 1 for a in arcs}, 0, len(arcs) - 1, "<=", "cycle")
 
 
@@ -167,47 +167,46 @@ def row_window(arcs: Sequence[int], tag: str) -> LinearRow:
     return LinearRow(dict.fromkeys(arcs, 1), -1, 0, "<=", tag)
 
 
-def row_path(d: BidirectedDigraph, path: Sequence[int], kappa: int) -> LinearRow:
+def row_path(g: UndirectedGraph, path: Sequence[int], kappa: int) -> LinearRow:
     """Load bound for a path with exactly kappa arcs: sum of its arcs <= z."""
-    arcs = path_arc_list(d, path)
+    arcs = path_arc_list(g, path)
     if len(arcs) != kappa:
         raise InputError(f"path must have exactly {kappa} arcs, got {len(arcs)}")
     return row_window(arcs, "path")
 
 
-def row_cycle_z(d: BidirectedDigraph, cycle: Sequence[int], kappa: int) -> LinearRow:
+def row_cycle_z(g: UndirectedGraph, cycle: Sequence[int], kappa: int) -> LinearRow:
     """For a cycle with kappa + 1 arcs the selected arcs are also bounded by z."""
-    arcs = cycle_arc_list(d, cycle)
+    arcs = cycle_arc_list(g, cycle)
     if len(arcs) != kappa + 1:
         raise InputError(f"cycle must have exactly {kappa + 1} arcs, got {len(arcs)}")
     return row_window(arcs, "cycle-z")
 
 
-def row_path_km1(d: BidirectedDigraph, path: Sequence[int], apex: int, kappa: int) -> LinearRow:
+def row_path_km1(g: UndirectedGraph, path: Sequence[int], apex: int, kappa: int) -> LinearRow:
     """Path with kappa - 1 arcs plus an apex adjacent to all path vertices.
 
     Row: sum of path arcs + both directions of every apex edge - z <= kappa - 1.
     """
     if kappa < 2:
         raise InputError("needs kappa >= 2")
-    arcs = path_arc_list(d, path)
+    arcs = path_arc_list(g, path)
     if len(arcs) != kappa - 1:
         raise InputError(f"path must have exactly {kappa - 1} arcs, got {len(arcs)}")
     if apex in path:
         raise InputError("apex must lie off the path")
-    g = d.graph
     coeffs: Dict[int, float] = {}
     for a in arcs:
         coeffs[a] = coeffs.get(a, 0) + 1
     for v in path:
         if not g.has_edge(apex, v):
             raise InputError(f"apex {apex} must be adjacent to path vertex {v}")
-        for a in (d.arc(apex, v), d.arc(v, apex)):
+        for a in (g.arc(apex, v), g.arc(v, apex)):
             coeffs[a] = coeffs.get(a, 0) + 1
     return LinearRow(coeffs, -1, kappa - 1, "<=", "path-km1")
 
 
-def row_path_km2(d: BidirectedDigraph, path: Sequence[int], u: int, r: int, kappa: int) -> LinearRow:
+def row_path_km2(g: UndirectedGraph, path: Sequence[int], u: int, r: int, kappa: int) -> LinearRow:
     """Path with kappa - 2 arcs, a vertex u adjacent to both endpoints, and a
     neighbor r of u; both off the path.
 
@@ -215,23 +214,22 @@ def row_path_km2(d: BidirectedDigraph, path: Sequence[int], u: int, r: int, kapp
     """
     if kappa < 3:
         raise InputError("needs kappa >= 3")
-    arcs = path_arc_list(d, path)
+    arcs = path_arc_list(g, path)
     if len(arcs) != kappa - 2:
         raise InputError(f"path must have exactly {kappa - 2} arcs, got {len(arcs)}")
     if u in path or r in path:
         raise InputError("u and r must lie off the path")
-    g = d.graph
     if not (g.has_edge(u, path[0]) and g.has_edge(u, path[-1])):
         raise InputError("u must be adjacent to both path endpoints")
     if not g.has_edge(u, r):
         raise InputError("r must be adjacent to u")
     coeffs: Dict[int, float] = {a: 1 for a in arcs}
-    for a in (d.arc(u, r), d.arc(r, u)):
+    for a in (g.arc(u, r), g.arc(r, u)):
         coeffs[a] = coeffs.get(a, 0) + 1
     return LinearRow(coeffs, -1, 0, "<=", "path-km2")
 
 
-def row_cycle_arcs(d: BidirectedDigraph, cycle: Sequence[int], pendants: Sequence[int],
+def row_cycle_arcs(g: UndirectedGraph, cycle: Sequence[int], pendants: Sequence[int],
                    kappa: int, inbound: bool) -> LinearRow:
     """Cycle with exactly kappa arcs plus one pendant arc per cycle vertex.
 
@@ -240,7 +238,7 @@ def row_cycle_arcs(d: BidirectedDigraph, cycle: Sequence[int], pendants: Sequenc
     floor(kappa/2) on forward cycle arcs, 1 on reverse cycle arcs, 1 on pendant
     arcs, - floor(kappa/2) z <= kappa.
     """
-    arcs = cycle_arc_list(d, cycle)
+    arcs = cycle_arc_list(g, cycle)
     if len(arcs) != kappa:
         raise InputError(f"cycle must have exactly {kappa} arcs, got {len(arcs)}")
     if len(pendants) != len(cycle):
@@ -255,12 +253,12 @@ def row_cycle_arcs(d: BidirectedDigraph, cycle: Sequence[int], pendants: Sequenc
         coeffs[a] = coeffs.get(a, 0) + half
         coeffs[a ^ 1] = coeffs.get(a ^ 1, 0) + 1
     for v, r in zip(cycle, pendants):
-        a = d.arc(r, v) if inbound else d.arc(v, r)
+        a = g.arc(r, v) if inbound else g.arc(v, r)
         coeffs[a] = coeffs.get(a, 0) + 1
     return LinearRow(coeffs, -half, kappa, "<=", "cycle-arcs")
 
 
-def row_adjacent_paths(d: BidirectedDigraph, path1: Sequence[int], path2: Sequence[int],
+def row_adjacent_paths(g: UndirectedGraph, path1: Sequence[int], path2: Sequence[int],
                        rung: int, kappa: int, mirrored: bool = False) -> LinearRow:
     """Two kappa-arc paths sharing a prefix, tied together by a rung edge.
 
@@ -274,8 +272,8 @@ def row_adjacent_paths(d: BidirectedDigraph, path1: Sequence[int], path2: Sequen
     Disjoint tails matter: the bound reroutes one path across the rung onto
     the other's tail, and that composite must itself be a simple path.
     """
-    arcs1 = path_arc_list(d, path1)
-    arcs2 = path_arc_list(d, path2)
+    arcs1 = path_arc_list(g, path1)
+    arcs2 = path_arc_list(g, path2)
     if len(arcs1) != kappa or len(arcs2) != kappa:
         raise InputError(f"both paths must have exactly {kappa} arcs")
     if path1[0] != path2[0] or path1[1] != path2[1]:
@@ -291,11 +289,11 @@ def row_adjacent_paths(d: BidirectedDigraph, path1: Sequence[int], path2: Sequen
     if not set(path1[prefix:]).isdisjoint(path2[prefix:]):
         raise InputError("paths must be vertex-disjoint past the shared prefix")
     a, b = path1[rung], path2[rung]
-    if not d.graph.has_edge(a, b):
+    if not g.has_edge(a, b):
         raise InputError(f"rung vertices {a},{b} must be adjacent")
 
     def arc_of(u, v):
-        return d.arc(v, u) if mirrored else d.arc(u, v)
+        return g.arc(v, u) if mirrored else g.arc(u, v)
 
     coeffs: Dict[int, float] = {}
 
@@ -309,7 +307,7 @@ def row_adjacent_paths(d: BidirectedDigraph, path1: Sequence[int], path2: Sequen
     for k in range(prefix - 1, kappa):
         add(path1[k], path1[k + 1], 1)
         add(path2[k], path2[k + 1], 1)
-    for arc in (d.arc(a, b), d.arc(b, a)):
+    for arc in (g.arc(a, b), g.arc(b, a)):
         coeffs[arc] = coeffs.get(arc, 0) + 1
     return LinearRow(coeffs, -2, 0, "<=", "adjacent-paths")
 
@@ -331,7 +329,7 @@ def row_z_upper(kappa: int) -> LinearRow:
     return LinearRow({}, 1, kappa, "<=", "bound")
 
 
-def check_integral_feasible(d: BidirectedDigraph, cfg: ModelConfig, point: ModelPoint):
+def check_integral_feasible(g: UndirectedGraph, cfg: ModelConfig, point: ModelPoint):
     """Exact feasibility of an integral point against the full model.
 
     Checks integrality and bounds, the pair rows of the variant, acyclicity
@@ -339,7 +337,7 @@ def check_integral_feasible(d: BidirectedDigraph, cfg: ModelConfig, point: Model
     (True, None) or (False, witness row).
     """
     w, z = point.w, point.z
-    if len(w) != d.num_arcs:
+    if len(w) != g.num_arcs:
         raise InputError("point has wrong arc dimension")
     for a, v in enumerate(w):
         if abs(v - round(v)) > INT_TOL or round(v) not in (0, 1):
@@ -352,15 +350,15 @@ def check_integral_feasible(d: BidirectedDigraph, cfg: ModelConfig, point: Model
             return False, row_z_lower()
         if z > cfg.kappa + 1e-9:
             return False, row_z_upper(cfg.kappa)
-    for e in range(d.graph.m):
-        pair = row_edge_pair(d, e, cfg.variant)
+    for e in range(g.m):
+        pair = row_edge_pair(g, e, cfg.variant)
         if not pair.satisfied(w, z, INT_TOL):
             return False, pair
     arcs = point.arc_set()
-    cyc = find_directed_cycle(d, arcs)
+    cyc = find_directed_cycle(g, arcs)
     if cyc is not None:
-        return False, row_cycle(d, cyc)
-    load, witness = max_path_load(d, arcs, cfg.kappa)
+        return False, row_cycle(g, cyc)
+    load, witness = max_path_load(g, arcs, cfg.kappa)
     if load > z + 1e-9:
-        return False, row_path(d, witness, cfg.kappa)
+        return False, row_path(g, witness, cfg.kappa)
     return True, None

@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleError, InputError, SizeRefusalError
 from .graphs import (
-    BidirectedDigraph,
     Orientation,
     UndirectedGraph,
     cycle_arc_list,
@@ -35,7 +34,7 @@ MAX_BRUTE_VERTICES = 10
 MAX_BRUTE_STATES = 1 << 20
 
 
-def _selection_scan(d: BidirectedDigraph,
+def _selection_scan(g: UndirectedGraph,
                     cfg: ModelConfig) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
     """Yield (w, arc bitmask, max path load) for every acyclic binary selection.
 
@@ -44,12 +43,11 @@ def _selection_scan(d: BidirectedDigraph,
     precomputed cycle and path masks. `w` holds the mask's bits as 0/1 ints,
     so the lab's points are integers from the start and need no conversion.
     """
-    g = d.graph
     m = g.m
-    cyc_masks = [sum(1 << a for a in cycle_arc_list(d, c))
-                 for c in enumerate_cycles(d, max(d.n, 2))] if m else []
-    path_masks = [sum(1 << a for a in path_arc_list(d, p))
-                  for p in enumerate_paths_k(d, cfg.kappa)]
+    cyc_masks = [sum(1 << a for a in cycle_arc_list(g, c))
+                 for c in enumerate_cycles(g, max(g.n, 2))] if m else []
+    path_masks = [sum(1 << a for a in path_arc_list(g, p))
+                  for p in enumerate_paths_k(g, cfg.kappa)]
     choices = (1, 2) if cfg.variant == AO else (0, 1, 2)
     for state in itertools.product(choices, repeat=m):
         mask = 0
@@ -74,11 +72,10 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[Mode
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
-    d = BidirectedDigraph(g)
     z_lo = int(cfg.z_lower)
     z_up = int(cfg.z_upper)
     points = []
-    for w, _, load in _selection_scan(d, cfg):
+    for w, _, load in _selection_scan(g, cfg):
         for zi in range(max(load, z_lo), z_up + 1):
             points.append(ModelPoint(w, zi))
     return points
@@ -196,7 +193,6 @@ def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, Orientation]:
                                f"vertices, got {g.n}")
     if g.m == 0:
         return 0, Orientation(g, [])
-    d = BidirectedDigraph(g)
     best: Optional[Tuple[int, Orientation]] = None
     by_mask = (1 << g.m) <= math.factorial(g.n)
     if min(1 << g.m, math.factorial(g.n)) > MAX_BRUTE_STATES:
@@ -206,15 +202,15 @@ def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, Orientation]:
             dirs = [mask >> e & 1 for e in range(g.m)]
             orient = Orientation(g, dirs)
             arcs = orient.arcs()
-            if not is_acyclic(d, arcs):
+            if not is_acyclic(g, arcs):
                 continue
-            length = dag_longest_path(d, arcs)
+            length = dag_longest_path(g, arcs)
             if best is None or length < best[0]:
                 best = (length, orient)
     else:
         for perm in itertools.permutations(range(g.n)):
             orient = Orientation.from_vertex_order(g, perm)
-            length = dag_longest_path(d, orient.arcs())
+            length = dag_longest_path(g, orient.arcs())
             if best is None or length < best[0]:
                 best = (length, orient)
     assert best is not None
@@ -229,12 +225,11 @@ def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig) -> Tuple[float, Mo
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"optimum brute force capped at {MAX_LAB_EDGES} edges, got {g.m}")
-    d = BidirectedDigraph(g)
     z_lo = int(cfg.z_lower)
     z_up = int(cfg.z_upper)
     penalty = g.m + 1
     best: Optional[Tuple[float, ModelPoint]] = None
-    for w, mask, load in _selection_scan(d, cfg):
+    for w, mask, load in _selection_scan(g, cfg):
         z = max(load, z_lo)
         if z > z_up:
             continue

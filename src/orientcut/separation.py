@@ -32,7 +32,7 @@ import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .graphs import BidirectedDigraph, enumerate_cycles, enumerate_paths_k
+from .graphs import UndirectedGraph, enumerate_cycles, enumerate_paths_k
 from .model import (
     LinearRow,
     row_adjacent_paths,
@@ -57,16 +57,16 @@ def _top_rows(scored: Dict, cap: int) -> List[LinearRow]:
     return [row for _, row in ranked[:cap]]
 
 
-def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int):
-    dist = [float("inf")] * d.n
-    pred = [-1] * d.n
+def _dijkstra(g: UndirectedGraph, lengths: Sequence[float], s: int):
+    dist = [float("inf")] * g.n
+    pred = [-1] * g.n
     dist[s] = 0.0
     heap = [(0.0, s)]
     while heap:
         dv, v = heapq.heappop(heap)
         if dv > dist[v] + 1e-15:
             continue
-        for a, u in d.out_arcs[v]:
+        for a, u in g.out_arcs[v]:
             nd = dv + lengths[a]
             if nd < dist[u] - 1e-15:
                 dist[u] = nd
@@ -75,7 +75,7 @@ def _dijkstra(d: BidirectedDigraph, lengths: Sequence[float], s: int):
     return dist, pred
 
 
-def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]:
+def separate_cycles(g: UndirectedGraph, w: Sequence[float]) -> List[LinearRow]:
     """Directed cycles whose arcs sum above |C| - 1 at w, most violated first.
 
     Under lengths 1 - w a cycle is violated when its length is below
@@ -91,14 +91,14 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]
     cycles is violated. At a point that breaks the pair row, the 2-cycle
     itself is violated and is returned.
     """
-    if len(w) != d.num_arcs:
+    if len(w) != g.num_arcs:
         raise InputError("w has wrong arc dimension")
-    lengths = [max(0.0, 1.0 - w[a]) for a in range(d.num_arcs)]
-    trees = [_dijkstra(d, lengths, s) for s in range(d.n)]
+    lengths = [max(0.0, 1.0 - w[a]) for a in range(g.num_arcs)]
+    trees = [_dijkstra(g, lengths, s) for s in range(g.n)]
 
     found: Dict[Tuple[int, ...], Tuple[float, LinearRow]] = {}
-    for a in range(d.num_arcs):
-        i, j = d.tails[a], d.heads[a]
+    for a in range(g.num_arcs):
+        i, j = g.tails[a], g.heads[a]
         dist, pred = trees[j]
         if dist[i] + lengths[a] >= 1.0 - VIOLATION_TOL:
             continue
@@ -112,14 +112,14 @@ def separate_cycles(d: BidirectedDigraph, w: Sequence[float]) -> List[LinearRow]
         canon = tuple(verts[k:] + verts[:k])
         if canon in found:
             continue
-        row = row_cycle(d, canon)
+        row = row_cycle(g, canon)
         viol = row.violation(w, 0.0)
         if viol > VIOLATION_TOL:
             found[canon] = (viol, row)
     return _top_rows(found, MAX_CUTS_PER_CLASS)
 
 
-def walk_bounds(d: BidirectedDigraph, w: Sequence[float], arcs: int) -> List[List[float]]:
+def walk_bounds(g: UndirectedGraph, w: Sequence[float], arcs: int) -> List[List[float]]:
     """best[r][v], for r = 0..arcs: the largest weight at w of an r-arc walk
     out of v, or -inf when v starts none. One pass over the arcs per layer.
 
@@ -129,11 +129,11 @@ def walk_bounds(d: BidirectedDigraph, w: Sequence[float], arcs: int) -> List[Lis
     does not use, so a bound read from it can sit a few ulps below the
     window's load summed in window order.
     """
-    best = [[0.0] * d.n]
+    best = [[0.0] * g.n]
     for _ in range(arcs):
         prev = best[-1]
-        cur = [-math.inf] * d.n
-        for x, t, h in zip(w, d.tails, d.heads):
+        cur = [-math.inf] * g.n
+        for x, t, h in zip(w, g.tails, g.heads):
             x += prev[h]
             if x > cur[t]:
                 cur[t] = x
@@ -141,7 +141,7 @@ def walk_bounds(d: BidirectedDigraph, w: Sequence[float], arcs: int) -> List[Lis
     return best
 
 
-def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+def _violated_windows(g: UndirectedGraph, w: Sequence[float], z: float, kappa: int,
                       closed: bool, cap: int, deadline: Optional[float] = None,
                       best: Optional[Sequence[Sequence[float]]] = None,
                       ) -> List[Tuple[int, ...]]:
@@ -155,7 +155,7 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     `violation` to the bit, and ties rank on the sorted arc support, as
     `_top_rows` ranks rows.
 
-    `best` is `walk_bounds(d, w, r)` for some r of at least kappa + closed;
+    `best` is `walk_bounds(g, w, r)` for some r of at least kappa + closed;
     it is built here when None. A walk's reach is its load plus
     best[arcs left][v] at its end v, the heaviest way to spend the arcs
     left, so it bounds the load of every window that extends the walk; a
@@ -171,26 +171,26 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     or two arcs that escapes the cut, the search stops and returns the
     windows held.
     """
-    if len(w) != d.num_arcs:
+    if len(w) != g.num_arcs:
         raise InputError("w has wrong arc dimension")
     if kappa < 1:
         raise InputError("kappa must be at least 1")
     arcs = kappa + closed
     if best is None:
-        best = walk_bounds(d, w, arcs)
+        best = walk_bounds(g, w, arcs)
     floor = z + VIOLATION_TOL - WALK_SLACK
-    out = d.out_arcs
+    out = g.out_arcs
     # A heap of (violation, negated sorted support, arcs) with the window
     # that ranks last at its root; every support has `arcs` entries, so
     # negating them reverses their order. Two windows that tie on violation
     # and support are one window, so the arcs never decide a comparison.
     held: List[Tuple[float, Tuple[int, ...], Tuple[int, ...]]] = []
     walk: List[int] = []
-    on = [False] * d.n
+    on = [False] * g.n
     # closed windows from s: home[u] is the arc u -> s (or -1), back[u] its
     # weight (or -inf), the one way to spend a window's last arc from u
-    home = [-1] * d.n
-    back = [-math.inf] * d.n
+    home = [-1] * g.n
+    back = [-math.inf] * g.n
 
     def keep(viol: float, a: int):
         """Hold walk + [a], of violation `viol`, if it ranks among the top `cap`."""
@@ -227,8 +227,8 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
             walk.pop()
             on[u] = False
 
-    if cap > 0 and arcs + (not closed) <= d.n:
-        for s in range(d.n):
+    if cap > 0 and arcs + (not closed) <= g.n:
+        for s in range(g.n):
             if best[arcs][s] <= floor:
                 continue
             if closed:
@@ -243,67 +243,65 @@ def _violated_windows(d: BidirectedDigraph, w: Sequence[float], z: float, kappa:
     return [window for _, _, window in sorted(held, reverse=True)]
 
 
-def separate_paths(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+def separate_paths(g: UndirectedGraph, w: Sequence[float], z: float, kappa: int,
                    deadline: Optional[float] = None,
                    best: Optional[Sequence[Sequence[float]]] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS kappa-arc path rows most violated at (w, z), most
     violated first: exact, by the window search over open windows, unless
-    `deadline` stops the search. `best`, the walk bounds of (d, w) for at
+    `deadline` stops the search. `best`, the walk bounds of (g, w) for at
     least kappa arcs, prunes the search; a caller that also separates
     cycle-z rows at the same point builds it once, for kappa + 1 arcs, and
     passes it to both. Each row lists its window's arcs head to tail, in
     window order."""
     return [row_window(p, "path") for p in _violated_windows(
-        d, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline, best)]
+        g, w, z, kappa, False, MAX_CUTS_PER_CLASS, deadline, best)]
 
 
-def separate_templates(d: BidirectedDigraph, w: Sequence[float], z: float, kappa: int,
+def separate_templates(g: UndirectedGraph, w: Sequence[float], z: float, kappa: int,
                        deadline: Optional[float] = None,
                        best: Optional[Sequence[Sequence[float]]] = None) -> List[LinearRow]:
     """The MAX_CUTS_PER_CLASS cycle-z rows most violated at (w, z), most
     violated first: exact, by the window search over closed windows of
     kappa + 1 arcs, unless `deadline` stops the search. `best`, the walk
-    bounds of (d, w) for at least kappa + 1 arcs, prunes the search and is
+    bounds of (g, w) for at least kappa + 1 arcs, prunes the search and is
     built here when None. Each row lists its window's arcs in window order,
     from the cycle's smallest vertex round to it."""
     return [row_window(c, "cycle-z") for c in _violated_windows(
-        d, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline, best)]
+        g, w, z, kappa, True, MAX_CUTS_PER_CLASS, deadline, best)]
 
 
 # ---------------------------------------------------------------------------
 # Structured template enumeration, shared with the polytope laboratory.
 
-def rows_cycle_z(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]:
-    if kappa + 1 > d.n:
+def rows_cycle_z(g: UndirectedGraph, kappa: int) -> Iterator[LinearRow]:
+    if kappa + 1 > g.n:
         return
-    for cyc in enumerate_cycles(d, kappa + 1):
+    for cyc in enumerate_cycles(g, kappa + 1):
         if len(cyc) == kappa + 1:
-            yield row_cycle_z(d, cyc, kappa)
+            yield row_cycle_z(g, cyc, kappa)
 
 
-def rows_path_km1(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]:
+def rows_path_km1(g: UndirectedGraph, kappa: int) -> Iterator[LinearRow]:
     if kappa < 2:
         return
-    g = d.graph
-    for p in enumerate_paths_k(d, kappa - 1):
+    for p in enumerate_paths_k(g, kappa - 1):
         members = set(p)
         for u in range(g.n):
             if u not in members and all(g.has_edge(u, v) for v in p):
-                yield row_path_km1(d, p, u, kappa)
+                yield row_path_km1(g, p, u, kappa)
 
 
-def rows_path_km2(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]:
+def rows_path_km2(g: UndirectedGraph, kappa: int) -> Iterator[LinearRow]:
     if kappa < 3:
         return
-    g = d.graph
-    for p in enumerate_paths_k(d, kappa - 2):
+    for p in enumerate_paths_k(g, kappa - 2):
         members = set(p)
         for u in range(g.n):
             if u in members or not (g.has_edge(u, p[0]) and g.has_edge(u, p[-1])):
                 continue
             for r in g.adj[u]:
                 if r not in members:
-                    yield row_path_km2(d, p, u, r, kappa)
+                    yield row_path_km2(g, p, u, r, kappa)
 
 
 def _pendant_assignments(g, cycle: Tuple[int, ...]):
@@ -327,22 +325,20 @@ def _pendant_assignments(g, cycle: Tuple[int, ...]):
     yield from rec(0)
 
 
-def rows_cycle_arcs(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]:
-    if kappa < 2 or kappa > d.n:
+def rows_cycle_arcs(g: UndirectedGraph, kappa: int) -> Iterator[LinearRow]:
+    if kappa < 2 or kappa > g.n:
         return
-    g = d.graph
-    for cyc in enumerate_cycles(d, kappa):
+    for cyc in enumerate_cycles(g, kappa):
         if len(cyc) != kappa:
             continue
         for pendants in _pendant_assignments(g, cyc):
             for inbound in (True, False):
-                yield row_cycle_arcs(d, cyc, pendants, kappa, inbound)
+                yield row_cycle_arcs(g, cyc, pendants, kappa, inbound)
 
 
-def rows_adjacent_paths(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]:
-    g = d.graph
+def rows_adjacent_paths(g: UndirectedGraph, kappa: int) -> Iterator[LinearRow]:
     groups: Dict[Tuple[int, int], List[Tuple[int, ...]]] = {}
-    for p in enumerate_paths_k(d, kappa):
+    for p in enumerate_paths_k(g, kappa):
         groups.setdefault((p[0], p[1]), []).append(p)
     for key in sorted(groups):
         bucket = groups[key]
@@ -355,8 +351,8 @@ def rows_adjacent_paths(d: BidirectedDigraph, kappa: int) -> Iterator[LinearRow]
             for rung in range(prefix, kappa + 1):
                 a, b = p1[rung], p2[rung]
                 if a != b and g.has_edge(a, b):
-                    yield row_adjacent_paths(d, p1, p2, rung, kappa, mirrored=False)
-                    yield row_adjacent_paths(d, p1, p2, rung, kappa, mirrored=True)
+                    yield row_adjacent_paths(g, p1, p2, rung, kappa, mirrored=False)
+                    yield row_adjacent_paths(g, p1, p2, rung, kappa, mirrored=True)
 
 
 _TEMPLATE_GENERATORS = {
@@ -368,10 +364,10 @@ _TEMPLATE_GENERATORS = {
 }
 
 
-def template_rows(d: BidirectedDigraph, kappa: int,
+def template_rows(g: UndirectedGraph, kappa: int,
                   tags: Optional[Sequence[str]] = None) -> Iterator[LinearRow]:
     """Every instantiation of the structured row families, exhaustively."""
     for tag in (tags or TEMPLATE_TAGS):
         if tag not in _TEMPLATE_GENERATORS:
             raise InputError(f"unknown template class {tag!r}")
-        yield from _TEMPLATE_GENERATORS[tag](d, kappa)
+        yield from _TEMPLATE_GENERATORS[tag](g, kappa)

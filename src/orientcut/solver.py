@@ -60,7 +60,8 @@ b's reverse once a is forced. A child left with a forced cycle, an empty
 window, a side row with both arcs forced or an edge with no direction is
 dropped and counted as pruned. That pass is the child's acyclicity test,
 which `_branch` makes where the search does not propagate. The root is not
-propagated.
+propagated: `_Context`'s block pivot on the pair rows skips only the edges
+the root fixes, so that would have to happen before it is built.
 
 The base program starts in the basis the root's first solve would reach
 after its pivots on the edge-pair rows. At the start point, each variable at
@@ -95,7 +96,6 @@ from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequenc
 
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
-    BidirectedDigraph,
     Orientation,
     UndirectedGraph,
     _kahn,
@@ -187,31 +187,30 @@ class _NodeResult:
 class _Context:
     """Shared, read-only problem data for node processing."""
 
-    def __init__(self, d: BidirectedDigraph, cfg: ModelConfig, objective: Objective,
+    def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
                  labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
                  root_forced: Tuple[Tuple[int, int], ...] = (),
                  propagate: bool = False):
-        self.g = d.graph
+        self.g = g
         self.cfg = cfg
-        self.d = d
         self.objective = objective
         self.deadline = deadline
         self.labels = labels  # the candidate test's menus, None for none
         self.propagate = propagate  # whether the search propagates each child
-        m = d.graph.m
+        m = g.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
             cost[a] += c
         z_lower = cfg.z_lower
-        if cfg.variant == AO and len(greedy_clique(d.graph)) > cfg.kappa:
+        if cfg.variant == AO and len(greedy_clique(g)) > cfg.kappa:
             z_lower = max(z_lower, float(cfg.kappa))  # the clique bound
         lower, upper = [0.0] * (2 * m) + [z_lower], [1.0] * (2 * m) + [cfg.z_upper]
         self.base_lp = LinearProgram(cost, lower, upper)
         # the start point: each variable at the bound its cost prefers
         start = [hi if c < 0 else lo for c, lo, hi in zip(cost, lower, upper)]
         self.box_bound = objective.const + sum(c * s for c, s in zip(cost, start))
-        pairs = [row_edge_pair(d, e, cfg.variant) for e in range(m)]
+        pairs = [row_edge_pair(g, e, cfg.variant) for e in range(m)]
         for row in pairs:
             self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
         # The root's first pivots, made at once: arc 2e enters on each pair
@@ -254,12 +253,12 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     children = []
     for child_forced in (down, up):
         if ctx.propagate or find_directed_cycle(
-                ctx.d, [a for a, v in child_forced.items() if v == 1]) is None:
+                ctx.g, [a for a, v in child_forced.items() if v == 1]) is None:
             children.append(_Node(tuple(sorted(child_forced.items())), lp))
     return tuple(children)
 
 
-def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa: int,
+def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: int,
                labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
                side: Sequence[Tuple[int, int]] = ()) -> Optional[Tuple[Tuple[int, int], ...]]:
     """`forced`, AO-consistent, with the arcs that every acyclic orientation
@@ -287,13 +286,10 @@ def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa:
 
     The search does not propagate the root. That would have to happen
     before `_Context` is built, since its block pivot on the pair rows
-    skips only the edges the root fixes. It also waits for the benchmark
-    runner to stop keeping every pass's output: on `color-sparse` it cut
-    the time per pass about fourfold, so the runner fit more passes and its
-    peak memory rose by a quarter, past that metric's bound.
+    skips only the edges the root fixes.
     """
     fixed = dict(forced)
-    n = d.n
+    n = g.n
     top = kappa - 1
     menus = labels or [None] * n
     while True:
@@ -312,14 +308,14 @@ def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa:
                 fixed[b], fixed[b ^ 1] = 0, 1
             continue
         ones = frozenset(a for a, v in fixed.items() if v == 1)
-        order, _ = _kahn(d, ones)
+        order, _ = _kahn(g, ones)
         if len(order) < n:
             return None
         ins: List[List[int]] = [[] for _ in range(n)]
         outs: List[List[int]] = [[] for _ in range(n)]
         for a in ones:
-            ins[d.heads[a]].append(d.tails[a])
-            outs[d.tails[a]].append(d.heads[a])
+            ins[g.heads[a]].append(g.tails[a])
+            outs[g.tails[a]].append(g.heads[a])
         lo, hi, reach = [0] * n, [top] * n, [0] * n  # reach: a bitmask of vertices
         for v in order:
             low = max((lo[u] + 1 for u in ins[v]), default=0)
@@ -343,10 +339,10 @@ def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa:
                 return None
             hi[v] = high
         new = {}
-        for a in range(0, d.num_arcs, 2):
+        for a in range(0, g.num_arcs, 2):
             if a in fixed:
                 continue
-            u, v = d.tails[a], d.heads[a]
+            u, v = g.tails[a], g.heads[a]
             no_uv = reach[v] >> u & 1 or lo[u] >= hi[v]
             no_vu = reach[u] >> v & 1 or lo[v] >= hi[u]
             if no_uv and no_vu:
@@ -359,12 +355,12 @@ def _propagate(d: BidirectedDigraph, forced: Tuple[Tuple[int, int], ...], kappa:
         fixed.update(new)
 
 
-def _integral_point(d: BidirectedDigraph, cfg: ModelConfig,
+def _integral_point(g: UndirectedGraph, cfg: ModelConfig,
                     arcs: AbstractSet[int]) -> Tuple[ModelPoint, int]:
     """The 0/1 point that selects `arcs`, at z = max(load, z_lower), and its
     load: the most arcs of `arcs` on one kappa-arc path."""
-    load, _ = max_path_load(d, arcs, cfg.kappa)
-    w = tuple(1.0 if a in arcs else 0.0 for a in range(d.num_arcs))
+    load, _ = max_path_load(g, arcs, cfg.kappa)
+    w = tuple(1.0 if a in arcs else 0.0 for a in range(g.num_arcs))
     return ModelPoint(w, max(float(load), cfg.z_lower)), load
 
 
@@ -375,9 +371,9 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     objective so far, prunes the node: no further round and no children. Past
     the deadline, any other point makes the node, with its current program,
     its own one child."""
-    d = ctx.d
+    g = ctx.g
     cfg = ctx.cfg
-    m = ctx.g.m
+    m = g.m
     lp = node.lp.branch(node.forced)
     sol = lp.solve()
     iterations = sol.iterations
@@ -398,10 +394,10 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         fresh = []
         if integral:
             arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
-            point, load = _integral_point(d, cfg, arcs)
-            if load <= z + INT_TOL and find_directed_cycle(d, arcs) is None:
+            point, load = _integral_point(g, cfg, arcs)
+            if load <= z + INT_TOL and find_directed_cycle(g, arcs) is None:
                 if ctx.labels is None or least_labels(
-                        d, arcs, cfg.kappa - 1, ctx.labels) is not None:
+                        g, arcs, cfg.kappa - 1, ctx.labels) is not None:
                     return _NodeResult("candidate", bound, history, cuts_by_tag, iterations,
                                        candidate=point)
                 fresh = [LinearRow(dict.fromkeys(arcs, 1.0), 0, len(arcs) - 1, "<=", "no-good")]
@@ -417,10 +413,10 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
             else:
                 tail = 0
         if not fresh and (integral or rounds < MAX_CUT_ROUNDS and tail < TAIL_ROUNDS):
-            best = walk_bounds(d, w, cfg.kappa + 1)  # one table for both searches
-            fresh = (separate_paths(d, w, z, cfg.kappa, ctx.deadline, best)
-                     + separate_templates(d, w, z, cfg.kappa, ctx.deadline, best)
-                     or (separate_cycles(d, w) if integral else []))
+            best = walk_bounds(g, w, cfg.kappa + 1)  # one table for both searches
+            fresh = (separate_paths(g, w, z, cfg.kappa, ctx.deadline, best)
+                     + separate_templates(g, w, z, cfg.kappa, ctx.deadline, best)
+                     or (separate_cycles(g, w) if integral else []))
         if not fresh:
             if ctx.expired():  # the window search stopped early
                 return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
@@ -481,7 +477,6 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             raise InputError(f"labels for {len(labels)} vertices, the graph has {g.n}")
         labels = [None if menu is None else tuple(sorted(menu)) for menu in labels]
     m = g.m
-    d = BidirectedDigraph(g)
     obj = objective if objective is not None else default_objective(cfg, m)
     if obj.z_coeff < 0:
         raise InputError("the z cost must not be negative")
@@ -490,7 +485,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     integral_obj = obj.is_integral
 
     if m == 0:
-        if labels is not None and least_labels(d, (), cfg.kappa - 1, labels) is None:
+        if labels is not None and least_labels(g, (), cfg.kappa - 1, labels) is None:
             return SolveReport("infeasible", None, None, math.inf, 0, 0, {}, [], 0)
         point = ModelPoint((), float(cfg.z_lower))
         val = obj.value(point)
@@ -509,9 +504,9 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         return False
 
     arcs = _dsatur_orientation(g).arcs()
-    start, load = _integral_point(d, cfg, arcs)
+    start, load = _integral_point(g, cfg, arcs)
     if load <= cfg.z_upper and all(r.satisfied(start.w, start.z, tol=1e-7) for r in extra_rows) \
-            and (labels is None or least_labels(d, arcs, cfg.kappa - 1, labels) is not None):
+            and (labels is None or least_labels(g, arcs, cfg.kappa - 1, labels) is not None):
         offer(start)
 
     keys = {r.key for r in extra_rows}
@@ -527,7 +522,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     side = [tuple(r.coeffs) for r in extra_rows
             if r.sense == "<=" and r.rhs == 1 and r.z_coeff == 0 and len(r.coeffs) == 2
             and all(c == 1 for c in r.coeffs.values())] if propagate else []
-    ctx = _Context(d, cfg, obj, extra_rows, deadline, labels, root_forced, propagate)
+    ctx = _Context(g, cfg, obj, extra_rows, deadline, labels, root_forced, propagate)
     root = _Node(root_forced, ctx.base_lp)
 
     seq = 0
@@ -562,7 +557,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             # short of the cutoff, and the incumbent has not moved since
             for child in res.children:
                 if propagate:
-                    forced = _propagate(d, child.forced, cfg.kappa, labels, side)
+                    forced = _propagate(g, child.forced, cfg.kappa, labels, side)
                     if forced is None:
                         pruned_count += 1
                         continue
@@ -597,8 +592,7 @@ def _shorter_orientations(g: UndirectedGraph, orient: Orientation,
     that the window solves find, starting from `orient`: the last one yielded,
     or `orient` if none is, has the least longest path. Raises
     TimeLimitError past `deadline`."""
-    d = BidirectedDigraph(g)
-    kappa = dag_longest_path(d, orient.arcs())
+    kappa = dag_longest_path(g, orient.arcs())
     while kappa >= 1:
         rep = solve_ao(g, kappa, deadline=deadline)
         if reports is not None:
@@ -610,7 +604,7 @@ def _shorter_orientations(g: UndirectedGraph, orient: Orientation,
         if rep.objective >= kappa - 1e-9:
             return
         arcs = rep.best_point.arc_set()
-        new_kappa = dag_longest_path(d, arcs)
+        new_kappa = dag_longest_path(g, arcs)
         if new_kappa >= kappa:
             raise SolverError("window failed to shrink")
         kappa = new_kappa
@@ -656,7 +650,7 @@ def min_diameter_orientation(g: UndirectedGraph, *,
         exc.orientation = joined()
         raise
     orient = joined()
-    return orient, dag_longest_path(BidirectedDigraph(g), orient.arcs())
+    return orient, dag_longest_path(g, orient.arcs())
 
 
 def chromatic_number(g: UndirectedGraph, *,
@@ -669,7 +663,7 @@ def chromatic_number(g: UndirectedGraph, *,
     `deadline`.
     """
     orient, q = min_diameter_orientation(g, deadline=deadline)
-    colors = longest_path_labels(BidirectedDigraph(g), orient.arcs())
+    colors = longest_path_labels(g, orient.arcs())
     if max(colors) != q:
         raise SolverError("layer count disagrees with the window optimum")
     return q + 1, colors
@@ -696,11 +690,10 @@ def check_load_reduction(g: UndirectedGraph, kappa: int,
     feasibility check at window kappa. Intended for orientations whose
     diameter is already minimal and kappa at least diam + 1.
     """
-    d = BidirectedDigraph(g)
     arcs = orientation.arcs()
-    diam = dag_longest_path(d, arcs)
+    diam = dag_longest_path(g, arcs)
     z = guaranteed_feasible_z(kappa, diam)
     w = tuple(1.0 if a in arcs else 0.0 for a in range(2 * g.m))
     ok, _ = check_integral_feasible(
-        d, ModelConfig(kappa=kappa, variant=AO), ModelPoint(w, float(z)))
+        g, ModelConfig(kappa=kappa, variant=AO), ModelPoint(w, float(z)))
     return ok

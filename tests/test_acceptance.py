@@ -20,7 +20,6 @@ from orientcut.fap import (
     solve_soft_cost,
 )
 from orientcut.graphs import (
-    BidirectedDigraph,
     complete_graph,
     cycle_graph,
     enumerate_cycles,
@@ -101,7 +100,6 @@ def test_criterion_3_bound_cycle_path_facet_iff():
     """
     mismatches = []
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
         for kappa in (2, 3):
             cfg = ModelConfig(kappa=kappa, variant=AS)
             points = enumerate_feasible_points(g, cfg)
@@ -111,16 +109,16 @@ def test_criterion_3_bound_cycle_path_facet_iff():
                 if not face.valid or face.is_facet != expect_facet:
                     mismatches.append((name, kappa, what, face))
 
-            has_window_path = bool(enumerate_paths_k(d, kappa))
+            has_window_path = bool(enumerate_paths_k(g, kappa))
             for a in range(2 * g.m):
                 check(row_arc_lower(a), True, f"w[{a}] >= 0")
                 check(row_arc_upper(a), False, f"w[{a}] <= 1")
             check(LinearRow({}, -1, 0, "<=", "bound"), not has_window_path, "z >= 0")
             check(row_z_upper(kappa), True, f"z <= {kappa}")
-            for cyc in enumerate_cycles(d, g.n):
-                check(row_cycle(d, cyc), len(cyc) <= kappa, f"cycle {cyc}")
-            for p in enumerate_paths_k(d, kappa):
-                check(row_path(d, p, kappa), not g.has_edge(p[0], p[-1]), f"path {p}")
+            for cyc in enumerate_cycles(g, g.n):
+                check(row_cycle(g, cyc), len(cyc) <= kappa, f"cycle {cyc}")
+            for p in enumerate_paths_k(g, kappa):
+                check(row_path(g, p, kappa), not g.has_edge(p[0], p[-1]), f"path {p}")
     assert not mismatches, mismatches[:5]
 
 
@@ -131,12 +129,11 @@ def test_criterion_4_template_rows_valid_everywhere():
         for g in atlas_graphs(max_edges=6):
             if g.m == 0:
                 continue
-            d = BidirectedDigraph(g)
             cfg = ModelConfig(kappa=kappa, variant=AS)
             pts = enumerate_feasible_points(g, cfg)
             mat = np.array([list(p.w) + [p.z] for p in pts])
             rows = {}
-            for r in template_rows(d, kappa):
+            for r in template_rows(g, kappa):
                 rows.setdefault(r.key, r)
             for r in rows.values():
                 vec = np.zeros(2 * g.m + 1)
@@ -148,11 +145,10 @@ def test_criterion_4_template_rows_valid_everywhere():
 
     # weaker families: valid faces, never facets, on the named battery
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
         for kappa in (2, 3):
             cfg = ModelConfig(kappa=kappa, variant=AS)
             pts = enumerate_feasible_points(g, cfg)
-            for r in template_rows(d, kappa, tags=("path-km1", "path-km2", "cycle-arcs")):
+            for r in template_rows(g, kappa, tags=("path-km1", "path-km2", "cycle-arcs")):
                 face = classify_face(g, cfg, r, pts)
                 assert face.valid and not face.is_facet, (name, kappa, r)
 
@@ -184,20 +180,19 @@ def test_criterion_6_separation_is_exact():
     the first cycle-z cut is a most violated one."""
     rng = random.Random(60406)
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
-        cycle_rows = [row_cycle(d, c) for c in enumerate_cycles(d, g.n)]
+        cycle_rows = [row_cycle(g, c) for c in enumerate_cycles(g, g.n)]
         for kappa in (2, 3):
-            path_rows = [row_path(d, p, kappa) for p in enumerate_paths_k(d, kappa)]
-            cycle_z_rows = list(rows_cycle_z(d, kappa))
+            path_rows = [row_path(g, p, kappa) for p in enumerate_paths_k(g, kappa)]
+            cycle_z_rows = list(rows_cycle_z(g, kappa))
             for _ in range(500):
                 pt = random_point(g, kappa, rng)
-                cyc_found = bool(separate_cycles(d, pt.w))
+                cyc_found = bool(separate_cycles(g, pt.w))
                 cyc_exists = any(r.violation(pt.w, pt.z) > 1e-6 for r in cycle_rows)
                 assert cyc_found == cyc_exists, (name, kappa, pt)
-                path_found = bool(separate_paths(d, pt.w, pt.z, kappa))
+                path_found = bool(separate_paths(g, pt.w, pt.z, kappa))
                 path_exists = any(r.violation(pt.w, pt.z) > 1e-6 for r in path_rows)
                 assert path_found == path_exists, (name, kappa, pt)
-                cycle_z_found = separate_templates(d, pt.w, pt.z, kappa)
+                cycle_z_found = separate_templates(g, pt.w, pt.z, kappa)
                 cycle_z_viol = [r.violation(pt.w, pt.z) for r in cycle_z_rows]
                 assert bool(cycle_z_found) == any(v > 1e-6 for v in cycle_z_viol), \
                     (name, kappa, pt)
@@ -243,7 +238,7 @@ def test_criterion_7_frequency_assignment():
     # chain gadget monotonicity, exhaustively over all 3^3 arc states
     inst = FapInstance(2, [None, None], [FapPair(0, 1, 3)])
     exp = expand_gadgets(inst)
-    d = BidirectedDigraph(exp.graph)
+    g = exp.graph
     m = exp.graph.m
     full = []
     for state in itertools.product((0, 1, 2), repeat=m):
@@ -257,7 +252,7 @@ def test_criterion_7_frequency_assignment():
             full.append([a for a in range(2 * m) if w[a] > 0.5])
     assert len(full) == 2
     for arcs in full:
-        labels = longest_path_labels(d, arcs)
+        labels = longest_path_labels(g, arcs)
         assert abs(labels[0] - labels[1]) == 3
 
     # soft triangle with unit costs at spectrum 1
@@ -278,5 +273,5 @@ def test_criterion_8_solver_hygiene():
                 for lo, hi in zip(hist, hist[1:]):
                     assert hi >= lo - 1e-9, (name, kappa, hist)
             ok, why = check_integral_feasible(
-                BidirectedDigraph(g), ModelConfig(kappa=kappa, variant=AO), rep.best_point)
+                g, ModelConfig(kappa=kappa, variant=AO), rep.best_point)
             assert ok, (name, kappa, why)

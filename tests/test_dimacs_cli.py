@@ -248,6 +248,32 @@ def test_cli_fap_disputed_infeasible_verdict_exits_1(capsys, monkeypatch, tmp_pa
     assert code == 1 and rep["status"] == "infeasible" and rep["oracleAgrees"] is False
 
 
+def test_cli_fap_soft_without_spectrum_exits_1(capsys, tmp_path):
+    p = tmp_path / "soft.json"
+    p.write_text(json.dumps({"links": 2, "freqSets": [[], []],
+                             "pairs": [{"i": 0, "j": 1, "d": 1, "c": 1}]}))
+    code, out, err = _run(capsys, ["fap", str(p)])
+    assert code == 1 and not out
+    assert err.startswith("error:") and "spectrum" in err
+
+
+@pytest.mark.parametrize("doc, code, status", [
+    ({"links": 2, "freqSets": [[], []], "pairs": []}, 0, "optimal"),
+    ({"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 1, "d": 1}]}, 2, "infeasible"),
+    ({"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 1, "d": 1, "c": 2}]},
+     0, "optimal"),
+    ({"links": 1, "freqSets": [[1]], "pairs": []}, 2, "infeasible"),
+])
+def test_cli_fap_at_spectrum_zero(capsys, tmp_path, doc, code, status):
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({**doc, "spectrum": 0}))
+    got, out, _ = _run(capsys, ["fap", str(p), "--oracle"])
+    rep = json.loads(out)
+    assert got == code and rep["status"] == status and rep["oracleAgrees"] is True
+    if status == "optimal":
+        assert set(rep["frequencies"]) == {0}
+
+
 @pytest.mark.parametrize("cost", ["NaN", "Infinity", "-Infinity", "true"])
 def test_cli_fap_rejects_non_finite_costs(capsys, tmp_path, cost):
     p = tmp_path / "soft.json"

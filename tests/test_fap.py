@@ -53,13 +53,23 @@ def test_from_dict_round_trip_and_validation():
         {"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 1, "d": 5}]},
         {"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 0, "d": 1}]},
         {"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 1, "d": 0, "c": 1}]},
-        {"links": 2, "freqSets": [[], []], "pairs": [], "spectrum": 0},
         {"links": 2, "freqSets": [[-1], []], "pairs": []},
         {"links": 2, "freqSets": [[], []], "pairs": [{"i": 0, "j": 1}]},
     ]
     for doc in bad:
         with pytest.raises(InputError):
             FapInstance.from_dict(doc)
+
+
+def test_minimum_spectrum_zero_feeds_back_as_fixed():
+    """A lone link needs no room: the least spectrum is 0, and that answer is
+    itself a valid fixed spectrum."""
+    doc = {"links": 1, "freqSets": [[]], "pairs": []}
+    phi, fa = min_spectrum(FapInstance.from_dict(doc))
+    assert phi == 0 and fa.freq == (0,)
+    fixed = FapInstance.from_dict({**doc, "spectrum": phi})
+    assert fixed.spectrum == 0
+    assert solve_fixed_spectrum(fixed).freq == (0,)
 
 
 def test_duplicate_pairs_rejected():
@@ -80,16 +90,15 @@ def test_gadget_sizes():
     assert len(three.side_rows) == 4
     # links keep their ids; the chain's aux vertices come after, in order
     assert three.graph.edges == ((0, 2), (2, 3), (1, 3))
-    assert three.digraph.graph is three.graph
 
 
 def test_d3_gadget_enumerated_monotonicity():
     """Every fully oriented chain state allowed by the side rows is monotone."""
-    from orientcut.graphs import BidirectedDigraph, longest_path_labels
+    from orientcut.graphs import longest_path_labels
 
     inst = _inst(2, [(0, 1, 3)])
     exp = expand_gadgets(inst)
-    d = BidirectedDigraph(exp.graph)
+    g = exp.graph
     m = exp.graph.m
     survivors = []
     for dirs in itertools.product((0, 1), repeat=m):
@@ -100,7 +109,7 @@ def test_d3_gadget_enumerated_monotonicity():
             survivors.append([a for a in range(2 * m) if w[a] > 0.5])
     assert len(survivors) == 2
     for arcs in survivors:
-        labels = longest_path_labels(d, arcs)
+        labels = longest_path_labels(g, arcs)
         assert abs(labels[0] - labels[1]) == 3
 
 

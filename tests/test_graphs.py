@@ -4,7 +4,6 @@ import pytest
 
 from orientcut.errors import ContractError, InputError
 from orientcut.graphs import (
-    BidirectedDigraph,
     Orientation,
     UndirectedGraph,
     complete_graph,
@@ -65,21 +64,20 @@ def test_components_and_induced_subgraph():
 
 
 def test_arc_indexing_round_trips():
-    d = BidirectedDigraph(paw_graph())
-    for e, (u, v) in enumerate(d.graph.edges):
-        assert d.arc(u, v) == 2 * e
-        assert d.arc(v, u) == 2 * e + 1
-        assert (d.tails[2 * e], d.heads[2 * e]) == (u, v)
-        assert (d.tails[2 * e + 1], d.heads[2 * e + 1]) == (v, u)
+    g = paw_graph()
+    for e, (u, v) in enumerate(g.edges):
+        assert g.arc(u, v) == 2 * e
+        assert g.arc(v, u) == 2 * e + 1
+        assert (g.tails[2 * e], g.heads[2 * e]) == (u, v)
+        assert (g.tails[2 * e + 1], g.heads[2 * e + 1]) == (v, u)
 
 
 def test_orientation_constructors_agree():
     g = complete_graph(3)
-    d = BidirectedDigraph(g)
     by_order = Orientation.from_vertex_order(g, [2, 0, 1])
     arcs = by_order.arcs()
     # every edge points away from the earlier vertex in the order
-    assert d.arc(2, 0) in arcs and d.arc(2, 1) in arcs and d.arc(0, 1) in arcs
+    assert g.arc(2, 0) in arcs and g.arc(2, 1) in arcs and g.arc(0, 1) in arcs
     again = Orientation.from_arcs(g, arcs)
     assert again == by_order and again.arcs() == arcs
 
@@ -92,15 +90,15 @@ def test_orientation_requires_one_arc_per_edge():
         Orientation.from_arcs(g, [])
 
 
-def _brute_cycles(d, max_len):
+def _brute_cycles(g, max_len):
     """All directed simple cycles as canonical vertex tuples, via permutations."""
     seen = set()
-    n = d.n
+    n = g.n
     for size in range(2, max_len + 1):
         for verts in itertools.permutations(range(n), size):
             if verts[0] != min(verts):
                 continue
-            ok = all(d.graph.has_edge(verts[i], verts[(i + 1) % size])
+            ok = all(g.has_edge(verts[i], verts[(i + 1) % size])
                      for i in range(size))
             if ok:
                 seen.add(verts)
@@ -109,17 +107,15 @@ def _brute_cycles(d, max_len):
 
 def test_enumerate_cycles_matches_permutation_scan():
     for g in (complete_graph(4), paw_graph(), cycle_graph(5)):
-        d = BidirectedDigraph(g)
-        got = {c for c in enumerate_cycles(d, 4) if len(c) <= 4}
-        want = _brute_cycles(d, 4)
+        got = {c for c in enumerate_cycles(g, 4) if len(c) <= 4}
+        want = _brute_cycles(g, 4)
         assert got == want
 
 
 def test_enumerate_paths_k_matches_permutation_scan():
     g = paw_graph()
-    d = BidirectedDigraph(g)
     for k in (1, 2, 3):
-        got = set(enumerate_paths_k(d, k))
+        got = set(enumerate_paths_k(g, k))
         want = {p for p in itertools.permutations(range(g.n), k + 1)
                 if all(g.has_edge(p[i], p[i + 1]) for i in range(k))}
         assert got == want
@@ -127,24 +123,22 @@ def test_enumerate_paths_k_matches_permutation_scan():
 
 def test_path_and_cycle_arc_lists():
     g = cycle_graph(4)
-    d = BidirectedDigraph(g)
-    arcs = path_arc_list(d, (0, 1, 2))
-    assert arcs == [d.arc(0, 1), d.arc(1, 2)]
-    cyc = cycle_arc_list(d, (0, 1, 2, 3))
-    assert cyc == [d.arc(0, 1), d.arc(1, 2), d.arc(2, 3), d.arc(3, 0)]
+    arcs = path_arc_list(g, (0, 1, 2))
+    assert arcs == [g.arc(0, 1), g.arc(1, 2)]
+    cyc = cycle_arc_list(g, (0, 1, 2, 3))
+    assert cyc == [g.arc(0, 1), g.arc(1, 2), g.arc(2, 3), g.arc(3, 0)]
 
 
 def test_acyclicity_and_cycle_witness():
     g = complete_graph(3)
-    d = BidirectedDigraph(g)
-    tri = [d.arc(0, 1), d.arc(1, 2), d.arc(2, 0)]
-    assert not is_acyclic(d, tri)
-    wit = find_directed_cycle(d, tri)
+    tri = [g.arc(0, 1), g.arc(1, 2), g.arc(2, 0)]
+    assert not is_acyclic(g, tri)
+    wit = find_directed_cycle(g, tri)
     assert wit is not None
-    assert all(d.arc(wit[i], wit[(i + 1) % len(wit)]) in tri for i in range(len(wit)))
-    transitive = [d.arc(0, 1), d.arc(1, 2), d.arc(0, 2)]
-    assert is_acyclic(d, transitive)
-    assert find_directed_cycle(d, transitive) is None
+    assert all(g.arc(wit[i], wit[(i + 1) % len(wit)]) in tri for i in range(len(wit)))
+    transitive = [g.arc(0, 1), g.arc(1, 2), g.arc(0, 2)]
+    assert is_acyclic(g, transitive)
+    assert find_directed_cycle(g, transitive) is None
 
 
 def _arc_sets(rng, g):
@@ -171,28 +165,26 @@ def test_find_directed_cycle_agrees_with_brute_force(rng):
         p = rng.random()
         g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
                                 if rng.random() < p])
-        d = BidirectedDigraph(g)
-        cycles = [frozenset(cycle_arc_list(d, c)) for c in enumerate_cycles(d, max(n, 2))]
+        cycles = [frozenset(cycle_arc_list(g, c)) for c in enumerate_cycles(g, max(n, 2))]
         for arcs in _arc_sets(rng, g):
-            found = find_directed_cycle(d, arcs)
+            found = find_directed_cycle(g, arcs)
             if found is None:
                 assert not any(c <= arcs for c in cycles)
                 continue
             cyclic += 1
             assert len(found) >= 2 and len(set(found)) == len(found)
-            assert set(cycle_arc_list(d, found)) <= arcs
+            assert set(cycle_arc_list(g, found)) <= arcs
     assert cyclic > 200
 
 
 def test_longest_path_labels_count_arcs():
     g = path_graph(4)
-    d = BidirectedDigraph(g)
-    arcs = [d.arc(0, 1), d.arc(1, 2), d.arc(2, 3)]
-    assert longest_path_labels(d, arcs) == [0, 1, 2, 3]
-    assert dag_longest_path(d, arcs) == 3
+    arcs = [g.arc(0, 1), g.arc(1, 2), g.arc(2, 3)]
+    assert longest_path_labels(g, arcs) == [0, 1, 2, 3]
+    assert dag_longest_path(g, arcs) == 3
     # orient the middle edge backwards: two 1-arc paths
-    arcs = [d.arc(0, 1), d.arc(2, 1), d.arc(2, 3)]
-    assert dag_longest_path(d, arcs) == 1
+    arcs = [g.arc(0, 1), g.arc(2, 1), g.arc(2, 3)]
+    assert dag_longest_path(g, arcs) == 1
 
 
 def test_least_labels_is_the_least_labeling(rng):
@@ -205,7 +197,6 @@ def test_least_labels_is_the_least_labeling(rng):
               path_graph(5), UndirectedGraph(5, [(0, 1), (1, 2), (3, 4)])]
     found = refused = 0
     for g in graphs:
-        d = BidirectedDigraph(g)
         for top in range(4):
             for menu_draw in range(3):
                 menus = None if menu_draw == 0 else [
@@ -215,13 +206,13 @@ def test_least_labels_is_the_least_labeling(rng):
                 allowed = [range(top + 1) if menus is None or menus[v] is None
                            else [x for x in menus[v] if x <= top] for v in range(g.n)]
                 # each labeling with the bitmask of the arcs it rises along
-                labelings = [(f, sum(1 << a for a in range(d.num_arcs)
-                                     if f[d.tails[a]] < f[d.heads[a]]))
+                labelings = [(f, sum(1 << a for a in range(g.num_arcs)
+                                     if f[g.tails[a]] < f[g.heads[a]]))
                              for f in itertools.product(*allowed)]
-                for mask in range(1 << d.num_arcs):
-                    arcs = [a for a in range(d.num_arcs) if mask >> a & 1]
+                for mask in range(1 << g.num_arcs):
+                    arcs = [a for a in range(g.num_arcs) if mask >> a & 1]
                     valid = [f for f, rises in labelings if mask & ~rises == 0]
-                    got = least_labels(d, arcs, top, menus)
+                    got = least_labels(g, arcs, top, menus)
                     if not valid:
                         assert got is None, (g.edges, arcs, top, menus)
                         refused += 1
@@ -234,9 +225,8 @@ def test_least_labels_is_the_least_labeling(rng):
 
 def test_source_decomposition_layers_are_proper_coloring():
     g = petersen_graph()
-    d = BidirectedDigraph(g)
     o = Orientation.from_vertex_order(g, list(range(g.n)))
-    layers = source_decomposition(d, o.arcs())
+    layers = source_decomposition(g, o.arcs())
     color = {}
     for i, layer in enumerate(layers):
         for v in layer:
@@ -246,19 +236,19 @@ def test_source_decomposition_layers_are_proper_coloring():
         assert color[u] != color[v]
 
 
-def _peeled_layers(d, arcs):
+def _peeled_layers(g, arcs):
     """Reference: strip the in-degree-zero vertices until none remain."""
-    remaining = set(range(d.n))
+    remaining = set(range(g.n))
     active = set(arcs)
     layers = []
     while remaining:
         indeg = {v: 0 for v in remaining}
         for a in active:
-            indeg[d.heads[a]] += 1
+            indeg[g.heads[a]] += 1
         layer = sorted(v for v in remaining if indeg[v] == 0)
         layers.append(layer)
         remaining -= set(layer)
-        active = {a for a in active if d.tails[a] in remaining}
+        active = {a for a in active if g.tails[a] in remaining}
     return layers
 
 
@@ -269,29 +259,27 @@ def test_source_decomposition_matches_peeling(rng):
         p = rng.random()
         g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
                                 if rng.random() < p])
-        d = BidirectedDigraph(g)
         order = list(range(n))
         rng.shuffle(order)
         arcs = Orientation.from_vertex_order(g, order).arcs()
         for keep in (1.0, 0.5):
             chosen = [a for a in sorted(arcs) if rng.random() < keep]
-            assert source_decomposition(d, chosen) == _peeled_layers(d, chosen)
-    d = BidirectedDigraph(complete_graph(3))
+            assert source_decomposition(g, chosen) == _peeled_layers(g, chosen)
+    g = complete_graph(3)
     with pytest.raises(ContractError):
-        source_decomposition(d, [d.arc(0, 1), d.arc(1, 2), d.arc(2, 0)])
+        source_decomposition(g, [g.arc(0, 1), g.arc(1, 2), g.arc(2, 0)])
 
 
 def test_max_path_load_counts_selected_arcs():
     g = path_graph(5)
-    d = BidirectedDigraph(g)
-    chain = [d.arc(i, i + 1) for i in range(4)]
-    load, witness = max_path_load(d, chain, 3)
+    chain = [g.arc(i, i + 1) for i in range(4)]
+    load, witness = max_path_load(g, chain, 3)
     assert load == 3
     assert witness is not None and len(witness) == 4
-    load, witness = max_path_load(d, [chain[0], chain[2]], 4)
+    load, witness = max_path_load(g, [chain[0], chain[2]], 4)
     assert load == 2
     # no 5-arc path exists on 5 vertices
-    load, witness = max_path_load(d, chain, 5)
+    load, witness = max_path_load(g, chain, 5)
     assert (load, witness) == (0, None)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from orientcut.errors import InfeasibleError, InputError, SizeRefusalError
-from orientcut.graphs import BidirectedDigraph, complete_graph, cycle_graph, petersen_graph, single_edge
+from orientcut.graphs import complete_graph, cycle_graph, petersen_graph, single_edge
 from orientcut.lp import affine_dimension
 from orientcut.model import (
     AO,
@@ -47,9 +47,8 @@ def test_all_enumerated_points_are_feasible():
         cfg = ModelConfig(kappa=2, variant=variant)
         pts = enumerate_feasible_points(g, cfg)
         assert pts
-        d = BidirectedDigraph(g)
         for p in pts:
-            ok, why = check_integral_feasible(d, cfg, p)
+            ok, why = check_integral_feasible(g, cfg, p)
             assert ok, (variant, p, why)
 
 
@@ -102,10 +101,9 @@ def test_classify_face_spot_checks():
     assert up.valid and not up.is_facet
     zup = classify_face(g, cfg, row_z_upper(2), pts)
     assert zup.valid and zup.is_facet
-    d = BidirectedDigraph(g)
-    cyc = classify_face(g, cfg, row_cycle(d, (0, 1, 2)), pts)
+    cyc = classify_face(g, cfg, row_cycle(g, (0, 1, 2)), pts)
     assert cyc.valid and not cyc.is_facet  # |C| = 3 > kappa
-    path = classify_face(g, cfg, row_path(d, (0, 1, 2), 2), pts)
+    path = classify_face(g, cfg, row_path(g, (0, 1, 2), 2), pts)
     assert path.valid and not path.is_facet  # endpoints adjacent in K3
     assert path.proper
 
@@ -135,12 +133,11 @@ def test_brute_force_min_diameter_matches_battery():
     for name, g, q in BATTERY:
         got, orient = brute_force_min_diameter(g)
         assert got == q, name
-        d = BidirectedDigraph(g)
         from orientcut.graphs import dag_longest_path, is_acyclic
 
         arcs = orient.arcs()
-        assert is_acyclic(d, arcs)
-        assert dag_longest_path(d, arcs) == q
+        assert is_acyclic(g, arcs)
+        assert dag_longest_path(g, arcs) == q
 
 
 def test_brute_force_optimum_variants():

@@ -8,7 +8,6 @@ import pytest
 from orientcut import separation
 from orientcut.errors import InputError
 from orientcut.graphs import (
-    BidirectedDigraph,
     UndirectedGraph,
     complete_graph,
     cycle_graph,
@@ -36,45 +35,45 @@ from orientcut.separation import (
 from conftest import BATTERY, mycielski, queen_graph, random_point
 
 
-def _cycle_rows(d):
-    return [row_cycle(d, c) for c in enumerate_cycles(d, d.n)]
+def _cycle_rows(g):
+    return [row_cycle(g, c) for c in enumerate_cycles(g, g.n)]
 
 
-def _path_rows(d, kappa):
-    return [row_path(d, p, kappa) for p in enumerate_paths_k(d, kappa)]
+def _path_rows(g, kappa):
+    return [row_path(g, p, kappa) for p in enumerate_paths_k(g, kappa)]
 
 
 def test_cycle_separation_finds_short_and_long_cycles():
-    d = BidirectedDigraph(complete_graph(3))
+    g = complete_graph(3)
     # 0.9 on every arc breaks every pair row, so each 2-cycle is violated
     w = [0.9] * 6
-    rows = separate_cycles(d, w)
+    rows = separate_cycles(g, w)
     assert sorted(len(r.coeffs) for r in rows) == [2, 2, 2]
     for r in rows:
         assert r.violation(w, 0.0) == pytest.approx(0.8)
     # pair rows kept: 0.9 around one directed triangle, 0.1 on the reverses
     w = [0.1] * 6
     for i, j in ((0, 1), (1, 2), (2, 0)):
-        w[d.arc(i, j)] = 0.9
-    rows = separate_cycles(d, w)
+        w[g.arc(i, j)] = 0.9
+    rows = separate_cycles(g, w)
     assert [len(r.coeffs) for r in rows] == [3]
     assert rows[0].violation(w, 0.0) == pytest.approx(0.7)
 
 
-def _cycles_with_re_search(d, w):
+def _cycles_with_re_search(g, w):
     """Reference: the separator that searched again past each 2-cycle closure."""
-    lengths = [max(0.0, 1.0 - w[a]) for a in range(d.num_arcs)]
+    lengths = [max(0.0, 1.0 - w[a]) for a in range(g.num_arcs)]
 
     def dijkstra(s, skip_arc=-1):
-        dist = [float("inf")] * d.n
-        pred = [-1] * d.n
+        dist = [float("inf")] * g.n
+        pred = [-1] * g.n
         dist[s] = 0.0
         heap = [(0.0, s)]
         while heap:
             dv, v = heapq.heappop(heap)
             if dv > dist[v] + 1e-15:
                 continue
-            for a, u in d.out_arcs[v]:
+            for a, u in g.out_arcs[v]:
                 if a == skip_arc:
                     continue
                 nd = dv + lengths[a]
@@ -84,11 +83,11 @@ def _cycles_with_re_search(d, w):
                     heapq.heappush(heap, (nd, u))
         return dist, pred
 
-    trees = [dijkstra(s) for s in range(d.n)]
+    trees = [dijkstra(s) for s in range(g.n)]
     found = {}
 
     def close(a, dist, pred):
-        i, j = d.tails[a], d.heads[a]
+        i, j = g.tails[a], g.heads[a]
         if dist[i] + lengths[a] >= 1.0 - VIOLATION_TOL:
             return
         verts = [i]
@@ -101,13 +100,13 @@ def _cycles_with_re_search(d, w):
         canon = tuple(verts[k:] + verts[:k])
         if canon in found:
             return
-        row = row_cycle(d, canon)
+        row = row_cycle(g, canon)
         viol = row.violation(w, 0.0)
         if viol > VIOLATION_TOL:
             found[canon] = (viol, row)
 
-    for a in range(d.num_arcs):
-        i, j = d.tails[a], d.heads[a]
+    for a in range(g.num_arcs):
+        i, j = g.tails[a], g.heads[a]
         dist, pred = trees[j]
         close(a, dist, pred)
         if pred[i] == j:
@@ -145,14 +144,13 @@ def test_cycle_separation_matches_re_search_on_pair_feasible_points(rng):
     graphs += [_gnp(n, p, rng) for n in (6, 8, 10, 12) for p in (0.3, 0.5, 0.7)]
     points = rows = 0
     for g in graphs:
-        d = BidirectedDigraph(g)
         for variant in (AO, AS):
             for _ in range(60):
                 w = _pair_feasible_point(g, variant, rng)
-                for a in range(0, d.num_arcs, 2):
+                for a in range(0, g.num_arcs, 2):
                     assert w[a] + w[a + 1] <= 1.0 + 1e-12
-                got = separate_cycles(d, w)
-                ref = _cycles_with_re_search(d, w)
+                got = separate_cycles(g, w)
+                ref = _cycles_with_re_search(g, w)
                 assert [r.key for r in got] == [r.key for r in ref], (g.edges, w)
                 points += 1
                 rows += len(got)
@@ -168,30 +166,29 @@ def test_cycle_separation_runs_one_search_per_vertex(monkeypatch, rng):
         return dijkstra(*args)
 
     monkeypatch.setattr(separation, "_dijkstra", spy)
-    d = BidirectedDigraph(petersen_graph())
+    g = petersen_graph()
     for variant in (AO, AS):
         for _ in range(20):
             calls.clear()
-            w = _pair_feasible_point(d.graph, variant, rng)
-            separate_cycles(d, w)
-            assert sorted(s for _, _, s in calls) == list(range(d.n))
+            w = _pair_feasible_point(g, variant, rng)
+            separate_cycles(g, w)
+            assert sorted(s for _, _, s in calls) == list(range(g.n))
 
 
 def test_cycle_separation_empty_on_acyclic_support():
-    d = BidirectedDigraph(complete_graph(3))
+    g = complete_graph(3)
     # transitive triangle, pairs sum to 1: no violated cycle row exists
     w = [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]
-    assert separate_cycles(d, w) == []
-    assert separate_cycles(d, [0.5] * 6) == []
+    assert separate_cycles(g, w) == []
+    assert separate_cycles(g, [0.5] * 6) == []
 
 
 def test_cycle_separation_exact_on_random_points(rng):
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
-        exhaustive = _cycle_rows(d)
+        exhaustive = _cycle_rows(g)
         for _ in range(200):
             pt = random_point(g, 2, rng)
-            found = separate_cycles(d, pt.w)
+            found = separate_cycles(g, pt.w)
             reference = [r for r in exhaustive if r.violation(pt.w, 0.0) > 1e-6]
             assert bool(found) == bool(reference), (name, pt)
             for r in found:
@@ -202,29 +199,28 @@ def test_cycle_separation_exact_on_random_points(rng):
 
 
 def test_path_separation_spec_point():
-    d = BidirectedDigraph(complete_graph(3))
-    rows = separate_paths(d, [0.5] * 6, 0.75, 2)
+    g = complete_graph(3)
+    rows = separate_paths(g, [0.5] * 6, 0.75, 2)
     assert len(rows) == 6
     for r in rows:
         assert r.violation([0.5] * 6, 0.75) == pytest.approx(0.25)
-    assert separate_paths(d, [0.5] * 6, 2.0, 2) == []
+    assert separate_paths(g, [0.5] * 6, 2.0, 2) == []
 
 
 def test_path_separation_exact_on_random_points(rng):
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
         for kappa in (2, 3):
-            exhaustive = _path_rows(d, kappa)
+            exhaustive = _path_rows(g, kappa)
             for _ in range(100):
                 pt = random_point(g, kappa, rng)
-                found = separate_paths(d, pt.w, pt.z, kappa)
+                found = separate_paths(g, pt.w, pt.z, kappa)
                 reference = [r for r in exhaustive if r.violation(pt.w, pt.z) > 1e-6]
                 assert bool(found) == bool(reference), (name, kappa)
                 for r in found:
                     assert r.violation(pt.w, pt.z) > 1e-6
 
 
-def _paths_per_row(d, w, z, kappa):
+def _paths_per_row(g, w, z, kappa):
     """Reference: the separator that built a row for every violated path."""
     wmax = max(w, default=0.0)
     found = {}
@@ -236,11 +232,11 @@ def _paths_per_row(d, w, z, kappa):
         if used == kappa:
             if load > z + VIOLATION_TOL:
                 p = tuple(path)
-                found[p] = (load - z, row_path(d, p, kappa))
+                found[p] = (load - z, row_path(g, p, kappa))
             return
         if load + (kappa - used) * wmax <= z + VIOLATION_TOL:
             return
-        for a, u in d.out_arcs[v]:
+        for a, u in g.out_arcs[v]:
             if u not in onpath:
                 path.append(u)
                 onpath.add(u)
@@ -248,8 +244,8 @@ def _paths_per_row(d, w, z, kappa):
                 path.pop()
                 onpath.remove(u)
 
-    if kappa <= d.n - 1:
-        for s in range(d.n):
+    if kappa <= g.n - 1:
+        for s in range(g.n):
             path.append(s)
             onpath.add(s)
             extend(s, 0.0)
@@ -266,15 +262,14 @@ def test_path_separation_matches_per_row_reference(rng):
     cases += [(queen_graph(4), 5, 2, 0.6)]
     capped = 0
     for g, kappa, count, low in cases:
-        d = BidirectedDigraph(g)
         for k in range(count):
             if k % 2:  # pair-feasible with many equal loads, so ties are broken on keys
                 w = _pair_feasible_point(g, AO, rng)
             else:
                 w = list(random_point(g, kappa, rng).w)
             z = kappa * (low + 0.2 * rng.random())
-            got = separate_paths(d, w, z, kappa)
-            ref = _paths_per_row(d, w, z, kappa)
+            got = separate_paths(g, w, z, kappa)
+            ref = _paths_per_row(g, w, z, kappa)
             assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
                 (g.edges, kappa, w, z)
             capped += len(got) == MAX_CUTS_PER_CLASS
@@ -282,9 +277,9 @@ def test_path_separation_matches_per_row_reference(rng):
 
 
 def test_template_separation_cycle_z_example():
-    d = BidirectedDigraph(complete_graph(3))
+    g = complete_graph(3)
     w = [2.0 / 3.0] * 6
-    rows = separate_templates(d, w, 1.9, 2)
+    rows = separate_templates(g, w, 1.9, 2)
     assert any(r.tag == "cycle-z" for r in rows)
     best = max(r.violation(w, 1.9) for r in rows if r.tag == "cycle-z")
     assert best == pytest.approx(0.1)
@@ -292,26 +287,24 @@ def test_template_separation_cycle_z_example():
 
 def test_template_separation_empty_on_integral_points():
     g = paw_graph()
-    d = BidirectedDigraph(g)
     cfg = ModelConfig(kappa=2, variant=AS)
     for pt in enumerate_feasible_points(g, cfg)[::7]:
         if pt.is_integral():
-            assert separate_templates(d, list(pt.w), pt.z, 2) == []
+            assert separate_templates(g, list(pt.w), pt.z, 2) == []
 
 
 def test_template_rows_rejects_unknown_tag():
-    d = BidirectedDigraph(complete_graph(3))
+    g = complete_graph(3)
     with pytest.raises(InputError):
-        list(template_rows(d, 2, tags=("nope",)))
+        list(template_rows(g, 2, tags=("nope",)))
 
 
 def test_template_rows_all_tags_instantiate_somewhere():
     # K4 plus a pendant path is rich enough for every family at kappa=3
     g = UndirectedGraph(6, list(itertools.combinations(range(4), 2)) + [(3, 4), (4, 5)])
-    d = BidirectedDigraph(g)
     seen = set()
     for kappa in (2, 3):
-        for r in template_rows(d, kappa):
+        for r in template_rows(g, kappa):
             seen.add(r.tag)
     assert seen == set(TEMPLATE_TAGS)
 
@@ -321,34 +314,32 @@ def test_adjacent_paths_generator_respects_tail_disjointness():
     # pair them, and every generated row must hold at the point that once
     # broke the naive family
     g = UndirectedGraph(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
-    d = BidirectedDigraph(g)
     w = [0.0] * 8
-    w[d.arc(1, 2)] = 1.0
-    w[d.arc(3, 2)] = 1.0
-    for r in template_rows(d, 3, tags=("adjacent-paths",)):
+    w[g.arc(1, 2)] = 1.0
+    w[g.arc(3, 2)] = 1.0
+    for r in template_rows(g, 3, tags=("adjacent-paths",)):
         assert r.satisfied(w, 1.0)
 
 
 def test_separated_rows_are_valid_on_feasible_points(rng):
     g = paw_graph()
-    d = BidirectedDigraph(g)
     kappa = 2
     cfg = ModelConfig(kappa=kappa, variant=AS)
     points = enumerate_feasible_points(g, cfg)
     for _ in range(50):
         pt = random_point(g, kappa, rng)
-        rows = (separate_cycles(d, pt.w)
-                + separate_paths(d, pt.w, pt.z, kappa)
-                + separate_templates(d, pt.w, pt.z, kappa))
+        rows = (separate_cycles(g, pt.w)
+                + separate_paths(g, pt.w, pt.z, kappa)
+                + separate_templates(g, pt.w, pt.z, kappa))
         for r in rows:
             for q in points:
                 assert r.satisfied(q.w, q.z), (r, q)
 
 
-def _templates_per_call(d, w, z, kappa, cap):
+def _templates_per_call(g, w, z, kappa, cap):
     """Reference: score every cycle-z row that `rows_cycle_z` generates."""
     found = {}
-    for row in rows_cycle_z(d, kappa):
+    for row in rows_cycle_z(g, kappa):
         viol = row.violation(w, z)
         if viol > VIOLATION_TOL:
             found[row.key] = (viol, row)
@@ -369,7 +360,6 @@ def test_template_search_matches_per_call_reference(rng):
     cases += [(complete_graph(6), kappa) for kappa in (2, 3, 4, 5)]
     violated = capped = 0
     for g, kappa in cases:
-        d = BidirectedDigraph(g)
         for k in range(12):
             if k % 3 == 0:
                 pt = random_point(g, kappa, rng)
@@ -379,10 +369,10 @@ def test_template_search_matches_per_call_reference(rng):
             else:  # pair-feasible with many equal loads, so ties are broken on keys
                 w, z = _pair_feasible_point(g, AO, rng), kappa * (0.3 + 0.4 * rng.random())
             for cap in (MAX_CUTS_PER_CLASS, 10 ** 6):
-                ref = _templates_per_call(d, w, z, kappa, cap)
-                got = separate_templates(d, w, z, kappa) if cap == MAX_CUTS_PER_CLASS else \
+                ref = _templates_per_call(g, w, z, kappa, cap)
+                got = separate_templates(g, w, z, kappa) if cap == MAX_CUTS_PER_CLASS else \
                     [row_window(c, "cycle-z")
-                     for c in separation._violated_windows(d, w, z, kappa, True, cap)]
+                     for c in separation._violated_windows(g, w, z, kappa, True, cap)]
                 assert [(r.tag, r.key) for r in got] == [(r.tag, r.key) for r in ref], \
                     (g.edges, kappa, w, z, cap)
             violated += len(ref)
@@ -399,15 +389,14 @@ def test_window_rows_list_their_arcs_head_to_tail(rng):
     cases = [(petersen_graph(), 3), (complete_graph(5), 2), (complete_graph(5), 3),
              (paw_graph(), 2)]
     for g, kappa in cases:
-        d = BidirectedDigraph(g)
         for _ in range(4):
             w, z = _fractional_point(g, kappa, rng)
-            for row in separate_paths(d, w, z, kappa) + separate_templates(d, w, z, kappa):
+            for row in separate_paths(g, w, z, kappa) + separate_templates(g, w, z, kappa):
                 arcs = list(row.coeffs)
                 closed = row.tag == "cycle-z"
                 assert len(arcs) == kappa + closed
-                assert all(d.heads[a] == d.tails[b] for a, b in zip(arcs, arcs[1:])), row
-                assert (d.heads[arcs[-1]] == d.tails[arcs[0]]) == closed, row
+                assert all(g.heads[a] == g.tails[b] for a, b in zip(arcs, arcs[1:])), row
+                assert (g.heads[arcs[-1]] == g.tails[arcs[0]]) == closed, row
                 load = 0.0
                 for a in arcs:
                     load += w[a]
@@ -420,27 +409,27 @@ def test_window_search_stops_at_the_deadline(monkeypatch):
     """The clock is read at walks of one or two arcs; once it reaches the
     deadline the search returns the windows it holds, all of them rows the
     full search returns too."""
-    d = BidirectedDigraph(petersen_graph())
-    w = [0.5] * d.num_arcs
-    short_walks = sum(1 + len(d.out_arcs[d.heads[a]]) for a in range(d.num_arcs))
+    g = petersen_graph()
+    w = [0.5] * g.num_arcs
+    short_walks = sum(1 + len(g.out_arcs[g.heads[a]]) for a in range(g.num_arcs))
     for closed in (False, True):
-        full = separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6)
+        full = separation._violated_windows(g, w, 0.5, 4, closed, 10 ** 6)
         assert len(full) >= 24
         clock = itertools.count()
         monkeypatch.setattr(separation, "time",
                             types.SimpleNamespace(monotonic=lambda: next(clock)))
-        part = separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6, deadline=5)
+        part = separation._violated_windows(g, w, 0.5, 4, closed, 10 ** 6, deadline=5)
         assert 0 < len(part) < len(full) and set(part) <= set(full)
         # no walk of three or more arcs read the clock
         assert next(clock) <= short_walks
         monkeypatch.undo()
-        assert separation._violated_windows(d, w, 0.5, 4, closed, 10 ** 6,
+        assert separation._violated_windows(g, w, 0.5, 4, closed, 10 ** 6,
                                             deadline=math.inf) == full
-    assert separate_paths(d, w, 0.5, 4, deadline=0.0) == []
-    assert separate_templates(d, w, 0.5, 4, deadline=0.0) == []
+    assert separate_paths(g, w, 0.5, 4, deadline=0.0) == []
+    assert separate_templates(g, w, 0.5, 4, deadline=0.0) == []
 
 
-def _walk_maxima(d, w, r):
+def _walk_maxima(g, w, r):
     """Reference: per vertex, the largest weight of an r-arc walk out of it
     over every such walk, each summed from its far end as `walk_bounds` sums,
     or -inf when none exists."""
@@ -448,11 +437,11 @@ def _walk_maxima(d, w, r):
         if r == 0:
             yield 0.0
             return
-        for a, u in d.out_arcs[v]:
+        for a, u in g.out_arcs[v]:
             for rest in walks(u, r - 1):
                 yield w[a] + rest
 
-    return [max(walks(v, r), default=-math.inf) for v in range(d.n)]
+    return [max(walks(v, r), default=-math.inf) for v in range(g.n)]
 
 
 def test_walk_bounds_are_walk_maxima_above_every_path(rng):
@@ -462,18 +451,17 @@ def test_walk_bounds_are_walk_maxima_above_every_path(rng):
     graphs = [g for _, g, _ in BATTERY] + [petersen_graph(), mycielski(cycle_graph(5))]
     paths = 0
     for g in graphs:
-        d = BidirectedDigraph(g)
         arcs = 4 if g.n > 10 else 5
         for k in range(6):
             w = list(random_point(g, arcs, rng).w) if k % 2 else _pair_feasible_point(g, AO, rng)
-            best = walk_bounds(d, w, arcs)
-            assert len(best) == arcs + 1 and best[0] == [0.0] * d.n
+            best = walk_bounds(g, w, arcs)
+            assert len(best) == arcs + 1 and best[0] == [0.0] * g.n
             for r in range(1, arcs + 1):
-                assert best[r] == _walk_maxima(d, w, r), (g.edges, w, r)
-                for p in enumerate_paths_k(d, r):
+                assert best[r] == _walk_maxima(g, w, r), (g.edges, w, r)
+                for p in enumerate_paths_k(g, r):
                     load = 0.0
                     for u, v in zip(p, p[1:]):
-                        load += w[d.arc(u, v)]
+                        load += w[g.arc(u, v)]
                     assert load <= best[r][p[0]] + WALK_SLACK
                     paths += 1
     assert paths > 10000
@@ -485,20 +473,20 @@ def test_walk_bound_prunes_short_walks(monkeypatch):
     before they read the clock: 28 of the 90 read it, where the old reach
     `load + (arcs left) * max(w)` let 76 through. The windows found stay the
     same."""
-    d = BidirectedDigraph(petersen_graph())
-    w = [1.0 - a % 2 for a in range(d.num_arcs)]
-    elementary = len(enumerate_paths_k(d, 1)) + len(enumerate_paths_k(d, 2))
+    g = petersen_graph()
+    w = [1.0 - a % 2 for a in range(g.num_arcs)]
+    elementary = len(enumerate_paths_k(g, 1)) + len(enumerate_paths_k(g, 2))
 
     def clock_reads(z):
         clock = itertools.count()
         monkeypatch.setattr(separation, "time",
                             types.SimpleNamespace(monotonic=lambda: next(clock)))
-        found = separation._violated_windows(d, w, z, 5, False, 10 ** 6, deadline=10 ** 9)
+        found = separation._violated_windows(g, w, z, 5, False, 10 ** 6, deadline=10 ** 9)
         monkeypatch.undo()
-        assert found == separation._violated_windows(d, w, z, 5, False, 10 ** 6)
+        assert found == separation._violated_windows(g, w, z, 5, False, 10 ** 6)
         return next(clock), found
 
     reads, found = clock_reads(-10.0)  # z so low that nothing is cut
-    assert reads == elementary == 90 and len(found) == len(enumerate_paths_k(d, 5))
+    assert reads == elementary == 90 and len(found) == len(enumerate_paths_k(g, 5))
     reads, found = clock_reads(3.5)
     assert len(found) == 36 and reads == 28

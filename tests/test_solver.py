@@ -12,7 +12,6 @@ from orientcut import fap, separation, solver
 from orientcut.errors import InfeasibleError, InputError, SolverError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
-    BidirectedDigraph,
     Orientation,
     UndirectedGraph,
     complete_graph,
@@ -111,8 +110,7 @@ def test_solve_ao_matches_brute_force_on_battery():
             ref, _ = brute_force_optimum(g, ModelConfig(kappa=kappa, variant=AO))
             assert rep.status == "optimal", (name, kappa)
             assert rep.objective == pytest.approx(ref), (name, kappa)
-            d = BidirectedDigraph(g)
-            ok, why = check_integral_feasible(d, ModelConfig(kappa=kappa, variant=AO), rep.best_point)
+            ok, why = check_integral_feasible(g, ModelConfig(kappa=kappa, variant=AO), rep.best_point)
             assert ok, (name, kappa, why)
 
 
@@ -373,7 +371,7 @@ def test_node_at_the_cutoff_is_pruned_without_a_round(monkeypatch):
     def refuse(*args):
         raise Separated
 
-    ctx = solver._Context(BidirectedDigraph(petersen_graph()),
+    ctx = solver._Context(petersen_graph(),
                           ModelConfig(kappa=3, variant=AO), solver.Objective(), (), None)
     node = solver._Node(((0, 1), (1, 0)), ctx.base_lp)
     first = ctx.base_lp.branch(node.forced).solve().objective
@@ -406,16 +404,15 @@ def test_label_refusals_become_no_good_rows():
     menus no labeling meets prove infeasibility."""
     no_goods = 0
     for name, g, _ in BATTERY:
-        d = BidirectedDigraph(g)
         for kappa in (1, 2, 3):
             cfg = ModelConfig(kappa=kappa, variant=AO)
             _, best = brute_force_optimum(g, cfg)
-            f = longest_path_labels(d, best.arc_set())
+            f = longest_path_labels(g, best.arc_set())
             v = f.index(max(f))
             menus = [None] * g.n
             menus[v] = tuple(range(f[v]))  # every labeling of `best` has f(v) or more
             ref = min((p.z for p in enumerate_feasible_points(g, cfg)
-                       if _least_labels(d, p.arc_set(), menus, kappa - 1) is not None),
+                       if _least_labels(g, p.arc_set(), menus, kappa - 1) is not None),
                       default=None)
             rep = solve_model(g, cfg, labels=menus)
             if ref is None:
@@ -423,8 +420,8 @@ def test_label_refusals_become_no_good_rows():
                 continue
             assert rep.status == "optimal" and rep.objective == ref, (name, kappa)
             arcs = rep.best_point.arc_set()
-            assert _least_labels(d, arcs, menus, kappa - 1) is not None, (name, kappa)
-            assert check_integral_feasible(d, cfg, rep.best_point)[0]
+            assert _least_labels(g, arcs, menus, kappa - 1) is not None, (name, kappa)
+            assert check_integral_feasible(g, cfg, rep.best_point)[0]
             no_goods += rep.cut_counts.get("no-good", 0)
             none = solve_model(g, cfg, labels=[(kappa,)] * g.n)
             assert none.status == "infeasible" and none.best_point is None, (name, kappa)
@@ -601,7 +598,6 @@ def test_root_program_starts_where_its_pair_pivots_lead(monkeypatch):
 
 def test_no_good_rows_are_hard_constraints():
     g = complete_graph(3)
-    d = BidirectedDigraph(g)
     cfg = ModelConfig(kappa=2, variant=AS)
     ref, best = brute_force_optimum(g, cfg)
     # forbid the brute-force optimum's arc set outright
@@ -665,7 +661,7 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
 
     def spy(ctx, node, incumbent):
         res = process(ctx, node, incumbent)
-        seen.extend((ctx.d, n) for n in (node,) + res.children)
+        seen.extend((ctx.g, n) for n in (node,) + res.children)
         return res
 
     monkeypatch.setattr(solver, "_process_node", spy)
@@ -675,14 +671,14 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     inst = _soft_fap()
     solve_soft_cost(inst)
     assert sum(bool(n.forced) for _, n in seen) > 10
-    for d, node in seen:
-        assert is_acyclic(d, [a for a, v in node.forced if v == 1]), node.forced
+    for g, node in seen:
+        assert is_acyclic(g, [a for a, v in node.forced if v == 1]), node.forced
 
     # On K3 with 0->1 and 1->2 forced, the child filter in `_branch` must drop
     # the child that forces 2->0, whichever direction of {0, 2} it branches on.
-    ctx = solver._Context(BidirectedDigraph(complete_graph(3)),
+    ctx = solver._Context(complete_graph(3),
                           ModelConfig(kappa=2, variant=AO), solver.Objective(), (), None)
-    arc = ctx.d.arc
+    arc = ctx.g.arc
     forced = {arc(0, 1): 1, arc(1, 0): 0, arc(1, 2): 1, arc(2, 1): 0}
     node = solver._Node(tuple(sorted(forced.items())), ctx.base_lp)
     for share in (0.6, 0.4):
@@ -705,12 +701,11 @@ def test_propagation_keeps_every_short_acyclic_orientation():
                                 if rng.random() < 0.45])
         if not 1 <= g.m <= 10:
             continue
-        d = BidirectedDigraph(g)
         orientations = []
         for dirs in itertools.product((0, 1), repeat=g.m):
             arcs = Orientation(g, dirs).arcs()
-            if is_acyclic(d, arcs):
-                orientations.append((arcs, dag_longest_path(d, arcs)))
+            if is_acyclic(g, arcs):
+                orientations.append((arcs, dag_longest_path(g, arcs)))
         for kappa in (1, 2, 3, 4, 6):  # the path rule implies the reach rule below 6
             for _ in range(10):
                 forced = {}
@@ -719,7 +714,7 @@ def test_propagation_keeps_every_short_acyclic_orientation():
                     forced[a], forced[a ^ 1] = 1, 0
                 agree = [arcs for arcs, longest in orientations if longest < kappa
                          and all((a in arcs) == (v == 1) for a, v in forced.items())]
-                got = solver._propagate(d, tuple(sorted(forced.items())), kappa)
+                got = solver._propagate(g, tuple(sorted(forced.items())), kappa)
                 cases += 1
                 if got is None:
                     assert not agree, (g.edges, kappa, forced)
@@ -734,23 +729,23 @@ def test_propagation_keeps_every_short_acyclic_orientation():
                 # F connects the ends of no free edge, so either direction keeps F
                 # acyclic: `_branch` leaves its cycle test to the propagation
                 ones = [a for a, v in got.items() if v == 1]
-                assert all(is_acyclic(d, ones + [a]) for a in range(2 * g.m) if a not in got)
+                assert all(is_acyclic(g, ones + [a]) for a in range(2 * g.m) if a not in got)
                 closed += len(got) == 2 * g.m
     assert dropped > 100 and closed > 100, (dropped, closed)
 
 
-def _least_labels(d, arcs, menus, top):
+def _least_labels(g, arcs, menus, top):
     """The least labeling f of the acyclic arc set with u -> v => f(u) < f(v)
     and each f(v) in menus[v] (any label where that is None), or None when
     it needs a label above `top`. Each vertex in topological order takes
     the least label its in-arcs and menu allow; every labeling is at least
     this one, pointwise."""
-    ins = [[] for _ in range(d.n)]
+    ins = [[] for _ in range(g.n)]
     for a in arcs:
-        ins[d.heads[a]].append(d.tails[a])
-    layer = longest_path_labels(d, arcs)
-    f = [0] * d.n
-    for v in sorted(range(d.n), key=layer.__getitem__):
+        ins[g.heads[a]].append(g.tails[a])
+    layer = longest_path_labels(g, arcs)
+    f = [0] * g.n
+    for v in sorted(range(g.n), key=layer.__getitem__):
         need = max((f[u] + 1 for u in ins[v]), default=0)
         fit = [x for x in (menus[v] if menus[v] is not None else [need]) if x >= need]
         if not fit or min(fit) > top:
@@ -779,7 +774,7 @@ def test_label_windows_keep_every_labelled_orientation():
                 frozenset(rng.sample(range(phi + 2), rng.randint(1, phi + 1)))
                 for _ in range(links)]
         exp = fap.expand_gadgets(FapInstance(links, sets, pairs, phi))
-        g, d = exp.graph, exp.digraph
+        g = exp.graph
         if not 1 <= g.m <= 12:
             continue
         instances += 1
@@ -790,10 +785,10 @@ def test_label_windows_keep_every_labelled_orientation():
         kept = {(True, True): [], (True, False): [], (False, True): [], (False, False): []}
         for dirs in itertools.product((0, 1), repeat=g.m):
             arcs = Orientation(g, dirs).arcs()
-            if not is_acyclic(d, arcs):
+            if not is_acyclic(g, arcs):
                 continue
-            fits = _least_labels(d, arcs, [None] * g.n, top) is not None  # longest < kappa
-            menu_fits = fits and _least_labels(d, arcs, menus, top) is not None
+            fits = _least_labels(g, arcs, [None] * g.n, top) is not None  # longest < kappa
+            menu_fits = fits and _least_labels(g, arcs, menus, top) is not None
             holds = all(not (a in arcs and b in arcs) for a, b in side)
             for use_labels, use_side in kept:
                 if (menu_fits if use_labels else fits) and (holds or not use_side):
@@ -808,7 +803,7 @@ def test_label_windows_keep_every_labelled_orientation():
             for (use_labels, use_side), orientations in kept.items():
                 agree = [arcs for arcs in orientations
                          if all((a in arcs) == (v == 1) for a, v in forced.items())]
-                out = solver._propagate(d, key, kappa, menus if use_labels else None,
+                out = solver._propagate(g, key, kappa, menus if use_labels else None,
                                         side if use_side else ())
                 got[use_labels, use_side] = out
                 cases += 1
@@ -830,9 +825,9 @@ def test_label_windows_keep_every_labelled_orientation():
     assert min(gained.values()) > 50, gained
 
 
-def _no_propagation(d, forced, kappa, labels, side):
+def _no_propagation(g, forced, kappa, labels, side):
     """The child filter without propagation: drop a cycle, force nothing."""
-    return None if find_directed_cycle(d, [a for a, v in forced if v == 1]) else forced
+    return None if find_directed_cycle(g, [a for a, v in forced if v == 1]) else forced
 
 
 def test_propagation_changes_no_answer_and_saves_nodes(monkeypatch):
@@ -1065,10 +1060,9 @@ def test_min_diameter_orientation_realizes_q():
     for name, g, q in BATTERY:
         orient, got = min_diameter_orientation(g)
         assert got == q, name
-        d = BidirectedDigraph(g)
         arcs = orient.arcs()
-        assert is_acyclic(d, arcs)
-        assert dag_longest_path(d, arcs) == q
+        assert is_acyclic(g, arcs)
+        assert dag_longest_path(g, arcs) == q
 
 
 def test_min_diameter_orientation_reports():
