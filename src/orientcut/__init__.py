@@ -19,7 +19,7 @@ from .errors import (
     TimeLimitError,
     UnsupportedInstanceError,
 )
-from .graphs import Orientation, UndirectedGraph
+from .graphs import UndirectedGraph
 from .model import AO, AS, LinearRow, ModelConfig, ModelPoint, check_integral_feasible
 from .solver import (
     SolveReport,
@@ -66,7 +66,6 @@ __all__ = [
     "LinearRow",
     "ModelConfig",
     "ModelPoint",
-    "Orientation",
     "ParseError",
     "SizeRefusalError",
     "SolveReport",

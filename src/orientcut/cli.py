@@ -9,9 +9,12 @@ for byte; timing goes to the stderr summary instead.
 both to the command, which passes that deadline to all of its solves, so the
 limit bounds the whole command. Each command returns its report and summary;
 `main` alone stamps, prints and picks the exit code: 1 for usage or input
-trouble or an oracle that disagrees, whatever the verdict; else 2 infeasible,
-3 time limit, 0 solved. An oracle that refuses an instance past its scan's
-size cap leaves `oracleAgrees` null and the exit code as it is.
+trouble, a solver failure or an oracle that disagrees, whatever the verdict;
+else 2 infeasible, 3 time limit, 0 solved. A solver failure includes an
+answer that fails its final recheck; a time limit never reaches `main`, as
+`color` and `fap` turn it into their timeout reports. An oracle that refuses
+an instance past its scan's size cap leaves `oracleAgrees` null and the exit
+code as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import time
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .dimacs import parse_dimacs
-from .errors import ContractError, InfeasibleError, InputError, SizeRefusalError, TimeLimitError
+from .errors import InfeasibleError, InputError, SizeRefusalError, SolverError, TimeLimitError
 from .fap import (
     FapInstance,
     brute_force_fixed_spectrum,
@@ -53,7 +56,7 @@ from .polytope import (
     polytope_dimension,
 )
 from .separation import TEMPLATE_TAGS, template_rows
-from .solver import SolveReport, min_diameter_orientation, solve_ao
+from .solver import SolveReport, chromatic_number, solve_ao
 
 DEFAULT_TIME_LIMIT = 300.0
 EXIT_CODES = {"infeasible": 2, "timeout": 3}
@@ -143,26 +146,18 @@ def cmd_color(args, text: str, deadline: float) -> Tuple[dict, str]:
     g = parse_dimacs(text)
     reports: List[SolveReport] = []
     try:
-        orient, q = min_diameter_orientation(g, reports=reports, deadline=deadline)
+        chi, colors = chromatic_number(g, reports=reports, deadline=deadline)
     except TimeLimitError as exc:
         # how far it got: the best colouring so far, and the largest greedy
         # clique, from every seed, as a lower bound
-        classes = source_decomposition(g, exc.orientation.arcs())
+        classes = source_decomposition(g, exc.arcs)
         lower = len(greedy_clique(g))
         return ({"status": "timeout", "lower": lower, "upper": len(classes),
                  "classes": classes, **_aggregate(reports)},
                 f"time limit reached ({lower} to {len(classes)} colours)")
-    # one longest-path pass checks the answer: acyclic, q + 1 layers, each
-    # an independent set, and the layers are the reported classes
-    try:
-        classes = source_decomposition(g, orient.arcs())
-    except ContractError:
-        raise InputError("orientation failed the final recheck: directed cycle") from None
-    layer = {v: k for k, members in enumerate(classes) for v in members}
-    if len(classes) != q + 1 or any(layer[i] == layer[j] for i, j in g.edges):
-        raise InputError(f"coloring failed the final recheck: {len(classes)} layers, "
-                         f"window optimum {q}")
-    chi = q + 1
+    classes = [[] for _ in range(chi)]
+    for v, c in enumerate(colors):
+        classes[c].append(v)
     report = {"status": "optimal", "chromatic": chi, "classes": classes,
               **_aggregate(reports)}
     if args.oracle:
@@ -184,7 +179,7 @@ def cmd_orient(args, text: str, deadline: float) -> Tuple[dict, str]:
     cfg = ModelConfig(kappa=args.kappa, variant=AO)
     ok, witness = check_integral_feasible(g, cfg, point)
     if not ok:
-        raise InputError(f"orientation failed the final recheck: {witness}")
+        raise SolverError(f"orientation failed the final recheck: {witness}")
     base["z"] = rep.objective
     base["arcs"] = sorted(point.arc_set())
     if args.oracle:
@@ -382,7 +377,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         text, digest = _read_instance(args.file)
         report, summary = args.func(args, text, deadline)
-    except InputError as exc:
+    except (InputError, SolverError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit({"command": args.subcommand, "digest": digest, **report}, summary, started)

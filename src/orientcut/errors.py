@@ -36,13 +36,14 @@ class SolverError(RuntimeError):
 class TimeLimitError(SolverError):
     """The time limit expired before the search could reach a decision.
 
-    `orientation`, when set, is the best acyclic orientation found by then.
+    `arcs`, when set, is the arc set of the best acyclic orientation found
+    by then, one arc per edge.
     A minimum-spectrum search sets `lower`, its lower bound, and, once it
     holds a certificate, `upper` and `assignment`: the spectrum that
     certificate fits and the certificate itself.
     """
 
-    orientation = None
+    arcs = None
     lower = None
     upper = None
     assignment = None

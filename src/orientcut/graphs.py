@@ -3,7 +3,8 @@
 Vertices are 0-indexed everywhere; 1-indexed input formats are converted at the
 I/O boundary. A graph carries its own arc indexing: every edge [i, j] doubles
 into the two arcs (i, j) and (j, i), and all orientation models work on those
-arc indices. Structures are immutable after construction.
+arc indices. An orientation is the set of arcs it selects, one per edge.
+Structures are immutable after construction.
 """
 
 from __future__ import annotations
@@ -108,48 +109,11 @@ class UndirectedGraph:
         return f"UndirectedGraph(n={self.n}, m={self.m})"
 
 
-class Orientation:
-    """A direction choice for every edge of a graph.
-
-    dirs[e] is 0 to keep the stored (i, j) direction of edge e and 1 for the
-    reverse. The induced arc set has exactly one arc per edge.
-    """
-
-    def __init__(self, graph: UndirectedGraph, dirs: Sequence[int]):
-        if len(dirs) != graph.m:
-            raise InputError("one direction bit per edge required")
-        if any(d not in (0, 1) for d in dirs):
-            raise InputError("direction bits must be 0 or 1")
-        self.graph = graph
-        self.dirs = tuple(dirs)
-
-    def arcs(self) -> frozenset:
-        return frozenset(2 * e + d for e, d in enumerate(self.dirs))
-
-    @classmethod
-    def from_vertex_order(cls, graph: UndirectedGraph, order: Sequence[int]) -> "Orientation":
-        """Orient every edge from the earlier to the later vertex of `order`."""
-        pos = {v: k for k, v in enumerate(order)}
-        dirs = [0 if pos[i] < pos[j] else 1 for i, j in graph.edges]
-        return cls(graph, dirs)
-
-    @classmethod
-    def from_arcs(cls, graph: UndirectedGraph, arcs: Iterable[int]) -> "Orientation":
-        chosen = {}
-        for a in arcs:
-            e = a >> 1
-            if e in chosen:
-                raise InputError(f"both arcs of edge {e} selected")
-            chosen[e] = a & 1
-        if len(chosen) != graph.m:
-            raise InputError("orientation must pick one arc per edge")
-        return cls(graph, [chosen[e] for e in range(graph.m)])
-
-    def __eq__(self, other):
-        return isinstance(other, Orientation) and self.dirs == other.dirs
-
-    def __repr__(self):
-        return f"Orientation({self.dirs})"
+def order_arcs(g: UndirectedGraph, order: Sequence[int]) -> frozenset:
+    """The arcs that run every edge from the earlier to the later vertex of
+    `order`: one arc per edge, and acyclic."""
+    pos = {v: k for k, v in enumerate(order)}
+    return frozenset(2 * e + (pos[i] > pos[j]) for e, (i, j) in enumerate(g.edges))
 
 
 def _kahn(g: UndirectedGraph, arcs: frozenset) -> Tuple[List[int], List[int]]:

@@ -15,7 +15,6 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .errors import InfeasibleError, InputError, SizeRefusalError
 from .graphs import (
-    Orientation,
     UndirectedGraph,
     cycle_arc_list,
     dag_longest_path,
@@ -24,6 +23,7 @@ from .graphs import (
     greedy_clique,
     greedy_coloring,
     is_acyclic,
+    order_arcs,
     path_arc_list,
 )
 from .lp import affine_dimension
@@ -182,8 +182,9 @@ def brute_force_chromatic(g: UndirectedGraph, max_n: int = MAX_BRUTE_VERTICES) -
     return upper
 
 
-def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, Orientation]:
-    """Smallest possible longest directed path over all acyclic orientations.
+def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, frozenset]:
+    """Smallest possible longest directed path over all acyclic orientations,
+    with the arc set of one that attains it.
 
     Scans either all edge-direction vectors or all vertex orders, whichever
     set is smaller; every acyclic orientation arises both ways.
@@ -191,28 +192,24 @@ def brute_force_min_diameter(g: UndirectedGraph) -> Tuple[int, Orientation]:
     if g.n > MAX_BRUTE_VERTICES:
         raise SizeRefusalError(f"orientation brute force capped at {MAX_BRUTE_VERTICES} "
                                f"vertices, got {g.n}")
-    if g.m == 0:
-        return 0, Orientation(g, [])
-    best: Optional[Tuple[int, Orientation]] = None
+    best: Optional[Tuple[int, frozenset]] = None
     by_mask = (1 << g.m) <= math.factorial(g.n)
     if min(1 << g.m, math.factorial(g.n)) > MAX_BRUTE_STATES:
         raise SizeRefusalError("orientation brute force state space too large")
     if by_mask:
         for mask in range(1 << g.m):
-            dirs = [mask >> e & 1 for e in range(g.m)]
-            orient = Orientation(g, dirs)
-            arcs = orient.arcs()
+            arcs = frozenset(2 * e + (mask >> e & 1) for e in range(g.m))
             if not is_acyclic(g, arcs):
                 continue
             length = dag_longest_path(g, arcs)
             if best is None or length < best[0]:
-                best = (length, orient)
+                best = (length, arcs)
     else:
         for perm in itertools.permutations(range(g.n)):
-            orient = Orientation.from_vertex_order(g, perm)
-            length = dag_longest_path(g, orient.arcs())
+            arcs = order_arcs(g, perm)
+            length = dag_longest_path(g, arcs)
             if best is None or length < best[0]:
-                best = (length, orient)
+                best = (length, arcs)
     assert best is not None
     return best
 

@@ -92,11 +92,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
-    Orientation,
     UndirectedGraph,
     _kahn,
     dag_longest_path,
@@ -104,8 +103,8 @@ from .graphs import (
     greedy_clique,
     greedy_coloring,
     least_labels,
-    longest_path_labels,
     max_path_load,
+    order_arcs,
 )
 from .lp import FEAS_TOL, LinearProgram
 from .model import (
@@ -503,7 +502,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             return True
         return False
 
-    arcs = _dsatur_orientation(g).arcs()
+    arcs = _dsatur_arcs(g)
     start, load = _integral_point(g, cfg, arcs)
     if load <= cfg.z_upper and all(r.satisfied(start.w, start.z, tol=1e-7) for r in extra_rows) \
             and (labels is None or least_labels(g, arcs, cfg.kappa - 1, labels) is not None):
@@ -578,94 +577,82 @@ def solve_ao(g: UndirectedGraph, kappa: int, *,
     return solve_model(g, ModelConfig(kappa=kappa, variant=AO), deadline=deadline)
 
 
-def _dsatur_orientation(g: UndirectedGraph) -> Orientation:
-    """Every edge runs up the order (DSATUR colour, -index), so the
-    orientation is acyclic with one arc per edge whatever the colouring."""
+def _dsatur_arcs(g: UndirectedGraph) -> frozenset:
+    """Every edge runs up the order (DSATUR colour, -index), so the arc set
+    is acyclic with one arc per edge whatever the colouring."""
     colors = greedy_coloring(g)
-    return Orientation.from_vertex_order(g, sorted(range(g.n), key=lambda v: (colors[v], -v)))
-
-
-def _shorter_orientations(g: UndirectedGraph, orient: Orientation,
-                          reports: Optional[List[SolveReport]], *,
-                          deadline: Optional[float] = None) -> Iterator[Orientation]:
-    """Each strictly shorter acyclic orientation of the connected graph `g`
-    that the window solves find, starting from `orient`: the last one yielded,
-    or `orient` if none is, has the least longest path. Raises
-    TimeLimitError past `deadline`."""
-    kappa = dag_longest_path(g, orient.arcs())
-    while kappa >= 1:
-        rep = solve_ao(g, kappa, deadline=deadline)
-        if reports is not None:
-            reports.append(rep)
-        if rep.status == "timeout":
-            raise TimeLimitError("time limit hit during the window search")
-        if rep.status != "optimal":
-            raise SolverError(f"window solve ended with status {rep.status}")
-        if rep.objective >= kappa - 1e-9:
-            return
-        arcs = rep.best_point.arc_set()
-        new_kappa = dag_longest_path(g, arcs)
-        if new_kappa >= kappa:
-            raise SolverError("window failed to shrink")
-        kappa = new_kappa
-        yield Orientation.from_arcs(g, arcs)
+    return order_arcs(g, sorted(range(g.n), key=lambda v: (colors[v], -v)))
 
 
 def min_diameter_orientation(g: UndirectedGraph, *,
                              reports: Optional[List[SolveReport]] = None,
-                             deadline: Optional[float] = None) -> Tuple[Orientation, int]:
-    """Acyclic orientation minimizing the longest directed path, with its length.
+                             deadline: Optional[float] = None) -> Tuple[frozenset, int]:
+    """Arcs of an acyclic orientation minimizing the longest directed path,
+    one per edge, with that path's length.
 
     Each connected component starts from the orientation of its DSATUR
     coloring and repeatedly solves the window-load model at the incumbent
     diameter; the window shrinks strictly until the model certifies it cannot
-    be beaten.
+    be beaten. Each component's arcs map back to `g` through the vertex list
+    of its induced subgraph. `reports` collects every window solve's report.
     Every window solve shares `deadline`; a solve that reaches it raises
-    TimeLimitError, whose `orientation` is the best found so far: each
+    TimeLimitError, whose `arcs` are the best orientation found so far: each
     finished component's optimum, the current component's last window and
     each later component's DSATUR start.
     """
-    parts = []  # (vertices, induced subgraph), components with edges only
+    parts = []  # (original vertices, induced subgraph), components with edges only
     for comp in g.components():
-        sub, _ = g.induced_subgraph(comp)
+        sub, verts = g.induced_subgraph(comp)
         if sub.m:
-            parts.append((set(comp), sub))
-    best = [_dsatur_orientation(sub) for _, sub in parts]
+            parts.append((verts, sub))
+    best = [_dsatur_arcs(sub) for _, sub in parts]
 
-    def joined() -> Orientation:
-        # The monotone relabeling keeps edge order and direction sense.
-        dirs = [0] * g.m
-        for (members, _), orient in zip(parts, best):
-            sub_dirs = iter(orient.dirs)
-            for e, (i, _) in enumerate(g.edges):
-                if i in members:
-                    dirs[e] = next(sub_dirs)
-        return Orientation(g, dirs)
+    def joined() -> frozenset:
+        return frozenset(g.arc(verts[sub.tails[a]], verts[sub.heads[a]])
+                         for (verts, sub), arcs in zip(parts, best) for a in arcs)
 
     try:
         for k, (_, sub) in enumerate(parts):
-            for best[k] in _shorter_orientations(sub, best[k], reports, deadline=deadline):
-                pass
+            kappa = dag_longest_path(sub, best[k])
+            while kappa >= 1:
+                rep = solve_ao(sub, kappa, deadline=deadline)
+                if reports is not None:
+                    reports.append(rep)
+                if rep.status == "timeout":
+                    raise TimeLimitError("time limit hit during the window search")
+                if rep.status != "optimal":
+                    raise SolverError(f"window solve ended with status {rep.status}")
+                if rep.objective >= kappa - 1e-9:
+                    break
+                arcs = rep.best_point.arc_set()
+                new_kappa = dag_longest_path(sub, arcs)
+                if new_kappa >= kappa:
+                    raise SolverError("window failed to shrink")
+                best[k], kappa = arcs, new_kappa
     except TimeLimitError as exc:
-        exc.orientation = joined()
+        exc.arcs = joined()
         raise
-    orient = joined()
-    return orient, dag_longest_path(g, orient.arcs())
+    arcs = joined()
+    return arcs, dag_longest_path(g, arcs)
 
 
 def chromatic_number(g: UndirectedGraph, *,
+                     reports: Optional[List[SolveReport]] = None,
                      deadline: Optional[float] = None) -> Tuple[int, List[int]]:
-    """Exact chromatic number with a witness coloring.
+    """Exact chromatic number with a witness coloring, one colour per vertex.
 
     The longest-path labels of a diameter-minimal acyclic orientation form a
     proper coloring with one class per path level, and no coloring can use
-    fewer classes than longest path + 1. Raises TimeLimitError past
-    `deadline`.
+    fewer classes than longest path + 1. The answer is checked once: the
+    labels must exist within the window optimum q, use every level up to q
+    and differ on every edge; otherwise SolverError, whose message says the
+    recheck failed. `reports` collects every window solve's report. Raises
+    TimeLimitError past `deadline`, carrying the best orientation's `arcs`.
     """
-    orient, q = min_diameter_orientation(g, deadline=deadline)
-    colors = longest_path_labels(g, orient.arcs())
-    if max(colors) != q:
-        raise SolverError("layer count disagrees with the window optimum")
+    arcs, q = min_diameter_orientation(g, reports=reports, deadline=deadline)
+    colors = least_labels(g, arcs, q)
+    if colors is None or max(colors) != q or any(colors[i] == colors[j] for i, j in g.edges):
+        raise SolverError(f"coloring failed the final recheck at window optimum {q}")
     return q + 1, colors
 
 
@@ -681,16 +668,15 @@ def guaranteed_feasible_z(kappa: int, q: int) -> int:
     return kappa - kappa // (q + 1)
 
 
-def check_load_reduction(g: UndirectedGraph, kappa: int,
-                         orientation: Orientation) -> bool:
+def check_load_reduction(g: UndirectedGraph, kappa: int, arcs: Iterable[int]) -> bool:
     """Confirm the reduced-load value against every model constraint.
 
-    Pairs the orientation with z = kappa - floor(kappa / (diam + 1)), where
-    diam is the orientation's longest path, and replays the full integral
-    feasibility check at window kappa. Intended for orientations whose
-    diameter is already minimal and kappa at least diam + 1.
+    Pairs the orientation's arc set with z = kappa - floor(kappa / (diam + 1)),
+    where diam is its longest path, and replays the full integral feasibility
+    check at window kappa. Intended for orientations whose diameter is
+    already minimal and kappa at least diam + 1.
     """
-    arcs = orientation.arcs()
+    arcs = g.check_arcs(arcs)
     diam = dag_longest_path(g, arcs)
     z = guaranteed_feasible_z(kappa, diam)
     w = tuple(1.0 if a in arcs else 0.0 for a in range(2 * g.m))

@@ -74,6 +74,13 @@ def mycielski(g: UndirectedGraph) -> UndirectedGraph:
     return UndirectedGraph(2 * n + 1, out)
 
 
+def interleaved_components() -> UndirectedGraph:
+    """C5 on the even vertices 0-8, a triangle on 1, 3, 5 and the edges 7-9
+    and 10-11: components whose vertex numbers interleave; chi 3."""
+    c5 = [(0, 2), (2, 4), (4, 6), (6, 8), (0, 8)]
+    return UndirectedGraph(12, c5 + [(1, 3), (3, 5), (1, 5), (7, 9), (10, 11)])
+
+
 def random_point(g: UndirectedGraph, kappa: int, rng: random.Random) -> ModelPoint:
     w = tuple(rng.random() for _ in range(2 * g.m))
     return ModelPoint(w, rng.random() * kappa)

@@ -168,10 +168,10 @@ def test_criterion_5_window_optima_and_reduction_bound():
             target = guaranteed_feasible_z(kappa, q)
             assert target == kappa - kappa // (q + 1)
             assert rep.objective <= target + 1e-9, (name, kappa)
-        orient, got_q = min_diameter_orientation(g)
+        arcs, got_q = min_diameter_orientation(g)
         assert got_q == q
         for kappa in range(q + 1, q + 4):
-            assert check_load_reduction(g, kappa, orient), (name, kappa)
+            assert check_load_reduction(g, kappa, arcs), (name, kappa)
 
 
 def test_criterion_6_separation_is_exact():

@@ -13,7 +13,7 @@ from orientcut.errors import InfeasibleError, ParseError
 from orientcut.fap import FapInstance, FrequencyAssignment, brute_force_min_spectrum
 from orientcut.graphs import UndirectedGraph, cycle_graph
 
-from conftest import mycielski, queen_graph
+from conftest import interleaved_components, mycielski, queen_graph
 
 K3_COL = "c tiny triangle\np edge 3 3\ne 1 2\ne 1 3\ne 2 3\n"
 
@@ -452,6 +452,32 @@ def test_cli_color_timeout_reports_its_bounds(capsys, tmp_path, name, lower):
     assert f"{lower} to 9 colours" in err
 
 
+@pytest.mark.parametrize("extra, expect", [([], 0), (["--time-limit", "0"], 3)])
+def test_cli_color_on_interleaved_components(capsys, tmp_path, extra, expect):
+    g = interleaved_components()
+    path = _write_col(tmp_path / "interleaved.col", g)
+    code, out, _ = _run(capsys, ["color", path, *extra])
+    rep = json.loads(out)
+    assert code == expect and _proper_classes(g, rep["classes"])
+    assert rep.get("chromatic") == (3 if expect == 0 else None)
+
+
+@pytest.mark.parametrize("argv", [["color"], ["orient", "--kappa", "2"]])
+def test_cli_solver_error_exits_1(capsys, tmp_path, monkeypatch, argv):
+    """A simplex fault ends the command with one error line, exit 1 and no report."""
+    from orientcut.errors import SolverError
+    from orientcut.lp import LinearProgram
+
+    def singular(self, *args, **kwargs):
+        raise SolverError("basis matrix is singular")
+
+    monkeypatch.setattr(LinearProgram, "solve", singular)
+    path = _write_col(tmp_path / "c5.col", cycle_graph(5))  # C5 needs an LP at kappa 2
+    code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
+    assert code == 1 and not out
+    assert err == "error: basis matrix is singular\n"
+
+
 def test_cli_error_exits(capsys, tmp_path):
     bad = tmp_path / "bad.col"
     bad.write_text("p edge 2 1\ne 1 5\n")
@@ -491,8 +517,8 @@ def test_cli_rejects_non_utf8_input(capsys, tmp_path, argv):
 def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
     import dataclasses
 
-    from orientcut import cli
-    from orientcut.graphs import Orientation
+    from orientcut import cli, solver
+    from orientcut.graphs import order_arcs
     from orientcut.model import ModelPoint
 
     real = cli.solve_ao
@@ -507,13 +533,20 @@ def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
     assert err.startswith("error:") and "recheck" in err
 
     def cyclic(g, **kwargs):
-        return Orientation(g, [0 if (j - i) % 3 == 1 else 1 for i, j in g.edges]), 2
+        return frozenset(g.arc(i, j) if (j - i) % 3 == 1 else g.arc(j, i)
+                         for i, j in g.edges), 2
 
     def too_long(g, **kwargs):  # acyclic, but its longest path has 2 arcs
-        return Orientation.from_vertex_order(g, range(g.n)), 1
+        return order_arcs(g, range(g.n)), 1
 
-    for wrong in (cyclic, too_long):
-        monkeypatch.setattr(cli, "min_diameter_orientation", wrong)
+    def level_unused(g, **kwargs):  # no path reaches label 3
+        return order_arcs(g, range(g.n)), 3
+
+    def edge_unoriented(g, **kwargs):  # vertices 0 and 2 share label 0
+        return frozenset({g.arc(0, 1)}), 1
+
+    for wrong in (cyclic, too_long, level_unused, edge_unoriented):
+        monkeypatch.setattr(solver, "min_diameter_orientation", wrong)
         code, out, err = _run(capsys, ["color", k3_file])
         assert code == 1 and not out
         assert err.startswith("error:") and "recheck" in err

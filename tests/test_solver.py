@@ -12,7 +12,6 @@ from orientcut import fap, separation, solver
 from orientcut.errors import InfeasibleError, InputError, SolverError
 from orientcut.fap import FapInstance, FapPair, solve_soft_cost
 from orientcut.graphs import (
-    Orientation,
     UndirectedGraph,
     complete_graph,
     cycle_graph,
@@ -44,7 +43,7 @@ from orientcut.solver import (
     solve_model,
 )
 
-from conftest import BATTERY, mycielski, queen_graph
+from conftest import BATTERY, interleaved_components, mycielski, queen_graph
 
 
 def _myciel3():
@@ -703,7 +702,7 @@ def test_propagation_keeps_every_short_acyclic_orientation():
             continue
         orientations = []
         for dirs in itertools.product((0, 1), repeat=g.m):
-            arcs = Orientation(g, dirs).arcs()
+            arcs = frozenset(2 * e + d for e, d in enumerate(dirs))
             if is_acyclic(g, arcs):
                 orientations.append((arcs, dag_longest_path(g, arcs)))
         for kappa in (1, 2, 3, 4, 6):  # the path rule implies the reach rule below 6
@@ -784,7 +783,7 @@ def test_label_windows_keep_every_labelled_orientation():
         side = [tuple(r.coeffs) for r in exp.side_rows]
         kept = {(True, True): [], (True, False): [], (False, True): [], (False, False): []}
         for dirs in itertools.product((0, 1), repeat=g.m):
-            arcs = Orientation(g, dirs).arcs()
+            arcs = frozenset(2 * e + d for e, d in enumerate(dirs))
             if not is_acyclic(g, arcs):
                 continue
             fits = _least_labels(g, arcs, [None] * g.n, top) is not None  # longest < kappa
@@ -1052,22 +1051,34 @@ def test_chromatic_number_disconnected():
     # no edges: every component is skipped by the component loop
     reports = []
     edgeless = UndirectedGraph(3, [])
-    assert min_diameter_orientation(edgeless, reports=reports) == (Orientation(edgeless, []), 0)
+    assert min_diameter_orientation(edgeless, reports=reports) == (frozenset(), 0)
     assert reports == [] and chromatic_number(edgeless) == (1, [0, 0, 0])
+
+
+def test_min_diameter_orientation_on_interleaved_components():
+    """Each component's arcs map back through its own vertex list."""
+    g = interleaved_components()
+    reports = []
+    arcs, q = min_diameter_orientation(g, reports=reports)
+    assert q == 2 and len(arcs) == g.m and {a >> 1 for a in arcs} == set(range(g.m))
+    assert is_acyclic(g, arcs) and dag_longest_path(g, arcs) == 2
+    again = []
+    chi, colors = chromatic_number(g, reports=again)
+    assert chi == 3 and all(colors[i] != colors[j] for i, j in g.edges)
+    assert len(again) == len(reports) >= 1
 
 
 def test_min_diameter_orientation_realizes_q():
     for name, g, q in BATTERY:
-        orient, got = min_diameter_orientation(g)
+        arcs, got = min_diameter_orientation(g)
         assert got == q, name
-        arcs = orient.arcs()
         assert is_acyclic(g, arcs)
         assert dag_longest_path(g, arcs) == q
 
 
 def test_min_diameter_orientation_reports():
     reports = []
-    orient, q = min_diameter_orientation(complete_graph(3), reports=reports)
+    arcs, q = min_diameter_orientation(complete_graph(3), reports=reports)
     assert q == 2 and reports
     assert all(r.status == "optimal" for r in reports)
 
@@ -1082,6 +1093,6 @@ def test_guaranteed_feasible_z_values():
 
 def test_check_load_reduction_on_min_diameter_orientations():
     for name, g, q in BATTERY:
-        orient, _ = min_diameter_orientation(g)
+        arcs, _ = min_diameter_orientation(g)
         for kappa in range(q + 1, q + 4):
-            assert check_load_reduction(g, kappa, orient), (name, kappa)
+            assert check_load_reduction(g, kappa, arcs), (name, kappa)
