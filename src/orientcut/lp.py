@@ -20,15 +20,15 @@ block-pivots starts from the slack basis.
 The tableau is the compact (dictionary) form: one column per nonbasic
 variable plus the rhs, so it is rows x (structurals + 1) however many rows
 the program has, and one pivot costs O(rows x structurals). When the basic
-solution a solve ends with fails its residual check (drift), the tableau is
-rebuilt once from the rows and the basis and the solve goes on from there.
+solution a solve ends with fails its residual check (drift), the program
+restarts once from the slack basis, rebuilt from the rows, and pivots again;
+that basis is the identity, so it cannot be singular, and it is dual feasible
+for the reason above. A fault that survives the restart raises SolverError.
 
 The leaving row is the one with the largest bound violation and the ratio
 test breaks ties towards the largest pivot, then the smallest variable
 index; after a burst of dual-degenerate pivots both choices go to the
-smallest variable index (Bland's rule) to rule out cycling. Problems at the
-scale handled here (a hundred or so variables, hundreds of rows) solve in
-milliseconds.
+smallest variable index (Bland's rule) to rule out cycling.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class LinearProgram:
         self.val = np.where(self.c < 0, self.col_hi, self.col_lo)
         self.d = self.c.copy()
         self.tab = np.zeros((0, ns + 1))
-        self.a = np.zeros((0, ns))      # the rows as given, for `_check` and `_refactor`
+        self.a = np.zeros((0, ns))      # the rows as given, for `_check` and `_restart`
         self.b = np.zeros(0)
         self.basis = np.zeros(0, dtype=int)
         self.nonbasic = np.arange(ns)
@@ -182,8 +182,8 @@ class LinearProgram:
             self._add(self.rows[len(self.basis):])
         iterations = self._iterate()
         if self._check(iterations is not None) is not None:
-            # Drift: rebuild the tableau from the rows and the basis, pivot again.
-            self._refactor()
+            # Drift: restart from the slack basis and pivot again.
+            self._restart()
             more = self._iterate()
             fault = self._check(more is not None)
             if fault is not None:
@@ -293,18 +293,16 @@ class LinearProgram:
     def _refresh_basics(self):
         self.val[self.basis] = self.tab[:, -1] - self.tab[:, :-1] @ self.val[self.nonbasic]
 
-    def _refactor(self):
-        """Rebuild the tableau and the reduced costs from the rows and the
-        current basis: one dense solve with the basis columns of [A I]."""
+    def _restart(self):
+        """Rebuild the tableau from the rows in the slack basis, each structural
+        at the bound its cost prefers (a fixed one keeps its value): the basis
+        is the identity and, every structural being boxed, dual feasible."""
         ns, nr = len(self.c), len(self.basis)
-        full = np.hstack([self.a, np.eye(nr)])
-        cost = np.concatenate([self.c, np.zeros(nr)])
-        try:
-            self.tab = np.linalg.solve(full[:, self.basis],
-                                       np.column_stack([full[:, self.nonbasic], self.b]))
-        except np.linalg.LinAlgError:
-            raise SolverError("basis matrix is singular") from None
-        self.d = cost[self.nonbasic] - cost[self.basis] @ self.tab[:, :ns]
+        self.tab = np.column_stack([self.a, self.b])
+        self.basis = np.arange(ns, ns + nr)
+        self.nonbasic = np.arange(ns)
+        self.d = self.c.copy()
+        self.val[:ns] = np.where(self.c < 0, self.col_hi[:ns], self.col_lo[:ns])
         self._refresh_basics()
 
     def _check(self, feasible: bool) -> Optional[str]:

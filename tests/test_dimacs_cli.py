@@ -468,14 +468,14 @@ def test_cli_solver_error_exits_1(capsys, tmp_path, monkeypatch, argv):
     from orientcut.errors import SolverError
     from orientcut.lp import LinearProgram
 
-    def singular(self, *args, **kwargs):
-        raise SolverError("basis matrix is singular")
+    def fault(self, *args, **kwargs):
+        raise SolverError("row residual 1.000e-03 exceeds tolerance")
 
-    monkeypatch.setattr(LinearProgram, "solve", singular)
+    monkeypatch.setattr(LinearProgram, "solve", fault)
     path = _write_col(tmp_path / "c5.col", cycle_graph(5))  # C5 needs an LP at kappa 2
     code, out, err = _run(capsys, [argv[0], path, *argv[1:]])
     assert code == 1 and not out
-    assert err == "error: basis matrix is singular\n"
+    assert err == "error: row residual 1.000e-03 exceeds tolerance\n"
 
 
 def test_cli_error_exits(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import collections
 import gc
 import random
 import weakref
@@ -478,34 +479,44 @@ def test_entering_ties_go_to_the_smallest_variable_id():
     assert _entering(equal, np.ones(5), ids, bland=False) == 3
 
 
-def test_drifted_tableau_is_refactorised_once():
+def test_drifted_tableau_restarts_once(monkeypatch):
     """A tableau whose rhs drifted fails the residual check after the next
-    solve; the program rebuilds it from its rows and the basis and still
-    reaches the optimum of a cold build of the same rows."""
+    solve, and so does one whose basis also names one column in two rows (a
+    singular basis matrix); the program restarts once from the slack basis,
+    rebuilt from its rows, and still reaches the optimum of a cold build of
+    the same rows."""
+    restarts = []
+    restart = LinearProgram._restart
+    monkeypatch.setattr(LinearProgram, "_restart",
+                        lambda self: restarts.append(self) or restart(self))
     rng = random.Random(808)
-    checked = 0
+    checked = collections.Counter()
     for _ in range(100):
         c, lo, hi, rows = _degenerate_program(rng)
-        lp = _cold(c, lo, hi, rows)
-        if not lp.solve().optimal:
-            continue
-        lp.tab[:, -1] += 1e-4
         extra = ({j: 1 for j in range(len(c))}, "<=", len(c) - 1)
-        sol = lp.add_rows_and_resolve([extra])
         cold = _cold(c, lo, hi, rows + [extra]).solve()
-        assert sol.status == cold.status
-        if cold.optimal:
-            assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
-            assert lp.a @ sol.x[:len(c)] == pytest.approx(lp.b - lp.val[len(c):], abs=1e-9)
-            checked += 1
-    assert checked >= 40
+        for singular in (False, True):
+            lp = _cold(c, lo, hi, rows)
+            if not lp.solve().optimal:
+                continue
+            if singular:
+                lp.basis[-1] = lp.basis[0]
+            lp.tab[:, -1] += 1e-4
+            restarts.clear()
+            sol = lp.add_rows_and_resolve([extra])
+            assert sol.status == cold.status and restarts == [lp]
+            if cold.optimal:
+                assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert lp.a @ sol.x[:len(c)] == pytest.approx(lp.b - lp.val[len(c):], abs=1e-9)
+                checked[singular] += 1
+    assert min(checked.values()) >= 40
 
 
-def test_refactorisation_gives_up_on_a_second_fault(monkeypatch):
+def test_restart_gives_up_on_a_second_fault(monkeypatch):
     lp = LinearProgram([-1, -1], [0, 0], [1, 1])
     lp.add_row({0: 1, 1: 1}, "<=", 1.5)
     lp.solve()
-    monkeypatch.setattr(LinearProgram, "_refactor", lambda self: None)
+    monkeypatch.setattr(LinearProgram, "_restart", lambda self: None)
     lp.tab[:, -1] += 1e-4
     with pytest.raises(SolverError, match="row residual"):
         lp.add_rows_and_resolve([({0: 1}, "<=", 0.8)])

@@ -1043,6 +1043,30 @@ def test_chromatic_number_named_graphs():
     assert chromatic_number(petersen_graph())[0] == 3
 
 
+def test_drift_in_the_search_restarts_once(monkeypatch):
+    """Drift in the first program the search pivots fails its residual check;
+    one restart from the slack basis recovers it and chi is the one found
+    without drift. The colouring may differ but stays proper."""
+    iterate, restart = LinearProgram._iterate, LinearProgram._restart
+    for g in (petersen_graph(), _myciel3()):
+        chi, _ = chromatic_number(g)
+        calls, restarts = [], []
+
+        def drifting(lp):
+            if not calls:
+                lp.tab[:, -1] += 1e-3
+            calls.append(lp)
+            return iterate(lp)
+
+        monkeypatch.setattr(LinearProgram, "_iterate", drifting)
+        monkeypatch.setattr(LinearProgram, "_restart",
+                            lambda lp: restarts.append(lp) or restart(lp))
+        drifted, colors = chromatic_number(g)
+        monkeypatch.undo()
+        assert drifted == chi and len(restarts) == 1 and restarts[0] is calls[0]
+        assert all(colors[u] != colors[v] for u, v in g.edges)
+
+
 def test_chromatic_number_disconnected():
     g = UndirectedGraph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])
     chi, colors = chromatic_number(g)
