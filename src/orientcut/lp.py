@@ -29,6 +29,17 @@ The leaving row is the one with the largest bound violation and the ratio
 test breaks ties towards the largest pivot, then the smallest variable
 index; after a burst of dual-degenerate pivots both choices go to the
 smallest variable index (Bland's rule) to rule out cycling.
+
+A solve takes the command's deadline and reads the clock once every
+DEADLINE_PIVOTS pivots. Past it the solve stops with status "stopped": the
+basis it reached is still dual feasible, so a later solve goes on from it.
+
+`affine_dimension` is exact: the rank of the points' differences D equals
+the rank of the square Gram matrix D'D, over the reals and so over the
+rationals. D'D is formed in int64 when every point entry is below 2^62 in
+size and rows x max|D|^2 < 2^62, which keeps every sum from overflowing,
+and in Python ints otherwise; fraction-free elimination then ranks all of
+its rows, with no early stop.
 """
 
 from __future__ import annotations
@@ -36,6 +47,7 @@ from __future__ import annotations
 import copy
 import math
 import operator
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -48,11 +60,13 @@ FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
 _BOUND_TOL = 1e-9
 _DEGEN_EPS = 1e-10
+DEADLINE_PIVOTS = 64  # a solve reads its deadline once per this many pivots
+_INT64_GUARD = 1 << 62  # the rank's int64 bound, on entries and on rows x max|D|^2
 
 
 @dataclass
 class LpSolution:
-    status: str                       # "optimal" or "infeasible"
+    status: str                       # "optimal", "infeasible" or "stopped"
     x: Optional[np.ndarray] = None    # structural variable values
     objective: Optional[float] = None
     iterations: int = 0               # pivots of this call only
@@ -101,12 +115,13 @@ class LinearProgram:
                 raise InputError(f"variable index {j} out of range")
         self.rows.append((dict(coeffs), sense, float(rhs)))
 
-    def add_rows_and_resolve(self, rows) -> LpSolution:
+    def add_rows_and_resolve(self, rows, deadline: Optional[float] = None) -> LpSolution:
         """Append rows and re-solve from the last basis, with the slacks of
-        the new rows basic; a row the last optimum satisfies costs no pivot."""
+        the new rows basic; a row the last optimum satisfies costs no pivot.
+        `deadline` is as in `solve`."""
         for coeffs, sense, rhs in rows:
             self.add_row(coeffs, sense, rhs)
-        return self.solve()
+        return self.solve(deadline)
 
     def branch(self, fixed: Iterable[Tuple[int, float]]) -> "LinearProgram":
         """A copy with each (variable, value) of `fixed` fixed at its value;
@@ -174,23 +189,30 @@ class LinearProgram:
         self.basis[rows] = cols
         val[cols] = prows[:, -1] - prows[:, :-1] @ vn
 
-    def solve(self) -> LpSolution:
+    def solve(self, deadline: Optional[float] = None) -> LpSolution:
+        """Re-optimise from the last basis. `deadline`, a `time.monotonic()`
+        reading, is checked once every DEADLINE_PIVOTS pivots; past it the
+        solve stops with status "stopped" and the pivots made so far. The
+        program keeps the dual feasible basis it reached, and the next solve
+        goes on from there."""
         ns = len(self.c)
         if np.any(self.col_lo[:ns] > self.col_hi[:ns] + _BOUND_TOL):
             return LpSolution(status="infeasible")
         if len(self.rows) > len(self.basis):
             self._add(self.rows[len(self.basis):])
-        iterations = self._iterate()
-        if self._check(iterations is not None) is not None:
+        status, iterations = self._iterate(deadline)
+        if status != "stopped" and self._check(status == "optimal") is not None:
             # Drift: restart from the slack basis and pivot again.
             self._restart()
-            more = self._iterate()
-            fault = self._check(more is not None)
+            status, more = self._iterate(deadline)
+            iterations += more
+            fault = None if status == "stopped" else self._check(status == "optimal")
             if fault is not None:
                 raise SolverError(fault)
-            iterations = None if more is None else (iterations or 0) + more
-        if iterations is None:
+        if status == "infeasible":
             return LpSolution(status="infeasible")
+        if status == "stopped":
+            return LpSolution("stopped", iterations=iterations)
         x = np.clip(self.val[:ns], self.col_lo[:ns], self.col_hi[:ns])
         return LpSolution("optimal", x, float(self.c @ x), iterations)
 
@@ -214,11 +236,13 @@ class LinearProgram:
         self.basis = np.concatenate([self.basis, np.arange(total, total + k)])
         self._refresh_basics()
 
-    def _iterate(self) -> Optional[int]:
-        """Dual simplex pivots until the basis is primal feasible; the pivot
-        count, or None once a row proves the program infeasible."""
+    def _iterate(self, deadline: Optional[float] = None) -> Tuple[str, int]:
+        """Dual simplex pivots until the basis is primal feasible: "optimal",
+        "infeasible" once a row proves the program so, or "stopped" when
+        `deadline` has passed at a check made every DEADLINE_PIVOTS pivots;
+        with the pivot count."""
         if not len(self.basis):
-            return 0
+            return "optimal", 0
         tab, val, d = self.tab, self.val, self.d
         basis, nonbasic = self.basis, self.nonbasic
         lo, hi = self.col_lo, self.col_hi
@@ -238,12 +262,15 @@ class LinearProgram:
                 if bland:
                     rows = np.flatnonzero(violation > FEAS_TOL)
                     if not len(rows):
-                        return iterations
+                        return "optimal", iterations
                     r = int(rows[np.argmin(basis[rows])])
                 else:
                     r = int(violation.argmax())
                     if violation[r] <= FEAS_TOL:
-                        return iterations
+                        return "optimal", iterations
+                if deadline is not None and iterations and not iterations % DEADLINE_PIVOTS \
+                        and time.monotonic() >= deadline:
+                    return "stopped", iterations
                 if iterations > max_iter:
                     raise SolverError("simplex iteration limit reached")
                 leaving = basis[r]
@@ -258,7 +285,7 @@ class LinearProgram:
                 np.maximum(ratios, 0.0, out=ratios)
                 step = ratios.min()
                 if step == np.inf:
-                    return None
+                    return "infeasible", iterations
                 q = _entering(ratios <= step + 1e-12, alpha, nonbasic, bland)
                 if step < _DEGEN_EPS:
                     degenerate += 1
@@ -333,28 +360,74 @@ def _entering(ties: np.ndarray, alpha: np.ndarray, ids: np.ndarray, bland: bool)
 
 
 def affine_dimension(points: Sequence[Sequence]) -> int:
-    """Affine dimension of a point set, by exact fraction-free integer elimination.
+    """Affine dimension of a point set, exactly: the rank of D'D.
 
-    Rank of the differences against the first point: a single point has
-    dimension 0, an empty set dimension -1. Each difference is scaled to
-    integers, reduced against the basis by cross-multiplying and divided by
-    its gcd. The reduction stops early once the ambient dimension is reached.
+    D holds the differences against the first point, one row per other point,
+    and rank(D'D) = rank(D) over the reals, so over the rationals too: if
+    D'Dx = 0 then |Dx|^2 = x'D'Dx = 0. A single point has dimension 0, an
+    empty set dimension -1. Integer points (int, bool, numpy integers) become
+    D in one numpy call; other entries are exact as Fractions, and each
+    difference row is scaled to integers, which leaves the rank alone. The
+    square Gram matrix D'D, of the points' length, is formed in int64 when
+    every entry lies below 2^62 in size and rows x max|D|^2 < 2^62, so no sum
+    can overflow, and in Python ints otherwise. Its rank comes from
+    fraction-free elimination over every one of its rows: each row is
+    reduced against the basis by cross-multiplying and divided by its gcd.
     """
     pts = list(points)
     if not pts:
         return -1
-    base = pts[0]
-    ambient = len(base)
+    try:
+        arr = np.array(pts)
+    except ValueError:  # ragged
+        arr = None
+    if arr is None or arr.ndim != 2:
+        raise InputError("points must share one dimension")
+    if arr.dtype.kind in "biu" and arr.min(initial=0) > -_INT64_GUARD \
+            and arr.max(initial=0) < _INT64_GUARD:
+        diff = arr.astype(np.int64, copy=False)
+        diff -= diff[0]  # in place; the first point's zero row adds nothing to D'D
+    else:  # Fractions, floats, or ints numpy cannot hold exactly
+        diff = np.array([_integer_row(p, pts[0]) for p in pts[1:]],
+                        dtype=object).reshape(len(pts) - 1, arr.shape[1])
+    return _rank(_gram(diff))
+
+
+def _integer_row(p: Sequence, base: Sequence) -> List[int]:
+    """p - base as integers: exact for integer entries, else scaled by the
+    least common denominator of the exact (Fraction) differences."""
+    try:
+        return [operator.index(a) - operator.index(b) for a, b in zip(p, base)]
+    except TypeError:
+        diff = [_fraction(a) - _fraction(b) for a, b in zip(p, base)]
+        scale = math.lcm(*(q.denominator for q in diff))
+        return [int(q * scale) for q in diff]
+
+
+def _fraction(a) -> Fraction:
+    """`a` exactly, with Python int terms: a Fraction of a numpy integer would
+    keep it, and overflow."""
+    try:
+        return Fraction(operator.index(a))
+    except TypeError:
+        return Fraction(a)
+
+
+def _gram(diff: np.ndarray) -> List[List[int]]:
+    """diff' diff as Python ints, multiplied in int64 when the bound in
+    `affine_dimension` proves that exact, as Python ints otherwise."""
+    top = int(max(diff.max(initial=0), -diff.min(initial=0)))
+    if top < _INT64_GUARD and len(diff) * top * top < _INT64_GUARD:
+        d = diff.astype(np.int64, copy=False)
+    else:
+        d = diff.astype(object)
+    return (d.T @ d).tolist()
+
+
+def _rank(rows: List[List[int]]) -> int:
+    """Rank of integer rows by fraction-free elimination."""
     basis: List[Tuple[int, int, List[int]]] = []  # (lead index, lead entry, row)
-    for p in pts[1:]:
-        if len(p) != ambient:
-            raise InputError("points must share one dimension")
-        try:
-            v = [operator.index(a) - operator.index(b) for a, b in zip(p, base)]
-        except TypeError:  # Fraction or float entries: clear the denominators
-            diff = [Fraction(a) - Fraction(b) for a, b in zip(p, base)]
-            scale = math.lcm(*(q.denominator for q in diff))
-            v = [int(q * scale) for q in diff]
+    for v in rows:
         for pivot_idx, pivot, pivot_vec in basis:
             factor = v[pivot_idx]
             if factor:
@@ -363,6 +436,4 @@ def affine_dimension(points: Sequence[Sequence]) -> int:
         if lead is not None:
             g = math.gcd(*v)
             basis.append((lead, v[lead] // g, [a // g for a in v]))
-            if len(basis) == ambient:
-                break
     return len(basis)

@@ -30,6 +30,7 @@ from .lp import affine_dimension
 from .model import AO, LinearRow, ModelConfig, ModelPoint
 
 MAX_LAB_EDGES = 8
+MAX_LAB_POINTS = 1 << 20
 MAX_BRUTE_VERTICES = 10
 MAX_BRUTE_STATES = 1 << 20
 
@@ -68,17 +69,20 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[Mode
     For each acyclic selection, z ranges over the integers from the maximum
     path load up to the z upper bound. Intermediate levels are convex
     combinations of the endpoints, so affine hulls computed from these points
-    coincide with those of the full continuous-z solution set.
+    coincide with those of the full continuous-z solution set. The z levels
+    of every selection are counted before any point is built, and more than
+    MAX_LAB_POINTS of them in all are refused: the count grows with kappa.
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
     z_lo = int(cfg.z_lower)
     z_up = int(cfg.z_upper)
-    points = []
-    for w, _, load in _selection_scan(g, cfg):
-        for zi in range(max(load, z_lo), z_up + 1):
-            points.append(ModelPoint(w, zi))
-    return points
+    levels = [(w, range(max(load, z_lo), z_up + 1)) for w, _, load in _selection_scan(g, cfg)]
+    count = sum(len(zs) for _, zs in levels)
+    if count > MAX_LAB_POINTS:
+        raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_POINTS} points, "
+                               f"got {count}")
+    return [ModelPoint(w, zi) for w, zs in levels for zi in zs]
 
 
 def _vectors(points: Sequence[ModelPoint]) -> List[Tuple[int, ...]]:

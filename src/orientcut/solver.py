@@ -80,9 +80,11 @@ node the incumbent prunes is pruned even past the deadline), and a node's cut
 loop checks it before each round and after a round that finds no row (the
 window search reads it too and, past it, returns the rows it holds). Past
 it, a node that is neither a candidate nor pruned goes back onto the heap
-with its current program, whatever its point. The search stops at the next
-pop it cannot prune and reports `timeout` with the best bound among that
-node and the open ones.
+with its current program, whatever its point. Each LP solve reads it too,
+once every `lp.DEADLINE_PIVOTS` pivots; a solve that stops there puts its
+node back onto the heap with its program, at the bound the node was popped
+with. The search stops at the next pop it cannot prune and reports `timeout`
+with the best bound among that node and the open ones.
 """
 
 from __future__ import annotations
@@ -174,7 +176,7 @@ class _Node:
 
 @dataclass
 class _NodeResult:
-    status: str  # "infeasible" | "candidate" | "pruned" | "branched"
+    status: str  # "infeasible" | "candidate" | "pruned" | "branched" | "stopped"
     bound: float
     history: List[float]
     cuts_by_tag: Dict[str, int]
@@ -369,12 +371,14 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     candidate and whose bound meets the cutoff of `incumbent`, the best
     objective so far, prunes the node: no further round and no children. Past
     the deadline, any other point makes the node, with its current program,
-    its own one child."""
+    its own one child. An LP solve that passes the deadline stops the node
+    at once ("stopped"), its own one child with the program as the solve left
+    it."""
     g = ctx.g
     cfg = ctx.cfg
     m = g.m
     lp = node.lp.branch(node.forced)
-    sol = lp.solve()
+    sol = lp.solve(ctx.deadline)
     iterations = sol.iterations
     history: List[float] = []
     cuts_by_tag: Dict[str, int] = {}
@@ -382,6 +386,9 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     rounds = 0
 
     while True:
+        if sol.status == "stopped":  # the LP passed the deadline
+            return _NodeResult("stopped", -math.inf, history, cuts_by_tag, iterations,
+                               children=(_Node(node.forced, lp),))
         if not sol.optimal:
             return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
         bound = sol.objective + ctx.objective.const
@@ -427,7 +434,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         for r in fresh:
             cuts_by_tag[r.tag] = cuts_by_tag.get(r.tag, 0) + 1
         sol = lp.add_rows_and_resolve(
-            [(r.coeffs_with_z(2 * m), r.sense, r.rhs) for r in fresh])
+            [(r.coeffs_with_z(2 * m), r.sense, r.rhs) for r in fresh], ctx.deadline)
         iterations += sol.iterations
 
 
@@ -551,6 +558,11 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
             offer(res.candidate)
         elif res.status == "pruned":
             pruned_count += 1
+        elif res.status == "stopped":
+            # back onto the heap with its program, at the bound it was popped
+            # with; the next pop reports the timeout
+            seq += 1
+            heapq.heappush(heap, (bound, -seq, res.children[0]))
         elif res.status == "branched":
             # no child needs a cutoff test: the cut loop found this bound
             # short of the cutoff, and the incumbent has not moved since

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 from typing import List, Optional, Tuple
 
 import pytest
@@ -89,3 +90,24 @@ def random_point(g: UndirectedGraph, kappa: int, rng: random.Random) -> ModelPoi
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)
+
+
+def fraction_rank(points) -> int:
+    """Reference: affine dimension by Gauss-Jordan elimination over Fractions."""
+    def exact(v):  # Fraction(np.int64) keeps the np.int64, which overflows
+        q = Fraction(v)
+        return Fraction(int(q.numerator), int(q.denominator))
+
+    if not points:
+        return -1
+    base = [exact(v) for v in points[0]]
+    basis = []
+    for p in points[1:]:
+        v = [exact(a) - b for a, b in zip(p, base)]
+        for lead, row in basis:
+            if v[lead]:
+                v = [a - v[lead] * b for a, b in zip(v, row)]
+        lead = next((k for k, a in enumerate(v) if a), None)
+        if lead is not None:
+            basis.append((lead, [a / v[lead] for a in v]))
+    return len(basis)

@@ -323,6 +323,13 @@ def test_cli_polytope_classify_cycle_on_one_vertex(capsys, tmp_path):
     assert rep["rows"] == [] and rep["validCount"] == rep["facetCount"] == 0
 
 
+def test_cli_polytope_refuses_too_many_points(capsys, k3_file):
+    """K3 at kappa 10^6 has 25,000,025 lab points: refused before any is built."""
+    code, out, err = _run(capsys, ["polytope", k3_file, "--kappa", "1000000"])
+    assert code == 1 and not out
+    assert err == "error: point enumeration capped at 1048576 points, got 25000025\n"
+
+
 def test_cli_polytope_one_rank_per_row(capsys, k3_file, monkeypatch):
     from orientcut import polytope
 

@@ -1,6 +1,7 @@
 import collections
 import gc
 import random
+import time
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -9,7 +10,15 @@ import numpy as np
 import pytest
 
 from orientcut.errors import InputError, SolverError
-from orientcut.lp import FEAS_TOL, PIVOT_TOL, LinearProgram, _entering, affine_dimension
+from conftest import fraction_rank
+from orientcut.lp import (
+    DEADLINE_PIVOTS,
+    FEAS_TOL,
+    PIVOT_TOL,
+    LinearProgram,
+    _entering,
+    affine_dimension,
+)
 
 
 def test_unconstrained_rests_at_bounds():
@@ -522,6 +531,36 @@ def test_restart_gives_up_on_a_second_fault(monkeypatch):
         lp.add_rows_and_resolve([({0: 1}, "<=", 0.8)])
 
 
+def test_past_deadline_stops_the_solve_within_its_pivot_stride():
+    """A solve reads its deadline once every DEADLINE_PIVOTS pivots. Past it
+    the solve stops there, keeping its dual feasible basis, and a later
+    solve goes on from it to the cold optimum, the remaining pivots of the
+    cold path."""
+    n = 60
+    rng = random.Random(7)
+    c = [-rng.randint(1, 9) for _ in range(n)]
+    rows = [({i: 1, (i + 1) % n: 1, (i + 7) % n: 1}, "<=", 1) for i in range(n)]
+    cold = _cold(c, [0] * n, [1] * n, rows).solve()
+    assert cold.optimal and cold.iterations > DEADLINE_PIVOTS
+    lp = _cold(c, [0] * n, [1] * n, rows)
+    stopped = lp.solve(time.monotonic() - 1)
+    assert stopped.status == "stopped" and not stopped.optimal and stopped.x is None
+    assert stopped.iterations == DEADLINE_PIVOTS
+    again = lp.solve()
+    assert again.optimal and again.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert stopped.iterations + again.iterations == cold.iterations
+    # a deadline still ahead changes nothing
+    ahead = _cold(c, [0] * n, [1] * n, rows).solve(time.monotonic() + 3600)
+    assert ahead.iterations == cold.iterations and ahead.objective == cold.objective
+    # a re-solve after added rows takes the deadline too
+    lp = _cold(c, [0] * n, [1] * n, rows[:1])
+    assert lp.solve().optimal
+    resumed = lp.add_rows_and_resolve(rows[1:], time.monotonic() - 1)
+    assert resumed.status == "stopped" and resumed.iterations == DEADLINE_PIVOTS
+    again = lp.solve()
+    assert again.optimal and again.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
 def test_affine_dimension_exact():
     assert affine_dimension([(0, 0)]) == 0
     assert affine_dimension([(0, 0), (1, 0)]) == 1
@@ -529,24 +568,26 @@ def test_affine_dimension_exact():
     # collinear, exact rationals would catch float fuzz
     pts = [(0, 0), (1, 3), (2, 6), (3, 9)]
     assert affine_dimension(pts) == 1
+    # a Fraction beside numpy integers near 2^63 is reduced in Python ints
+    big = np.int64((1 << 62) + 3)
+    assert affine_dimension([(Fraction(1, 2), big), (0, -big), (Fraction(1, 4), 0 * big)]) == 1
     assert affine_dimension([]) == -1
 
 
-def _fraction_rank(points):
-    """Reference: affine dimension by Gauss-Jordan elimination over Fractions."""
-    if not points:
-        return -1
-    base = [Fraction(v) for v in points[0]]
-    basis = []
-    for p in points[1:]:
-        v = [Fraction(a) - b for a, b in zip(p, base)]
-        for lead, row in basis:
-            if v[lead]:
-                v = [a - v[lead] * b for a, b in zip(v, row)]
-        lead = next((k for k, a in enumerate(v) if a), None)
-        if lead is not None:
-            basis.append((lead, [a / v[lead] for a in v]))
-    return len(basis)
+def _as_kind(kind, rng, value):
+    """The int `value` as an entry of `kind`; "mixed" draws bool, np.int64 or
+    int, and an np.int64 entry that cannot hold the value stays an int."""
+    if kind == "fraction":
+        return Fraction(value)
+    if kind == "float":
+        return float(value)
+    fits = -(1 << 63) <= value < 1 << 63
+    if kind == "mixed":
+        pick = rng.randrange(3)
+        if pick == 0 and value in (0, 1):
+            return bool(value)
+        return np.int64(value) if pick == 1 and fits else value
+    return np.int64(value) if kind == "np.int64" and fits else value
 
 
 def _random_points(rng, kind, count, dim, rank):
@@ -556,8 +597,7 @@ def _random_points(rng, kind, count, dim, rank):
             return rng.choice([0.0, 1.0, -2.5, 0.1, 0.3, 1e-3, 7.75])
         if kind == "fraction":
             return Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-        value = rng.randint(-3, 3)
-        return np.int64(value) if kind == "np.int64" else value
+        return _as_kind(kind, rng, rng.randint(-3, 3))
 
     origin = [entry() for _ in range(dim)]
     gens = [[entry() for _ in range(dim)] for _ in range(rank)]
@@ -571,17 +611,44 @@ def _random_points(rng, kind, count, dim, rank):
     return points
 
 
-@pytest.mark.parametrize("kind", ["int", "fraction", "float", "np.int64"])
+def _lab_like_points(rng, kind, dim):
+    """Hundreds of points shaped like the lab's: 0/1 selections from a small
+    pool, then z last, swept over a few levels or pinned to the selection's
+    size, so z levels repeat across selections; with duplicates."""
+    pool = [[rng.randint(0, 1) for _ in range(dim)] for _ in range(rng.randint(1, dim + 1))]
+    sweep = rng.random() < 0.5
+    points = []
+    while len(points) < 150:
+        w = rng.choice(pool)
+        low = rng.randint(0, 2)
+        levels = range(low, low + rng.randint(1, 3)) if sweep else [sum(w)]
+        points += [tuple(_as_kind(kind, rng, v) for v in w + [z]) for z in levels]
+    points += rng.sample(points, 30)
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "float", "np.int64", "mixed"])
 def test_integer_rank_matches_fraction_reference(kind):
     rng = random.Random("rank-" + kind)
     for _ in range(60):
         dim = rng.randint(1, 9)
         rank = rng.randint(0, dim + 1)  # rank > dim saturates at full dimension
         points = _random_points(rng, kind, rng.randint(1, 25), dim, rank)
-        assert affine_dimension(points) == _fraction_rank(points), points
-    assert affine_dimension([]) == _fraction_rank([]) == -1
+        assert affine_dimension(points) == fraction_rank(points), points
+    for _ in range(4):
+        points = _lab_like_points(rng, kind, rng.randint(2, 10))
+        assert len(points) >= 180 and len(set(points)) < len(points)
+        assert affine_dimension(points) == fraction_rank(points), points
+    # entries at and past the int64 guard (2^62): the bound on the Gram
+    # matrix fails first, then the one on the entries, then numpy's int64
+    for big in (1 << 31, 1 << 40, (1 << 62) - 1, 1 << 62, 1 << 63, 1 << 70):
+        base = _random_points(rng, "int", 200, 6, rng.randint(0, 5))
+        points = [tuple(_as_kind(kind, rng, v * big + 1) for v in p) for p in base]
+        assert affine_dimension(points) == fraction_rank(points), big
+    assert affine_dimension([]) == fraction_rank([]) == -1
     single = _random_points(rng, kind, 1, 4, 2)[:1]
-    assert affine_dimension(single) == _fraction_rank(single) == 0
+    assert affine_dimension(single) == fraction_rank(single) == 0
     assert affine_dimension(single * 5) == 0
     with pytest.raises(InputError):
         affine_dimension([(1, 2, 3), (1, 2)])

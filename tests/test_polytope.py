@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 
 from orientcut.errors import InfeasibleError, InputError, SizeRefusalError
-from orientcut.graphs import complete_graph, cycle_graph, petersen_graph, single_edge
+from orientcut import polytope
+from orientcut.graphs import (
+    complete_graph,
+    cycle_graph,
+    enumerate_cycles,
+    enumerate_paths_k,
+    petersen_graph,
+    single_edge,
+)
 from orientcut.lp import affine_dimension
 from orientcut.model import (
     AO,
@@ -24,7 +32,7 @@ from orientcut.polytope import (
     polytope_dimension,
 )
 
-from conftest import BATTERY
+from conftest import BATTERY, atlas_graphs, fraction_rank
 
 
 def test_point_counts_on_single_edge():
@@ -55,6 +63,21 @@ def test_all_enumerated_points_are_feasible():
 def test_enumeration_refuses_large_graphs():
     with pytest.raises(SizeRefusalError):
         enumerate_feasible_points(petersen_graph(), ModelConfig(kappa=2, variant=AS))
+
+
+def test_enumeration_refuses_too_many_points(monkeypatch):
+    """The z levels are counted before any point is built; the count grows
+    with kappa, and more than MAX_LAB_POINTS are refused."""
+    g = complete_graph(3)
+    with pytest.raises(SizeRefusalError, match="points"):
+        enumerate_feasible_points(g, ModelConfig(kappa=1_000_000, variant=AS))
+    cfg = ModelConfig(kappa=2, variant=AS)
+    count = len(enumerate_feasible_points(g, cfg))
+    monkeypatch.setattr(polytope, "MAX_LAB_POINTS", count)
+    assert len(enumerate_feasible_points(g, cfg)) == count
+    monkeypatch.setattr(polytope, "MAX_LAB_POINTS", count - 1)
+    with pytest.raises(SizeRefusalError, match=f"got {count}"):
+        enumerate_feasible_points(g, cfg)
 
 
 def test_dimension_full_on_battery():
@@ -89,6 +112,28 @@ def test_lab_points_are_integers():
             assert all(type(x) is int for p in pts for x in p.w + (p.z,)), (name, variant)
             floats = [tuple(map(float, p.w)) + (float(p.z),) for p in pts]
             assert polytope_dimension(g, cfg, pts) == affine_dimension(floats), (name, variant)
+
+
+def test_lab_ranks_match_the_fraction_reference():
+    """The polytope's dimension and the face dimension of every cycle and
+    path row equal the rank by elimination over Fractions, on every connected
+    graph with at most four edges, at kappa 1 to 3, in both variants."""
+    graphs = atlas_graphs(max_edges=4, connected=True)
+    assert len(graphs) == 11
+    for g in graphs:
+        for kappa in (1, 2, 3):
+            rows = [row_cycle(g, c) for c in enumerate_cycles(g, max(g.n, 2))]
+            rows += [row_path(g, p, kappa) for p in enumerate_paths_k(g, kappa)]
+            for variant in (AO, AS):
+                cfg = ModelConfig(kappa=kappa, variant=variant)
+                pts = enumerate_feasible_points(g, cfg)
+                dim = polytope_dimension(g, cfg, pts)
+                assert dim == fraction_rank([p.w + (p.z,) for p in pts])
+                for row in rows:
+                    face = classify_face(g, cfg, row, pts, dim)
+                    tight = [p.w + (p.z,) for p in pts if row.value(p.w, p.z) == row.rhs]
+                    assert face.valid  # cycle and path rows hold on every point
+                    assert face.face_dimension == fraction_rank(tight), (g.edges, kappa, row)
 
 
 def test_classify_face_spot_checks():

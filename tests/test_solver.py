@@ -22,7 +22,7 @@ from orientcut.graphs import (
     path_graph,
     petersen_graph,
 )
-from orientcut.lp import LinearProgram
+from orientcut.lp import DEADLINE_PIVOTS, LinearProgram
 from orientcut.model import (
     AO,
     AS,
@@ -212,9 +212,9 @@ def test_deadline_at_a_fractional_point_sends_the_node_back(monkeypatch):
     lp_solve = LinearProgram.solve
     branch = solver._branch
 
-    def solve_spy(lp):
+    def solve_spy(lp, *args):
         try:
-            return lp_solve(lp)
+            return lp_solve(lp, *args)
         finally:
             solved.append(lp)
 
@@ -248,9 +248,9 @@ def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
         separated.append(args)
         return []
 
-    def solve_spy(lp):
+    def solve_spy(lp, *args):
         solved.append(lp)
-        return lp_solve(lp)
+        return lp_solve(lp, *args)
 
     for name in ("separate_paths", "separate_templates", "separate_cycles"):
         monkeypatch.setattr(solver, name, refuse)
@@ -318,6 +318,48 @@ def test_deadline_after_a_refusal_ends_the_search(monkeypatch):
     assert rep.status == "timeout" and rep.best_point is None and math.isfinite(rep.bound)
 
 
+def test_deadline_inside_an_lp_solve_ends_the_search(monkeypatch):
+    """An LP solve reads the deadline once every DEADLINE_PIVOTS pivots. When
+    it has passed there, the solve stops, its node goes back onto the heap at
+    the bound it was popped with, and the search reports a timeout whose
+    bound is at most the optimum."""
+    rng = random.Random(1)
+    g = UndirectedGraph(18, [e for e in itertools.combinations(range(18), 2)
+                             if rng.random() < 0.3])  # G(18, 0.3) seed 1
+    free = solve_ao(g, 5)
+    assert free.status == "optimal" and free.objective == 4
+    solves = []
+    popped = []
+    lp_solve, process = LinearProgram.solve, solver._process_node
+
+    def solve_spy(lp, *args):
+        solves.append(lp_solve(lp, *args))
+        return solves[-1]
+
+    def process_spy(ctx, node, incumbent):
+        popped.append(node)
+        return process(ctx, node, incumbent)
+
+    # the deadline passes at the first clock reading inside an LP solve, the
+    # first solve that reaches DEADLINE_PIVOTS pivots; the search and the
+    # window search see it passed from then on
+    reads = []
+    lp_clock = types.SimpleNamespace(monotonic=lambda: reads.append(len(solves)) or 1.0)
+    clock = types.SimpleNamespace(monotonic=lambda: 1.0 if reads else 0.0)
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    monkeypatch.setattr(solver, "_process_node", process_spy)
+    monkeypatch.setattr("orientcut.lp.time", lp_clock)
+    monkeypatch.setattr(solver, "time", clock)
+    monkeypatch.setattr(separation, "time", clock)
+    rep = solve_ao(g, 5, deadline=0.5)
+    assert len(reads) == 1 and len(popped) > 1  # the stop comes below the root
+    assert [s.status for s in solves].count("stopped") == 1
+    assert solves[-1].status == "stopped" and solves[-1].iterations == DEADLINE_PIVOTS
+    assert rep.status == "timeout" and rep.node_count == len(popped)
+    assert rep.lp_iterations == sum(s.iterations for s in solves)
+    assert math.isfinite(rep.bound) and rep.bound <= free.objective
+
+
 def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
     """A node that stops at the incumbent's cutoff only skips work whose result
     the search would throw away: every solve visits the same nodes and gives
@@ -330,9 +372,9 @@ def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
         reports.append((rep.status, rep.objective, rep.best_point, rep.node_count))
         return rep
 
-    def solve_spy(lp):
+    def solve_spy(lp, *args):
         solves[0] += 1
-        return lp_solve(lp)
+        return lp_solve(lp, *args)
 
     def run(call, cutoff):
         monkeypatch.setattr(solver, "_process_node", process if cutoff else
@@ -476,8 +518,8 @@ def test_candidate_test_agrees_with_the_full_check(monkeypatch):
     lp_solve, integral_point, process = LinearProgram.solve, solver._integral_point, \
         solver._process_node
 
-    def solve_spy(lp):
-        solutions.append(lp_solve(lp))
+    def solve_spy(lp, *args):
+        solutions.append(lp_solve(lp, *args))
         return solutions[-1]
 
     def point_spy(d, cfg, arcs):
@@ -958,12 +1000,12 @@ def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
         coeffs, sense, rhs = row
         return tuple(sorted(coeffs.items())), sense, rhs
 
-    def spy(lp, rows):
+    def spy(lp, rows, *args):
         new = [key(r) for r in rows]
         assert len(set(new)) == len(new)
         assert set(new).isdisjoint(key(r) for r in lp.rows)
         appended.append(len(new))
-        return resolve(lp, rows)
+        return resolve(lp, rows, *args)
 
     monkeypatch.setattr(LinearProgram, "add_rows_and_resolve", spy)
     for solve in _separating_solves():
@@ -1052,11 +1094,11 @@ def test_drift_in_the_search_restarts_once(monkeypatch):
         chi, _ = chromatic_number(g)
         calls, restarts = [], []
 
-        def drifting(lp):
+        def drifting(lp, *args):
             if not calls:
                 lp.tab[:, -1] += 1e-3
             calls.append(lp)
-            return iterate(lp)
+            return iterate(lp, *args)
 
         monkeypatch.setattr(LinearProgram, "_iterate", drifting)
         monkeypatch.setattr(LinearProgram, "_restart",
