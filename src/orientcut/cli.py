@@ -21,13 +21,20 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
 import sys
 import time
 from typing import Callable, Dict, List, Optional, Tuple
+
+try:  # CPython's own SHA-256; hashlib would load OpenSSL's libcrypto too
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .dimacs import parse_dimacs
 from .errors import InfeasibleError, InputError, SizeRefusalError, SolverError, TimeLimitError
@@ -104,8 +111,13 @@ def _emit(report: dict, summary: str, started: float) -> None:
     sys.stderr.write(f"{summary} [{time.perf_counter() - started:.2f}s]\n")
 
 
+def _digest(raw: bytes) -> str:
+    """The first 16 hex digits of the SHA-256 of `raw`."""
+    return sha256(raw).hexdigest()[:16]
+
+
 def _read_instance(path: str) -> Tuple[str, str]:
-    """The file's text and a digest of its bytes."""
+    """The file's text and its `_digest`."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -115,7 +127,7 @@ def _read_instance(path: str) -> Tuple[str, str]:
         text = raw.decode()
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc}") from None
-    return text, hashlib.sha256(raw).hexdigest()[:16]
+    return text, _digest(raw)
 
 
 def _oracle(check: Callable[[], bool]) -> Optional[bool]:
@@ -279,6 +291,8 @@ def cmd_polytope(args, text: str, deadline: float) -> Tuple[dict, str]:
     g = parse_dimacs(text)
     cfg = ModelConfig(kappa=args.kappa, variant=AS)
     timeout = {"status": "timeout"}, "time limit reached"
+    if time.monotonic() >= deadline:
+        return timeout
     points = enumerate_feasible_points(g, cfg)
     if time.monotonic() >= deadline:
         return timeout

@@ -34,12 +34,13 @@ A solve takes the command's deadline and reads the clock once every
 DEADLINE_PIVOTS pivots. Past it the solve stops with status "stopped": the
 basis it reached is still dual feasible, so a later solve goes on from it.
 
-`affine_dimension` is exact: the rank of the points' differences D equals
-the rank of the square Gram matrix D'D, over the reals and so over the
-rationals. D'D is formed in int64 when every point entry is below 2^62 in
-size and rows x max|D|^2 < 2^62, which keeps every sum from overflowing,
-and in Python ints otherwise; fraction-free elimination then ranks all of
-its rows, with no early stop.
+`affine_dimension` is exact: the affine rank of the points P is the rank of
+M = [P 1] less one, and rank(M) equals the rank of the square Gram matrix
+M'M, over the reals and so over the rationals. An integer ndarray is ranked
+as it is, with no copy; M'M is formed in int64 when every point entry is
+below 2^62 in size and rows x max|P|^2 < 2^62, which keeps every sum from
+overflowing, and in Python ints otherwise; fraction-free elimination then
+ranks all of its rows, with no early stop.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ PIVOT_TOL = 1e-9
 _BOUND_TOL = 1e-9
 _DEGEN_EPS = 1e-10
 DEADLINE_PIVOTS = 64  # a solve reads its deadline once per this many pivots
-_INT64_GUARD = 1 << 62  # the rank's int64 bound, on entries and on rows x max|D|^2
+_INT64_GUARD = 1 << 62  # the int64 bound of exact products: entries, rows x max|P|^2
 
 
 @dataclass
@@ -359,49 +360,40 @@ def _entering(ties: np.ndarray, alpha: np.ndarray, ids: np.ndarray, bland: bool)
     return int(cols[ids[cols].argmin()])
 
 
-def affine_dimension(points: Sequence[Sequence]) -> int:
-    """Affine dimension of a point set, exactly: the rank of D'D.
+def affine_dimension(points: np.ndarray | Iterable[Sequence]) -> int:
+    """Affine dimension of a point set, exactly: rank(M'M) - 1 for M = [P 1].
 
-    D holds the differences against the first point, one row per other point,
-    and rank(D'D) = rank(D) over the reals, so over the rationals too: if
-    D'Dx = 0 then |Dx|^2 = x'D'Dx = 0. A single point has dimension 0, an
-    empty set dimension -1. Integer points (int, bool, numpy integers) become
-    D in one numpy call; other entries are exact as Fractions, and each
-    difference row is scaled to integers, which leaves the rank alone. The
-    square Gram matrix D'D, of the points' length, is formed in int64 when
-    every entry lies below 2^62 in size and rows x max|D|^2 < 2^62, so no sum
-    can overflow, and in Python ints otherwise. Its rank comes from
-    fraction-free elimination over every one of its rows: each row is
-    reduced against the basis by cross-multiplying and divided by its gcd.
+    P holds one point per row, and the affine dimension of its rows is
+    rank(M) - 1; rank(M'M) = rank(M) over the reals, so over the rationals
+    too: if M'Mx = 0 then |Mx|^2 = x'M'Mx = 0. A single point has dimension
+    0, an empty set dimension -1. An integer ndarray (one int64 row per lab
+    point, say) is ranked as it is, with no copy; other points become one
+    array first. Entries that are not integers are exact as Fractions, and P
+    is scaled by the least common denominator of all of them, which leaves
+    the rank alone. The square Gram matrix M'M, one longer than a point, is
+    P'P bordered by the column sums of P and the point count: formed in
+    int64 when every entry of P lies below 2^62 in size and rows x max|P|^2
+    < 2^62, so no sum can overflow, and in Python ints otherwise. Its rank
+    comes from fraction-free elimination over every one of its rows: each
+    row is reduced against the basis by cross-multiplying and divided by its
+    gcd.
     """
-    pts = list(points)
-    if not pts:
-        return -1
-    try:
-        arr = np.array(pts)
-    except ValueError:  # ragged
-        arr = None
-    if arr is None or arr.ndim != 2:
+    arr = points
+    if not isinstance(arr, np.ndarray):
+        try:
+            arr = np.array(list(points))
+        except ValueError:  # ragged
+            arr = None
+    if arr is None or arr.ndim != 2 and arr.size:
         raise InputError("points must share one dimension")
-    if arr.dtype.kind in "biu" and arr.min(initial=0) > -_INT64_GUARD \
-            and arr.max(initial=0) < _INT64_GUARD:
-        diff = arr.astype(np.int64, copy=False)
-        diff -= diff[0]  # in place; the first point's zero row adds nothing to D'D
-    else:  # Fractions, floats, or ints numpy cannot hold exactly
-        diff = np.array([_integer_row(p, pts[0]) for p in pts[1:]],
-                        dtype=object).reshape(len(pts) - 1, arr.shape[1])
-    return _rank(_gram(diff))
-
-
-def _integer_row(p: Sequence, base: Sequence) -> List[int]:
-    """p - base as integers: exact for integer entries, else scaled by the
-    least common denominator of the exact (Fraction) differences."""
-    try:
-        return [operator.index(a) - operator.index(b) for a, b in zip(p, base)]
-    except TypeError:
-        diff = [_fraction(a) - _fraction(b) for a, b in zip(p, base)]
-        scale = math.lcm(*(q.denominator for q in diff))
-        return [int(q * scale) for q in diff]
+    if not len(arr):
+        return -1
+    if arr.dtype.kind not in "biu":  # Fractions, floats, or ints numpy cannot hold
+        exact = [[_fraction(a) for a in p] for p in arr]
+        scale = math.lcm(*(q.denominator for p in exact for q in p))
+        arr = np.array([[int(q * scale) for q in p] for p in exact],
+                       dtype=object).reshape(arr.shape)
+    return _rank(_gram(arr)) - 1
 
 
 def _fraction(a) -> Fraction:
@@ -413,15 +405,17 @@ def _fraction(a) -> Fraction:
         return Fraction(a)
 
 
-def _gram(diff: np.ndarray) -> List[List[int]]:
-    """diff' diff as Python ints, multiplied in int64 when the bound in
+def _gram(p: np.ndarray) -> List[List[int]]:
+    """M'M for M = [p 1] as Python ints: p'p bordered by the column sums of
+    p and its row count, multiplied in int64 when the bound in
     `affine_dimension` proves that exact, as Python ints otherwise."""
-    top = int(max(diff.max(initial=0), -diff.min(initial=0)))
-    if top < _INT64_GUARD and len(diff) * top * top < _INT64_GUARD:
-        d = diff.astype(np.int64, copy=False)
+    top = max(int(p.max(initial=0)), -int(p.min(initial=0)))
+    if top < _INT64_GUARD and len(p) * top * top < _INT64_GUARD:
+        p = p.astype(np.int64, copy=False)
     else:
-        d = diff.astype(object)
-    return (d.T @ d).tolist()
+        p = p.astype(object)
+    sums = p.sum(axis=0).tolist()
+    return [row + [s] for row, s in zip((p.T @ p).tolist(), sums)] + [sums + [len(p)]]
 
 
 def _rank(rows: List[List[int]]) -> int:

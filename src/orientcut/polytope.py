@@ -1,8 +1,10 @@
 """Exact small-instance laboratory: point enumeration, faces, brute force.
 
 Everything here is deliberately exhaustive and exact. Feasible points are
-enumerated by scanning per-edge direction states with arc bitmasks; affine
-ranks use exact integer arithmetic so facet verdicts carry no rounding doubt.
+enumerated by scanning per-edge direction states with arc bitmasks, and held
+as one int64 matrix with one row (w, z) per point; a row's values at every
+point come from one matrix-vector product, and affine ranks use exact
+integer arithmetic, so facet verdicts carry no rounding doubt.
 Size caps guard each entry point because the state space is exponential.
 """
 
@@ -11,7 +13,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from .errors import InfeasibleError, InputError, SizeRefusalError
 from .graphs import (
@@ -26,7 +30,7 @@ from .graphs import (
     order_arcs,
     path_arc_list,
 )
-from .lp import affine_dimension
+from .lp import _INT64_GUARD, _fraction, affine_dimension
 from .model import AO, LinearRow, ModelConfig, ModelPoint
 
 MAX_LAB_EDGES = 8
@@ -35,66 +39,68 @@ MAX_BRUTE_VERTICES = 10
 MAX_BRUTE_STATES = 1 << 20
 
 
-def _selection_scan(g: UndirectedGraph,
-                    cfg: ModelConfig) -> Iterator[Tuple[Tuple[int, ...], int, int]]:
-    """Yield (w, arc bitmask, max path load) for every acyclic binary selection.
+def _selection_scan(g: UndirectedGraph, cfg: ModelConfig) -> Iterator[Tuple[int, int]]:
+    """Yield (arc bitmask, max path load) for every acyclic binary selection.
 
     A selection picks one direction per edge (both-variant also allows
-    skipping the edge). Acyclicity and loads are popcount tests against
-    precomputed cycle and path masks. `w` holds the mask's bits as 0/1 ints,
-    so the lab's points are integers from the start and need no conversion.
+    skipping the edge); arc 2e + k is bit 2e + k of the mask. Acyclicity and
+    loads are popcount tests against precomputed cycle and path masks.
     """
     m = g.m
     cyc_masks = [sum(1 << a for a in cycle_arc_list(g, c))
                  for c in enumerate_cycles(g, max(g.n, 2))] if m else []
     path_masks = [sum(1 << a for a in path_arc_list(g, p))
                   for p in enumerate_paths_k(g, cfg.kappa)]
-    choices = (1, 2) if cfg.variant == AO else (0, 1, 2)
-    for state in itertools.product(choices, repeat=m):
-        mask = 0
-        for e, sv in enumerate(state):
-            if sv:
-                mask |= 1 << (2 * e + sv - 1)
+    skip = () if cfg.variant == AO else (0,)
+    for arcs in itertools.product(*(skip + (1 << 2 * e, 2 << 2 * e) for e in range(m))):
+        mask = sum(arcs)
         if any(cm & mask == cm for cm in cyc_masks):
             continue
-        load = max(((pm & mask).bit_count() for pm in path_masks), default=0)
-        w = tuple(mask >> a & 1 for a in range(2 * m))
-        yield w, mask, load
+        yield mask, max(((pm & mask).bit_count() for pm in path_masks), default=0)
 
 
-def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> List[ModelPoint]:
-    """All feasible integral points, with z swept over its integer levels;
-    every coordinate is an int.
+def _point(w_bits, z) -> ModelPoint:
+    return ModelPoint(tuple(int(b) for b in w_bits), int(z))
 
-    For each acyclic selection, z ranges over the integers from the maximum
-    path load up to the z upper bound. Intermediate levels are convex
-    combinations of the endpoints, so affine hulls computed from these points
-    coincide with those of the full continuous-z solution set. The z levels
-    of every selection are counted before any point is built, and more than
-    MAX_LAB_POINTS of them in all are refused: the count grows with kappa.
+
+def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> np.ndarray:
+    """All feasible integral points as one int64 matrix, shape (N, 2m + 1):
+    one row (w, z) per point, w indexed by arc and z last.
+
+    For each acyclic selection, in scan order, z ranges over the integers
+    from the maximum path load up to the z upper bound. Intermediate levels
+    are convex combinations of the endpoints, so affine hulls computed from
+    these points coincide with those of the full continuous-z solution set.
+    The z levels of every selection are counted before any point is built,
+    and more than MAX_LAB_POINTS of them in all are refused: the count grows
+    with kappa. Within the cap, each selection's bits and z levels are
+    expanded into their rows by `np.repeat`.
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
-    z_lo = int(cfg.z_lower)
-    z_up = int(cfg.z_upper)
-    levels = [(w, range(max(load, z_lo), z_up + 1)) for w, _, load in _selection_scan(g, cfg)]
-    count = sum(len(zs) for _, zs in levels)
+    scan = np.array(list(_selection_scan(g, cfg)), dtype=np.int64).reshape(-1, 2)
+    low = np.maximum(scan[:, 1], int(cfg.z_lower))
+    levels = np.maximum(int(cfg.z_upper) + 1 - low, 0)
+    count = int(levels.sum())
     if count > MAX_LAB_POINTS:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_POINTS} points, "
                                f"got {count}")
-    return [ModelPoint(w, zi) for w, zs in levels for zi in zs]
-
-
-def _vectors(points: Sequence[ModelPoint]) -> List[Tuple[int, ...]]:
-    return [p.w + (p.z,) for p in points]
+    width = 2 * g.m
+    bits = scan[:, :1] >> np.arange(width) & 1
+    points = np.empty((count, width + 1), dtype=np.int64)
+    points[:, :width] = np.repeat(bits, levels, axis=0)
+    # row i of a selection whose rows start at `first` has z = low + (i - first)
+    first = np.cumsum(levels) - levels
+    points[:, width] = np.arange(count) - np.repeat(first - low, levels)
+    return points
 
 
 def polytope_dimension(g: UndirectedGraph, cfg: ModelConfig,
-                       points: Optional[Sequence[ModelPoint]] = None) -> int:
+                       points: Optional[np.ndarray] = None) -> int:
     """Affine dimension of the integral solution set (full means 2m + 1)."""
     if points is None:
         points = enumerate_feasible_points(g, cfg)
-    return affine_dimension(_vectors(points))
+    return affine_dimension(points)
 
 
 @dataclass(frozen=True)
@@ -112,40 +118,65 @@ class FaceReport:
             self.face_dimension < self.polytope_dimension
 
 
+def _integer_row(row: LinearRow, width: int) -> Tuple[List[int], int]:
+    """The row's coefficient vector over (w, z) and its right-hand side, as
+    Python ints: scaled by the least common denominator of their exact
+    (Fraction) values, which keeps every value's order against the rhs."""
+    try:
+        exact = [_fraction(c) for c in (row.rhs, row.z_coeff, *row.coeffs.values())]
+    except (ValueError, OverflowError, TypeError):
+        raise InputError(f"row {row} has a coefficient that is not a finite number") from None
+    scale = math.lcm(*(q.denominator for q in exact))
+    rhs, z_coeff, *coeffs = (int(q * scale) for q in exact)
+    vec = [0] * width + [z_coeff]
+    for a, c in zip(row.coeffs, coeffs):
+        if not 0 <= a < width:
+            raise InputError(f"row {row} names arc {a}, outside 0..{width - 1}")
+        vec[a] = c
+    return vec, rhs
+
+
 def classify_face(g: UndirectedGraph, cfg: ModelConfig, row: LinearRow,
-                  points: Optional[Sequence[ModelPoint]] = None,
+                  points: Optional[np.ndarray] = None,
                   dimension: Optional[int] = None) -> FaceReport:
     """Validity and face dimension of an inequality over the solution set.
 
-    The lab's points are integers, as are the coefficients and right-hand
-    side of every row built here, so row values are evaluated in integer
-    arithmetic and validity and tightness are exact, and the tight points go
-    to the rank as they are. A facet is a valid face one dimension below the
-    polytope, whose rank is computed here unless `dimension` gives it.
+    The row's values at every point come from one matrix-vector product, so
+    validity, the first violating point (in the points' order) and the tight
+    points come from comparisons against the rhs, and the tight rows go to
+    the rank as they are. Both sides are exact: the row is scaled to
+    integers (a Fraction or float coefficient by the least common
+    denominator of the exact values), and the product runs in int64 when
+    max|point entry| x sum|coefficient| + |rhs| < 2^62, so no sum can
+    overflow, and in Python ints otherwise. A row whose coefficient is not
+    a finite number raises InputError. A facet is a valid face one
+    dimension below the polytope, whose rank is computed here unless
+    `dimension` gives it.
     """
     if row.sense != "<=":
         raise InputError("face classification expects an inequality row")
     if points is None:
         points = enumerate_feasible_points(g, cfg)
-    tight = []
-    violator = None
-    for point in points:
-        val = row.value(point.w, point.z)
-        if val > row.rhs:
-            violator = point
-            break
-        if val == row.rhs:
-            tight.append(point)
+    vec, rhs = _integer_row(row, 2 * g.m)
+    top = max(int(points.max(initial=0)), -int(points.min(initial=0)))
+    exact = np.int64 if top * sum(map(abs, vec)) + abs(rhs) < _INT64_GUARD else object
+    values = points.astype(exact, copy=False) @ np.array(vec, dtype=exact)
+    over = np.flatnonzero(values > rhs)
     poly_dim = polytope_dimension(g, cfg, points) if dimension is None else dimension
-    valid = violator is None
-    face_dim = affine_dimension(_vectors(tight)) if valid else -1
+    if len(over):
+        first = points[over[0]]
+        return FaceReport(valid=False, violating_point=_point(first[:-1], first[-1]),
+                          tight_count=0, face_dimension=-1, polytope_dimension=poly_dim,
+                          is_facet=False)
+    tight = points[values == rhs]
+    face_dim = affine_dimension(tight)
     return FaceReport(
-        valid=valid,
-        violating_point=violator,
-        tight_count=len(tight) if valid else 0,
+        valid=True,
+        violating_point=None,
+        tight_count=len(tight),
         face_dimension=face_dim,
         polytope_dimension=poly_dim,
-        is_facet=valid and face_dim == poly_dim - 1,
+        is_facet=face_dim == poly_dim - 1,
     )
 
 
@@ -229,14 +260,15 @@ def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig) -> Tuple[float, Mo
     z_lo = int(cfg.z_lower)
     z_up = int(cfg.z_upper)
     penalty = g.m + 1
-    best: Optional[Tuple[float, ModelPoint]] = None
-    for w, mask, load in _selection_scan(g, cfg):
+    best: Optional[Tuple[float, int, int]] = None
+    for mask, load in _selection_scan(g, cfg):
         z = max(load, z_lo)
         if z > z_up:
             continue
         obj = float(z) if cfg.variant == AO else z - penalty * mask.bit_count()
         if best is None or obj < best[0]:
-            best = (obj, ModelPoint(w, z))
+            best = (obj, mask, z)
     if best is None:
         raise InfeasibleError("no acyclic selection fits the z window")
-    return best
+    obj, mask, z = best
+    return obj, _point((mask >> a & 1 for a in range(2 * g.m)), z)

@@ -82,6 +82,11 @@ def interleaved_components() -> UndirectedGraph:
     return UndirectedGraph(12, c5 + [(1, 3), (3, 5), (1, 5), (7, 9), (10, 11)])
 
 
+def lab_points(points) -> List[ModelPoint]:
+    """The rows (w, z) of a lab point matrix as ModelPoints with int entries."""
+    return [ModelPoint(tuple(row[:-1]), row[-1]) for row in points.tolist()]
+
+
 def random_point(g: UndirectedGraph, kappa: int, rng: random.Random) -> ModelPoint:
     w = tuple(rng.random() for _ in range(2 * g.m))
     return ModelPoint(w, rng.random() * kappa)

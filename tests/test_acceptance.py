@@ -131,7 +131,6 @@ def test_criterion_4_template_rows_valid_everywhere():
                 continue
             cfg = ModelConfig(kappa=kappa, variant=AS)
             pts = enumerate_feasible_points(g, cfg)
-            mat = np.array([list(p.w) + [p.z] for p in pts])
             rows = {}
             for r in template_rows(g, kappa):
                 rows.setdefault(r.key, r)
@@ -140,7 +139,7 @@ def test_criterion_4_template_rows_valid_everywhere():
                 for a, c in r.coeffs.items():
                     vec[a] = c
                 vec[2 * g.m] = r.z_coeff
-                worst = float((mat @ vec).max()) if len(mat) else 0.0
+                worst = float((pts @ vec).max()) if len(pts) else 0.0
                 assert worst <= r.rhs + 1e-9, (g.edges, kappa, r)
 
     # weaker families: valid faces, never facets, on the named battery

@@ -69,6 +69,15 @@ def test_cli_color(capsys, k3_file):
     assert "chromatic 3" in err or "3" in err
 
 
+@pytest.mark.parametrize("raw", [b"", b"abc", K3_COL.encode(), bytes(range(256)) * 300])
+def test_report_digest_is_the_sha256_prefix(raw):
+    """The digest comes from CPython's built-in SHA-256 where there is one,
+    and equals hashlib's on every input, the empty one too."""
+    import hashlib
+
+    assert orientcut.cli._digest(raw) == hashlib.sha256(raw).hexdigest()[:16]
+
+
 def test_cli_color_oracle(capsys, k3_file):
     code, out, _ = _run(capsys, ["color", k3_file, "--oracle"])
     assert code == 0
@@ -358,8 +367,14 @@ def test_cli_polytope_timeout_exit(capsys, k3_file, monkeypatch):
         rep = json.loads(out)
         assert rep == {"command": "polytope", "digest": rep["digest"], "status": "timeout"}
 
-    check_timeout(["--time-limit", "0"])
-    check_timeout(["--time-limit", "0", "--classify", "path"])
+    def no_enumeration(*args):
+        raise AssertionError("points enumerated past the deadline")
+
+    # a spent deadline stops the command before the enumeration
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "enumerate_feasible_points", no_enumeration)
+        check_timeout(["--time-limit", "0"])
+        check_timeout(["--time-limit", "0", "--classify", "path"])
     # the dimension runs past the limit: the check before the first row stops it
     real = cli.polytope_dimension
 

@@ -1,5 +1,7 @@
+import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orientcut.errors import InfeasibleError, InputError, SizeRefusalError
@@ -9,6 +11,8 @@ from orientcut.graphs import (
     cycle_graph,
     enumerate_cycles,
     enumerate_paths_k,
+    is_acyclic,
+    max_path_load,
     petersen_graph,
     single_edge,
 )
@@ -16,7 +20,9 @@ from orientcut.lp import affine_dimension
 from orientcut.model import (
     AO,
     AS,
+    LinearRow,
     ModelConfig,
+    ModelPoint,
     row_arc_lower,
     row_arc_upper,
     row_cycle,
@@ -32,7 +38,7 @@ from orientcut.polytope import (
     polytope_dimension,
 )
 
-from conftest import BATTERY, atlas_graphs, fraction_rank
+from conftest import BATTERY, atlas_graphs, fraction_rank, lab_points
 
 
 def test_point_counts_on_single_edge():
@@ -54,10 +60,112 @@ def test_all_enumerated_points_are_feasible():
     for variant in (AO, AS):
         cfg = ModelConfig(kappa=2, variant=variant)
         pts = enumerate_feasible_points(g, cfg)
-        assert pts
-        for p in pts:
+        assert len(pts)
+        for p in lab_points(pts):
             ok, why = check_integral_feasible(g, cfg, p)
             assert ok, (variant, p, why)
+
+
+def _reference_points(g, cfg):
+    """Every (w, z) in the lab's order: edge states from `itertools.product`
+    (skip, forward, backward; the orientation variant has no skip), kept
+    when their arcs are acyclic, each with z ascending from its path load
+    (`max_path_load`) or the z lower bound up to the z upper bound."""
+    states = (1, 2) if cfg.variant == AO else (0, 1, 2)
+    out = []
+    for state in itertools.product(states, repeat=g.m):
+        arcs = [2 * e + s - 1 for e, s in enumerate(state) if s]
+        if not is_acyclic(g, arcs):
+            continue
+        w = [int(a in arcs) for a in range(2 * g.m)]
+        low = max(max_path_load(g, arcs, cfg.kappa)[0], int(cfg.z_lower))
+        out += [w + [z] for z in range(low, int(cfg.z_upper) + 1)]
+    return out
+
+
+def test_point_matrix_matches_the_product_reference():
+    """Row for row, the point matrix is the brute-force enumeration, on every
+    atlas graph with at most five edges, at kappa 1 to 3, in both variants;
+    its dtype is an integer type, and the violating point of a row that
+    cuts points is the first row it cuts."""
+    graphs = atlas_graphs(max_edges=5)
+    assert len(graphs) == 110
+    invalid = 0
+    for g in graphs:
+        for kappa in (1, 2, 3):
+            for variant in (AO, AS):
+                cfg = ModelConfig(kappa=kappa, variant=variant)
+                pts = enumerate_feasible_points(g, cfg)
+                ref = _reference_points(g, cfg)
+                assert np.issubdtype(pts.dtype, np.integer)
+                assert pts.shape == (len(ref), 2 * g.m + 1)
+                assert pts.tolist() == ref, (g.edges, kappa, variant)
+                # each arc at most kappa - 1 together with z, and z alone at most 1
+                rows = [row_z_upper(1)] + [LinearRow({a: 1}, 1, kappa - 1, "<=", "bound")
+                                           for a in range(2 * g.m)]
+                for row in rows:
+                    face = classify_face(g, cfg, row, pts, 0)
+                    cut = [p for p in ref if row.value(p[:-1], p[-1]) > row.rhs]
+                    assert face.valid == (not cut)
+                    if cut:
+                        invalid += 1
+                        first = face.violating_point
+                        assert first == ModelPoint(tuple(cut[0][:-1]), cut[0][-1])
+                        assert all(type(x) is int for x in first.w + (first.z,))
+    assert invalid > 100
+
+
+def test_rows_with_non_integer_coefficients_stay_exact():
+    """Fraction and float coefficients are compared exactly: a row is scaled
+    by the least common denominator of its exact values, so thirds tie, and
+    the floats 0.1 + 0.2 exceed 0.3 and fall short of their rounded float
+    sum 0.30000000000000004; coefficients past int64 go through Python
+    ints."""
+    g = complete_graph(3)
+    cfg = ModelConfig(kappa=2, variant=AS)
+    pts = enumerate_feasible_points(g, cfg)
+    dim = polytope_dimension(g, cfg, pts)
+
+    def reference(row):
+        vals = [sum(Fraction(c) * p[a] for a, c in row.coeffs.items())
+                + Fraction(row.z_coeff) * p[-1] for p in pts.tolist()]
+        rhs = Fraction(row.rhs)
+        return all(v <= rhs for v in vals), sum(v == rhs for v in vals)
+
+    third = Fraction(1, 3)
+    big = 1 << 70
+    rows = [
+        LinearRow({0: third, 2: third, 4: third}, 0, 1, "<=", "bound"),
+        LinearRow({0: 0.1, 2: 0.2}, 0, 0.3, "<=", "bound"),
+        LinearRow({0: 0.1, 2: 0.2}, 0, 0.1 + 0.2, "<=", "bound"),
+        LinearRow({0: big, 1: big}, Fraction(1, 2), big + 1, "<=", "bound"),
+    ]
+    for row in rows:
+        face = classify_face(g, cfg, row, pts, dim)
+        valid, tight = reference(row)
+        assert face.valid == valid, row
+        assert face.tight_count == (tight if valid else 0), row
+    assert [classify_face(g, cfg, row, pts, dim).valid for row in rows] == \
+        [True, False, True, True]
+    assert classify_face(g, cfg, rows[0], pts, dim).tight_count == \
+        classify_face(g, cfg, LinearRow({0: 1, 2: 1, 4: 1}, 0, 3, "<=", "bound"), pts,
+                      dim).tight_count
+    with pytest.raises(InputError, match="finite"):
+        classify_face(g, cfg, LinearRow({0: float("nan")}, 0, 1, "<=", "bound"), pts, dim)
+    with pytest.raises(InputError, match="arc 6"):
+        classify_face(g, cfg, LinearRow({6: 1}, 0, 1, "<=", "bound"), pts, dim)
+
+
+def test_rank_reads_the_point_matrix_as_it_is():
+    """The rank takes the lab's matrix without copying it into a list, and
+    leaves it as it was."""
+    g = complete_graph(3)
+    cfg = ModelConfig(kappa=3, variant=AS)
+    pts = enumerate_feasible_points(g, cfg)
+    before = pts.copy()
+    assert affine_dimension(pts) == fraction_rank(pts.tolist()) == 2 * g.m + 1
+    assert affine_dimension(pts[pts[:, -1] == 3]) == 2 * g.m
+    assert np.array_equal(pts, before)
 
 
 def test_enumeration_refuses_large_graphs():
@@ -91,7 +199,7 @@ def test_integer_z_levels_span_the_continuous_hull():
     # sweeping z over fractional levels must not add affine rank
     g = single_edge()
     cfg = ModelConfig(kappa=2, variant=AS)
-    pts = enumerate_feasible_points(g, cfg)
+    pts = lab_points(enumerate_feasible_points(g, cfg))
     ints = [tuple(map(Fraction, p.w)) + (Fraction(p.z),) for p in pts]
     dense = list(ints)
     for p in pts:
@@ -103,14 +211,14 @@ def test_integer_z_levels_span_the_continuous_hull():
 
 
 def test_lab_points_are_integers():
-    """Every coordinate of a lab point is an int, and the points' rank is the
-    rank of the same points taken as floats."""
+    """The lab's point matrix has an integer dtype, and the points' rank is
+    the rank of the same points taken as floats."""
     for name, g, _ in BATTERY[3:]:
         for variant in (AO, AS):
             cfg = ModelConfig(kappa=2, variant=variant)
             pts = enumerate_feasible_points(g, cfg)
-            assert all(type(x) is int for p in pts for x in p.w + (p.z,)), (name, variant)
-            floats = [tuple(map(float, p.w)) + (float(p.z),) for p in pts]
+            assert np.issubdtype(pts.dtype, np.integer), (name, variant)
+            floats = [tuple(map(float, p)) for p in pts.tolist()]
             assert polytope_dimension(g, cfg, pts) == affine_dimension(floats), (name, variant)
 
 
@@ -128,10 +236,10 @@ def test_lab_ranks_match_the_fraction_reference():
                 cfg = ModelConfig(kappa=kappa, variant=variant)
                 pts = enumerate_feasible_points(g, cfg)
                 dim = polytope_dimension(g, cfg, pts)
-                assert dim == fraction_rank([p.w + (p.z,) for p in pts])
+                assert dim == fraction_rank(pts.tolist())
                 for row in rows:
                     face = classify_face(g, cfg, row, pts, dim)
-                    tight = [p.w + (p.z,) for p in pts if row.value(p.w, p.z) == row.rhs]
+                    tight = [p for p in pts.tolist() if row.value(p[:-1], p[-1]) == row.rhs]
                     assert face.valid  # cycle and path rows hold on every point
                     assert face.face_dimension == fraction_rank(tight), (g.edges, kappa, row)
 

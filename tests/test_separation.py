@@ -32,7 +32,7 @@ from orientcut.separation import (
     walk_bounds,
 )
 
-from conftest import BATTERY, mycielski, queen_graph, random_point
+from conftest import BATTERY, lab_points, mycielski, queen_graph, random_point
 
 
 def _cycle_rows(g):
@@ -288,7 +288,7 @@ def test_template_separation_cycle_z_example():
 def test_template_separation_empty_on_integral_points():
     g = paw_graph()
     cfg = ModelConfig(kappa=2, variant=AS)
-    for pt in enumerate_feasible_points(g, cfg)[::7]:
+    for pt in lab_points(enumerate_feasible_points(g, cfg)[::7]):
         if pt.is_integral():
             assert separate_templates(g, list(pt.w), pt.z, 2) == []
 
@@ -325,7 +325,7 @@ def test_separated_rows_are_valid_on_feasible_points(rng):
     g = paw_graph()
     kappa = 2
     cfg = ModelConfig(kappa=kappa, variant=AS)
-    points = enumerate_feasible_points(g, cfg)
+    points = lab_points(enumerate_feasible_points(g, cfg))
     for _ in range(50):
         pt = random_point(g, kappa, rng)
         rows = (separate_cycles(g, pt.w)

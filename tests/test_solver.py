@@ -43,7 +43,7 @@ from orientcut.solver import (
     solve_model,
 )
 
-from conftest import BATTERY, interleaved_components, mycielski, queen_graph
+from conftest import BATTERY, interleaved_components, lab_points, mycielski, queen_graph
 
 
 def _myciel3():
@@ -452,7 +452,7 @@ def test_label_refusals_become_no_good_rows():
             v = f.index(max(f))
             menus = [None] * g.n
             menus[v] = tuple(range(f[v]))  # every labeling of `best` has f(v) or more
-            ref = min((p.z for p in enumerate_feasible_points(g, cfg)
+            ref = min((p.z for p in lab_points(enumerate_feasible_points(g, cfg))
                        if _least_labels(g, p.arc_set(), menus, kappa - 1) is not None),
                       default=None)
             rep = solve_model(g, cfg, labels=menus)
@@ -476,7 +476,7 @@ def test_solve_model_refuses_a_negative_z_cost():
     of -z is -2; the search would set z to the load and report -1."""
     g, cfg = path_graph(3), ModelConfig(kappa=2, variant=AS)
     objective = solver.Objective(z_coeff=-1.0)
-    assert min(objective.value(p) for p in enumerate_feasible_points(g, cfg)) == -2.0
+    assert min(objective.value(p) for p in lab_points(enumerate_feasible_points(g, cfg))) == -2.0
     with pytest.raises(InputError, match="z cost"):
         solve_model(g, cfg, objective=objective)
 
