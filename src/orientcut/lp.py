@@ -37,10 +37,10 @@ basis it reached is still dual feasible, so a later solve goes on from it.
 `affine_dimension` is exact: the affine rank of the points P is the rank of
 M = [P 1] less one, and rank(M) equals the rank of the square Gram matrix
 M'M, over the reals and so over the rationals. An integer ndarray is ranked
-as it is, with no copy; M'M is formed in int64 when every point entry is
-below 2^62 in size and rows x max|P|^2 < 2^62, which keeps every sum from
-overflowing, and in Python ints otherwise; fraction-free elimination then
-ranks all of its rows, with no early stop.
+as it is, with no list copy; M'M is formed in float64 by BLAS when
+rows x max|P|^2 < 2^53, which keeps every partial sum an integer that
+float64 holds exactly, and in Python ints otherwise; fraction-free
+elimination then ranks all of its rows, with no early stop.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ PIVOT_TOL = 1e-9
 _BOUND_TOL = 1e-9
 _DEGEN_EPS = 1e-10
 DEADLINE_PIVOTS = 64  # a solve reads its deadline once per this many pivots
-_INT64_GUARD = 1 << 62  # the int64 bound of exact products: entries, rows x max|P|^2
+_FLOAT_GUARD = 1 << 53  # the float64 bound of exact Gram matrices: rows x max|P|^2
 
 
 @dataclass
@@ -367,13 +367,14 @@ def affine_dimension(points: np.ndarray | Iterable[Sequence]) -> int:
     rank(M) - 1; rank(M'M) = rank(M) over the reals, so over the rationals
     too: if M'Mx = 0 then |Mx|^2 = x'M'Mx = 0. A single point has dimension
     0, an empty set dimension -1. An integer ndarray (one int64 row per lab
-    point, say) is ranked as it is, with no copy; other points become one
-    array first. Entries that are not integers are exact as Fractions, and P
-    is scaled by the least common denominator of all of them, which leaves
-    the rank alone. The square Gram matrix M'M, one longer than a point, is
-    P'P bordered by the column sums of P and the point count: formed in
-    int64 when every entry of P lies below 2^62 in size and rows x max|P|^2
-    < 2^62, so no sum can overflow, and in Python ints otherwise. Its rank
+    point, say) is ranked as it is, with no list copy; other points become
+    one array first. Entries that are not integers are exact as Fractions,
+    and P is scaled by the least common denominator of all of them, which
+    leaves the rank alone. The square Gram matrix M'M, one longer than a
+    point, is P'P bordered by the column sums of P and the point count:
+    formed in float64 when rows x max|P|^2 < 2^53, so every partial sum is
+    an integer float64 holds exactly whatever order BLAS adds in, and in
+    Python ints otherwise; either way it comes back as Python ints. Its rank
     comes from fraction-free elimination over every one of its rows: each
     row is reduced against the basis by cross-multiplying and divided by its
     gcd.
@@ -406,14 +407,17 @@ def _fraction(a) -> Fraction:
 
 
 def _gram(p: np.ndarray) -> List[List[int]]:
-    """M'M for M = [p 1] as Python ints: p'p bordered by the column sums of
-    p and its row count, multiplied in int64 when the bound in
-    `affine_dimension` proves that exact, as Python ints otherwise."""
-    top = max(int(p.max(initial=0)), -int(p.min(initial=0)))
-    if top < _INT64_GUARD and len(p) * top * top < _INT64_GUARD:
-        p = p.astype(np.int64, copy=False)
-    else:
-        p = p.astype(object)
+    """M'M for M = [p 1] as Python ints. When rows x max(1, max|p|)^2 < 2^53,
+    M is copied once into float64 and multiplied by BLAS: every partial sum
+    of every entry is then an integer below 2^53, so the product is exact in
+    any summation order. Otherwise p'p is formed in Python ints and
+    bordered by the column sums of p and its row count."""
+    top = max(1, int(p.max(initial=0)), -int(p.min(initial=0)))
+    if len(p) * top * top < _FLOAT_GUARD:
+        m = np.ones((len(p), p.shape[1] + 1))
+        m[:, :-1] = p
+        return (m.T @ m).astype(np.int64).tolist()
+    p = p.astype(object)
     sums = p.sum(axis=0).tolist()
     return [row + [s] for row, s in zip((p.T @ p).tolist(), sums)] + [sums + [len(p)]]
 

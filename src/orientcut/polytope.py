@@ -1,11 +1,14 @@
 """Exact small-instance laboratory: point enumeration, faces, brute force.
 
-Everything here is deliberately exhaustive and exact. Feasible points are
-enumerated by scanning per-edge direction states with arc bitmasks, and held
-as one int64 matrix with one row (w, z) per point; a row's values at every
-point come from one matrix-vector product, and affine ranks use exact
-integer arithmetic, so facet verdicts carry no rounding doubt.
-Size caps guard each entry point because the state space is exponential.
+Everything here is deliberately exhaustive and exact. Each selection (one
+state per edge) is an int64 arc bitmask, and acyclicity and window loads are
+tested for all 2^m or 3^m selections at once, against cycle and path masks.
+The feasible points are one int64 matrix with one row (w, z) per point; a
+row's values at every point come from one matrix-vector product, and affine
+ranks are exact, so facet verdicts carry no rounding doubt. Size caps guard
+each entry point because the state space is exponential. At the edge cap the
+scan's largest transient array is selections x paths: for the 6-cycle with
+two chords at kappa 3 (8 edges, 6,561 selections, 48 paths), 2.5 MB.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,33 +33,37 @@ from .graphs import (
     order_arcs,
     path_arc_list,
 )
-from .lp import _INT64_GUARD, _fraction, affine_dimension
+from .lp import _fraction, affine_dimension
 from .model import AO, LinearRow, ModelConfig, ModelPoint
 
 MAX_LAB_EDGES = 8
 MAX_LAB_POINTS = 1 << 20
 MAX_BRUTE_VERTICES = 10
 MAX_BRUTE_STATES = 1 << 20
+_INT64_GUARD = 1 << 62  # the int64 bound of exact products
 
 
-def _selection_scan(g: UndirectedGraph, cfg: ModelConfig) -> Iterator[Tuple[int, int]]:
-    """Yield (arc bitmask, max path load) for every acyclic binary selection.
+def _selection_scan(g: UndirectedGraph, cfg: ModelConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """Arc bitmask and window load of every acyclic selection, as two int64
+    arrays in `itertools.product` order over the edges' states (edge 0
+    slowest; skip, forward, backward).
 
-    A selection picks one direction per edge (both-variant also allows
-    skipping the edge); arc 2e + k is bit 2e + k of the mask. Acyclicity and
-    loads are popcount tests against precomputed cycle and path masks.
+    A selection picks one direction per edge (the selection variant also
+    allows skipping the edge); arc 2e + k is bit 2e + k of the mask. A mask
+    holding every arc of a cycle is dropped, and a load is the largest
+    popcount of the mask against a kappa-arc path's mask (0 with no path).
     """
-    m = g.m
-    cyc_masks = [sum(1 << a for a in cycle_arc_list(g, c))
-                 for c in enumerate_cycles(g, max(g.n, 2))] if m else []
-    path_masks = [sum(1 << a for a in path_arc_list(g, p))
-                  for p in enumerate_paths_k(g, cfg.kappa)]
-    skip = () if cfg.variant == AO else (0,)
-    for arcs in itertools.product(*(skip + (1 << 2 * e, 2 << 2 * e) for e in range(m))):
-        mask = sum(arcs)
-        if any(cm & mask == cm for cm in cyc_masks):
-            continue
-        yield mask, max(((pm & mask).bit_count() for pm in path_masks), default=0)
+    states = np.array((1, 2) if cfg.variant == AO else (0, 1, 2), dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)
+    for e in range(g.m):
+        masks = (masks[:, None] | states << 2 * e).ravel()
+    cycles = np.array([sum(1 << a for a in cycle_arc_list(g, c))
+                       for c in enumerate_cycles(g, max(g.n, 2))], dtype=np.int64)
+    masks = masks[~((masks[:, None] & cycles) == cycles).any(axis=1)]
+    paths = np.array([sum(1 << a for a in path_arc_list(g, p))
+                      for p in enumerate_paths_k(g, cfg.kappa)], dtype=np.int64)
+    loads = np.bitwise_count(masks[:, None] & paths).max(axis=1, initial=0)
+    return masks, loads.astype(np.int64)
 
 
 def _point(w_bits, z) -> ModelPoint:
@@ -67,10 +74,11 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> np.ndarra
     """All feasible integral points as one int64 matrix, shape (N, 2m + 1):
     one row (w, z) per point, w indexed by arc and z last.
 
-    For each acyclic selection, in scan order, z ranges over the integers
-    from the maximum path load up to the z upper bound. Intermediate levels
-    are convex combinations of the endpoints, so affine hulls computed from
-    these points coincide with those of the full continuous-z solution set.
+    For each acyclic selection, in the array scan's order (edge 0 slowest),
+    z ranges over the integers from the larger of its window load and the z
+    lower bound up to the z upper bound. Intermediate levels are convex
+    combinations of the endpoints, so affine hulls computed from these
+    points coincide with those of the full continuous-z solution set.
     The z levels of every selection are counted before any point is built,
     and more than MAX_LAB_POINTS of them in all are refused: the count grows
     with kappa. Within the cap, each selection's bits and z levels are
@@ -78,15 +86,15 @@ def enumerate_feasible_points(g: UndirectedGraph, cfg: ModelConfig) -> np.ndarra
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_EDGES} edges, got {g.m}")
-    scan = np.array(list(_selection_scan(g, cfg)), dtype=np.int64).reshape(-1, 2)
-    low = np.maximum(scan[:, 1], int(cfg.z_lower))
+    masks, loads = _selection_scan(g, cfg)
+    low = np.maximum(loads, int(cfg.z_lower))
     levels = np.maximum(int(cfg.z_upper) + 1 - low, 0)
     count = int(levels.sum())
     if count > MAX_LAB_POINTS:
         raise SizeRefusalError(f"point enumeration capped at {MAX_LAB_POINTS} points, "
                                f"got {count}")
     width = 2 * g.m
-    bits = scan[:, :1] >> np.arange(width) & 1
+    bits = masks[:, None] >> np.arange(width) & 1
     points = np.empty((count, width + 1), dtype=np.int64)
     points[:, :width] = np.repeat(bits, levels, axis=0)
     # row i of a selection whose rows start at `first` has z = low + (i - first)
@@ -253,22 +261,20 @@ def brute_force_optimum(g: UndirectedGraph, cfg: ModelConfig) -> Tuple[float, Mo
     """Exact optimum of the model objective by full state enumeration.
 
     Minimizes z for the orientation variant and z - (m + 1) * sum(w) for the
-    selection variant. Raises InfeasibleError when no state fits the z window.
+    selection variant, over every acyclic selection of the scan at once; a
+    tie goes to the first selection in scan order. Raises InfeasibleError
+    when no state fits the z window.
     """
     if g.m > MAX_LAB_EDGES:
         raise SizeRefusalError(f"optimum brute force capped at {MAX_LAB_EDGES} edges, got {g.m}")
-    z_lo = int(cfg.z_lower)
-    z_up = int(cfg.z_upper)
-    penalty = g.m + 1
-    best: Optional[Tuple[float, int, int]] = None
-    for mask, load in _selection_scan(g, cfg):
-        z = max(load, z_lo)
-        if z > z_up:
-            continue
-        obj = float(z) if cfg.variant == AO else z - penalty * mask.bit_count()
-        if best is None or obj < best[0]:
-            best = (obj, mask, z)
-    if best is None:
+    masks, loads = _selection_scan(g, cfg)
+    z = np.maximum(loads, int(cfg.z_lower))
+    objective = z if cfg.variant == AO else \
+        z - (g.m + 1) * np.bitwise_count(masks).astype(np.int64)
+    fits = np.flatnonzero(z <= int(cfg.z_upper))
+    if not len(fits):
         raise InfeasibleError("no acyclic selection fits the z window")
-    obj, mask, z = best
-    return obj, _point((mask >> a & 1 for a in range(2 * g.m)), z)
+    best = fits[objective[fits].argmin()]
+    value = float(objective[best]) if cfg.variant == AO else int(objective[best])
+    mask = int(masks[best])
+    return value, _point((mask >> a & 1 for a in range(2 * g.m)), z[best])

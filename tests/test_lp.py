@@ -640,8 +640,8 @@ def test_integer_rank_matches_fraction_reference(kind):
         points = _lab_like_points(rng, kind, rng.randint(2, 10))
         assert len(points) >= 180 and len(set(points)) < len(points)
         assert affine_dimension(points) == fraction_rank(points), points
-    # entries at and past the int64 guard (2^62): the bound on the Gram
-    # matrix fails first, then the one on the entries, then numpy's int64
+    # large entries: the float64 bound on the Gram matrix (rows x max|P|^2
+    # < 2^53) fails from 2^31 on, and past 2^63 numpy holds no int64
     for big in (1 << 31, 1 << 40, (1 << 62) - 1, 1 << 62, 1 << 63, 1 << 70):
         base = _random_points(rng, "int", 200, 6, rng.randint(0, 5))
         points = [tuple(_as_kind(kind, rng, v * big + 1) for v in p) for p in base]

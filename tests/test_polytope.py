@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from orientcut.errors import InfeasibleError, InputError, SizeRefusalError
-from orientcut import polytope
+from orientcut import lp, polytope
 from orientcut.graphs import (
+    UndirectedGraph,
     complete_graph,
+    cycle_arc_list,
     cycle_graph,
     enumerate_cycles,
     enumerate_paths_k,
     is_acyclic,
     max_path_load,
+    path_arc_list,
     petersen_graph,
     single_edge,
 )
@@ -81,6 +84,108 @@ def _reference_points(g, cfg):
         low = max(max_path_load(g, arcs, cfg.kappa)[0], int(cfg.z_lower))
         out += [w + [z] for z in range(low, int(cfg.z_upper) + 1)]
     return out
+
+
+# the CI graph at the lab's edge cap: a 6-cycle with two chords, 8 edges
+CAP8 = UndirectedGraph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3), (1, 4)])
+
+
+def _reference_scan(g, cfg):
+    """(arc mask, window load) of every acyclic selection, one selection at
+    a time in `itertools.product` order, with popcounts against the cycle
+    and path masks."""
+    cyc_masks = [sum(1 << a for a in cycle_arc_list(g, c))
+                 for c in enumerate_cycles(g, max(g.n, 2))]
+    path_masks = [sum(1 << a for a in path_arc_list(g, p))
+                  for p in enumerate_paths_k(g, cfg.kappa)]
+    skip = () if cfg.variant == AO else (0,)
+    for arcs in itertools.product(*(skip + (1 << 2 * e, 2 << 2 * e) for e in range(g.m))):
+        mask = sum(arcs)
+        if any(cm & mask == cm for cm in cyc_masks):
+            continue
+        yield mask, max(((pm & mask).bit_count() for pm in path_masks), default=0)
+
+
+def _scan_graphs():
+    return atlas_graphs(max_edges=5) + [CAP8, UndirectedGraph(1, []), UndirectedGraph(4, [])]
+
+
+def test_selection_scan_matches_the_product_reference():
+    """The array scan's (mask, load) pairs are the one-at-a-time scan's, in
+    its order, on the atlas, the 8-edge cap graph, a single vertex and an
+    edgeless graph, at kappa 1, 2, 3 and 7 (past every graph's n, so no
+    path and every load 0), in both variants."""
+    for g in _scan_graphs():
+        for kappa in (1, 2, 3, 7):
+            for variant in (AO, AS):
+                cfg = ModelConfig(kappa=kappa, variant=variant)
+                masks, loads = polytope._selection_scan(g, cfg)
+                assert masks.dtype == loads.dtype == np.int64
+                assert list(zip(masks.tolist(), loads.tolist())) == \
+                    list(_reference_scan(g, cfg)), (g.edges, kappa, variant)
+                if kappa == 7:
+                    assert not loads.any()
+
+
+def test_brute_force_optimum_matches_a_loop_over_the_scan():
+    """The optimum and its point are a strict-`<` loop's over the reference
+    scan, so among tied selections the first in scan order wins; a z window
+    that no selection fits raises."""
+    ties = 0
+    for g in atlas_graphs(max_edges=5) + [CAP8]:
+        for kappa in (1, 2, 3):
+            for variant in (AO, AS):
+                for z_fixed in (None, 1):
+                    cfg = ModelConfig(kappa=kappa, variant=variant, z_fixed=z_fixed)
+                    best, n_best = None, 0
+                    for mask, load in _reference_scan(g, cfg):
+                        z = max(load, int(cfg.z_lower))
+                        if z > cfg.z_upper:
+                            continue
+                        obj = float(z) if variant == AO else z - (g.m + 1) * mask.bit_count()
+                        if best is None or obj < best[0]:
+                            best, n_best = (obj, mask, z), 1
+                        elif obj == best[0]:
+                            n_best += 1
+                    if best is None:
+                        with pytest.raises(InfeasibleError):
+                            brute_force_optimum(g, cfg)
+                        continue
+                    ties += n_best > 1
+                    obj, mask, z = best
+                    point = ModelPoint(tuple(mask >> a & 1 for a in range(2 * g.m)), z)
+                    got = brute_force_optimum(g, cfg)
+                    assert got == (obj, point), (g.edges, kappa, variant, z_fixed)
+                    assert type(got[0]) is type(obj)
+    assert ties > 100
+
+
+@pytest.mark.parametrize("rows, path", [((1 << 13) - 1, "float"), (1 << 13, "int")])
+def test_gram_tiers_meet_at_two_to_the_53(monkeypatch, rows, path):
+    """Entries of size 2^20 put rows x max|P|^2 just below 2^53 at 2^13 - 1
+    rows, where the Gram matrix is formed in float64, and at 2^53 with one
+    row more, where it is formed in Python ints; both ranks are exact."""
+    top = 1 << 20
+    rng = np.random.default_rng(53)
+    base = rng.integers(0, 2, size=(rows, 4)) * top
+    points = np.hstack([base, base[:, :1] - base[:, 1:2], np.full((rows, 1), 5)])
+    assert int(np.abs(points).max()) == top
+    assert (rows * top * top < 1 << 53) == (path == "float")
+    floats = []
+
+    class Spy:  # counts the float64 copies of M = [P 1]
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def ones(self, *args, **kwargs):
+            floats.append(args)
+            return np.ones(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "np", Spy())
+    assert affine_dimension(points) == 4  # the fifth column follows the first two
+    assert len(floats) == (path == "float")
+    monkeypatch.undo()
+    assert fraction_rank(points.tolist()) == 4
 
 
 def test_point_matrix_matches_the_product_reference():
