@@ -106,16 +106,12 @@ def _reference_scan(g, cfg):
         yield mask, max(((pm & mask).bit_count() for pm in path_masks), default=0)
 
 
-def _scan_graphs():
-    return atlas_graphs(max_edges=5) + [CAP8, UndirectedGraph(1, []), UndirectedGraph(4, [])]
-
-
 def test_selection_scan_matches_the_product_reference():
     """The array scan's (mask, load) pairs are the one-at-a-time scan's, in
     its order, on the atlas, the 8-edge cap graph, a single vertex and an
     edgeless graph, at kappa 1, 2, 3 and 7 (past every graph's n, so no
     path and every load 0), in both variants."""
-    for g in _scan_graphs():
+    for g in atlas_graphs(max_edges=5) + [CAP8, UndirectedGraph(1, []), UndirectedGraph(4, [])]:
         for kappa in (1, 2, 3, 7):
             for variant in (AO, AS):
                 cfg = ModelConfig(kappa=kappa, variant=variant)
