@@ -63,6 +63,7 @@ _BOUND_TOL = 1e-9
 _DEGEN_EPS = 1e-10
 DEADLINE_PIVOTS = 64  # a solve reads its deadline once per this many pivots
 _FLOAT_GUARD = 1 << 53  # the float64 bound of exact Gram matrices: rows x max|P|^2
+_GRAM_BLOCK = 1 << 12  # rows of M = [P 1] per float64 block: the buffer stays small beside P
 
 
 @dataclass
@@ -408,15 +409,21 @@ def _fraction(a) -> Fraction:
 
 def _gram(p: np.ndarray) -> List[List[int]]:
     """M'M for M = [p 1] as Python ints. When rows x max(1, max|p|)^2 < 2^53,
-    M is copied once into float64 and multiplied by BLAS: every partial sum
-    of every entry is then an integer below 2^53, so the product is exact in
-    any summation order. Otherwise p'p is formed in Python ints and
-    bordered by the column sums of p and its row count."""
+    it is summed in float64 over blocks of `_GRAM_BLOCK` rows of M, each
+    copied into one float64 buffer and multiplied by BLAS: every partial sum
+    of every entry, within a block or across blocks, is then an integer
+    below 2^53, so the sum is exact in any order. Otherwise p'p is formed in
+    Python ints and bordered by the column sums of p and its row count."""
     top = max(1, int(p.max(initial=0)), -int(p.min(initial=0)))
     if len(p) * top * top < _FLOAT_GUARD:
-        m = np.ones((len(p), p.shape[1] + 1))
-        m[:, :-1] = p
-        return (m.T @ m).astype(np.int64).tolist()
+        block = np.ones((min(len(p), _GRAM_BLOCK), p.shape[1] + 1))
+        gram = None
+        for start in range(0, len(p), len(block)):
+            m = block[:len(p) - start]
+            m[:, :-1] = p[start:start + len(block)]
+            prod = m.T @ m
+            gram = prod if gram is None else gram + prod
+        return gram.astype(np.int64).tolist()
     p = p.astype(object)
     sums = p.sum(axis=0).tolist()
     return [row + [s] for row, s in zip((p.T @ p).tolist(), sums)] + [sums + [len(p)]]

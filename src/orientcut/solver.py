@@ -53,15 +53,16 @@ longest-path labels. The search then propagates the forced arcs of each
 child it pushes to a fixpoint (`_propagate`). Each vertex holds a window of
 the labels it may still take, narrowed by the forced arcs and by `labels`,
 the labels its candidates must use (a fixed-spectrum probe's availability
-sets). An unforced edge that one direction would close into a forced cycle,
-or whose direction would leave no room between its ends' windows, is forced
-the other way. Every side row w_a + w_b <= 1 among the extra rows forces
-b's reverse once a is forced. A child left with a forced cycle, an empty
-window, a side row with both arcs forced or an edge with no direction is
-dropped and counted as pruned. That pass is the child's acyclicity test,
-which `_branch` makes where the search does not propagate. The root is not
-propagated: `_Context`'s block pivot on the pair rows skips only the edges
-the root fixes, so that would have to happen before it is built.
+sets). An unforced edge one of whose directions would leave no room
+between its ends' windows is forced the other way. Every side row
+w_a + w_b <= 1 among the extra rows forces b's reverse once a is forced. A
+child left with a forced cycle, an empty window, a side row with both arcs
+forced or an edge with no direction is dropped and counted as pruned.
+Where the search does not propagate, a child whose forced arcs close a
+cycle is pushed like any other, and the cycle rows cut it off as they cut
+off any cyclic integral point. The root is not propagated: `_Context`'s
+block pivot on the pair rows skips only the edges the root fixes, so that
+would have to happen before it is built.
 
 The base program starts in the basis the root's first solve would reach
 after its pivots on the edge-pair rows. At the start point, each variable at
@@ -99,7 +100,6 @@ from typing import AbstractSet, Dict, Iterable, List, Mapping, Optional, Sequenc
 from .errors import InputError, SolverError, TimeLimitError
 from .graphs import (
     UndirectedGraph,
-    _kahn,
     dag_longest_path,
     find_directed_cycle,
     greedy_clique,
@@ -120,6 +120,8 @@ from .model import (
 )
 from .separation import separate_cycles, separate_paths, separate_templates, walk_bounds
 
+# The tail-off limits pay: 40 nodes of G(20, 0.5) seed 2 at kappa 5 took 32 s and 194 MB
+# with them, 44 s and 230 MB without (2-core x86 host, one BLAS thread).
 MAX_CUT_ROUNDS = 20
 TAIL_EPS = 1e-5
 TAIL_ROUNDS = 3
@@ -191,14 +193,12 @@ class _Context:
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
                  labels: Optional[Sequence[Optional[Sequence[int]]]] = None,
-                 root_forced: Tuple[Tuple[int, int], ...] = (),
-                 propagate: bool = False):
+                 root_forced: Tuple[Tuple[int, int], ...] = ()):
         self.g = g
         self.cfg = cfg
         self.objective = objective
         self.deadline = deadline
         self.labels = labels  # the candidate test's menus, None for none
-        self.propagate = propagate  # whether the search propagates each child
         m = g.m
         cost = [0.0] * (2 * m) + [objective.z_coeff]
         for a, c in objective.w_coeffs.items():
@@ -235,8 +235,8 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     """Children on the most fractional edge: pair sum closest to one, then
     the largest smaller direction, ties by edge index. Both children carry
     `lp`, the program that gave `w`. A child whose forced arcs close a cycle
-    is dropped, unless the search propagates each child, which makes that
-    test."""
+    is kept: the propagation drops it where the search propagates, and the
+    cycle rows cut it off where it does not."""
     edge = min(
         (e for e in range(ctx.g.m)
          if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
@@ -251,12 +251,7 @@ def _branch(ctx: _Context, node: _Node, w: Sequence[float],
     down[arc] = 0
     if ctx.cfg.variant == AO:
         down[arc ^ 1] = 1
-    children = []
-    for child_forced in (down, up):
-        if ctx.propagate or find_directed_cycle(
-                ctx.g, [a for a, v in child_forced.items() if v == 1]) is None:
-            children.append(_Node(tuple(sorted(child_forced.items())), lp))
-    return tuple(children)
+    return tuple(_Node(tuple(sorted(f.items())), lp) for f in (down, up))
 
 
 def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: int,
@@ -271,19 +266,21 @@ def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: i
 
     Each sweep first reads `side`: an arc of a pair forced on forces the
     other off, and so its reverse on, and a pair with both arcs on leaves
-    none. A sweep that forces nothing there makes one Kahn pass over F, the
-    arcs forced to 1, and a cycle in F leaves none. Otherwise each vertex v
-    gets a window [lo(v), hi(v)]: lo(v) is the least label v may take that
-    is at least lo(u) + 1 for every F-arc u -> v, and hi(v) the largest that
-    is at most hi(u) - 1 for every F-arc v -> u. Every labeling has
+    none. A sweep that forces nothing there gives each vertex v a window
+    [lo(v), hi(v)] from F, the arcs forced to 1. lo is F's least labeling
+    (`least_labels`), and a cycle in F, or a vertex with no label up to
+    kappa - 1 left, leaves none; hi(v) is the largest label v may take that is at most
+    hi(u) - 1 for every F-arc v -> u. Every labeling has
     lo(v) <= f(v) <= hi(v), so an empty window leaves none. Without labels,
     lo(v) is the most arcs on an F-path into v and kappa - 1 - hi(v) the
-    most on one out of v. An unforced edge {u, v} cannot run u -> v when F
-    leads from v to u, or when lo(u) >= hi(v): both are labels their
-    vertices may take, so that is exactly when v has none in
-    [lo(u) + 1, hi(v)], and when u has none in [lo(u), hi(v) - 1]. An edge
-    with no direction left leaves none; one with one direction left is
-    forced that way. The sweeps stop when one forces nothing.
+    most on one out of v. An unforced edge {u, v} cannot run u -> v when
+    lo(u) >= hi(v): both are labels their vertices may take, so that is
+    exactly when v has none in [lo(u) + 1, hi(v)], and when u has none in
+    [lo(u), hi(v) - 1]. An edge with no direction left leaves none; one with
+    one direction left is forced that way. The sweeps stop when one forces
+    nothing. An edge that one direction would close into a forced cycle may
+    stay unforced; the child that forces it so is dropped by its own
+    `least_labels`.
 
     The search does not propagate the root. That would have to happen
     before `_Context` is built, since its block pivot on the pair rows
@@ -309,29 +306,18 @@ def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: i
                 fixed[b], fixed[b ^ 1] = 0, 1
             continue
         ones = frozenset(a for a, v in fixed.items() if v == 1)
-        order, _ = _kahn(g, ones)
-        if len(order) < n:
+        lo = least_labels(g, ones, top, labels)
+        if lo is None:
             return None
-        ins: List[List[int]] = [[] for _ in range(n)]
         outs: List[List[int]] = [[] for _ in range(n)]
         for a in ones:
-            ins[g.heads[a]].append(g.tails[a])
             outs[g.tails[a]].append(g.heads[a])
-        lo, hi, reach = [0] * n, [top] * n, [0] * n  # reach: a bitmask of vertices
-        for v in order:
-            low = max((lo[u] + 1 for u in ins[v]), default=0)
-            menu = menus[v]
-            if menu is not None:
-                i = bisect.bisect_left(menu, low)
-                low = menu[i] if i < len(menu) else kappa
-            if low > top:
-                return None
-            lo[v] = low
-        for v in reversed(order):
+        hi = [top] * n
+        # lo rises along every F-arc, so falling lo is a reverse topological order
+        for v in sorted(range(n), key=lo.__getitem__, reverse=True):
             high = top
             for u in outs[v]:
                 high = min(high, hi[u] - 1)
-                reach[v] |= reach[u] | 1 << u
             menu = menus[v]
             if menu is not None:
                 i = bisect.bisect_right(menu, high)
@@ -344,8 +330,8 @@ def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: i
             if a in fixed:
                 continue
             u, v = g.tails[a], g.heads[a]
-            no_uv = reach[v] >> u & 1 or lo[u] >= hi[v]
-            no_vu = reach[u] >> v & 1 or lo[v] >= hi[u]
+            no_uv = lo[u] >= hi[v]
+            no_vu = lo[v] >= hi[u]
             if no_uv and no_vu:
                 return None
             if no_uv or no_vu:
@@ -528,7 +514,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     side = [tuple(r.coeffs) for r in extra_rows
             if r.sense == "<=" and r.rhs == 1 and r.z_coeff == 0 and len(r.coeffs) == 2
             and all(c == 1 for c in r.coeffs.values())] if propagate else []
-    ctx = _Context(g, cfg, obj, extra_rows, deadline, labels, root_forced, propagate)
+    ctx = _Context(g, cfg, obj, extra_rows, deadline, labels, root_forced)
     root = _Node(root_forced, ctx.base_lp)
 
     seq = 0

@@ -184,6 +184,19 @@ def test_gram_tiers_meet_at_two_to_the_53(monkeypatch, rows, path):
     assert fraction_rank(points.tolist()) == 4
 
 
+def test_gram_blocks_add_up_across_a_block_boundary():
+    """The float64 Gram matrix is summed over blocks of `_GRAM_BLOCK` rows;
+    a point past the first block that leaves the affine hull of the ones
+    before it raises the rank, as the Fraction reference says."""
+    rows = lp._GRAM_BLOCK + 1
+    rng = np.random.default_rng(7)
+    base = rng.integers(-3, 4, size=(rows, 3))
+    points = np.hstack([base, base[:, :1] + base[:, 1:2], np.zeros((rows, 1), dtype=np.int64)])
+    points[-1, -1] = 1  # the only point off the hyperplane x_4 = 0
+    assert affine_dimension(points[:-1]) == fraction_rank(points[:-1].tolist()) == 3
+    assert affine_dimension(points) == fraction_rank(points.tolist()) == 4
+
+
 def test_point_matrix_matches_the_product_reference():
     """Row for row, the point matrix is the brute-force enumeration, on every
     atlas graph with at most five edges, at kappa 1 to 3, in both variants;

@@ -696,7 +696,9 @@ def test_one_lp_build_per_solve_and_one_branch_per_node(monkeypatch):
 
 
 def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
-    """The invariant that lets `_process_node` skip a cycle check on entry."""
+    """On these solves every pushed node's forced arcs are acyclic, and a
+    node whose forced arcs do close a cycle ends infeasible in both models:
+    the cycle rows cut it off, as they cut off any cyclic integral point."""
     seen = []
     process = solver._process_node
 
@@ -715,19 +717,16 @@ def test_pushed_nodes_have_acyclic_forced_arcs(monkeypatch):
     for g, node in seen:
         assert is_acyclic(g, [a for a, v in node.forced if v == 1]), node.forced
 
-    # On K3 with 0->1 and 1->2 forced, the child filter in `_branch` must drop
-    # the child that forces 2->0, whichever direction of {0, 2} it branches on.
-    ctx = solver._Context(complete_graph(3),
-                          ModelConfig(kappa=2, variant=AO), solver.Objective(), (), None)
-    arc = ctx.g.arc
-    forced = {arc(0, 1): 1, arc(1, 0): 0, arc(1, 2): 1, arc(2, 1): 0}
-    node = solver._Node(tuple(sorted(forced.items())), ctx.base_lp)
-    for share in (0.6, 0.4):
-        w = [0.0] * 6
-        w[arc(0, 1)] = w[arc(1, 2)] = 1.0
-        w[arc(0, 2)], w[arc(2, 0)] = share, 1.0 - share
-        children = solver._branch(ctx, node, w, ctx.base_lp)
-        assert [dict(c.forced)[arc(2, 0)] for c in children] == [0], share
+    # K3 with 0->1, 1->2 and 2->0 forced
+    g = complete_graph(3)
+    forced = {}
+    for u, v in ((0, 1), (1, 2), (2, 0)):
+        forced[g.arc(u, v)], forced[g.arc(v, u)] = 1, 0
+    for variant in (AO, AS):
+        ctx = solver._Context(g, ModelConfig(kappa=2, variant=variant), solver.Objective(),
+                              (), None)
+        res = process(ctx, solver._Node(tuple(sorted(forced.items())), ctx.base_lp), math.inf)
+        assert res.status == "infeasible" and res.candidate is None, variant
 
 
 def test_propagation_keeps_every_short_acyclic_orientation():
@@ -735,7 +734,7 @@ def test_propagation_keeps_every_short_acyclic_orientation():
     agrees with a forced set agrees with its propagation too, and a forced
     set is dropped only when no such orientation exists."""
     rng = random.Random(22)
-    cases = dropped = closed = 0
+    cases = dropped = closed = cyclic = 0
     while cases < 2000:
         n = rng.randint(2, 7)
         g = UndirectedGraph(n, [e for e in itertools.combinations(range(n), 2)
@@ -747,7 +746,7 @@ def test_propagation_keeps_every_short_acyclic_orientation():
             arcs = frozenset(2 * e + d for e, d in enumerate(dirs))
             if is_acyclic(g, arcs):
                 orientations.append((arcs, dag_longest_path(g, arcs)))
-        for kappa in (1, 2, 3, 4, 6):  # the path rule implies the reach rule below 6
+        for kappa in (1, 2, 3, 4, 6):  # from 6 a free edge can close a forced cycle
             for _ in range(10):
                 forced = {}
                 for e in rng.sample(range(g.m), rng.randint(0, min(3, g.m))):
@@ -767,12 +766,17 @@ def test_propagation_keeps_every_short_acyclic_orientation():
                 for arcs in agree:
                     assert all((a in arcs) == (v == 1) for a, v in got.items()), \
                         (g.edges, kappa, forced, got)
-                # F connects the ends of no free edge, so either direction keeps F
-                # acyclic: `_branch` leaves its cycle test to the propagation
+                # a free edge forced the way that closes a forced cycle drops the
+                # child: `_branch` leaves its cycle test to the propagation
                 ones = [a for a, v in got.items() if v == 1]
-                assert all(is_acyclic(g, ones + [a]) for a in range(2 * g.m) if a not in got)
+                for a in range(2 * g.m):
+                    if a not in got and not is_acyclic(g, ones + [a]):
+                        child = dict(got)
+                        child[a], child[a ^ 1] = 1, 0
+                        assert solver._propagate(g, tuple(sorted(child.items())), kappa) is None
+                        cyclic += 1
                 closed += len(got) == 2 * g.m
-    assert dropped > 100 and closed > 100, (dropped, closed)
+    assert dropped > 100 and closed > 100 and cyclic > 10, (dropped, closed, cyclic)
 
 
 def _least_labels(g, arcs, menus, top):
