@@ -11,10 +11,11 @@ limit bounds the whole command. Each command returns its report and summary;
 `main` alone stamps, prints and picks the exit code: 1 for usage or input
 trouble, a solver failure or an oracle that disagrees, whatever the verdict;
 else 2 infeasible, 3 time limit, 0 solved. A solver failure includes an
-answer that fails its final recheck; a time limit never reaches `main`, as
-`color` and `fap` turn it into their timeout reports. An oracle that refuses
-an instance past its scan's size cap leaves `oracleAgrees` null and the exit
-code as it is.
+answer that fails its final recheck, which raises SolverError for a
+colouring and ContractError (`FrequencyAssignment.verify`) for a frequency
+assignment. A time limit never reaches `main`, as `color` and `fap` turn it
+into their timeout reports. An oracle that refuses an instance past its
+scan's size cap leaves `oracleAgrees` null and the exit code as it is.
 """
 
 from __future__ import annotations
@@ -37,7 +38,14 @@ except ImportError:
         from hashlib import sha256
 
 from .dimacs import parse_dimacs
-from .errors import InfeasibleError, InputError, SizeRefusalError, SolverError, TimeLimitError
+from .errors import (
+    ContractError,
+    InfeasibleError,
+    InputError,
+    SizeRefusalError,
+    SolverError,
+    TimeLimitError,
+)
 from .fap import (
     FapInstance,
     brute_force_fixed_spectrum,
@@ -261,7 +269,6 @@ def cmd_fap(args, text: str, deadline: float) -> Tuple[dict, str]:
         answer = assignment.total_cost if mode == "soft" else True
         summary = (f"total violation cost {assignment.total_cost:g}" if mode == "soft"
                    else f"feasible within spectrum {inst.spectrum}")
-    assignment.verify(inst if mode != "minimum" else inst.with_spectrum(report["spectrum"]))
     report.update(status="optimal", frequencies=list(assignment.freq),
                   violatedPairs=[list(p) for p in sorted(assignment.violated_pairs)],
                   totalCost=assignment.total_cost, **_aggregate(reports))
@@ -391,7 +398,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         text, digest = _read_instance(args.file)
         report, summary = args.func(args, text, deadline)
-    except (InputError, SolverError) as exc:
+    except (InputError, SolverError, ContractError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     _emit({"command": args.subcommand, "digest": digest, **report}, summary, started)

@@ -80,12 +80,12 @@ search checks it after each pop, once the popped node has escaped pruning (a
 node the incumbent prunes is pruned even past the deadline), and a node's cut
 loop checks it before each round and after a round that finds no row (the
 window search reads it too and, past it, returns the rows it holds). Past
-it, a node that is neither a candidate nor pruned goes back onto the heap
-with its current program, whatever its point. Each LP solve reads it too,
-once every `lp.DEADLINE_PIVOTS` pivots; a solve that stops there puts its
-node back onto the heap with its program, at the bound the node was popped
-with. The search stops at the next pop it cannot prune and reports `timeout`
-with the best bound among that node and the open ones.
+it, a node that is neither a candidate nor pruned stops, whatever its point,
+and the search with it. Each LP solve reads it too, once every
+`lp.DEADLINE_PIVOTS` pivots, and stops its node there. The search reports
+`timeout` with the least of the incumbent's objective, the open nodes'
+bounds and the stopped node's: its last LP bound if its cut loop stopped
+it, else the bound it was popped with.
 """
 
 from __future__ import annotations
@@ -356,10 +356,10 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     which ends the separation rounds early. An LP point that is not a
     candidate and whose bound meets the cutoff of `incumbent`, the best
     objective so far, prunes the node: no further round and no children. Past
-    the deadline, any other point makes the node, with its current program,
-    its own one child. An LP solve that passes the deadline stops the node
-    at once ("stopped"), its own one child with the program as the solve left
-    it."""
+    the deadline, any other point stops the node ("stopped") at that point's
+    bound, with no children. An LP solve that passes the deadline stops the
+    node at once, at bound -inf: the search then counts it at the bound it
+    was popped with."""
     g = ctx.g
     cfg = ctx.cfg
     m = g.m
@@ -373,8 +373,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
 
     while True:
         if sol.status == "stopped":  # the LP passed the deadline
-            return _NodeResult("stopped", -math.inf, history, cuts_by_tag, iterations,
-                               children=(_Node(node.forced, lp),))
+            return _NodeResult("stopped", -math.inf, history, cuts_by_tag, iterations)
         if not sol.optimal:
             return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
         bound = sol.objective + ctx.objective.const
@@ -396,8 +395,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
         if _prunable(bound, incumbent, ctx.objective.is_integral):
             return _NodeResult("pruned", bound, history, cuts_by_tag, iterations)
         if ctx.expired():
-            return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                               children=(_Node(node.forced, lp),))
+            return _NodeResult("stopped", bound, history, cuts_by_tag, iterations)
         if not integral:
             rounds += 1
             if len(history) >= 2 and history[-1] - history[-2] < TAIL_EPS:
@@ -411,8 +409,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
                      or (separate_cycles(g, w) if integral else []))
         if not fresh:
             if ctx.expired():  # the window search stopped early
-                return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
-                                   children=(_Node(node.forced, lp),))
+                return _NodeResult("stopped", bound, history, cuts_by_tag, iterations)
             if integral:
                 raise SolverError("no cut separates an infeasible integral point")
             return _NodeResult("branched", bound, history, cuts_by_tag, iterations,
@@ -525,15 +522,18 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
     histories: List[List[float]] = []
     lp_iters = 0
 
+    def timeout(at: float) -> SolveReport:
+        bound = min([at, incumbent_obj] + [b for b, _, _ in heap])
+        return SolveReport("timeout", best, None if best is None else incumbent_obj, bound,
+                           node_count, pruned_count, cut_counts, histories, lp_iters)
+
     while heap:
         bound, _, node = heapq.heappop(heap)
         if _prunable(bound, incumbent_obj, integral_obj):
             pruned_count += 1
             continue
         if ctx.expired():
-            bound = min([bound, incumbent_obj] + [b for b, _, _ in heap])
-            return SolveReport("timeout", best, None if best is None else incumbent_obj,
-                               bound, node_count, pruned_count, cut_counts, histories, lp_iters)
+            return timeout(bound)
         res = _process_node(ctx, node, incumbent_obj)
         node_count += 1
         lp_iters += res.lp_iterations
@@ -545,10 +545,8 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         elif res.status == "pruned":
             pruned_count += 1
         elif res.status == "stopped":
-            # back onto the heap with its program, at the bound it was popped
-            # with; the next pop reports the timeout
-            seq += 1
-            heapq.heappush(heap, (bound, -seq, res.children[0]))
+            # a node an LP solve stopped counts at the bound it was popped with
+            return timeout(bound if res.bound == -math.inf else res.bound)
         elif res.status == "branched":
             # no child needs a cutoff test: the cut loop found this bound
             # short of the cutoff, and the incumbent has not moved since

@@ -536,10 +536,10 @@ def test_cli_rejects_non_utf8_input(capsys, tmp_path, argv):
     assert err.startswith("error:") and "UTF-8" in err
 
 
-def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
+def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch, tmp_path):
     import dataclasses
 
-    from orientcut import cli, solver
+    from orientcut import cli, fap, solver
     from orientcut.graphs import order_arcs
     from orientcut.model import ModelPoint
 
@@ -572,6 +572,21 @@ def test_cli_final_recheck_rejects_bad_answers(capsys, k3_file, monkeypatch):
         code, out, err = _run(capsys, ["color", k3_file])
         assert code == 1 and not out
         assert err.startswith("error:") and "recheck" in err
+
+    # every fap mode rechecks its frequencies; all zero, they leave a pair unseparated
+    monkeypatch.setattr(fap, "least_labels", lambda g, *args: [0] * g.n)  # fixed
+    monkeypatch.setattr(fap, "longest_path_labels", lambda g, arcs: [0] * g.n)  # soft
+    monkeypatch.setattr(fap, "greedy_assignment", lambda inst: [0] * inst.links)  # minimum
+    triangle = [{"i": i, "j": j, "d": 1} for i, j in ((0, 1), (0, 2), (1, 2))]
+    for mode, doc in (("fixed", {"spectrum": 2, "pairs": triangle}),
+                      ("soft", {"spectrum": 1, "pairs": [{**p, "c": 1.0} for p in triangle]}),
+                      ("minimum", {"pairs": triangle})):
+        p = tmp_path / f"{mode}.json"
+        p.write_text(json.dumps({"links": 3, "freqSets": [[], [], []], **doc}))
+        code, out, err = _run(capsys, ["fap", str(p)])
+        assert code == 1 and not out, mode
+        assert err.startswith("error:") and err.count("\n") == 1, mode
+        assert "separated by 0 < 1" in err, mode
 
 
 class _ClosedStdout:

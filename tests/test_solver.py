@@ -1,4 +1,5 @@
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -165,9 +166,8 @@ def test_clique_bound_finds_a_clique_beside_denser_vertices():
 
 
 def test_deadline_ends_the_cut_loop(monkeypatch):
-    """Past the deadline a node stops separating and goes back onto the heap
-    with its current program, and the search stops with the node's bound
-    among its open bounds."""
+    """Past the deadline a node stops separating, and the search stops with
+    it and counts the node at its last LP bound."""
     rounds = []
     per_node = []
     separate = solver.separate_paths
@@ -204,9 +204,9 @@ def test_deadline_ends_the_cut_loop(monkeypatch):
 
 
 def test_deadline_at_a_fractional_point_sends_the_node_back(monkeypatch):
-    """A node at a fractional point past the deadline does not branch: it goes
-    back onto the heap like an integral one, and the search stops at the next
-    pop with the node's bound."""
+    """A node at a fractional point past the deadline does not branch: it
+    stops like an integral one, and the search stops with it at the node's
+    bound."""
     solved = []
     branched = []
     lp_solve = LinearProgram.solve
@@ -237,9 +237,9 @@ def test_deadline_at_a_fractional_point_sends_the_node_back(monkeypatch):
 
 
 def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
-    """Past the deadline, an integral point that is no candidate sends its
-    node back onto the heap: no separator runs, and the search reports the
-    node's bound among its open bounds."""
+    """Past the deadline, an integral point that is no candidate stops its
+    node: no separator runs, and the search stops with it and reports the
+    node's bound."""
     separated = []
     solved = []
     lp_solve = LinearProgram.solve
@@ -268,7 +268,7 @@ def test_deadline_at_an_integral_point_runs_no_round(monkeypatch):
 def test_window_search_cut_short_sends_the_node_back(monkeypatch):
     """An integral point with an overloaded window whose round finds no row
     is a fault, unless the deadline passed during the round: the window
-    search then stopped early, and the node goes back onto the heap."""
+    search then stopped early, and the node and the search stop there."""
     rounds = []
 
     def stopped(*args):
@@ -320,9 +320,9 @@ def test_deadline_after_a_refusal_ends_the_search(monkeypatch):
 
 def test_deadline_inside_an_lp_solve_ends_the_search(monkeypatch):
     """An LP solve reads the deadline once every DEADLINE_PIVOTS pivots. When
-    it has passed there, the solve stops, its node goes back onto the heap at
-    the bound it was popped with, and the search reports a timeout whose
-    bound is at most the optimum."""
+    it has passed there, the solve stops, and with it its node, which counts
+    at the bound it was popped with, and the search, which reports a timeout
+    whose bound is at most the optimum."""
     rng = random.Random(1)
     g = UndirectedGraph(18, [e for e in itertools.combinations(range(18), 2)
                              if rng.random() < 0.3])  # G(18, 0.3) seed 1
@@ -358,6 +358,78 @@ def test_deadline_inside_an_lp_solve_ends_the_search(monkeypatch):
     assert rep.status == "timeout" and rep.node_count == len(popped)
     assert rep.lp_iterations == sum(s.iterations for s in solves)
     assert math.isfinite(rep.bound) and rep.bound <= free.objective
+
+
+def test_timeout_bound_counts_the_stopped_node_by_where_it_stopped(monkeypatch):
+    """A timeout's bound is the least of the incumbent, the open nodes'
+    bounds and the stopped node's: the bound it was popped with when an LP
+    solve stopped it, its last LP bound when its cut loop did. The root of
+    G(18, 0.3) seed 1 is popped at its box bound 0, below its LP bounds, so
+    there the two rules differ."""
+    rng = random.Random(1)
+    g = UndirectedGraph(18, [e for e in itertools.combinations(range(18), 2)
+                             if rng.random() < 0.3])
+    pops, processed, solves, rounds = [], [], [], []
+    heappop, process = heapq.heappop, solver._process_node
+    lp_solve, paths = LinearProgram.solve, solver.separate_paths
+
+    def pop_spy(heap):
+        entry = heappop(heap)
+        pops.append((entry[0], [b for b, _, _ in heap]))  # its bound, the open bounds
+        return entry
+
+    def process_spy(ctx, node, incumbent):
+        processed.append(pops[-1])
+        return process(ctx, node, incumbent)
+
+    def solve_spy(lp, *args):
+        solves.append(lp_solve(lp, *args))
+        return solves[-1]
+
+    def paths_spy(*args):
+        rounds.append(args)
+        return paths(*args)
+
+    monkeypatch.setattr(solver, "heapq", types.SimpleNamespace(
+        heappop=pop_spy, heappush=heapq.heappush))
+    monkeypatch.setattr(solver, "_process_node", process_spy)
+    monkeypatch.setattr(LinearProgram, "solve", solve_spy)
+    monkeypatch.setattr(solver, "separate_paths", paths_spy)
+
+    def stopped(passed, lp_passed):
+        for record in (pops, processed, solves, rounds):
+            record.clear()
+        clock = types.SimpleNamespace(monotonic=lambda: 1.0 if passed() else 0.0)
+        monkeypatch.setattr(solver, "time", clock)
+        monkeypatch.setattr(separation, "time", clock)
+        monkeypatch.setattr("orientcut.lp.time",
+                            types.SimpleNamespace(monotonic=lambda: 1.0 if lp_passed() else 0.0))
+        rep = solve_ao(g, 5, deadline=0.5)
+        assert rep.status == "timeout" and rep.node_count == len(processed)
+        popped_at, open_bounds = processed[-1]
+        in_lp = [s.status for s in solves].count("stopped") == 1
+        own = popped_at if in_lp else rep.node_bound_histories[-1][-1]
+        assert rep.bound == min([own, rep.objective] + open_bounds)
+        return rep, popped_at, in_lp
+
+    # every LP solve reads the clock at its first pivot, which passes the
+    # deadline once `count` solves have run
+    monkeypatch.setattr("orientcut.lp.DEADLINE_PIVOTS", 1)
+    for count in (3, 4, 5):
+        rep, popped_at, in_lp = stopped(
+            lambda: any(s.status == "stopped" for s in solves),
+            lambda count=count: len(solves) >= count)
+        assert in_lp
+        if count == 3:  # at the root, after three LP bounds
+            assert rep.node_count == 1 and len(rep.root_bound_history) == 3
+            assert rep.bound == popped_at == 0 < rep.root_bound_history[-1]
+    # the clock passes the deadline once `count` separation rounds have begun
+    for count in (3, 5, 11):
+        rep, popped_at, in_lp = stopped(lambda count=count: len(rounds) >= count, lambda: False)
+        assert not in_lp
+        if count == 3:  # at the root, after some rounds
+            assert rep.node_count == 1
+            assert rep.bound == rep.root_bound_history[-1] > popped_at == 0
 
 
 def test_cutoff_in_the_cut_loop_changes_no_answer(monkeypatch):
