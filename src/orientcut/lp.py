@@ -39,8 +39,10 @@ M = [P 1] less one, and rank(M) equals the rank of the square Gram matrix
 M'M, over the reals and so over the rationals. An integer ndarray is ranked
 as it is, with no list copy; M'M is formed in float64 by BLAS when
 rows x max|P|^2 < 2^53, which keeps every partial sum an integer that
-float64 holds exactly, and in Python ints otherwise; fraction-free
-elimination then ranks all of its rows, with no early stop.
+float64 holds exactly, and in Python ints otherwise. M'M is symmetric
+positive semidefinite, so fraction-free (Bareiss) elimination ranks it with
+pivots on its diagonal alone, dropping each index whose diagonal reaches
+zero: no row search, no gcd step, and every division exact.
 """
 
 from __future__ import annotations
@@ -376,9 +378,8 @@ def affine_dimension(points: np.ndarray | Iterable[Sequence]) -> int:
     formed in float64 when rows x max|P|^2 < 2^53, so every partial sum is
     an integer float64 holds exactly whatever order BLAS adds in, and in
     Python ints otherwise; either way it comes back as Python ints. Its rank
-    comes from fraction-free elimination over every one of its rows: each
-    row is reduced against the basis by cross-multiplying and divided by its
-    gcd.
+    comes from Bareiss elimination on its diagonal, which M'M being positive
+    semidefinite allows (`_rank`).
     """
     arr = points
     if not isinstance(arr, np.ndarray):
@@ -429,16 +430,26 @@ def _gram(p: np.ndarray) -> List[List[int]]:
     return [row + [s] for row, s in zip((p.T @ p).tolist(), sums)] + [sums + [len(p)]]
 
 
-def _rank(rows: List[List[int]]) -> int:
-    """Rank of integer rows by fraction-free elimination."""
-    basis: List[Tuple[int, int, List[int]]] = []  # (lead index, lead entry, row)
-    for v in rows:
-        for pivot_idx, pivot, pivot_vec in basis:
-            factor = v[pivot_idx]
-            if factor:
-                v = [pivot * a - factor * b for a, b in zip(v, pivot_vec)]
-        lead = next((k for k, a in enumerate(v) if a), None)
-        if lead is not None:
-            g = math.gcd(*v)
-            basis.append((lead, v[lead] // g, [a // g for a in v]))
-    return len(basis)
+def _rank(gram: List[List[int]]) -> int:
+    """Rank of a symmetric positive semidefinite integer matrix by Bareiss
+    elimination on its diagonal, overwriting its rows.
+
+    Each step pivots on the largest live index k and sets each live a_ij,
+    i <= j, to (a_kk a_ij - a_ik a_jk) / p, p the previous pivot (1 at first):
+    a minor of the input by Sylvester's identity, so the division is exact.
+    The live block stays a positive multiple of a Schur complement, so PSD,
+    and an index whose diagonal is zero, its row and column zero, drops out.
+    Only entries on and above the diagonal are read or written."""
+    live = [i for i, row in enumerate(gram) if row[i]]
+    rank, prev = 0, 1
+    while live:
+        k = live.pop()
+        pivot = gram[k][k]
+        rank += 1
+        for s, i in enumerate(live):
+            row, f = gram[i], gram[i][k]
+            for j in live[s:]:
+                row[j] = (pivot * row[j] - f * gram[j][k]) // prev
+        live = [i for i in live if gram[i][i]]
+        prev = pivot
+    return rank

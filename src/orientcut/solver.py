@@ -84,8 +84,8 @@ it, a node that is neither a candidate nor pruned stops, whatever its point,
 and the search with it. Each LP solve reads it too, once every
 `lp.DEADLINE_PIVOTS` pivots, and stops its node there. The search reports
 `timeout` with the least of the incumbent's objective, the open nodes'
-bounds and the stopped node's: its last LP bound if its cut loop stopped
-it, else the bound it was popped with.
+bounds and the stopped node's: the larger of the bound it was popped with
+and its last LP bound, both valid since cuts only raise a node's bound.
 """
 
 from __future__ import annotations
@@ -358,8 +358,9 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     objective so far, prunes the node: no further round and no children. Past
     the deadline, any other point stops the node ("stopped") at that point's
     bound, with no children. An LP solve that passes the deadline stops the
-    node at once, at bound -inf: the search then counts it at the bound it
-    was popped with."""
+    node at once, at its last LP bound, or -inf before its first; the search
+    counts a stopped node at the larger of that and the bound it was popped
+    with."""
     g = ctx.g
     cfg = ctx.cfg
     m = g.m
@@ -370,10 +371,11 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     cuts_by_tag: Dict[str, int] = {}
     tail = 0
     rounds = 0
+    bound = -math.inf
 
     while True:
         if sol.status == "stopped":  # the LP passed the deadline
-            return _NodeResult("stopped", -math.inf, history, cuts_by_tag, iterations)
+            return _NodeResult("stopped", bound, history, cuts_by_tag, iterations)
         if not sol.optimal:
             return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
         bound = sol.objective + ctx.objective.const
@@ -545,8 +547,7 @@ def solve_model(g: UndirectedGraph, cfg: ModelConfig, *,
         elif res.status == "pruned":
             pruned_count += 1
         elif res.status == "stopped":
-            # a node an LP solve stopped counts at the bound it was popped with
-            return timeout(bound if res.bound == -math.inf else res.bound)
+            return timeout(max(bound, res.bound))
         elif res.status == "branched":
             # no child needs a cutoff test: the cut loop found this bound
             # short of the cutoff, and the incumbent has not moved since
@@ -598,8 +599,8 @@ def min_diameter_orientation(g: UndirectedGraph, *,
     """
     parts = []  # (original vertices, induced subgraph), components with edges only
     for comp in g.components():
-        sub, verts = g.induced_subgraph(comp)
-        if sub.m:
+        if len(comp) > 1:  # a component of two or more vertices has an edge
+            sub, verts = g.induced_subgraph(comp)
             parts.append((verts, sub))
     best = [_dsatur_arcs(sub) for _, sub in parts]
 

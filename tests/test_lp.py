@@ -16,7 +16,10 @@ from orientcut.lp import (
     FEAS_TOL,
     PIVOT_TOL,
     LinearProgram,
+    _FLOAT_GUARD,
     _entering,
+    _gram,
+    _rank,
     affine_dimension,
 )
 
@@ -652,6 +655,45 @@ def test_integer_rank_matches_fraction_reference(kind):
     assert affine_dimension(single * 5) == 0
     with pytest.raises(InputError):
         affine_dimension([(1, 2, 3), (1, 2)])
+
+
+def _column_sets():
+    """Named integer point sets for the Gram matrix's diagonal elimination."""
+    rng = np.random.default_rng(34)
+    base = rng.integers(-4, 5, size=(30, 4))
+    line = rng.integers(-3, 4, size=(1, 5))
+    big = 1 << 40  # 9 rows x big^2 is far past 2^53: the Gram matrix is Python ints
+    return {
+        # after the first pivot, on the count, a constant column's diagonal
+        # is zero, and so is a duplicate's after its twin's pivot
+        "constant columns": np.hstack([np.full((30, 1), 7), base, np.full((30, 1), -2)]),
+        "duplicated columns": np.hstack([base[:, :2], base, base[:, 3:]]),
+        "zero columns": np.hstack([base, np.zeros((30, 2), dtype=np.int64)]),
+        "single point": base[:1],
+        "equal points": np.repeat(base[:1], 12, axis=0),
+        "rank 1": np.arange(-6, 6)[:, None] * line + base[:1, :1],
+        "past 2^53": (rng.integers(-2, 3, size=(9, 6)) * big + 1) @ np.eye(6, 8, dtype=np.int64),
+    }
+
+
+@pytest.mark.parametrize("name", list(_column_sets()))
+def test_diagonal_elimination_matches_fraction_reference(name):
+    """Bareiss elimination on the Gram matrix's diagonal, which drops an
+    index whose diagonal reaches zero, ranks each set as Fractions do."""
+    points = _column_sets()[name]
+    if name in ("constant columns", "duplicated columns"):  # no zero before a pivot
+        assert all(row[i] for i, row in enumerate(_gram(points)))
+    if name == "past 2^53":
+        assert len(points) * int(np.abs(points).max()) ** 2 >= _FLOAT_GUARD
+    assert affine_dimension(points) == fraction_rank(points.tolist()), name
+
+
+def test_rank_drops_zero_diagonals_before_the_first_pivot():
+    """A PSD matrix whose last diagonal entry is zero: that index is dropped,
+    not taken as a pivot."""
+    assert _rank([[4, 2, 0], [2, 1, 0], [0, 0, 0]]) == 1
+    assert _rank([[2, 0, 1], [0, 0, 0], [1, 0, 3]]) == 2
+    assert _rank([[0]]) == _rank([]) == 0
 
 
 def _pair_program(c):

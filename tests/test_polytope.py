@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -336,10 +337,36 @@ def test_lab_points_are_integers():
             assert polytope_dimension(g, cfg, pts) == affine_dimension(floats), (name, variant)
 
 
-def test_lab_ranks_match_the_fraction_reference():
+def _gcd_rank(rows):
+    """Reference: rank of integer rows, each reduced against a growing basis
+    by cross-multiplying and divided by its gcd."""
+    basis = []  # (lead index, lead entry, row)
+    for v in rows:
+        for pivot_idx, pivot, pivot_vec in basis:
+            factor = v[pivot_idx]
+            if factor:
+                v = [pivot * a - factor * b for a, b in zip(v, pivot_vec)]
+        lead = next((k for k, a in enumerate(v) if a), None)
+        if lead is not None:
+            g = math.gcd(*v)
+            basis.append((lead, v[lead] // g, [a // g for a in v]))
+    return len(basis)
+
+
+def test_lab_ranks_match_the_fraction_reference(monkeypatch):
     """The polytope's dimension and the face dimension of every cycle and
     path row equal the rank by elimination over Fractions, on every connected
-    graph with at most four edges, at kappa 1 to 3, in both variants."""
+    graph with at most four edges, at kappa 1 to 3, in both variants; and
+    the rank of every Gram matrix on the way equals `_gcd_rank`'s."""
+    ranked = []
+
+    def rank_spy(gram):
+        ranked.append(_gcd_rank(gram))  # leaves `gram` as it is; `rank` does not
+        assert rank(gram) == ranked[-1], gram
+        return ranked[-1]
+
+    rank = lp._rank
+    monkeypatch.setattr(lp, "_rank", rank_spy)
     graphs = atlas_graphs(max_edges=4, connected=True)
     assert len(graphs) == 11
     for g in graphs:
@@ -356,6 +383,7 @@ def test_lab_ranks_match_the_fraction_reference():
                     tight = [p for p in pts.tolist() if row.value(p[:-1], p[-1]) == row.rhs]
                     assert face.valid  # cycle and path rows hold on every point
                     assert face.face_dimension == fraction_rank(tight), (g.edges, kappa, row)
+    assert len(ranked) > 500
 
 
 def test_classify_face_spot_checks():

@@ -362,10 +362,10 @@ def test_deadline_inside_an_lp_solve_ends_the_search(monkeypatch):
 
 def test_timeout_bound_counts_the_stopped_node_by_where_it_stopped(monkeypatch):
     """A timeout's bound is the least of the incumbent, the open nodes'
-    bounds and the stopped node's: the bound it was popped with when an LP
-    solve stopped it, its last LP bound when its cut loop did. The root of
-    G(18, 0.3) seed 1 is popped at its box bound 0, below its LP bounds, so
-    there the two rules differ."""
+    bounds and the stopped node's: the larger of the bound it was popped
+    with and its last LP bound, whether an LP solve or its cut loop stopped
+    it. The root of G(18, 0.3) seed 1 is popped at its box bound 0, below
+    its LP bounds, so there the larger is its last LP bound."""
     rng = random.Random(1)
     g = UndirectedGraph(18, [e for e in itertools.combinations(range(18), 2)
                              if rng.random() < 0.3])
@@ -408,7 +408,7 @@ def test_timeout_bound_counts_the_stopped_node_by_where_it_stopped(monkeypatch):
         assert rep.status == "timeout" and rep.node_count == len(processed)
         popped_at, open_bounds = processed[-1]
         in_lp = [s.status for s in solves].count("stopped") == 1
-        own = popped_at if in_lp else rep.node_bound_histories[-1][-1]
+        own = max([popped_at] + rep.node_bound_histories[-1][-1:])
         assert rep.bound == min([own, rep.objective] + open_bounds)
         return rep, popped_at, in_lp
 
@@ -422,7 +422,7 @@ def test_timeout_bound_counts_the_stopped_node_by_where_it_stopped(monkeypatch):
         assert in_lp
         if count == 3:  # at the root, after three LP bounds
             assert rep.node_count == 1 and len(rep.root_bound_history) == 3
-            assert rep.bound == popped_at == 0 < rep.root_bound_history[-1]
+            assert rep.bound == rep.root_bound_history[-1] > popped_at == 0
     # the clock passes the deadline once `count` separation rounds have begun
     for count in (3, 5, 11):
         rep, popped_at, in_lp = stopped(lambda count=count: len(rounds) >= count, lambda: False)
@@ -1185,16 +1185,22 @@ def test_drift_in_the_search_restarts_once(monkeypatch):
         assert all(colors[u] != colors[v] for u, v in g.edges)
 
 
-def test_chromatic_number_disconnected():
+def test_chromatic_number_disconnected(monkeypatch):
+    built = []  # vertex counts of the induced subgraphs built
+    induced = UndirectedGraph.induced_subgraph
+    monkeypatch.setattr(UndirectedGraph, "induced_subgraph",
+                        lambda self, verts: built.append(len(verts)) or induced(self, verts))
     g = UndirectedGraph(6, [(0, 1), (1, 2), (0, 2), (4, 5)])
     chi, colors = chromatic_number(g)
     assert chi == 3
     assert colors[4] != colors[5]
+    assert built == [3, 2]  # isolated vertex 3 gets no subgraph
     # no edges: every component is skipped by the component loop
     reports = []
     edgeless = UndirectedGraph(3, [])
     assert min_diameter_orientation(edgeless, reports=reports) == (frozenset(), 0)
     assert reports == [] and chromatic_number(edgeless) == (1, [0, 0, 0])
+    assert built == [3, 2]
 
 
 def test_min_diameter_orientation_on_interleaved_components():
