@@ -14,8 +14,10 @@ by their pivots, the labels swap and the reduced costs lose d_Q times those
 rows. That is a fixed number of numpy calls for the whole block, where the
 dual simplex spends about twenty-five on each pivot. It checks that each
 column is such a singleton, that each pivot clears PIVOT_TOL and that the
-result is dual feasible, and raises otherwise. A program nobody
-block-pivots starts from the slack basis.
+result is dual feasible, and raises otherwise. The solver block-pivots only
+the selection model's pair rows; the orientation model's program has one
+column per edge and no pair rows. A program nobody block-pivots starts from
+the slack basis.
 
 The tableau is the compact (dictionary) form: one column per nonbasic
 variable plus the rhs, so it is rows x (structurals + 1) however many rows

@@ -120,13 +120,6 @@ class LinearRow:
     def value(self, w: Sequence[float], z: float):
         return sum(c * w[a] for a, c in self.coeffs.items()) + self.z_coeff * z
 
-    def coeffs_with_z(self, z_index: int) -> Dict[int, float]:
-        """The row as one sparse dict, with z mapped to the given column."""
-        out = dict(self.coeffs)
-        if self.z_coeff:
-            out[z_index] = self.z_coeff
-        return out
-
     def violation(self, w: Sequence[float], z: float):
         """Positive when the row is violated (lhs - rhs for <=, |lhs - rhs| for =)."""
         v = self.value(w, z) - self.rhs

@@ -1,5 +1,13 @@
 """Branch and bound with cutting planes over the orientation models.
 
+The LP of the orientation model has one column per edge, x_e = w_{2e+1}, and
+z: its pair rows w_{2e} + w_{2e+1} = 1 are substituted out, w_{2e} being
+1 - x_e, so it has m + 1 columns and no row but the extra rows and the cuts.
+The selection model's has one column per arc and z, under its pair rows
+w_{2e} + w_{2e+1} <= 1. `_Context` maps every row, the objective, every LP
+point and every forced arc between the arcs and the columns, so the
+separators, the candidate test and the reports read arcs alone.
+
 Nodes carry their parent's last program, which a node copies with its forced
 arcs fixed and re-solves from the parent's basis; the program's rows are the
 node's row set, base rows and every cut of its lineage. Nothing writes the
@@ -17,14 +25,15 @@ families share a row, so a round appends each row it finds and never one the
 program already has.
 An integral point is the node's candidate, at z = max(load, z_lower), when its
 load, the most selected arcs on one kappa-arc path, is at most the LP's z, its
-arcs close no directed cycle (the LP point holds bounds and pair rows already)
-and, where the solve passes `labels`, its arcs have a labeling in them
-(`least_labels`). A point refused by the labels alone gets the no-good row
-sum_{a in arcs} w_a <= |arcs| - 1 as its round; in the orientation model, the
-only one labels are for, every point selects m arcs, so the row removes that
-one orientation. Any other integral point that is no candidate has a directed
-cycle or an overloaded window, which the exact separators cut off; it cannot
-branch, so its round must find a row and ignores the round and tail limits.
+arcs close no directed cycle (the LP point holds the bounds and the pair rows
+already, the orientation model's by construction) and, where the solve passes
+`labels`, its arcs have a labeling in them (`least_labels`). A point refused
+by the labels alone gets the no-good row sum_{a in arcs} w_a <= |arcs| - 1 as
+its round; in the orientation model, the only one labels are for, every point
+selects m arcs, so the row removes that one orientation. Any other integral
+point that is no candidate has a directed cycle or an overloaded window,
+which the exact separators cut off; it cannot branch, so its round must find
+a row and ignores the round and tail limits.
 After each LP solve and its candidate test, the node stops once its bound meets
 the incumbent's cutoff: it runs no further round and has no children, since
 every point below it would be no better than the incumbent.
@@ -60,19 +69,24 @@ child left with a forced cycle, an empty window, a side row with both arcs
 forced or an edge with no direction is dropped and counted as pruned.
 Where the search does not propagate, a child whose forced arcs close a
 cycle is pushed like any other, and the cycle rows cut it off as they cut
-off any cyclic integral point. The root is not propagated: `_Context`'s
-block pivot on the pair rows skips only the edges the root fixes, so that
-would have to happen before it is built.
+off any cyclic integral point. The root is not propagated. The block pivot
+below, which skips only the edges the root fixes, no longer stands in the
+way, as the orientation model has no pair rows to pivot; root propagation is
+left out all the same.
 
-The base program starts in the basis the root's first solve would reach
-after its pivots on the edge-pair rows. At the start point, each variable at
-the bound its cost prefers, a pair row whose two arcs cost the same is
-violated, unless it is a selection row and that cost is not negative. The
-dual simplex would pivot each such row once, degenerately or not, and its
-ratio test would pick arc 2e. `_Context` makes those pivots as one block
-pivot before the side rows join, except on the edge the root fixes. On the
-instances of the tests and the benchmark the root's first solve then ends
-in the same basis as from the slack basis, one pivot sooner per row pivoted.
+The orientation model's program starts at each x_e at the bound its cost
+prefers, x_e = 0 when both arcs of e cost the same: every such edge runs
+along arc 2e, where the dual simplex's first pivots on pair rows
+w_{2e} + w_{2e+1} = 1 would leave it, as their ratio test picks arc 2e. The
+selection model's base program starts in the basis the root's first solve
+would reach after its pivots on the edge-pair rows. At the start point, each
+variable at the bound its cost prefers, a selection pair row whose two arcs
+cost the same is violated when that cost is negative. The dual simplex would
+pivot each such row once, degenerately or not, and its ratio test would pick
+arc 2e. `_Context` makes those pivots as one block pivot before the side rows
+join, except on the edge the root fixes. On the instances of the tests and
+the benchmark the root's first solve then ends in the same basis as from the
+slack basis, one pivot sooner per row pivoted.
 
 A deadline is an absolute `time.monotonic()` reading, or None for none. The
 drivers hand the one deadline of a command to every solve they make. The
@@ -188,7 +202,16 @@ class _NodeResult:
 
 
 class _Context:
-    """Shared, read-only problem data for node processing."""
+    """Shared, read-only problem data for node processing.
+
+    The program's columns depend on the model. In the orientation model
+    there is one per edge, x_e = w_{2e+1}, and z at column m: the pair rows
+    w_{2e} + w_{2e+1} = 1 are substituted out, so w_{2e} = 1 - x_e. In the
+    selection model there is one per arc and z at column 2m, under the pair
+    rows w_{2e} + w_{2e+1} <= 1 and their block pivot. `lp_row`, `point`
+    and `fixings` map rows, LP points and forced arcs between the arcs and
+    the columns; `const` is the objective's constant in the columns.
+    """
 
     def __init__(self, g: UndirectedGraph, cfg: ModelConfig, objective: Objective,
                  extra_rows: Sequence[LinearRow], deadline: Optional[float],
@@ -200,30 +223,78 @@ class _Context:
         self.deadline = deadline
         self.labels = labels  # the candidate test's menus, None for none
         m = g.m
-        cost = [0.0] * (2 * m) + [objective.z_coeff]
-        for a, c in objective.w_coeffs.items():
-            cost[a] += c
+        self.per_edge = cfg.variant == AO  # one column per edge, x_e = w_{2e+1}
+        self.z_col = m if self.per_edge else 2 * m
+        # `_branch`'s tie-break in the orientation model
+        self.degree_sums = [g.degree(i) + g.degree(j) for i, j in g.edges]
+        w_cost, shift = self._columns(objective.w_coeffs)
+        cost = [0.0] * self.z_col + [objective.z_coeff]
+        for j, c in w_cost.items():
+            cost[j] = c
+        self.const = objective.const + shift
         z_lower = cfg.z_lower
-        if cfg.variant == AO and len(greedy_clique(g)) > cfg.kappa:
+        if self.per_edge and len(greedy_clique(g)) > cfg.kappa:
             z_lower = max(z_lower, float(cfg.kappa))  # the clique bound
-        lower, upper = [0.0] * (2 * m) + [z_lower], [1.0] * (2 * m) + [cfg.z_upper]
+        lower = [0.0] * self.z_col + [z_lower]
+        upper = [1.0] * self.z_col + [cfg.z_upper]
         self.base_lp = LinearProgram(cost, lower, upper)
         # the start point: each variable at the bound its cost prefers
         start = [hi if c < 0 else lo for c, lo, hi in zip(cost, lower, upper)]
-        self.box_bound = objective.const + sum(c * s for c, s in zip(cost, start))
-        pairs = [row_edge_pair(g, e, cfg.variant) for e in range(m)]
-        for row in pairs:
-            self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
-        # The root's first pivots, made at once: arc 2e enters on each pair
-        # row the start point violates, as the ratio test's tie-break picks
-        # it when both arcs cost the same, except on an edge the root fixes.
-        fixed = {a // 2 for a, _ in root_forced}
-        self.base_lp.pivot_block([
-            (e, 2 * e) for e, row in enumerate(pairs)
-            if cost[2 * e] == cost[2 * e + 1] and e not in fixed
-            and row.violation(start[:2 * m], start[2 * m]) > FEAS_TOL])
+        self.box_bound = self.const + sum(c * s for c, s in zip(cost, start))
+        if not self.per_edge:
+            pairs = [row_edge_pair(g, e, cfg.variant) for e in range(m)]
+            for row in pairs:
+                self.base_lp.add_row(*self.lp_row(row))
+            # The root's first pivots, made at once: arc 2e enters on each pair
+            # row the start point violates, as the ratio test's tie-break picks
+            # it when both arcs cost the same, except on an edge the root fixes.
+            fixed = {a // 2 for a, _ in root_forced}
+            self.base_lp.pivot_block([
+                (e, 2 * e) for e, row in enumerate(pairs)
+                if cost[2 * e] == cost[2 * e + 1] and e not in fixed
+                and row.violation(start[:2 * m], start[2 * m]) > FEAS_TOL])
         for row in extra_rows:
-            self.base_lp.add_row(row.coeffs_with_z(2 * m), row.sense, row.rhs)
+            self.base_lp.add_row(*self.lp_row(row))
+
+    def _columns(self, coeffs: Mapping[int, float]) -> Tuple[Dict[int, float], float]:
+        """Coefficients over arcs as coefficients over the columns, with the
+        constant they leave: in the orientation model c on arc 2e adds -c to
+        x_e and c to the constant, and c on arc 2e + 1 adds c to x_e. A
+        column whose coefficients cancel is left out."""
+        if not self.per_edge:
+            return dict(coeffs), 0.0
+        out: Dict[int, float] = {}
+        shift = 0.0
+        for a, c in coeffs.items():
+            e = a >> 1
+            if a & 1:
+                out[e] = out.get(e, 0.0) + c
+            else:
+                out[e] = out.get(e, 0.0) - c
+                shift += c
+        return {e: c for e, c in out.items() if c}, shift
+
+    def lp_row(self, row: LinearRow) -> Tuple[Dict[int, float], str, float]:
+        """`row` over the columns, as `LinearProgram.add_row` takes it; a row
+        whose coefficients all cancel reaches the program as 0 <= rhs."""
+        coeffs, shift = self._columns(row.coeffs)
+        if row.z_coeff:
+            coeffs[self.z_col] = row.z_coeff
+        return coeffs, row.sense, row.rhs - shift
+
+    def point(self, x: Sequence[float]) -> Tuple[List[float], float]:
+        """The arcs' values and z at the LP point `x`."""
+        if self.per_edge:
+            return [v for xe in x[:self.z_col] for v in (1.0 - xe, xe)], x[self.z_col]
+        return x[:self.z_col], x[self.z_col]
+
+    def fixings(self, forced: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+        """The (column, value) fixings of the forced (arc, value) pairs. In
+        the orientation model a forced set holds both arcs of each edge it
+        names, and x_e takes the value of arc 2e + 1."""
+        if not self.per_edge:
+            return tuple(forced)
+        return tuple((a >> 1, v) for a, v in forced if a & 1)
 
     def expired(self) -> bool:
         """Whether the solve's deadline has passed."""
@@ -232,24 +303,29 @@ class _Context:
 
 def _branch(ctx: _Context, node: _Node, w: Sequence[float],
             lp: LinearProgram) -> Tuple[_Node, ...]:
-    """Children on the most fractional edge: pair sum closest to one, then
-    the largest smaller direction, ties by edge index. Both children carry
-    `lp`, the program that gave `w`. A child whose forced arcs close a cycle
-    is kept: the propagation drops it where the search propagates, and the
-    cycle rows cut it off where it does not."""
-    edge = min(
-        (e for e in range(ctx.g.m)
-         if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
-         or min(w[2 * e + 1], 1.0 - w[2 * e + 1]) >= INT_TOL),
-        key=lambda e: (abs(w[2 * e] + w[2 * e + 1] - 1.0),
-                       -min(w[2 * e], w[2 * e + 1]), e))
+    """Children on the most fractional edge, ties by edge index: in the
+    orientation model the x_e = w_{2e+1} nearest one half, then the larger
+    endpoint-degree sum; in the selection model the pair sum closest to one,
+    then the largest smaller direction. Both children carry `lp`, the
+    program that gave `w`. A child whose forced arcs close a cycle is kept:
+    the propagation drops it where the search propagates, and the cycle rows
+    cut it off where it does not."""
+    fractional = [e for e in range(ctx.g.m)
+                  if min(w[2 * e], 1.0 - w[2 * e]) >= INT_TOL
+                  or min(w[2 * e + 1], 1.0 - w[2 * e + 1]) >= INT_TOL]
+    if ctx.per_edge:
+        edge = min(fractional, key=lambda e: (-min(w[2 * e + 1], 1.0 - w[2 * e + 1]),
+                                              -ctx.degree_sums[e], e))
+    else:
+        edge = min(fractional, key=lambda e: (abs(w[2 * e] + w[2 * e + 1] - 1.0),
+                                              -min(w[2 * e], w[2 * e + 1]), e))
     arc = 2 * edge if w[2 * edge] >= w[2 * edge + 1] else 2 * edge + 1
     up = dict(node.forced)
     up[arc] = 1
     up[arc ^ 1] = 0
     down = dict(node.forced)
     down[arc] = 0
-    if ctx.cfg.variant == AO:
+    if ctx.per_edge:
         down[arc ^ 1] = 1
     return tuple(_Node(tuple(sorted(f.items())), lp) for f in (down, up))
 
@@ -282,9 +358,10 @@ def _propagate(g: UndirectedGraph, forced: Tuple[Tuple[int, int], ...], kappa: i
     stay unforced; the child that forces it so is dropped by its own
     `least_labels`.
 
-    The search does not propagate the root. That would have to happen
-    before `_Context` is built, since its block pivot on the pair rows
-    skips only the edges the root fixes.
+    The search does not propagate the root. `_Context`'s block pivot on the
+    pair rows, which skips only the edges the root fixes, serves the
+    selection model alone, which never propagates, so it no longer blocks
+    that; the root is left unpropagated all the same.
     """
     fixed = dict(forced)
     n = g.n
@@ -363,8 +440,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
     with."""
     g = ctx.g
     cfg = ctx.cfg
-    m = g.m
-    lp = node.lp.branch(node.forced)
+    lp = node.lp.branch(ctx.fixings(node.forced))
     sol = lp.solve(ctx.deadline)
     iterations = sol.iterations
     history: List[float] = []
@@ -378,15 +454,13 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
             return _NodeResult("stopped", bound, history, cuts_by_tag, iterations)
         if not sol.optimal:
             return _NodeResult("infeasible", math.inf, history, cuts_by_tag, iterations)
-        bound = sol.objective + ctx.objective.const
+        bound = sol.objective + ctx.const
         history.append(bound)
-        x = sol.x.tolist()
-        w = x[:2 * m]
-        z = x[2 * m]
+        w, z = ctx.point(sol.x.tolist())
         integral = all(min(v, 1.0 - v) < INT_TOL for v in w)
         fresh = []
         if integral:
-            arcs = frozenset(a for a in range(2 * m) if w[a] > 0.5)
+            arcs = frozenset(a for a in range(g.num_arcs) if w[a] > 0.5)
             point, load = _integral_point(g, cfg, arcs)
             if load <= z + INT_TOL and find_directed_cycle(g, arcs) is None:
                 if ctx.labels is None or least_labels(
@@ -418,8 +492,7 @@ def _process_node(ctx: _Context, node: _Node, incumbent: float) -> _NodeResult:
                                children=_branch(ctx, node, w, lp))
         for r in fresh:
             cuts_by_tag[r.tag] = cuts_by_tag.get(r.tag, 0) + 1
-        sol = lp.add_rows_and_resolve(
-            [(r.coeffs_with_z(2 * m), r.sense, r.rhs) for r in fresh], ctx.deadline)
+        sol = lp.add_rows_and_resolve([ctx.lp_row(r) for r in fresh], ctx.deadline)
         iterations += sol.iterations
 
 
@@ -591,15 +664,17 @@ def min_diameter_orientation(g: UndirectedGraph, *,
     coloring and repeatedly solves the window-load model at the incumbent
     diameter; the window shrinks strictly until the model certifies it cannot
     be beaten. Each component's arcs map back to `g` through the vertex list
-    of its induced subgraph. `reports` collects every window solve's report.
-    Every window solve shares `deadline`; a solve that reaches it raises
-    TimeLimitError, whose `arcs` are the best orientation found so far: each
-    finished component's optimum, the current component's last window and
-    each later component's DSATUR start.
+    of its induced subgraph; a connected `g` is its own. `reports` collects
+    every window solve's report. Every window solve shares `deadline`; a
+    solve that reaches it raises TimeLimitError, whose `arcs` are the best
+    orientation found so far: each finished component's optimum, the current
+    component's last window and each later component's DSATUR start.
     """
     parts = []  # (original vertices, induced subgraph), components with edges only
     for comp in g.components():
-        if len(comp) > 1:  # a component of two or more vertices has an edge
+        if len(comp) == g.n > 1:  # g is connected: its induced subgraph is g, edge for edge
+            parts.append((comp, g))
+        elif len(comp) > 1:  # a component of two or more vertices has an edge
             sub, verts = g.induced_subgraph(comp)
             parts.append((verts, sub))
     best = [_dsatur_arcs(sub) for _, sub in parts]

@@ -82,11 +82,19 @@ def _chain_fap():
     return FapInstance(4, [None] * 4, [FapPair(*p) for p in pairs])
 
 
+# solves 1 and 4 of `_separating_solves` meet an integral point with a directed
+# cycle and no overloaded window, the one kind the cycle separator is asked about
+_CYCLE_SOLVES = {1, 4}
+
+
 def _separating_solves():
-    """An AO solve, an AS solve and two soft FAP solves that all run cut
-    rounds. The last search meets an integral point with a directed cycle,
-    the one kind of point the cycle separator is asked about."""
+    """Two AO solves, an AS solve and two soft FAP solves that all run cut
+    rounds. The second, on a 6-vertex graph whose LP lives over one variable
+    per edge, and the last, over one variable per arc, reach the cycle
+    separator (`_CYCLE_SOLVES`)."""
+    six = UndirectedGraph(6, [(0, 1), (1, 2), (1, 3), (1, 5), (2, 3), (2, 5), (3, 4), (3, 5)])
     return (lambda: solve_ao(petersen_graph(), 5),
+            lambda: solve_ao(six, 5),
             lambda: solve_model(_myciel3(), ModelConfig(kappa=3, variant=AS)),
             lambda: solve_soft_cost(_soft_fap()),
             lambda: solve_soft_cost(_costed_fap()))
@@ -415,13 +423,13 @@ def test_timeout_bound_counts_the_stopped_node_by_where_it_stopped(monkeypatch):
     # every LP solve reads the clock at its first pivot, which passes the
     # deadline once `count` solves have run
     monkeypatch.setattr("orientcut.lp.DEADLINE_PIVOTS", 1)
-    for count in (3, 4, 5):
+    for count in (2, 3, 4):
         rep, popped_at, in_lp = stopped(
             lambda: any(s.status == "stopped" for s in solves),
             lambda count=count: len(solves) >= count)
         assert in_lp
-        if count == 3:  # at the root, after three LP bounds
-            assert rep.node_count == 1 and len(rep.root_bound_history) == 3
+        if count == 2:  # at the root, after two LP bounds
+            assert rep.node_count == 1 and len(rep.root_bound_history) == 2
             assert rep.bound == rep.root_bound_history[-1] > popped_at == 0
     # the clock passes the deadline once `count` separation rounds have begun
     for count in (3, 5, 11):
@@ -597,7 +605,7 @@ def test_candidate_test_agrees_with_the_full_check(monkeypatch):
     def point_spy(d, cfg, arcs):
         point, load = integral_point(d, cfg, arcs)
         if inside:  # not the start point, which is tested before any node
-            seen.append((d, cfg, point, load, solutions[-1].x[d.num_arcs]))
+            seen.append((d, cfg, point, load, solutions[-1].x[-1]))  # z is the last column
         return point, load
 
     def process_spy(ctx, node, incumbent):
@@ -707,6 +715,70 @@ def test_root_program_starts_where_its_pair_pivots_lead(monkeypatch):
         assert b.iterations - a.iterations == pivoted
         saved += pivoted
     assert saved > len(roots)
+
+
+def test_edge_columns_keep_every_row_value():
+    """In the orientation model a row over arcs, mapped onto the columns
+    x_e = w_{2e+1} and z, less its rhs, has at x the value the arc row less
+    its rhs has at the mapped point, w_{2e} = 1 - x_e and w_{2e+1} = x_e; so
+    has the objective. Both arcs of one edge cancel, and a row whose
+    coefficients all cancel reaches the program as 0 <= rhs."""
+    rng = random.Random(35)
+    g = petersen_graph()
+    obj = solver.Objective(z_coeff=2.0, w_coeffs={0: 1.5, 1: -0.5, 6: 3.0, 9: -1.0}, const=1.0)
+    ctx = solver._Context(g, ModelConfig(kappa=3, variant=AO), obj, (), None)
+    rows = [LinearRow({rng.randrange(g.num_arcs): rng.choice((-2, -1, 1, 3)) for _ in range(5)},
+                      rng.choice((0, -1, 2)), rng.randint(-3, 3), rng.choice(("<=", "=")),
+                      "gadget-side") for _ in range(100)]
+    rows.append(LinearRow({4: 1, 5: 1, 8: 2}, -1, 1, "<=", "path-km1"))  # both arcs of edge 2
+    for row in rows:
+        coeffs, sense, rhs = ctx.lp_row(row)
+        assert sense == row.sense and set(coeffs) <= set(range(g.m + 1))
+        for _ in range(5):
+            x = [rng.random() for _ in range(g.m)] + [rng.uniform(0.0, 3.0)]
+            w, z = ctx.point(x)
+            assert len(w) == g.num_arcs and z == x[-1]
+            assert sum(c * x[j] for j, c in coeffs.items()) - rhs == \
+                pytest.approx(row.value(w, z) - row.rhs, abs=1e-12)
+            assert ctx.const + float(ctx.base_lp.c @ x) == \
+                pytest.approx(obj.value(ModelPoint(tuple(w), z)), abs=1e-12)
+    # w_4 + w_5 + 2 w_8 - z <= 1 is 1 + 2 (1 - x_4) - z <= 1
+    assert ctx.lp_row(rows[-1]) == ({4: -2, g.m: -1}, "<=", -2)
+    cancelled = LinearRow({4: 1, 5: 1}, 0, 0, "<=", "gadget-side")  # w_4 + w_5 = 1 > 0
+    assert ctx.lp_row(cancelled) == ({}, "<=", -1)
+    rep = solve_model(g, ModelConfig(kappa=3, variant=AO), extra_rows=(cancelled,))
+    assert rep.status == "infeasible" and rep.node_count == 1
+
+
+def test_orientation_program_has_one_column_per_edge():
+    """The orientation model's base program has m + 1 columns, x_e = w_{2e+1}
+    and z, and only the extra rows; the selection model's has 2m + 1 and the
+    pair rows before the extra ones. Forced arcs fix the columns they map to,
+    at the values that map back to them."""
+    g = petersen_graph()
+    side = (LinearRow({0: 1, 3: 1}, 0, 1, "<=", "gadget-side"),
+            LinearRow({5: 1, 7: 1}, 0, 1, "<=", "gadget-side"))
+    ao = solver._Context(g, ModelConfig(kappa=3, variant=AO), solver.Objective(), side, None)
+    lp = ao.base_lp
+    assert len(lp.c) == g.m + 1 and lp.c.tolist() == [0.0] * g.m + [1.0]
+    # w_0 + w_3 <= 1 is 1 - x_0 + x_1 <= 1, and w_5 + w_7 <= 1 is x_2 + x_3 <= 1
+    assert lp.rows == [({0: -1, 1: 1}, "<=", 0), ({2: 1, 3: 1}, "<=", 1)]
+    cfg = ModelConfig(kappa=3, variant=AS)
+    sel = solver._Context(g, cfg, default_objective(cfg, g.m), side, None)
+    assert len(sel.base_lp.c) == 2 * g.m + 1 and len(sel.base_lp.rows) == g.m + len(side)
+    assert sel.lp_row(side[0]) == ({0: 1, 3: 1}, "<=", 1)
+    rng = random.Random(7)
+    for _ in range(50):
+        forced = {}
+        for e in rng.sample(range(g.m), rng.randint(1, 6)):
+            a = 2 * e + rng.randint(0, 1)
+            forced[a], forced[a ^ 1] = 1, 0
+        fixed = lp.branch(ao.fixings(sorted(forced.items())))
+        assert [e for e in range(g.m) if fixed.col_lo[e] == fixed.col_hi[e]] == \
+            sorted({a >> 1 for a in forced})
+        w, _ = ao.point(fixed.col_lo.tolist())
+        assert all(w[a] == v for a, v in forced.items())
+        assert sel.fixings(sorted(forced.items())) == tuple(sorted(forced.items()))
 
 
 def test_no_good_rows_are_hard_constraints():
@@ -1048,22 +1120,25 @@ def test_one_walk_table_per_round(monkeypatch):
 
 def test_cycle_separation_sees_pair_feasible_points(monkeypatch):
     """`separate_cycles` searches no further than a 2-cycle closure; that is
-    exact because every point the solver separates keeps the pair rows. The
-    solver asks it at integral points only."""
+    exact because every point the solver separates keeps the pair rows, the
+    orientation model's by construction. The solver asks it at integral
+    points only, over edge columns and over arc columns (`_CYCLE_SOLVES`)."""
     seen = []
     separate = solver.separate_cycles
+    solving = [None]
 
     def spy(d, w):
         seen.append((max(w[a] + w[a + 1] for a in range(0, d.num_arcs, 2)),
-                     all(min(x, 1.0 - x) < INT_TOL for x in w)))
+                     all(min(x, 1.0 - x) < INT_TOL for x in w), solving[0]))
         return separate(d, w)
 
     monkeypatch.setattr(solver, "separate_cycles", spy)
-    for solve in _separating_solves():
+    for k, solve in enumerate(_separating_solves()):
+        solving[0] = k
         solve()
-    assert seen
-    assert all(integral for _, integral in seen)
-    assert max(worst for worst, _ in seen) <= 1.0 + 1e-6
+    assert {k for _, _, k in seen} == _CYCLE_SOLVES
+    assert all(integral for _, integral, _ in seen)
+    assert max(worst for worst, _, _ in seen) <= 1.0 + 1e-6
 
 
 def test_cut_rounds_append_only_rows_the_program_lacks(monkeypatch):
@@ -1102,14 +1177,17 @@ def test_cycle_separator_runs_last(monkeypatch):
 
         def call(d, w, *args):
             if name == "separate_paths":
-                rounds.append({"integral": all(min(x, 1.0 - x) < INT_TOL for x in w)})
+                rounds.append({"integral": all(min(x, 1.0 - x) < INT_TOL for x in w),
+                               "solve": solving[0]})
             rows = rounds[-1][name] = separate(d, w, *args)
             return rows
         return call
 
+    solving = [None]
     for name in ("separate_paths", "separate_templates", "separate_cycles"):
         monkeypatch.setattr(solver, name, spy(name))
-    for solve in _separating_solves():
+    for k, solve in enumerate(_separating_solves()):
+        solving[0] = k
         solve()
     for r in rounds:
         window = r["separate_paths"] + r["separate_templates"]
@@ -1117,7 +1195,7 @@ def test_cycle_separator_runs_last(monkeypatch):
         if r["integral"]:
             assert window or r["separate_cycles"]
     assert sum(r["integral"] for r in rounds) > 0
-    assert sum("separate_cycles" in r for r in rounds) > 0
+    assert {r["solve"] for r in rounds if "separate_cycles" in r} == _CYCLE_SOLVES
     # fractional rounds whose window search came back empty: they branch
     assert any(not r["integral"] and not r["separate_paths"] + r["separate_templates"]
                for r in rounds)
@@ -1162,18 +1240,20 @@ def test_chromatic_number_named_graphs():
 
 
 def test_drift_in_the_search_restarts_once(monkeypatch):
-    """Drift in the first program the search pivots fails its residual check;
-    one restart from the slack basis recovers it and chi is the one found
-    without drift. The colouring may differ but stays proper."""
+    """Drift in the first program the search pivots, the first one with rows
+    (the orientation model's root program has none), fails its residual
+    check; one restart from the slack basis recovers it and chi is the one
+    found without drift. The colouring may differ but stays proper."""
     iterate, restart = LinearProgram._iterate, LinearProgram._restart
     for g in (petersen_graph(), _myciel3()):
         chi, _ = chromatic_number(g)
         calls, restarts = [], []
 
         def drifting(lp, *args):
-            if not calls:
-                lp.tab[:, -1] += 1e-3
-            calls.append(lp)
+            if len(lp.basis):
+                if not calls:
+                    lp.tab[:, -1] += 1e-3
+                calls.append(lp)
             return iterate(lp, *args)
 
         monkeypatch.setattr(LinearProgram, "_iterate", drifting)
@@ -1201,6 +1281,24 @@ def test_chromatic_number_disconnected(monkeypatch):
     assert min_diameter_orientation(edgeless, reports=reports) == (frozenset(), 0)
     assert reports == [] and chromatic_number(edgeless) == (1, [0, 0, 0])
     assert built == [3, 2]
+
+
+def test_connected_input_is_its_own_component(monkeypatch):
+    """A connected graph is its one component's induced subgraph, edge for
+    edge, so `min_diameter_orientation` builds no subgraph and solves on the
+    graph itself, with the arcs and reports that the induced copy gives."""
+    built = []
+    induced = UndirectedGraph.induced_subgraph
+    monkeypatch.setattr(UndirectedGraph, "induced_subgraph",
+                        lambda self, verts: built.append(len(verts)) or induced(self, verts))
+    for g in (petersen_graph(), _myciel3(), complete_graph(4)):
+        reports, copied = [], []
+        got = min_diameter_orientation(g, reports=reports)
+        assert built == [] and reports
+        # one isolated vertex more: the graph's component induces a copy of g
+        assert min_diameter_orientation(UndirectedGraph(g.n + 1, g.edges), reports=copied) == got
+        assert built == [g.n] and copied == reports
+        built.clear()
 
 
 def test_min_diameter_orientation_on_interleaved_components():
